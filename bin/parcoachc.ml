@@ -39,23 +39,37 @@ let run file bench initial_multi level taint interproc races requests only
     | None -> ()
     | Some t -> Fmt.epr "per-phase wall-clock:@.%a" Parcoach.Timings.pp t
   in
-  let program = time "parse" (fun () -> read_program file bench) in
+  (* In --json mode the issues go to stdout as part of the single JSON
+     object (machine consumers and the daemon protocol share one
+     format); the plain mode keeps printing them to stderr.  A syntax
+     error is reported like a validation error. *)
+  let print_issues issues =
+    if not json then
+      List.iter
+        (fun i -> Fmt.epr "%s@." (Minilang.Validate.issue_to_string i))
+        issues
+  in
+  let reject issues =
+    if json then print_endline (Parcoach.Json_report.invalid_to_string issues);
+    report_timings ();
+    exit 1
+  in
+  let program =
+    match
+      time "parse" (fun () ->
+          Minilang.Validate.catch_syntax_error (fun () ->
+              read_program file bench))
+    with
+    | Ok program -> program
+    | Error issue ->
+        print_issues [ issue ];
+        reject [ issue ]
+  in
   let issues =
     time "validate" (fun () -> Minilang.Validate.check_program program)
   in
-  (* In --json mode the issues go to stdout as part of the single JSON
-     object (machine consumers and the daemon protocol share one
-     format); the plain mode keeps printing them to stderr. *)
-  if not json then
-    List.iter
-      (fun i -> Fmt.epr "%s@." (Minilang.Validate.issue_to_string i))
-      issues;
-  if not (Minilang.Validate.is_valid issues) then begin
-    if json then
-      print_endline (Parcoach.Json_report.invalid_to_string issues);
-    report_timings ();
-    exit 1
-  end;
+  print_issues issues;
+  if not (Minilang.Validate.is_valid issues) then reject issues;
   (match jobs with
   | Some j when j < 1 ->
       Fmt.epr "--jobs must be at least 1 (got %d)@." j;
@@ -227,9 +241,9 @@ let json =
     & info [ "json" ]
         ~doc:
           "Emit the analysis report as machine-readable JSON on stdout. \
-           Validation issues are included as an 'issues' array (with \
-           'valid' false and exit 1 when validation fails) instead of \
-           plain text on stderr.")
+           Validation issues, and a located syntax error, are included \
+           as an 'issues' array (with 'valid' false and exit 1 when the \
+           program is invalid) instead of plain text on stderr.")
 
 let timings =
   Arg.(

@@ -29,9 +29,18 @@ let read_program file bench =
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
     explore_mode branch_depth budget explore_jobs interp =
-  let program = read_program file bench in
+  let print_issue i = Fmt.epr "%s@." (Minilang.Validate.issue_to_string i) in
+  let program =
+    match
+      Minilang.Validate.catch_syntax_error (fun () -> read_program file bench)
+    with
+    | Ok program -> program
+    | Error issue ->
+        print_issue issue;
+        exit 1
+  in
   let issues = Minilang.Validate.check_program program in
-  List.iter (fun i -> Fmt.epr "%s@." (Minilang.Validate.issue_to_string i)) issues;
+  List.iter print_issue issues;
   if not (Minilang.Validate.is_valid issues) then exit 1;
   (match jobs with
   | Some j when j < 1 ->

@@ -1,7 +1,8 @@
-(** Hand-written lexer for the mini-language surface syntax.
+(** Hand-written streaming lexer for the mini-language surface syntax.
 
     Supports [//] line comments, [/* ... */] block comments, and an optional
-    [#] before [pragma] so that sources can look like real OpenMP code. *)
+    [#] before [pragma] so that sources can look like real OpenMP code.  The
+    parser pulls one token at a time with {!next}. *)
 
 type token =
   | INT of int
@@ -105,183 +106,180 @@ let token_to_string = function
 
 exception Lex_error of Loc.t * string
 
-let keyword_table =
-  [
-    ("func", FUNC);
-    ("var", VAR);
-    ("if", IF);
-    ("else", ELSE);
-    ("while", WHILE);
-    ("for", FOR);
-    ("to", TO);
-    ("return", RETURN);
-    ("pragma", PRAGMA);
-    ("omp", OMP);
-    ("parallel", PARALLEL);
-    ("single", SINGLE);
-    ("master", MASTER);
-    ("critical", CRITICAL);
-    ("barrier", BARRIER);
-    ("sections", SECTIONS);
-    ("section", SECTION);
-    ("num_threads", NUM_THREADS);
-    ("nowait", NOWAIT);
-    ("reduction", REDUCTION);
-    ("true", TRUE);
-    ("false", FALSE);
-  ]
+let keyword = function
+  | "func" -> FUNC
+  | "var" -> VAR
+  | "if" -> IF
+  | "else" -> ELSE
+  | "while" -> WHILE
+  | "for" -> FOR
+  | "to" -> TO
+  | "return" -> RETURN
+  | "pragma" -> PRAGMA
+  | "omp" -> OMP
+  | "parallel" -> PARALLEL
+  | "single" -> SINGLE
+  | "master" -> MASTER
+  | "critical" -> CRITICAL
+  | "barrier" -> BARRIER
+  | "sections" -> SECTIONS
+  | "section" -> SECTION
+  | "num_threads" -> NUM_THREADS
+  | "nowait" -> NOWAIT
+  | "reduction" -> REDUCTION
+  | "true" -> TRUE
+  | "false" -> FALSE
+  | word -> IDENT word
 
-type state = {
+(* The scanner works on byte offsets.  [bol] is the offset where the
+   current line begins, so a column is [pos - bol + 1]: every byte,
+   tabs and ['\r'] included, counts one column.  [tok_line]/[tok_col]
+   locate the token [next] returned last. *)
+type t = {
   src : string;
   file : string;
   mutable pos : int;
   mutable line : int;
-  mutable col : int;
+  mutable bol : int;
+  mutable tok_line : int;
+  mutable tok_col : int;
 }
 
-let make_state ~file src = { src; file; pos = 0; line = 1; col = 1 }
+let make ~file src =
+  { src; file; pos = 0; line = 1; bol = 0; tok_line = 1; tok_col = 1 }
 
-let loc_of st = Loc.make ~file:st.file ~line:st.line ~col:st.col
+let loc lx = Loc.make ~file:lx.file ~line:lx.tok_line ~col:lx.tok_col
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let error lx msg = raise (Lex_error (loc lx, msg))
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let char_at lx i =
+  if i < String.length lx.src then String.unsafe_get lx.src i else '\000'
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
 
-let is_digit c = c >= '0' && c <= '9'
+let rec ident_end lx i = if is_ident_char (char_at lx i) then ident_end lx (i + 1) else i
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+(* Counts the newlines in [src.[lo..hi-1]], which the scanner has consumed. *)
+let newlines lx lo hi =
+  for i = lo to hi - 1 do
+    if lx.src.[i] = '\n' then (
+      lx.line <- lx.line + 1;
+      lx.bol <- i + 1)
+  done
 
-let is_ident_char c = is_ident_start c || is_digit c
-
-let rec skip_ws_and_comments st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws_and_comments st
-  | Some '#' ->
-      (* Allow '#pragma': skip the '#', the keyword follows. *)
-      advance st;
-      skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
+let rec skip lx =
+  match char_at lx lx.pos with
+  | ' ' | '\t' | '\r' ->
+      lx.pos <- lx.pos + 1;
+      skip lx
+  | '\n' ->
+      lx.pos <- lx.pos + 1;
+      lx.line <- lx.line + 1;
+      lx.bol <- lx.pos;
+      skip lx
+  | '/' when char_at lx (lx.pos + 1) = '/' ->
+      lx.pos <-
+        (match String.index_from_opt lx.src lx.pos '\n' with
+        | Some i -> i
+        | None -> String.length lx.src);
+      skip lx
+  | '/' when char_at lx (lx.pos + 1) = '*' ->
+      let rec close i =
+        if i + 1 >= String.length lx.src then (
+          lx.tok_line <- lx.line;
+          lx.tok_col <- lx.pos - lx.bol + 1;
+          error lx "unterminated block comment")
+        else if lx.src.[i] = '*' && lx.src.[i + 1] = '/' then i + 2
+        else close (i + 1)
       in
-      to_eol ();
-      skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
-      let start = loc_of st in
-      advance st;
-      advance st;
-      let rec to_close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | Some _, _ ->
-            advance st;
-            to_close ()
-        | None, _ -> raise (Lex_error (start, "unterminated block comment"))
-      in
-      to_close ();
-      skip_ws_and_comments st
-  | Some _ | None -> ()
+      let stop = close (lx.pos + 2) in
+      newlines lx lx.pos stop;
+      lx.pos <- stop;
+      skip lx
+  | _ -> ()
 
-(** Next token with its starting location. *)
-let next_token st : token * Loc.t =
-  skip_ws_and_comments st;
-  let loc = loc_of st in
-  match peek st with
-  | None -> (EOF, loc)
-  | Some c when is_digit c ->
-      let start = st.pos in
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
-      (INT (int_of_string (String.sub st.src start (st.pos - start))), loc)
-  | Some c when is_ident_start c ->
-      let start = st.pos in
-      while (match peek st with Some c -> is_ident_char c | None -> false) do
-        advance st
-      done;
-      let word = String.sub st.src start (st.pos - start) in
-      let tok =
-        match List.assoc_opt word keyword_table with
-        | Some t -> t
-        | None -> IDENT word
-      in
-      (tok, loc)
-  | Some '"' ->
-      advance st;
-      let buf = Buffer.create 16 in
-      let rec scan () =
-        match peek st with
-        | Some '"' -> advance st
-        | Some c ->
-            Buffer.add_char buf c;
-            advance st;
-            scan ()
-        | None -> raise (Lex_error (loc, "unterminated string literal"))
-      in
-      scan ();
-      (STRING (Buffer.contents buf), loc)
-  | Some c ->
-      let two tok =
-        advance st;
-        advance st;
-        (tok, loc)
-      in
-      let one tok =
-        advance st;
-        (tok, loc)
-      in
-      (match (c, peek2 st) with
-      | '=', Some '=' -> two EQEQ
-      | '=', _ -> one ASSIGN
-      | '!', Some '=' -> two NE
-      | '!', _ -> one BANG
-      | '<', Some '=' -> two LE
-      | '<', _ -> one LT
-      | '>', Some '=' -> two GE
-      | '>', _ -> one GT
-      | '&', Some '&' -> two ANDAND
-      | '|', Some '|' -> two OROR
-      | '(', _ -> one LPAREN
-      | ')', _ -> one RPAREN
-      | '{', _ -> one LBRACE
-      | '}', _ -> one RBRACE
-      | ',', _ -> one COMMA
-      | ':', _ -> one COLON
-      | ';', _ -> one SEMI
-      | '+', _ -> one PLUS
-      | '-', _ -> one MINUS
-      | '*', _ -> one STAR
-      | '/', _ -> one SLASH
-      | '%', _ -> one PERCENT
-      | _ ->
-          raise
-            (Lex_error (loc, Printf.sprintf "unexpected character %C" c)))
+(* Accumulates the digits of an integer literal, rejecting any literal
+   above [max_int]. *)
+let rec number lx n =
+  match char_at lx lx.pos with
+  | '0' .. '9' as c ->
+      let d = Char.code c - Char.code '0' in
+      if n > (max_int - d) / 10 then error lx "integer literal out of range";
+      lx.pos <- lx.pos + 1;
+      number lx ((n * 10) + d)
+  | _ -> INT n
+
+(** Scans the next token; {!loc} then gives its starting location.  At
+    the end of the source it returns [EOF], as often as it is called. *)
+let rec next lx =
+  skip lx;
+  let pos = lx.pos in
+  lx.tok_line <- lx.line;
+  lx.tok_col <- pos - lx.bol + 1;
+  if pos >= String.length lx.src then EOF
+  else
+    match lx.src.[pos] with
+    | '0' .. '9' -> number lx 0
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        lx.pos <- ident_end lx pos;
+        keyword (String.sub lx.src pos (lx.pos - pos))
+    | '"' -> (
+        match String.index_from_opt lx.src (pos + 1) '"' with
+        | None -> error lx "unterminated string literal"
+        | Some stop ->
+            newlines lx pos stop;
+            lx.pos <- stop + 1;
+            STRING (String.sub lx.src (pos + 1) (stop - pos - 1)))
+    | '#' ->
+        (* Only '#pragma' is allowed, with optional blanks after '#'. *)
+        let rec blanks i =
+          match char_at lx i with ' ' | '\t' -> blanks (i + 1) | _ -> i
+        in
+        let p = blanks (pos + 1) in
+        if ident_end lx p - p = 6 && String.equal (String.sub lx.src p 6) "pragma"
+        then (
+          lx.pos <- p;
+          next lx)
+        else error lx "stray '#' (only '#pragma' is allowed)"
+    | c ->
+        let tok =
+          match (c, char_at lx (pos + 1)) with
+          | '=', '=' -> EQEQ
+          | '=', _ -> ASSIGN
+          | '!', '=' -> NE
+          | '!', _ -> BANG
+          | '<', '=' -> LE
+          | '<', _ -> LT
+          | '>', '=' -> GE
+          | '>', _ -> GT
+          | '&', '&' -> ANDAND
+          | '|', '|' -> OROR
+          | '(', _ -> LPAREN
+          | ')', _ -> RPAREN
+          | '{', _ -> LBRACE
+          | '}', _ -> RBRACE
+          | ',', _ -> COMMA
+          | ':', _ -> COLON
+          | ';', _ -> SEMI
+          | '+', _ -> PLUS
+          | '-', _ -> MINUS
+          | '*', _ -> STAR
+          | '/', _ -> SLASH
+          | '%', _ -> PERCENT
+          | _ -> error lx (Printf.sprintf "unexpected character %C" c)
+        in
+        lx.pos <-
+          (pos + match tok with EQEQ | NE | LE | GE | ANDAND | OROR -> 2 | _ -> 1);
+        tok
 
 (** Tokenise a whole source string. *)
 let tokenize ~file src =
-  let st = make_state ~file src in
+  let lx = make ~file src in
   let rec loop acc =
-    let tok, loc = next_token st in
-    match tok with
-    | EOF -> List.rev ((EOF, loc) :: acc)
-    | _ -> loop ((tok, loc) :: acc)
+    let tok = next lx in
+    let acc = (tok, loc lx) :: acc in
+    if tok == EOF then List.rev acc else loop acc
   in
   loop []

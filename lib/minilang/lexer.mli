@@ -1,6 +1,6 @@
-(** Hand-written lexer for the mini-language: [//] and [/* */] comments,
-    an optional [#] before [pragma], C-like operators, integer and string
-    literals. *)
+(** Hand-written streaming lexer for the mini-language: [//] and [/* */]
+    comments, [#] allowed only before [pragma], C-like operators, integer
+    literals up to [max_int] and string literals. *)
 
 type token =
   | INT of int
@@ -55,6 +55,18 @@ type token =
 val token_to_string : token -> string
 
 exception Lex_error of Loc.t * string
+
+(** A scanner over one source string. *)
+type t
+
+val make : file:string -> string -> t
+
+(** The next token; [EOF] at the end of the source, as often as it is
+    called.  @raise Lex_error on malformed input. *)
+val next : t -> token
+
+(** Where the token last returned by {!next} starts. *)
+val loc : t -> Loc.t
 
 (** Tokenise a whole source string; the result ends with [EOF].
     @raise Lex_error on malformed input. *)

@@ -39,27 +39,30 @@ open Lexer
 
 exception Parse_error of Loc.t * string
 
-type state = { toks : (token * Loc.t) array; mutable idx : int }
+(* The parser pulls tokens from the lexer one at a time; [tok] is the
+   current one, located by [Lexer.loc lx]. *)
+type state = { lx : Lexer.t; mutable tok : token }
 
-let error st msg =
-  let _, loc = st.toks.(st.idx) in
-  raise (Parse_error (loc, msg))
+let loc st = Lexer.loc st.lx
 
-let peek st = fst st.toks.(st.idx)
+let error st msg = raise (Parse_error (loc st, msg))
 
-let loc st = snd st.toks.(st.idx)
+let advance st = st.tok <- Lexer.next st.lx
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
-
+(* [eat] and [accept] take constant constructors only, for which [==] is
+   exact. *)
 let eat st tok =
-  if peek st = tok then advance st
+  if st.tok == tok then advance st
   else
     error st
       (Printf.sprintf "expected '%s' but found '%s'" (token_to_string tok)
-         (token_to_string (peek st)))
+         (token_to_string st.tok))
+
+(* Consumes [tok] if it is the current token. *)
+let accept st tok = st.tok == tok && (advance st; true)
 
 let eat_ident st =
-  match peek st with
+  match st.tok with
   | IDENT x ->
       advance st;
       x
@@ -74,27 +77,21 @@ let rec parse_expr st = parse_or st
 and parse_or st =
   let lhs = parse_and st in
   let rec loop lhs =
-    if peek st = OROR then (
-      advance st;
-      loop (Binop (Or, lhs, parse_and st)))
-    else lhs
+    if accept st OROR then loop (Binop (Or, lhs, parse_and st)) else lhs
   in
   loop lhs
 
 and parse_and st =
   let lhs = parse_cmp st in
   let rec loop lhs =
-    if peek st = ANDAND then (
-      advance st;
-      loop (Binop (And, lhs, parse_cmp st)))
-    else lhs
+    if accept st ANDAND then loop (Binop (And, lhs, parse_cmp st)) else lhs
   in
   loop lhs
 
 and parse_cmp st =
   let lhs = parse_add st in
   let op =
-    match peek st with
+    match st.tok with
     | EQEQ -> Some Eq
     | NE -> Some Ne
     | LT -> Some Lt
@@ -112,7 +109,7 @@ and parse_cmp st =
 and parse_add st =
   let lhs = parse_mul st in
   let rec loop lhs =
-    match peek st with
+    match st.tok with
     | PLUS ->
         advance st;
         loop (Binop (Add, lhs, parse_mul st))
@@ -126,7 +123,7 @@ and parse_add st =
 and parse_mul st =
   let lhs = parse_unary st in
   let rec loop lhs =
-    match peek st with
+    match st.tok with
     | STAR ->
         advance st;
         loop (Binop (Mul, lhs, parse_unary st))
@@ -141,7 +138,7 @@ and parse_mul st =
   loop lhs
 
 and parse_unary st =
-  match peek st with
+  match st.tok with
   | MINUS ->
       advance st;
       Unop (Neg, parse_unary st)
@@ -151,7 +148,7 @@ and parse_unary st =
   | _ -> parse_atom st
 
 and parse_atom st =
-  match peek st with
+  match st.tok with
   | INT n ->
       advance st;
       Int n
@@ -168,7 +165,7 @@ and parse_atom st =
       e
   | IDENT x -> (
       advance st;
-      match peek st with
+      match st.tok with
       | LPAREN -> (
           advance st;
           eat st RPAREN;
@@ -188,8 +185,12 @@ and parse_atom st =
 (* Collectives                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_collective_name name =
-  List.mem name all_collective_names
+let is_collective_name = function
+  | "MPI_Barrier" | "MPI_Bcast" | "MPI_Reduce" | "MPI_Allreduce" | "MPI_Gather"
+  | "MPI_Scatter" | "MPI_Allgather" | "MPI_Alltoall" | "MPI_Scan"
+  | "MPI_Reduce_scatter" ->
+      true
+  | _ -> false
 
 let parse_reduce_op st =
   let name = eat_ident st in
@@ -252,7 +253,9 @@ let parse_collective st name =
   eat st RPAREN;
   c
 
-let is_request_op_name name = List.mem name all_request_op_names
+let is_request_op_name = function
+  | "MPI_Ibarrier" | "MPI_Iallreduce" | "MPI_Isend" | "MPI_Irecv" -> true
+  | _ -> false
 
 (** Parses the argument list of split-phase start [name]; the leading
     ['('] has not been consumed.  [MPI_Iallreduce]/[MPI_Irecv] take the
@@ -295,15 +298,11 @@ let parse_request_op st name =
 
 let parse_args st =
   eat st LPAREN;
-  if peek st = RPAREN then (
-    advance st;
-    [])
+  if accept st RPAREN then []
   else
     let rec loop acc =
       let e = parse_expr st in
-      if peek st = COMMA then (
-        advance st;
-        loop (e :: acc))
+      if accept st COMMA then loop (e :: acc)
       else (
         eat st RPAREN;
         List.rev (e :: acc))
@@ -313,7 +312,7 @@ let parse_args st =
 let parse_check st name =
   let int_arg () =
     eat st LPAREN;
-    let n = match peek st with
+    let n = match st.tok with
       | INT n ->
           advance st;
           n
@@ -330,7 +329,7 @@ let parse_check st name =
   | "__cc_next" ->
       eat st LPAREN;
       let color =
-        match peek st with
+        match st.tok with
         | INT n ->
             advance st;
             n
@@ -338,7 +337,7 @@ let parse_check st name =
       in
       eat st COMMA;
       let coll_name =
-        match peek st with
+        match st.tok with
         | STRING s ->
             advance st;
             s
@@ -360,17 +359,14 @@ let is_check_name = function
 let rec parse_block st =
   eat st LBRACE;
   let rec loop acc =
-    if peek st = RBRACE then (
-      advance st;
-      List.rev acc)
-    else loop (parse_stmt st :: acc)
+    if accept st RBRACE then List.rev acc else loop (parse_stmt st :: acc)
   in
   loop []
 
 and parse_stmt st =
   let sloc = loc st in
   let mk sdesc = { sdesc; sloc } in
-  match peek st with
+  match st.tok with
   | VAR ->
       advance st;
       let x = eat_ident st in
@@ -384,11 +380,7 @@ and parse_stmt st =
       let c = parse_expr st in
       eat st RPAREN;
       let bt = parse_block st in
-      let bf = if peek st = ELSE then (
-          advance st;
-          parse_block st)
-        else []
-      in
+      let bf = if accept st ELSE then parse_block st else [] in
       mk (If (c, bt, bf))
   | WHILE ->
       advance st;
@@ -411,10 +403,10 @@ and parse_stmt st =
   | PRAGMA -> parse_pragma st sloc
   | IDENT x -> (
       advance st;
-      match peek st with
+      match st.tok with
       | ASSIGN -> (
           advance st;
-          match peek st with
+          match st.tok with
           | IDENT name when is_collective_name name ->
               advance st;
               let c = parse_collective st name in
@@ -488,11 +480,11 @@ and parse_pragma st sloc =
   let mk sdesc = { sdesc; sloc } in
   eat st PRAGMA;
   eat st OMP;
-  match peek st with
+  match st.tok with
   | PARALLEL ->
       advance st;
       let num_threads =
-        match peek st with
+        match st.tok with
         | NUM_THREADS ->
             advance st;
             eat st LPAREN;
@@ -504,7 +496,7 @@ and parse_pragma st sloc =
       mk (Omp_parallel { num_threads; body = parse_block st })
   | SINGLE ->
       advance st;
-      let nowait = parse_nowait st in
+      let nowait = accept st NOWAIT in
       mk (Omp_single { nowait; body = parse_block st })
   | MASTER ->
       advance st;
@@ -512,8 +504,7 @@ and parse_pragma st sloc =
   | CRITICAL ->
       advance st;
       let name =
-        if peek st = LPAREN then (
-          advance st;
+        if accept st LPAREN then (
           let x = eat_ident st in
           eat st RPAREN;
           Some x)
@@ -532,8 +523,7 @@ and parse_pragma st sloc =
       eat st TO;
       let hi = parse_expr st in
       let reduction =
-        if peek st = REDUCTION then begin
-          advance st;
+        if accept st REDUCTION then begin
           eat st LPAREN;
           let op = parse_reduce_op st in
           eat st COLON;
@@ -543,14 +533,14 @@ and parse_pragma st sloc =
         end
         else None
       in
-      let nowait = parse_nowait st in
+      let nowait = accept st NOWAIT in
       mk (Omp_for { var; lo; hi; nowait; reduction; body = parse_block st })
   | SECTIONS ->
       advance st;
-      let nowait = parse_nowait st in
+      let nowait = accept st NOWAIT in
       eat st LBRACE;
       let rec loop acc =
-        match peek st with
+        match st.tok with
         | SECTION ->
             advance st;
             loop (parse_block st :: acc)
@@ -567,27 +557,17 @@ and parse_pragma st sloc =
       error st
         (Printf.sprintf "unknown OpenMP directive '%s'" (token_to_string t))
 
-and parse_nowait st =
-  if peek st = NOWAIT then (
-    advance st;
-    true)
-  else false
-
 let parse_func st =
   let floc = loc st in
   eat st FUNC;
   let fname = eat_ident st in
   eat st LPAREN;
   let params =
-    if peek st = RPAREN then (
-      advance st;
-      [])
+    if accept st RPAREN then []
     else
       let rec loop acc =
         let x = eat_ident st in
-        if peek st = COMMA then (
-          advance st;
-          loop (x :: acc))
+        if accept st COMMA then loop (x :: acc)
         else (
           eat st RPAREN;
           List.rev (x :: acc))
@@ -596,16 +576,21 @@ let parse_func st =
   in
   { fname; params; body = parse_block st; floc }
 
-(** Parse a whole program from a string.
+(** Parse a whole program from a string.  A lexical error anywhere in
+    the source is reported in preference to a syntax error: on a
+    [Parse_error] the rest of the source is scanned first.
     @raise Parse_error or {!Lexer.Lex_error} on malformed input. *)
 let parse_string ?(file = "<string>") src =
-  let toks = Array.of_list (Lexer.tokenize ~file src) in
-  let st = { toks; idx = 0 } in
+  let lx = Lexer.make ~file src in
+  let st = { lx; tok = Lexer.next lx } in
   let rec loop acc =
-    if peek st = EOF then { funcs = List.rev acc }
+    if st.tok == EOF then { funcs = List.rev acc }
     else loop (parse_func st :: acc)
   in
-  loop []
+  try loop []
+  with Parse_error _ as e ->
+    while Lexer.next lx != EOF do () done;
+    raise e
 
 (** Parse a program from a file on disk. *)
 let parse_file path =

@@ -40,6 +40,13 @@ let errors issues = List.filter (fun i -> i.severity = Error) issues
 
 let is_valid issues = errors issues = []
 
+let catch_syntax_error parse =
+  let error loc message = Result.Error { severity = Error; loc; message } in
+  match parse () with
+  | parsed -> Ok parsed
+  | exception Parser.Parse_error (loc, msg) -> error loc ("parse error: " ^ msg)
+  | exception Lexer.Lex_error (loc, msg) -> error loc ("lex error: " ^ msg)
+
 (* Context tracked while walking a function body. *)
 type ctx = {
   in_parallel : int;  (* nesting depth of parallel regions *)

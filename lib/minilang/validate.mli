@@ -16,6 +16,11 @@ val errors : issue list -> issue list
 
 val is_valid : issue list -> bool
 
+(** [catch_syntax_error parse] runs a parser call.  A {!Parser.Parse_error}
+    or {!Lexer.Lex_error} it raises becomes the located error issue every
+    tool reports: ["parse error: ..."] or ["lex error: ..."]. *)
+val catch_syntax_error : (unit -> 'a) -> ('a, issue) result
+
 (** All issues of a program, in source order. *)
 val check_program : Ast.program -> issue list
 

@@ -82,9 +82,12 @@ let parse_chunked t ~file source =
               | Some e -> e
               | None -> (
                   let p =
-                    try Parser.parse_string ~file:"" c.Chunker.text
-                    with Parser.Parse_error _ | Lexer.Lex_error _ ->
-                      raise Chunk_fallback
+                    match
+                      Validate.catch_syntax_error (fun () ->
+                          Parser.parse_string ~file:"" c.Chunker.text)
+                    with
+                    | Ok p -> p
+                    | Error _ -> raise Chunk_fallback
                   in
                   match p.Ast.funcs with
                   | [ f ] ->
@@ -148,18 +151,12 @@ let parse_cached t tm ~file source =
       Mutex.unlock t.ast_lock;
       result
 
-let issue_of_loc_error loc message =
-  { Validate.severity = Validate.Error; loc; message }
-
 let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
     ?(file = "<request>") source =
   let tm = Parcoach.Timings.create () in
-  match parse_cached t tm ~file source with
-  | exception Parser.Parse_error (loc, msg) ->
-      Error [ issue_of_loc_error loc ("parse error: " ^ msg) ]
-  | exception Lexer.Lex_error (loc, msg) ->
-      Error [ issue_of_loc_error loc ("lex error: " ^ msg) ]
-  | program, memo -> (
+  match Validate.catch_syntax_error (fun () -> parse_cached t tm ~file source) with
+  | Error issue -> Error [ issue ]
+  | Ok (program, memo) -> (
       let issues =
         Parcoach.Timings.record tm "validate" (fun () ->
             Validate.check_program program)

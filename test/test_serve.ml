@@ -476,6 +476,36 @@ let test_daemon_protocol_errors () =
   check_error "unknown warning class in only"
     {|{"id":1,"method":"analyze","params":{"source":"func main() { }","only":"no-such-class"}}|}
 
+(* A syntax error is a located issue of an invalid program, built by the
+   same helper as the CLIs' reports, never an internal error. *)
+let test_daemon_syntax_errors () =
+  let daemon = Serve.Daemon.create () in
+  let check label source expected =
+    let request =
+      Serve.Json.to_string
+        (Serve.Json.Obj
+           [
+             ("id", Serve.Json.Int 1);
+             ("method", Serve.Json.Str "analyze");
+             ( "params",
+               Serve.Json.Obj
+                 [
+                   ("source", Serve.Json.Str source);
+                   ("file", Serve.Json.Str "s.hml");
+                 ] );
+           ])
+    in
+    Alcotest.(check string)
+      label
+      ({|{"id":1,"ok":true,"valid":false,"issues":[{"severity":"error","loc":{"file":"s.hml",|}
+      ^ expected ^ "}]}")
+      (Serve.Daemon.handle_line daemon request)
+  in
+  check "huge integer" "func main() { var x = 99999999999999999999; }"
+    {|"line":1,"col":23},"message":"lex error: integer literal out of range"|};
+  check "missing semicolon" "func main() {\n  var x = 1\n}"
+    {|"line":3,"col":1},"message":"parse error: expected ';' but found '}'"|}
+
 (* The requests pass and the warning-class filter, shared with
    [parcoachc --requests] / [--only]. *)
 let test_daemon_only_filter () =
@@ -639,6 +669,8 @@ let suite =
           test_daemon_only_filter;
         Alcotest.test_case "daemon protocol errors" `Quick
           test_daemon_protocol_errors;
+        Alcotest.test_case "daemon syntax errors are located issues" `Quick
+          test_daemon_syntax_errors;
         Alcotest.test_case "Driver.analyze reuse identity" `Quick
           test_driver_reuse_identity;
         Alcotest.test_case "promise" `Quick test_promise;
