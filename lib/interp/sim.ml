@@ -240,7 +240,8 @@ type ('k, 'c) core = {
   stats : stats;
   find : int -> ('k, 'c) Task.t;  (** Task by engine cookie. *)
   set_cell : 'c -> int -> unit;  (** Deliver a result into a cell. *)
-  iter_tasks : (('k, 'c) Task.t -> unit) -> unit;  (** In spawn order. *)
+  iter_tasks : (('k, 'c) Task.t -> unit) -> unit;
+      (** In spawn order; may skip finished tasks. *)
   mutable race : Raceck.t option;
       (** Dynamic race oracle; fed the synchronisation the runtime
           executes (and, in the compiled core only, slot accesses).
@@ -1505,12 +1506,18 @@ type ctask = (ckont, Compile.loc) Task.t
 (* Tasks live in a dense growable array: ids are assigned 0,1,2,… in
    spawn order, so the id doubles as the array index ([core.find] is an
    array load) and as the canonical scheduling-order position used by
-   fingerprints. *)
+   fingerprints.  The per-step scans (scheduler, wake-ups) walk [live]
+   instead, so their cost follows the tasks still alive rather than every
+   task ever spawned. *)
 type cstate = {
   core : (ckont, Compile.loc) core;
   ctasks : ctask array ref;
   ectxs : Compile.ectx array ref;
   ntasks : int ref;
+  live : int array ref;
+      (** Ids of unfinished tasks in spawn order ([nlive] valid); finished
+          ones are dropped lazily by the scheduler's scan. *)
+  nlive : int ref;
   runnable : int array ref;  (** Scratch for the scheduler's index scan. *)
   fresh_fid : unit -> int;
       (** Creation-time frame identity for the DPOR recorder (frames of
@@ -1534,6 +1541,9 @@ let cspawn st ~rank ~tid ~team ~konts =
     let es = Array.make cap dummy_ectx in
     Array.blit !(st.ectxs) 0 es 0 id;
     st.ectxs := es;
+    let live = Array.make cap 0 in
+    Array.blit !(st.live) 0 live 0 !(st.nlive);
+    st.live := live;
     st.runnable := Array.make cap 0
   end;
   let t = Task.make ~id ~rank ~tid ~team ~konts in
@@ -1546,6 +1556,8 @@ let cspawn st ~rank ~tid ~team ~konts =
       e_nranks = st.core.config.nranks;
     };
   st.ntasks := id + 1;
+  !(st.live).(!(st.nlive)) <- id;
+  incr st.nlive;
   st.core.stats.tasks_spawned <- st.core.stats.tasks_spawned + 1;
   t
 
@@ -2025,6 +2037,8 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
   let ctasks = ref (Array.make 8 dummy_ctask) in
   let ectxs = ref (Array.make 8 dummy_ectx) in
   let ntasks = ref 0 in
+  let live = ref (Array.make 8 0) in
+  let nlive = ref 0 in
   let core =
     {
       config;
@@ -2040,8 +2054,8 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
       set_cell = Compile.write_loc;
       iter_tasks =
         (fun f ->
-          for i = 0 to !ntasks - 1 do
-            f !ctasks.(i)
+          for i = 0 to !nlive - 1 do
+            f !ctasks.(!live.(i))
           done);
       race;
       events = (match recorder with Some d -> Some (Dpor.emit d) | None -> None);
@@ -2056,7 +2070,16 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
     | None -> fun () -> -1
   in
   let st =
-    { core; ctasks; ectxs; ntasks; runnable = ref (Array.make 8 0); fresh_fid }
+    {
+      core;
+      ctasks;
+      ectxs;
+      ntasks;
+      live;
+      nlive;
+      runnable = ref (Array.make 8 0);
+      fresh_fid;
+    }
   in
   for rank = 0 to config.nranks - 1 do
     let frame = Compile.root_frame ~fid:(fresh_fid ()) entry.Compile.f_nslots in
@@ -2072,21 +2095,31 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
   let script = ref (match config.schedule with `Scripted l -> l | _ -> []) in
   let cursor = ref 0 in
   let pick () =
-    (* Index scan over the preallocated task array: replaces the
-       reference's List.filter + List.nth pair (quadratic per run in the
-       task count).  Selection is unchanged: the scan lists runnable
-       tasks in spawn order, and the scripted indexing keeps the
+    (* Index scan over the live list, compacting it in place: finished
+       tasks are dropped (finishing is terminal), the rest keep their
+       spawn order.  Selection is the reference's: the scan lists
+       runnable tasks in spawn order, and the scripted indexing keeps the
        [((choice mod n) + n) mod n] formula, so existing seeds and
        scripts replay identically. *)
     let tasks = !(st.ctasks) in
+    let live = !(st.live) in
     let buf = !(st.runnable) in
     let n = ref 0 in
-    for i = 0 to !(st.ntasks) - 1 do
-      if Task.is_runnable tasks.(i) then begin
-        buf.(!n) <- i;
-        incr n
-      end
+    let kept = ref 0 in
+    for i = 0 to !(st.nlive) - 1 do
+      let id = live.(i) in
+      match tasks.(id).Task.status with
+      | Task.Finished -> ()
+      | Task.Runnable ->
+          live.(!kept) <- id;
+          incr kept;
+          buf.(!n) <- id;
+          incr n
+      | Task.Blocked _ ->
+          live.(!kept) <- id;
+          incr kept
     done;
+    st.nlive := !kept;
     let n = !n in
     if n = 0 then None
     else begin
@@ -2143,17 +2176,13 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
               cstep st task;
               loop ()
           | None ->
-              let tasks = !(st.ctasks) in
-              let blocked = ref [] in
-              let finished = ref true in
-              for i = !(st.ntasks) - 1 downto 0 do
-                let t = tasks.(i) in
-                (match t.Task.status with
-                | Task.Blocked _ -> blocked := Task.describe t :: !blocked
-                | Task.Runnable | Task.Finished -> ());
-                if t.Task.status <> Task.Finished then finished := false
-              done;
-              if !finished then Finished else Deadlock !blocked
+              (* [pick] just compacted [live]: every task left is blocked. *)
+              let tasks = !(st.ctasks) and live = !(st.live) in
+              if !(st.nlive) = 0 then Finished
+              else
+                Deadlock
+                  (List.init !(st.nlive) (fun i ->
+                       Task.describe tasks.(live.(i))))
         end
       in
       loop ()

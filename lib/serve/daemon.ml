@@ -181,11 +181,16 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
              function's source layout so the merged report is
              byte-identical to a cold run.  A relocated summary is written
              back so repeated requests at a stable layout skip the
-             relocation pass entirely. *)
+             relocation pass entirely.  The common hit is the very AST the
+             entry was stored with (the chunk cache hands back the same
+             value at a stable position): it needs neither the guard nor
+             relocation. *)
           let cached = Hashtbl.create (List.length keys) in
           List.iter
             (fun (f, key) ->
               match Cache.find t.cache key with
+              | Some (cached_func, fr) when cached_func == f ->
+                  Hashtbl.replace cached f.Ast.fname fr
               | Some (cached_func, fr) when Ast.equal_func cached_func f ->
                   let fr' = Relocate.func_report ~cached:cached_func ~fresh:f fr in
                   if fr' != fr then Cache.replace t.cache key f fr';

@@ -2,8 +2,9 @@
     core ([Sim.run] = [Sim.make] + [Sim.run_compiled]) must be
     observationally identical to the reference AST walker
     ([Sim.run_reference]) — same outcomes, print traces, step counts,
-    and, under a probe, the same number of recorded state fingerprints
-    with bit-identical values.  Also pins the compile-time scoping rules
+    spawned-task counts and per-step runnable counts, and, under a probe,
+    the same number of recorded state fingerprints with bit-identical
+    values.  Also pins the compile-time scoping rules
     (shadowing, privatized loop variables, function parameters) and the
     scheduler's scripted-choice indexing. *)
 
@@ -22,9 +23,15 @@ let config ?(nranks = 2) ?(nthreads = 2) schedule =
     thread_level = Mpisim.Thread_level.Multiple;
   }
 
-(* Observables of one run: outcome, print trace, step count. *)
+(* Observables of one run: outcome, print trace, step count, tasks
+   spawned, and the scheduler's runnable count at each recorded step. *)
 let observe (r : Interp.Sim.result) =
-  (r.Interp.Sim.outcome, Interp.Sim.trace r, r.Interp.Sim.stats.Interp.Sim.steps)
+  let s = r.Interp.Sim.stats in
+  ( r.Interp.Sim.outcome,
+    Interp.Sim.trace r,
+    s.Interp.Sim.steps,
+    s.Interp.Sim.tasks_spawned,
+    Array.sub s.Interp.Sim.degrees 0 s.Interp.Sim.ndegrees )
 
 let schedules =
   [
@@ -44,7 +51,7 @@ let both_agree ?nranks ?nthreads program =
       let reference = Interp.Sim.run_reference ~config program in
       let compiled = Interp.Sim.run ~config program in
       Alcotest.(check bool)
-        "compiled = reference (outcome, trace, steps)" true
+        "compiled = reference (outcome, trace, steps, spawns, degrees)" true
         (observe reference = observe compiled);
       observe compiled)
     schedules
@@ -71,7 +78,7 @@ let test_shadowing () =
       { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
   in
   let obs = both_agree ~nranks:1 program in
-  let _, trace, _ = List.hd obs in
+  let _, trace, _, _, _ = List.hd obs in
   Alcotest.(check (list (triple int int int)))
     "inner 2, outer 1" [ (0, 0, 2); (0, 0, 1) ] trace
 
@@ -117,7 +124,7 @@ let test_loop_privatization () =
       { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
   in
   let obs = both_agree ~nranks:1 program in
-  let _, trace, _ = List.hd obs in
+  let _, trace, _, _, _ = List.hd obs in
   Alcotest.(check (list (triple int int int)))
     "outer i untouched, reduction = 0+1+2+3+4"
     [ (0, 0, 100); (0, 0, 10) ]
@@ -165,7 +172,7 @@ let test_function_params () =
   in
   let program = Builder.number_lines { Ast.funcs = [ main; countdown; add ] } in
   let obs = both_agree ~nranks:1 program in
-  let _, trace, _ = List.hd obs in
+  let _, trace, _, _, _ = List.hd obs in
   Alcotest.(check (list (triple int int int)))
     "3 2 1 then 42"
     [ (0, 0, 3); (0, 0, 2); (0, 0, 1); (0, 0, 42) ]
@@ -207,37 +214,126 @@ let test_scripted_indexing () =
 (* Fingerprint parity on the reproducer catalogue                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Run both cores under a [depth]-step probe: identical observables and
+   bit-identical recorded fingerprints.  Returns the compiled result. *)
+let probe_parity name ~depth ~config program =
+  let ids = Interp.Sim.stmt_ids program in
+  let pr = Interp.Sim.make_probe ~depth ~ids in
+  let pc = Interp.Sim.make_probe ~depth ~ids in
+  let reference = Interp.Sim.run_reference ~config ~probe:pr program in
+  let compiled = Interp.Sim.run ~config ~probe:pc program in
+  Alcotest.(check bool)
+    (name ^ ": observables") true
+    (observe reference = observe compiled);
+  Alcotest.(check int)
+    (name ^ ": recorded depth")
+    (Interp.Sim.probe_recorded pr)
+    (Interp.Sim.probe_recorded pc);
+  for k = 0 to Interp.Sim.probe_recorded pr - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "%s: fingerprint %d" name k)
+      (Interp.Sim.probe_fingerprint pr k)
+      (Interp.Sim.probe_fingerprint pc k)
+  done;
+  compiled
+
 let test_reproducer_fingerprints () =
   List.iter
     (fun entry ->
       let program = Benchsuite.Reproducers.program entry in
-      let ids = Interp.Sim.stmt_ids program in
-      let depth = 12 in
       List.iter
         (fun schedule ->
-          let config =
-            config ~nranks:3 ~nthreads:2 schedule
-          in
-          let pr = Interp.Sim.make_probe ~depth ~ids in
-          let pc = Interp.Sim.make_probe ~depth ~ids in
-          let reference = Interp.Sim.run_reference ~config ~probe:pr program in
-          let compiled = Interp.Sim.run ~config ~probe:pc program in
-          Alcotest.(check bool)
-            (entry.Benchsuite.Reproducers.name ^ ": observables") true
-            (observe reference = observe compiled);
-          Alcotest.(check int)
-            (entry.Benchsuite.Reproducers.name ^ ": recorded depth")
-            (Interp.Sim.probe_recorded pr)
-            (Interp.Sim.probe_recorded pc);
-          for k = 0 to Interp.Sim.probe_recorded pr - 1 do
-            Alcotest.(check int)
-              (Printf.sprintf "%s: fingerprint %d"
-                 entry.Benchsuite.Reproducers.name k)
-              (Interp.Sim.probe_fingerprint pr k)
-              (Interp.Sim.probe_fingerprint pc k)
-          done)
+          ignore
+            (probe_parity entry.Benchsuite.Reproducers.name ~depth:12
+               ~config:(config ~nranks:3 ~nthreads:2 schedule)
+               program))
         [ `Round_robin; `Random 42; `Scripted [ 2; 0; 1; 2; 1; 0; 2 ] ])
     Benchsuite.Reproducers.all
+
+(* ------------------------------------------------------------------ *)
+(* Spawn-heavy programs: the scheduler's live-task list                 *)
+(* ------------------------------------------------------------------ *)
+
+(* 210 sequential parallel regions per rank (each spawns its three
+   threads), so finished threads pile up around tasks that are still
+   alive: inside a region thread 1 blocks in [MPI_Recv] on the previous
+   rank, between regions the rank's main task blocks in [MPI_Wait].
+   [tail] runs after the loop. *)
+let spawn_heavy tail =
+  Parser.parse_string ~file:"spawn_heavy"
+    (Printf.sprintf
+       {|func main() {
+  var x = 0;
+  var next = (rank() + 1) %% size();
+  var prev = (rank() + size() - 1) %% size();
+  for i = 0 to 210 {
+    pragma omp parallel num_threads(3) {
+      pragma omp critical {
+        x = x + omp_tid();
+      }
+      pragma omp barrier;
+      if (omp_tid() == 1) {
+        var y = 0;
+        y = MPI_Recv(prev, i);
+        pragma omp critical {
+          x = x + y;
+        }
+      }
+      pragma omp single nowait {
+        MPI_Send(x, next, i);
+      }
+    }
+    var b = 0;
+    var r = 0;
+    r = MPI_Irecv(b, prev, 1000 + i);
+    MPI_Send(i, next, 1000 + i);
+    MPI_Wait(r);
+    x = x + b;
+  }
+  %s
+}|}
+       tail)
+
+let test_spawn_heavy () =
+  let check name program =
+    List.iter
+      (fun schedule ->
+        let compiled =
+          probe_parity name ~depth:1000 ~config:(config ~nranks:2 schedule)
+            program
+        in
+        Alcotest.(check bool)
+          (name ^ ": spawns beyond the 200th region") true
+          (compiled.Interp.Sim.stats.Interp.Sim.tasks_spawned > 2 * 3 * 200))
+      schedules
+  in
+  let finishing = spawn_heavy "print(x);" in
+  check "finishing" finishing;
+  (* A last region whose thread 1 waits for a message nobody sends: the
+     deadlock report lists, per rank, the joining parent and thread 1,
+     which sit among hundreds of finished tasks. *)
+  let deadlocking =
+    spawn_heavy
+      {|pragma omp parallel num_threads(3) {
+    if (omp_tid() == 1) {
+      var z = 0;
+      z = MPI_Recv(prev, 99999);
+    }
+  }|}
+  in
+  check "deadlocking" deadlocking;
+  let outcome program =
+    (Interp.Sim.run ~config:(config ~nranks:2 `Round_robin) program)
+      .Interp.Sim.outcome
+  in
+  Alcotest.(check bool)
+    "finishing program finishes" true
+    (outcome finishing = Interp.Sim.Finished);
+  Alcotest.(check bool)
+    "deadlocking program deadlocks" true
+    (match outcome deadlocking with
+    | Interp.Sim.Deadlock blocked -> List.length blocked = 4
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Properties over the random program generators                        *)
@@ -330,6 +426,11 @@ let suite =
       [
         Alcotest.test_case "reproducer catalogue parity" `Quick
           test_reproducer_fingerprints;
+      ] );
+    ( "compile.scheduler",
+      [
+        Alcotest.test_case "spawn-heavy programs under every schedule" `Quick
+          test_spawn_heavy;
       ] );
     ("compile.equivalence", List.map QCheck_alcotest.to_alcotest properties);
   ]
