@@ -22,31 +22,52 @@ let has_direct_collective (f : Ast.func) =
     (fun acc s -> acc || match s.Ast.sdesc with Ast.Coll _ -> true | _ -> false)
     false f.Ast.body
 
+type summary = { direct_collective : bool; calls : string list }
+
+let direct_callees f = List.sort_uniq String.compare (callees f)
+
+let summary f =
+  { direct_collective = has_direct_collective f; calls = direct_callees f }
+
 (** [may_collect program] maps each function name to [true] iff it may
     execute an MPI collective, directly or through calls (recursion is
     handled by the fixpoint; unknown callees are ignored — the validator
     rejects them anyway). *)
-let may_collect (program : Ast.program) =
+let may_collect ?summary:memo (program : Ast.program) =
+  let summary_of f =
+    match Option.bind memo (fun m -> m f) with
+    | Some s -> s
+    | None -> summary f
+  in
   let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f -> Hashtbl.replace tbl f.Ast.fname (has_direct_collective f))
-    program.Ast.funcs;
+  (* Each body is summarised once; the fixpoint iterates over the callee
+     lists of the functions not yet known to collect. *)
+  let pending =
+    ref
+      (List.filter_map
+         (fun f ->
+           let s = summary_of f in
+           Hashtbl.replace tbl f.Ast.fname s.direct_collective;
+           if s.direct_collective then None else Some (f.Ast.fname, s.calls))
+         program.Ast.funcs)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun f ->
-        if not (Hashtbl.find tbl f.Ast.fname) then
+    pending :=
+      List.filter
+        (fun (fname, calls) ->
           let collects =
             List.exists
               (fun g -> Option.value ~default:false (Hashtbl.find_opt tbl g))
-              (callees f)
+              calls
           in
           if collects then begin
-            Hashtbl.replace tbl f.Ast.fname true;
+            Hashtbl.replace tbl fname true;
             changed := true
-          end)
-      program.Ast.funcs
+          end;
+          not collects)
+        !pending
   done;
   fun fname -> Option.value ~default:false (Hashtbl.find_opt tbl fname)
 
@@ -56,8 +77,7 @@ let may_collect (program : Ast.program) =
 let call_color_base = 16
 
 (** Stable CC colour per collective-bearing function. *)
-let call_colors (program : Ast.program) =
-  let collects = may_collect program in
+let call_colors ~collects (program : Ast.program) =
   let names =
     List.filter collects
       (List.sort String.compare

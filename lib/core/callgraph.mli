@@ -7,15 +7,35 @@ val callees : Minilang.Ast.func -> string list
 
 val has_direct_collective : Minilang.Ast.func -> bool
 
+(** Direct callees of a function body, sorted and distinct. *)
+val direct_callees : Minilang.Ast.func -> string list
+
+(** What {!may_collect} needs of one function body. *)
+type summary = {
+  direct_collective : bool;  (** {!has_direct_collective}. *)
+  calls : string list;  (** {!direct_callees}. *)
+}
+
+val summary : Minilang.Ast.func -> summary
+
 (** [may_collect p fname]: may [fname] execute a collective, directly or
-    through calls (fixpoint over the call graph)? *)
-val may_collect : Minilang.Ast.program -> string -> bool
+    through calls (fixpoint over the call graph)?  [summary] is a memo:
+    when it returns [Some s] for a function, [s] stands in for
+    [summary f], so callers that keep per-function summaries skip the
+    body walks. *)
+val may_collect :
+  ?summary:(Minilang.Ast.func -> summary option) ->
+  Minilang.Ast.program ->
+  string ->
+  bool
 
 (** First call colour; collective colours and [cc_return] live below. *)
 val call_color_base : int
 
-(** Stable (sorted-by-name) CC colour per collective-bearing function. *)
-val call_colors : Minilang.Ast.program -> (string * int) list
+(** Stable (sorted-by-name) CC colour per collective-bearing function;
+    [collects] is [may_collect program]. *)
+val call_colors :
+  collects:(string -> bool) -> Minilang.Ast.program -> (string * int) list
 
 (** Pseudo-collective name of a call site: ["call:<fname>"]. *)
 val call_site_name : string -> string

@@ -198,14 +198,17 @@ let run_parallel ~jobs nitems work =
     functions are analysed; the merge stays in source order, so mixing
     cached and fresh reports is byte-identical to a cold run as long as
     the cached reports are what the cold run would have produced. *)
-let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?timings
-    (program : Ast.program) =
+let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?summary
+    ?timings (program : Ast.program) =
   let call_collects =
-    if options.interprocedural then Some (Callgraph.may_collect program)
+    if options.interprocedural then
+      Some (Callgraph.may_collect ?summary program)
     else None
   in
   let call_colors =
-    if options.interprocedural then Callgraph.call_colors program else []
+    match call_collects with
+    | Some collects -> Callgraph.call_colors ~collects program
+    | None -> []
   in
   let items =
     match graphs with

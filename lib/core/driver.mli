@@ -74,13 +74,16 @@ val analyze_func :
     [reuse] injects pre-computed per-function reports (the daemon's
     summary-cache hits): functions for which it returns [Some] skip
     analysis entirely, the rest are analysed and everything is merged in
-    source order.  [timings] accumulates per-phase wall-clock across all
-    analysed functions (see {!analyze_func}). *)
+    source order.  [summary] is a memo of {!Callgraph.summary} for the
+    interprocedural closure (see {!Callgraph.may_collect}).  [timings]
+    accumulates per-phase wall-clock across all analysed functions (see
+    {!analyze_func}). *)
 val analyze :
   ?options:options ->
   ?graphs:Cfg.Graph.t list ->
   ?jobs:int ->
   ?reuse:(Minilang.Ast.func -> func_report option) ->
+  ?summary:(Minilang.Ast.func -> Callgraph.summary option) ->
   ?timings:Timings.t ->
   Minilang.Ast.program ->
   report

@@ -22,13 +22,24 @@ let escape s =
 
 let str s = Printf.sprintf "\"%s\"" (escape s)
 
+(* [obj] and [arr] make one concatenation of all their pieces: a
+   report's ["functions"] member is copied once per nesting level, not
+   three times. *)
 let obj fields =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (str k) v) fields)
-  ^ "}"
+  let rec pieces = function
+    | [] -> [ "}" ]
+    | [ (k, v) ] -> [ str k; ":"; v; "}" ]
+    | (k, v) :: rest -> str k :: ":" :: v :: "," :: pieces rest
+  in
+  String.concat "" ("{" :: pieces fields)
 
-let arr items = "[" ^ String.concat "," items ^ "]"
+let arr items =
+  let rec pieces = function
+    | [] -> [ "]" ]
+    | [ v ] -> [ v; "]" ]
+    | v :: rest -> v :: "," :: pieces rest
+  in
+  String.concat "" ("[" :: pieces items)
 
 let loc_json (l : Loc.t) =
   obj
@@ -147,36 +158,36 @@ let issues_json issues = arr (List.map issue_json issues)
 let invalid_to_string issues =
   obj [ ("valid", "false"); ("issues", issues_json issues) ]
 
+(** One entry of the report's ["functions"] array: a function's warnings
+    and check counts. *)
+let func_json (fr : Driver.func_report) =
+  obj
+    [
+      ("name", str fr.Driver.fname);
+      ("warnings", arr (List.map warning_json fr.Driver.warnings));
+      ( "collective_sites",
+        string_of_int (List.length (Cfg.Graph.collective_nodes fr.Driver.graph)) );
+      ("cc_sites", string_of_int (List.length fr.Driver.cc_sites));
+      ( "multithreaded_collectives",
+        string_of_int (List.length fr.Driver.phase1.Monothread.s_mt) );
+      ( "concurrent_pairs",
+        string_of_int (List.length fr.Driver.phase2.Concurrency.pairs) );
+      ( "race_pairs",
+        string_of_int
+          (match fr.Driver.races with
+          | None -> 0
+          | Some r -> List.length r.Races.pairs) );
+      ( "request_findings",
+        string_of_int
+          (match fr.Driver.requests with
+          | None -> 0
+          | Some r -> List.length r.Requests.findings) );
+    ]
+
 (** The whole report as a single JSON object: per-function warnings and
     check counts, plus totals by class. *)
-let report_json ?issues (report : Driver.report) =
-  let funcs =
-    List.map
-      (fun (fr : Driver.func_report) ->
-        obj
-          [
-            ("name", str fr.Driver.fname);
-            ("warnings", arr (List.map warning_json fr.Driver.warnings));
-            ( "collective_sites",
-              string_of_int (List.length (Cfg.Graph.collective_nodes fr.Driver.graph)) );
-            ("cc_sites", string_of_int (List.length fr.Driver.cc_sites));
-            ( "multithreaded_collectives",
-              string_of_int (List.length fr.Driver.phase1.Monothread.s_mt) );
-            ( "concurrent_pairs",
-              string_of_int (List.length fr.Driver.phase2.Concurrency.pairs) );
-            ( "race_pairs",
-              string_of_int
-                (match fr.Driver.races with
-                | None -> 0
-                | Some r -> List.length r.Races.pairs) );
-            ( "request_findings",
-              string_of_int
-                (match fr.Driver.requests with
-                | None -> 0
-                | Some r -> List.length r.Requests.findings) );
-          ])
-      report.Driver.funcs
-  in
+let report_json ?issues ?(func_json = func_json) (report : Driver.report) =
+  let funcs = List.map func_json report.Driver.funcs in
   let by_class =
     List.map
       (fun (cls, n) -> obj [ ("class", str cls); ("count", string_of_int n) ])

@@ -117,10 +117,14 @@ let analyze_cached ?timings ~cache program =
   List.iter
     (fun ((f : Ast.func), key) ->
       match Serve.Cache.find cache key with
-      | Some (cached_func, fr) when Ast.equal_func cached_func f ->
-          let fr' = Serve.Relocate.func_report ~cached:cached_func ~fresh:f fr in
-          Hashtbl.replace cached f.Ast.fname fr'
-      | _ -> ())
+      | Some e -> (
+          match
+            Serve.Relocate.func_report ~cached:e.Serve.Cache.func ~fresh:f
+              e.Serve.Cache.report
+          with
+          | Some fr -> Hashtbl.replace cached f.Ast.fname fr
+          | None -> ())
+      | None -> ())
     keys;
   let reuse (f : Ast.func) = Hashtbl.find_opt cached f.Ast.fname in
   let report =
@@ -130,7 +134,7 @@ let analyze_cached ?timings ~cache program =
   List.iter2
     (fun ((f : Ast.func), key) (fr : Parcoach.Driver.func_report) ->
       if not (Hashtbl.mem cached f.Ast.fname) then
-        Serve.Cache.add cache key f fr)
+        Serve.Cache.add cache key (Serve.Cache.entry f fr))
     keys report.Parcoach.Driver.funcs;
   report
 

@@ -24,6 +24,7 @@
 
 open Ast
 module SSet = Set.Make (String)
+module STbl = Hashtbl.Make (String)
 
 type severity = Error | Warning
 
@@ -67,16 +68,21 @@ let initial_ctx params =
     reqs = SSet.empty;
   }
 
-let check_program program =
+(* Call-site checks resolve callees against this table rather than
+   scanning the function list per call; mirror [find_func]'s
+   first-definition-wins semantics under duplicate names. *)
+let arity_of program =
+  let tbl = STbl.create (List.length program.funcs) in
+  List.iter
+    (fun f ->
+      if not (STbl.mem tbl f.fname) then
+        STbl.add tbl f.fname (List.length f.params))
+    program.funcs;
+  STbl.find_opt tbl
+
+let check_func ~arity f =
   let issues = ref [] in
   let add severity loc message = issues := { severity; loc; message } :: !issues in
-  (* Call-site checks resolve callees against this table rather than
-     scanning the function list per call; mirror [find_func]'s
-     first-definition-wins semantics under duplicate names. *)
-  let ftbl = Hashtbl.create (List.length program.funcs) in
-  List.iter
-    (fun f -> if not (Hashtbl.mem ftbl f.fname) then Hashtbl.add ftbl f.fname f)
-    program.funcs;
   let rec check_expr ctx loc e =
     match e with
     | Int _ | Bool _ | Rank | Size | Tid | Nthreads -> ()
@@ -177,13 +183,12 @@ let check_program program =
           add Error loc "'return' may not appear inside an OpenMP construct"
     | Call (f, args) -> (
         List.iter (check_expr ctx loc) args;
-        match Hashtbl.find_opt ftbl f with
+        match arity f with
         | None -> add Error loc (Printf.sprintf "call to undefined function '%s'" f)
-        | Some callee ->
-            if List.length callee.params <> List.length args then
+        | Some n ->
+            if n <> List.length args then
               add Error loc
-                (Printf.sprintf "'%s' expects %d argument(s), got %d" f
-                   (List.length callee.params)
+                (Printf.sprintf "'%s' expects %d argument(s), got %d" f n
                    (List.length args)))
     | Compute e | Print e -> check_expr ctx loc e
     | Send { value; dest; tag } ->
@@ -296,31 +301,47 @@ let check_program program =
            "worksharing construct '%s' may not be closely nested inside a \
             'single', 'master' or 'critical' region" name)
   in
+  (* Duplicate parameter names. *)
+  let rec dup = function
+    | [] -> ()
+    | x :: rest ->
+        if List.mem x rest then
+          add Error f.floc
+            (Printf.sprintf "duplicate parameter '%s' in function '%s'" x
+               f.fname);
+        dup rest
+  in
+  dup f.params;
+  check_block (initial_ctx f.params) f.body;
+  List.rev !issues
+
+(* Every definition but the last of a name is reported, in program
+   order: count the definitions, then count down while walking. *)
+let duplicate_functions program =
+  let remaining = STbl.create (List.length program.funcs) in
   List.iter
     (fun f ->
-      (* Duplicate parameter names. *)
-      let rec dup = function
-        | [] -> ()
-        | x :: rest ->
-            if List.mem x rest then
-              add Error f.floc
-                (Printf.sprintf "duplicate parameter '%s' in function '%s'" x
-                   f.fname);
-            dup rest
-      in
-      dup f.params;
-      check_block (initial_ctx f.params) f.body)
+      STbl.replace remaining f.fname
+        (1 + Option.value ~default:0 (STbl.find_opt remaining f.fname)))
     program.funcs;
-  (* Duplicate function names. *)
-  let rec dupf = function
-    | [] -> ()
-    | f :: rest ->
-        if List.exists (fun g -> String.equal g.fname f.fname) rest then
-          add Error f.floc (Printf.sprintf "duplicate function '%s'" f.fname);
-        dupf rest
-  in
-  dupf program.funcs;
-  List.rev !issues
+  List.filter_map
+    (fun f ->
+      let later = STbl.find remaining f.fname - 1 in
+      STbl.replace remaining f.fname later;
+      if later > 0 then
+        Some
+          {
+            severity = Error;
+            loc = f.floc;
+            message = Printf.sprintf "duplicate function '%s'" f.fname;
+          }
+      else None)
+    program.funcs
+
+let check_program program =
+  let arity = arity_of program in
+  List.concat_map (check_func ~arity) program.funcs
+  @ duplicate_functions program
 
 (** [validate_exn p] raises [Failure] with all error messages if [p] has
     validation errors; returns the (possibly warning-carrying) issue list

@@ -21,7 +21,22 @@ val is_valid : issue list -> bool
     tool reports: ["parse error: ..."] or ["lex error: ..."]. *)
 val catch_syntax_error : (unit -> 'a) -> ('a, issue) result
 
-(** All issues of a program, in source order. *)
+(** [arity_of p name]: the parameter count of [name]'s first definition
+    in [p], the one call sites resolve to. *)
+val arity_of : Ast.program -> string -> int option
+
+(** [check_func ~arity f]: the issues of one function, in source order,
+    with call sites resolved through [arity] (the parameter count of a
+    callee, [None] when undefined).  They depend only on [f] and on the
+    arities of its direct callees. *)
+val check_func : arity:(string -> int option) -> Ast.func -> issue list
+
+(** One "duplicate function" error per definition of a name that is
+    defined again later, in program order. *)
+val duplicate_functions : Ast.program -> issue list
+
+(** All issues of a program: {!check_func} on each function in order,
+    then {!duplicate_functions}. *)
 val check_program : Ast.program -> issue list
 
 (** @raise Failure with all error messages if the program is invalid. *)

@@ -1,6 +1,12 @@
 (** Bounded, thread-safe FIFO summary cache (see the interface). *)
 
-type entry = Minilang.Ast.func * Parcoach.Driver.func_report
+type entry = {
+  func : Minilang.Ast.func;
+  report : Parcoach.Driver.func_report;
+  mutable json : string option;
+}
+
+let entry func report = { func; report; json = None }
 
 type t = {
   lock : Mutex.t;
@@ -45,10 +51,10 @@ let find t key =
           t.misses <- t.misses + 1;
           None)
 
-let add t key func report =
+let add t key e =
   with_lock t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
-        Hashtbl.replace t.tbl key (func, report);
+        Hashtbl.replace t.tbl key e;
         Queue.push key t.order;
         while Hashtbl.length t.tbl > t.capacity do
           (* The queue can hold keys already evicted and re-added; only
@@ -63,12 +69,12 @@ let add t key func report =
         done
       end)
 
-let replace t key func report =
+let replace t key e =
   with_lock t (fun () ->
       (* Only refresh live entries: inserting here would bypass the
          eviction queue.  Racing with an eviction just loses the
          refresh, which is harmless. *)
-      if Hashtbl.mem t.tbl key then Hashtbl.replace t.tbl key (func, report))
+      if Hashtbl.mem t.tbl key then Hashtbl.replace t.tbl key e)
 
 let stats t =
   with_lock t (fun () ->

@@ -2,10 +2,10 @@
 
     The mini-language's top level is a plain sequence of [func]
     declarations, so a source text can be cut into per-function chunks
-    with a single character scan (tracking brace depth and comments) —
-    no parsing.  The daemon digests each chunk's text and re-parses only
-    chunks it has not seen: an edit to one function costs one function's
-    parse, not the file's.
+    with one index scan (tracking brace depth and comments) — no
+    parsing.  The daemon keys its parse cache by each chunk's exact text
+    and re-parses only chunks it has not seen: an edit to one function
+    costs one function's parse, not the file's.
 
     Chunks are parsed in isolation ([Parser.parse_string] on the chunk
     text) and carry chunk-relative locations; {!shift_func} rebases a

@@ -2,39 +2,54 @@
 
 open Minilang
 
+(* A chunk's function placed at one file position, with the memo of its
+   validation issues.  The issues depend only on [func] and on the arity
+   of each of its direct callees, so they are memoized under those
+   arities ([-1]: undefined), in the order of the entry's summary [calls]. *)
+type placed = {
+  file : string;
+  line : int;
+  col : int;
+  func : Ast.func;
+  mutable issue_memo : (int list * Validate.issue list) option;
+}
+
 (* One cached function chunk: the chunk-relative parse, its structural
-   digest (feeds the summary-key memo), and a memo of the last absolute
-   form so a chunk that keeps its file position across requests is
-   reused physically, with no location shifting at all. *)
+   digest and call-graph summary (memos for the summary keys, the
+   interprocedural closure and the validation memo's key), and the
+   last absolute form, so a chunk that keeps its file position across
+   requests is reused physically, with no location shifting at all.
+   Memo fields are only ever overwritten with complete immutable values,
+   so pool workers racing on one entry each see a consistent memo. *)
 type chunk_entry = {
-  text : string;  (** Collision guard for the text digest. *)
   rel : Ast.func;
   fdigest : string;
-  mutable abs : (string * int * int * Ast.func) option;
+  summary : Parcoach.Callgraph.summary;
+  mutable placed : placed option;
 }
+
+module Strtbl = Hashtbl.Make (String)
 
 type t = {
   cache : Cache.t;
-  asts : (string, Ast.program * (string * string) list option) Hashtbl.t;
-      (** Whole-source AST cache, keyed by digest of (file, source), with
-          the per-function digest memo when the chunked path built it.
-          Re-sent identical sources skip the parser entirely. *)
-  chunks : (string, chunk_entry) Hashtbl.t;
-      (** Per-function parse cache, keyed by digest of the chunk text.
-          An edited source re-parses only its changed chunks. *)
-  ast_lock : Mutex.t;
+  chunks : chunk_entry Strtbl.t;
+      (** Per-function parse cache, keyed by the exact chunk text.  An
+          edited source re-parses only its changed chunks. *)
+  chunk_lock : Mutex.t;
+  validation_hits : int Atomic.t;
+  fragment_hits : int Atomic.t;
   default_jobs : int option;
 }
 
-let ast_cache_capacity = 64
 let chunk_cache_capacity = 2048
 
 let create ?capacity ?jobs () =
   {
     cache = Cache.create ?capacity ();
-    asts = Hashtbl.create 32;
-    chunks = Hashtbl.create 256;
-    ast_lock = Mutex.create ();
+    chunks = Strtbl.create 256;
+    chunk_lock = Mutex.create ();
+    validation_hits = Atomic.make 0;
+    fragment_hits = Atomic.make 0;
     default_jobs = jobs;
   }
 
@@ -54,171 +69,225 @@ type analysis = {
 
 exception Chunk_fallback
 
+let chunk_entry t text =
+  Mutex.lock t.chunk_lock;
+  let hit = Strtbl.find_opt t.chunks text in
+  Mutex.unlock t.chunk_lock;
+  match hit with
+  | Some e -> e
+  | None -> (
+      let p =
+        match
+          Validate.catch_syntax_error (fun () ->
+              Parser.parse_string ~file:"" text)
+        with
+        | Ok p -> p
+        | Error _ -> raise Chunk_fallback
+      in
+      match p.Ast.funcs with
+      | [ f ] ->
+          let e =
+            {
+              rel = f;
+              fdigest = Hash.func_digest f;
+              summary = Parcoach.Callgraph.summary f;
+              placed = None;
+            }
+          in
+          Mutex.lock t.chunk_lock;
+          if Strtbl.length t.chunks >= chunk_cache_capacity then
+            Strtbl.reset t.chunks;
+          Strtbl.replace t.chunks text e;
+          Mutex.unlock t.chunk_lock;
+          e
+      | _ -> raise Chunk_fallback)
+
+let place ~file (c : Chunker.chunk) e =
+  let line = c.Chunker.line and col = c.Chunker.col in
+  match e.placed with
+  | Some p when p.line = line && p.col = col && String.equal p.file file -> p
+  | _ ->
+      let func = Chunker.shift_func ~file ~line ~col e.rel in
+      let p = { file; line; col; func; issue_memo = None } in
+      e.placed <- Some p;
+      p
+
 (* Parse via the per-function chunk cache: split the source, re-parse
-   only chunks whose text is new, shift reused chunks onto their current
-   file position.  Returns the program plus the per-function digest memo
-   for {!Hash.keys}.  Raises [Chunk_fallback] whenever the chunked result
-   could differ from a whole-file parse (unclean split, a chunk that does
-   not parse to exactly one function) — the caller then runs the one-shot
-   parser so results and errors are exactly its own. *)
+   only chunks whose text is new, place each chunk at its current file
+   position.  Returns the program's chunks in source order.  Raises
+   [Chunk_fallback] whenever the chunked result could differ from a
+   whole-file parse (unclean split, a chunk that does not parse to
+   exactly one function) — the caller then runs the one-shot parser so
+   results and errors are exactly its own. *)
 let parse_chunked t ~file source =
   match Chunker.split source with
   | { Chunker.clean = false; _ } -> raise Chunk_fallback
   | { Chunker.chunks; _ } ->
-      let memo = ref [] in
-      let funcs =
-        List.map
-          (fun (c : Chunker.chunk) ->
-            let key = Digest.string c.Chunker.text in
-            Mutex.lock t.ast_lock;
-            let hit =
-              match Hashtbl.find_opt t.chunks key with
-              | Some e when String.equal e.text c.Chunker.text -> Some e
-              | _ -> None
-            in
-            Mutex.unlock t.ast_lock;
-            let entry =
-              match hit with
-              | Some e -> e
-              | None -> (
-                  let p =
-                    match
-                      Validate.catch_syntax_error (fun () ->
-                          Parser.parse_string ~file:"" c.Chunker.text)
-                    with
-                    | Ok p -> p
-                    | Error _ -> raise Chunk_fallback
-                  in
-                  match p.Ast.funcs with
-                  | [ f ] ->
-                      let e =
-                        {
-                          text = c.Chunker.text;
-                          rel = f;
-                          fdigest = Hash.func_digest f;
-                          abs = None;
-                        }
-                      in
-                      Mutex.lock t.ast_lock;
-                      if Hashtbl.length t.chunks >= chunk_cache_capacity then
-                        Hashtbl.reset t.chunks;
-                      Hashtbl.replace t.chunks key e;
-                      Mutex.unlock t.ast_lock;
-                      e
-                  | _ -> raise Chunk_fallback)
-            in
-            let f =
-              Mutex.lock t.ast_lock;
-              let f =
-                match entry.abs with
-                | Some (af, al, ac, g)
-                  when String.equal af file && al = c.Chunker.line
-                       && ac = c.Chunker.col ->
-                    g
-                | _ ->
-                    let g =
-                      Chunker.shift_func ~file ~line:c.Chunker.line
-                        ~col:c.Chunker.col entry.rel
-                    in
-                    entry.abs <- Some (file, c.Chunker.line, c.Chunker.col, g);
-                    g
-              in
-              Mutex.unlock t.ast_lock;
-              f
-            in
-            memo := (f.Ast.fname, entry.fdigest) :: !memo;
-            f)
-          chunks
-      in
-      ({ Ast.funcs }, Some !memo)
+      List.map
+        (fun (c : Chunker.chunk) ->
+          let e = chunk_entry t c.Chunker.text in
+          (e, place ~file c e))
+        chunks
 
-let parse_cached t tm ~file source =
-  let key = Digest.string (file ^ "\x00" ^ source) in
-  Mutex.lock t.ast_lock;
-  let hit = Hashtbl.find_opt t.asts key in
-  Mutex.unlock t.ast_lock;
-  match hit with
-  | Some cached -> cached
-  | None ->
-      let ((_, _) as result) =
-        Parcoach.Timings.record tm "parse" (fun () ->
-            try parse_chunked t ~file source
-            with Chunk_fallback -> (Parser.parse_string ~file source, None))
-      in
-      Mutex.lock t.ast_lock;
-      if Hashtbl.length t.asts >= ast_cache_capacity then Hashtbl.reset t.asts;
-      Hashtbl.replace t.asts key result;
-      Mutex.unlock t.ast_lock;
-      result
+let func_issues t ~arity e p =
+  let key =
+    List.map
+      (fun g -> Option.value ~default:(-1) (arity g))
+      e.summary.Parcoach.Callgraph.calls
+  in
+  match p.issue_memo with
+  | Some (k, issues) when k = key ->
+      Atomic.incr t.validation_hits;
+      issues
+  | _ ->
+      let issues = Validate.check_func ~arity p.func in
+      p.issue_memo <- Some (key, issues);
+      issues
 
-let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
+(* [Validate.check_program], with each chunk's issues served from its
+   memo. *)
+let validate t program parts =
+  match parts with
+  | None -> Validate.check_program program
+  | Some parts ->
+      let arity = Validate.arity_of program in
+      List.concat_map (fun (e, p) -> func_issues t ~arity e p) parts
+      @ Validate.duplicate_functions program
+
+(* [analyze_source], also returning the report's fragment renderer:
+   [Json_report.func_json] served from the summary cache's fragment
+   memos. *)
+let analyze_source' t ?(options = Parcoach.Driver.default_options) ?jobs
     ?(file = "<request>") source =
   let tm = Parcoach.Timings.create () in
-  match Validate.catch_syntax_error (fun () -> parse_cached t tm ~file source) with
+  match
+    Validate.catch_syntax_error (fun () ->
+        Parcoach.Timings.record tm "parse" (fun () ->
+            match parse_chunked t ~file source with
+            | parts ->
+                ( { Ast.funcs = List.map (fun (_, p) -> p.func) parts },
+                  Some parts )
+            | exception Chunk_fallback ->
+                (Parser.parse_string ~file source, None)))
+  with
   | Error issue -> Error [ issue ]
-  | Ok (program, memo) -> (
+  | Ok (program, parts) -> (
       let issues =
         Parcoach.Timings.record tm "validate" (fun () ->
-            Validate.check_program program)
+            validate t program parts)
       in
       match Validate.is_valid issues with
       | false -> Error issues
       | true ->
-          let digest =
+          (* Names are unique in a valid program; the physical check ties
+             each memo to the very function it was built for. *)
+          let chunk_of =
             Option.map
-              (fun pairs ->
-                let tbl = Hashtbl.create (List.length pairs) in
-                List.iter (fun (n, d) -> Hashtbl.replace tbl n d) pairs;
-                fun (f : Ast.func) -> Hashtbl.find_opt tbl f.Ast.fname)
-              memo
+              (fun parts ->
+                let tbl = Strtbl.create (List.length parts) in
+                List.iter
+                  (fun (e, p) -> Strtbl.replace tbl p.func.Ast.fname (p.func, e))
+                  parts;
+                tbl)
+              parts
           in
+          let memo field =
+            Option.map
+              (fun tbl (f : Ast.func) ->
+                match Strtbl.find_opt tbl f.Ast.fname with
+                | Some (g, e) when g == f -> Some (field e)
+                | _ -> None)
+              chunk_of
+          in
+          let summary = memo (fun e -> e.summary) in
           let keys =
             Parcoach.Timings.record tm "hash" (fun () ->
-                Hash.keys ?digest ~options program)
+                Hash.keys
+                  ?digest:(memo (fun e -> e.fdigest))
+                  ?summary ~options program)
           in
-          (* Summary-cache lookups: a hit must be structurally equal (the
-             digest-collision guard) and is relocated onto the fresh
-             function's source layout so the merged report is
-             byte-identical to a cold run.  A relocated summary is written
-             back so repeated requests at a stable layout skip the
-             relocation pass entirely.  The common hit is the very AST the
+          (* Summary-cache lookups.  The common hit is the very AST the
              entry was stored with (the chunk cache hands back the same
-             value at a stable position): it needs neither the guard nor
-             relocation. *)
-          let cached = Hashtbl.create (List.length keys) in
+             value at a stable position): it needs neither the
+             structural-equality guard against digest collisions nor
+             relocation.  Any other hit must be structurally equal and is
+             relocated onto the fresh function's source layout, so the
+             merged report is byte-identical to a cold run, then written
+             back so repeated requests at this layout hit physically.  The
+             fragment memo stays with an unchanged report and is dropped
+             with a relocated one. *)
+          let cached = Strtbl.create (List.length keys) in
           List.iter
             (fun (f, key) ->
               match Cache.find t.cache key with
-              | Some (cached_func, fr) when cached_func == f ->
-                  Hashtbl.replace cached f.Ast.fname fr
-              | Some (cached_func, fr) when Ast.equal_func cached_func f ->
-                  let fr' = Relocate.func_report ~cached:cached_func ~fresh:f fr in
-                  if fr' != fr then Cache.replace t.cache key f fr';
-                  Hashtbl.replace cached f.Ast.fname fr'
-              | _ -> ())
+              | Some e when e.Cache.func == f ->
+                  Strtbl.replace cached f.Ast.fname e
+              | Some e -> (
+                  match
+                    Relocate.func_report ~cached:e.Cache.func ~fresh:f
+                      e.Cache.report
+                  with
+                  | None -> ()
+                  | Some fr ->
+                      let e =
+                        if fr == e.Cache.report then { e with Cache.func = f }
+                        else Cache.entry f fr
+                      in
+                      Cache.replace t.cache key e;
+                      Strtbl.replace cached f.Ast.fname e)
+              | None -> ())
             keys;
-          let reuse f = Hashtbl.find_opt cached f.Ast.fname in
+          let reuse f =
+            Option.map
+              (fun e -> e.Cache.report)
+              (Strtbl.find_opt cached f.Ast.fname)
+          in
           let jobs =
             match jobs with Some _ as j -> j | None -> t.default_jobs
           in
           let report =
-            Parcoach.Driver.analyze ~options ?jobs ~reuse ~timings:tm program
+            Parcoach.Driver.analyze ~options ?jobs ~reuse ?summary
+              ~timings:tm program
           in
-          (* Populate the cache with this request's fresh results. *)
+          let reused = Strtbl.length cached in
+          (* Populate the cache with this request's fresh results; from
+             here on [cached] holds every function's entry, whose
+             fragment memo serves the rendering. *)
           List.iter2
             (fun (f, key) (fr : Parcoach.Driver.func_report) ->
-              if not (Hashtbl.mem cached f.Ast.fname) then
-                Cache.add t.cache key f fr)
+              if not (Strtbl.mem cached f.Ast.fname) then begin
+                let e = Cache.entry f fr in
+                Cache.add t.cache key e;
+                Strtbl.replace cached f.Ast.fname e
+              end)
             keys report.Parcoach.Driver.funcs;
-          let reused = Hashtbl.length cached in
+          (* A report filtered with [only] holds new function reports,
+             which the physical check sends to a fresh rendering. *)
+          let func_json (fr : Parcoach.Driver.func_report) =
+            match Strtbl.find_opt cached fr.Parcoach.Driver.fname with
+            | Some e when e.Cache.report == fr -> (
+                match e.Cache.json with
+                | Some j ->
+                    Atomic.incr t.fragment_hits;
+                    j
+                | None ->
+                    let j = Parcoach.Json_report.func_json fr in
+                    e.Cache.json <- Some j;
+                    j)
+            | _ -> Parcoach.Json_report.func_json fr
+          in
           Ok
-            {
-              report;
-              issues;
-              reused;
-              analysed = List.length keys - reused;
-              timings = tm;
-            })
+            ( {
+                report;
+                issues;
+                reused;
+                analysed = List.length keys - reused;
+                timings = tm;
+              },
+              func_json ))
+
+let analyze_source t ?options ?jobs ?file source =
+  Result.map fst (analyze_source' t ?options ?jobs ?file source)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -295,7 +364,7 @@ let analyze_response t id params =
           match jobs with
           | Some j when j < 1 -> error_response id "analyze: jobs must be >= 1"
           | _ -> (
-              match analyze_source t ~options ?jobs ?file source with
+              match analyze_source' t ~options ?jobs ?file source with
               | Error issues ->
                   Json.Obj
                     [
@@ -304,13 +373,14 @@ let analyze_response t id params =
                       ("valid", Json.Bool false);
                       ("issues", Json.Raw (Parcoach.Json_report.issues_json issues));
                     ]
-              | Ok a ->
+              | Ok (a, func_json) ->
                   let report =
                     Parcoach.Driver.filter_classes a.report ~only
                   in
                   let report_json =
                     Parcoach.Timings.record a.timings "render" (fun () ->
-                        Parcoach.Json_report.to_string ~issues:a.issues report)
+                        Parcoach.Json_report.to_string ~issues:a.issues
+                          ~func_json report)
                   in
                   let stats = Cache.stats t.cache in
                   Json.Obj
@@ -334,10 +404,9 @@ let analyze_response t id params =
 
 let stats_response t id =
   let s = Cache.stats t.cache in
-  Mutex.lock t.ast_lock;
-  let asts = Hashtbl.length t.asts in
-  let chunks = Hashtbl.length t.chunks in
-  Mutex.unlock t.ast_lock;
+  Mutex.lock t.chunk_lock;
+  let chunks = Strtbl.length t.chunks in
+  Mutex.unlock t.chunk_lock;
   Json.Obj
     [
       ("id", id);
@@ -350,8 +419,13 @@ let stats_response t id =
             ("entries", Json.Int s.Cache.entries);
             ("evictions", Json.Int s.Cache.evictions);
           ] );
-      ("asts", Json.Int asts);
       ("chunks", Json.Int chunks);
+      ( "memo_hits",
+        Json.Obj
+          [
+            ("validation", Json.Int (Atomic.get t.validation_hits));
+            ("fragments", Json.Int (Atomic.get t.fragment_hits));
+          ] );
     ]
 
 let handle_request t request =
@@ -365,10 +439,11 @@ let handle_request t request =
   | Some "stats" -> stats_response t id
   | Some "clear" ->
       Cache.clear t.cache;
-      Mutex.lock t.ast_lock;
-      Hashtbl.reset t.asts;
-      Hashtbl.reset t.chunks;
-      Mutex.unlock t.ast_lock;
+      Mutex.lock t.chunk_lock;
+      Strtbl.reset t.chunks;
+      Mutex.unlock t.chunk_lock;
+      Atomic.set t.validation_hits 0;
+      Atomic.set t.fragment_hits 0;
       Json.Obj [ ("id", id); ("ok", Json.Bool true); ("cleared", Json.Bool true) ]
   | Some "shutdown" ->
       Json.Obj

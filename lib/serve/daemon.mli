@@ -1,5 +1,6 @@
-(** The [parcoachd] analysis daemon: long-lived state (parsed-AST cache,
-    per-function summary cache) plus the line-delimited JSON protocol.
+(** The [parcoachd] analysis daemon: long-lived state (per-function
+    chunk cache with validation memos, per-function summary cache with
+    rendered-fragment memos) plus the line-delimited JSON protocol.
 
     {2 Protocol}
 
@@ -27,7 +28,10 @@
     [pword], [phase1..3], [races], [render]).  Invalid programs answer
     [{"id":1,"ok":true,"valid":false,"issues":[...]}] — the same issue
     format [parcoachc --json] prints.  Other methods: ["ping"],
-    ["stats"], ["clear"], ["shutdown"]. *)
+    ["stats"], ["clear"], ["shutdown"].  ["stats"] answers the summary
+    cache's lifetime counters, the number of cached function [chunks],
+    and [memo_hits]: how many function validations and JSON fragments
+    were served from their memos. *)
 
 type t
 

@@ -252,54 +252,63 @@ let options_digest (o : Parcoach.Driver.options) =
   add_bool buf o.Parcoach.Driver.taint_filter;
   add_bool buf o.Parcoach.Driver.interprocedural;
   add_bool buf o.Parcoach.Driver.races;
+  add_bool buf o.Parcoach.Driver.requests;
   Digest.string (Buffer.contents buf)
+
+module Strtbl = Hashtbl.Make (String)
 
 (* Names transitively reachable from [fname] through call sites, sorted.
    Unknown callees (rejected by the validator anyway) are skipped;
    recursion terminates because visited names are never re-entered. *)
 let reachable callees_of fname =
-  let seen = Hashtbl.create 16 in
-  let rec visit g =
-    if not (Hashtbl.mem seen g) then begin
-      Hashtbl.replace seen g ();
-      List.iter visit (callees_of g)
-    end
-  in
-  List.iter visit (callees_of fname);
-  List.sort String.compare (Hashtbl.fold (fun g () acc -> g :: acc) seen [])
+  match callees_of fname with
+  | [] -> []
+  | direct ->
+      let seen = Strtbl.create 16 in
+      let rec visit g =
+        if not (Strtbl.mem seen g) then begin
+          Strtbl.replace seen g ();
+          List.iter visit (callees_of g)
+        end
+      in
+      List.iter visit direct;
+      List.sort String.compare (Strtbl.fold (fun g () acc -> g :: acc) seen [])
 
-let keys ?digest ~options (program : Ast.program) =
-  let func_digest f =
-    match digest with
-    | Some d -> ( match d f with Some x -> x | None -> func_digest f)
-    | None -> func_digest f
+(* A key hashes the function's digest, the options digest, then each
+   reachable name with its digest.  Digests have a fixed width and names
+   never contain NUL, so the NUL-terminated names keep the encoding
+   prefix-free. *)
+let keys ?digest ?summary ~options (program : Ast.program) =
+  let memo m fallback f =
+    match m with
+    | Some m -> ( match m f with Some x -> x | None -> fallback f)
+    | None -> fallback f
   in
-  let digests = Hashtbl.create 16 in
+  let digests = Strtbl.create 64 in
   List.iter
-    (fun f -> Hashtbl.replace digests f.Ast.fname (func_digest f))
+    (fun f -> Strtbl.replace digests f.Ast.fname (memo digest func_digest f))
     program.Ast.funcs;
-  let callee_tbl = Hashtbl.create 16 in
+  let calls = Strtbl.create 64 in
   List.iter
     (fun f ->
-      Hashtbl.replace callee_tbl f.Ast.fname
-        (List.sort_uniq String.compare
-           (List.filter
-              (Hashtbl.mem digests)
-              (Parcoach.Callgraph.callees f))))
+      Strtbl.replace calls f.Ast.fname
+        (List.filter (Strtbl.mem digests)
+           (match Option.bind summary (fun m -> m f) with
+           | Some s -> s.Parcoach.Callgraph.calls
+           | None -> Parcoach.Callgraph.direct_callees f)))
     program.Ast.funcs;
-  let callees_of g =
-    Option.value ~default:[] (Hashtbl.find_opt callee_tbl g)
-  in
+  let callees_of g = Option.value ~default:[] (Strtbl.find_opt calls g) in
   let odig = options_digest options in
   List.map
     (fun f ->
-      let buf = Buffer.create 128 in
-      add_str buf (Hashtbl.find digests f.Ast.fname);
-      add_str buf odig;
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (Strtbl.find digests f.Ast.fname);
+      Buffer.add_string buf odig;
       List.iter
         (fun g ->
-          add_str buf g;
-          add_str buf (Hashtbl.find digests g))
+          Buffer.add_string buf g;
+          Buffer.add_char buf '\000';
+          Buffer.add_string buf (Strtbl.find digests g))
         (reachable callees_of f.Ast.fname);
       (f, Digest.string (Buffer.contents buf)))
     program.Ast.funcs

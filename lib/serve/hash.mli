@@ -19,12 +19,15 @@ val func_digest : Minilang.Ast.func -> string
 val options_digest : Parcoach.Driver.options -> string
 
 (** [keys ~options program] returns each function of [program], in source
-    order, paired with its summary-cache key.  [?digest] is a memo: when
-    it returns [Some d] for a function, [d] is used in place of
-    [func_digest] (the daemon's parse cache carries each unchanged
-    function's digest, so warm requests skip re-serialising bodies). *)
+    order, paired with its summary-cache key.  [?digest] and [?summary]
+    are memos: when one returns [Some x] for a function, [x] stands in
+    for [func_digest f] or {!Parcoach.Callgraph.summary}[ f] (whose
+    [calls] give the key's call edges).  The daemon's parse cache
+    carries both for every unchanged function, so warm requests neither
+    re-serialise nor re-walk bodies. *)
 val keys :
   ?digest:(Minilang.Ast.func -> string option) ->
+  ?summary:(Minilang.Ast.func -> Parcoach.Callgraph.summary option) ->
   options:Parcoach.Driver.options ->
   Minilang.Ast.program ->
   (Minilang.Ast.func * string) list

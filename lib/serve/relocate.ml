@@ -43,31 +43,35 @@ let reloc_kind reloc (k : Parcoach.Warning.kind) =
         }
 
 let func_report ~cached ~fresh (fr : Parcoach.Driver.func_report) =
-  if not (Ast.equal_func cached fresh) then
-    invalid_arg "Relocate.func_report: functions differ structurally";
-  let old_locs = locs_of cached and new_locs = locs_of fresh in
-  if List.for_all2 Loc.equal old_locs new_locs then fr
-  else begin
-    let map = Hashtbl.create (List.length old_locs) in
-    (* First binding wins: statements sharing a location (builder-made
-       code) map consistently because both lists are in source order. *)
-    List.iter2
-      (fun o n -> if not (Hashtbl.mem map o) then Hashtbl.add map o n)
-      old_locs new_locs;
-    let reloc l = Option.value ~default:l (Hashtbl.find_opt map l) in
-    let warnings =
-      List.sort_uniq
-        (fun a b ->
-          let c = Parcoach.Warning.compare a b in
-          if c <> 0 then c else Stdlib.compare a b)
-        (List.map
-           (fun (w : Parcoach.Warning.t) ->
-             {
-               w with
-               Parcoach.Warning.loc = reloc w.Parcoach.Warning.loc;
-               kind = reloc_kind reloc w.Parcoach.Warning.kind;
-             })
-           fr.Parcoach.Driver.warnings)
-    in
-    { fr with Parcoach.Driver.warnings }
-  end
+  if not (Ast.equal_func cached fresh) then None
+  else
+    match fr.Parcoach.Driver.warnings with
+    | [] -> Some fr
+    | warnings ->
+        let old_locs = locs_of cached and new_locs = locs_of fresh in
+        if List.for_all2 Loc.equal old_locs new_locs then Some fr
+        else begin
+          let map = Hashtbl.create (List.length old_locs) in
+          (* First binding wins: statements sharing a location
+             (builder-made code) map consistently because both lists are
+             in source order. *)
+          List.iter2
+            (fun o n -> if not (Hashtbl.mem map o) then Hashtbl.add map o n)
+            old_locs new_locs;
+          let reloc l = Option.value ~default:l (Hashtbl.find_opt map l) in
+          let warnings =
+            List.sort_uniq
+              (fun a b ->
+                let c = Parcoach.Warning.compare a b in
+                if c <> 0 then c else Stdlib.compare a b)
+              (List.map
+                 (fun (w : Parcoach.Warning.t) ->
+                   {
+                     w with
+                     Parcoach.Warning.loc = reloc w.Parcoach.Warning.loc;
+                     kind = reloc_kind reloc w.Parcoach.Warning.kind;
+                   })
+                 warnings)
+          in
+          Some { fr with Parcoach.Driver.warnings }
+        end

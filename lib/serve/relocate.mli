@@ -8,18 +8,18 @@
     so the merged warm report is byte-identical to a cold run.
 
     The mapping zips the statements of the cached and fresh functions in
-    source order (they correspond 1:1 because the cache verified
+    source order (they correspond 1:1 because {!func_report} first checks
     {!Minilang.Ast.equal_func}) and substitutes location values; warnings
     are then re-sorted with the driver's comparator, which cold runs use
     on the same set. *)
 
 (** [func_report ~cached ~fresh fr] is [fr] with every warning location
-    rewritten from [cached]'s layout to [fresh]'s.  Cheap no-op when the
-    layouts already coincide.
-    @raise Invalid_argument if the two functions are not structurally
-    equal. *)
+    rewritten from [cached]'s layout to [fresh]'s, or [None] when the two
+    functions are not structurally equal (the summary does not apply).
+    [fr] itself when there is nothing to rewrite: no warnings, or layouts
+    that already coincide. *)
 val func_report :
   cached:Minilang.Ast.func ->
   fresh:Minilang.Ast.func ->
   Parcoach.Driver.func_report ->
-  Parcoach.Driver.func_report
+  Parcoach.Driver.func_report option

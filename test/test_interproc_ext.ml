@@ -42,7 +42,9 @@ let callgraph_tests =
               func alpha() { MPI_Barrier(); }
               func main() { zeta(); alpha(); }|}
         in
-        let colors = Callgraph.call_colors p in
+        let colors =
+          Callgraph.call_colors ~collects:(Callgraph.may_collect p) p
+        in
         Alcotest.(check int) "three collecting functions" 3 (List.length colors);
         let values = List.map snd colors in
         Alcotest.(check int) "distinct" 3

@@ -194,6 +194,49 @@ let test_chunker_fallback () =
   unclean "func c() { } /* unterminated";
   unclean ""
 
+(* Pinned scans: [clean], then each chunk's text, line and column. *)
+let check_split label source ~clean expected =
+  let { Serve.Chunker.clean = c; chunks } = Serve.Chunker.split source in
+  Alcotest.(check bool) (label ^ ": clean") clean c;
+  Alcotest.(check (list (triple string int int)))
+    (label ^ ": chunks") expected
+    (List.map
+       (fun (ch : Serve.Chunker.chunk) ->
+         (ch.Serve.Chunker.text, ch.Serve.Chunker.line, ch.Serve.Chunker.col))
+       chunks)
+
+let test_chunker_edge_cases () =
+  (* [func] inside an identifier is not a boundary. *)
+  let ids = "func funcx() {\n}\nfunc myfunc() {\n  funcx();\n}\n" in
+  check_split "funcx/myfunc" ids ~clean:true
+    [ ("func funcx() {\n}\n", 1, 1); ("func myfunc() {\n  funcx();\n}\n", 3, 1) ];
+  check_chunked_equals_direct ids;
+  check_split "myfunc at top level" "myfunc() { }" ~clean:false [];
+  (* A bare [func] at the end of the file is a boundary of its own; its
+     chunk does not parse, so the daemon falls back to the whole file. *)
+  check_split "func at EOF" "func a() { }\nfunc" ~clean:true
+    [ ("func a() { }\n", 1, 1); ("func", 2, 1) ];
+  (* CR and tab are ordinary one-column characters, as in the lexer. *)
+  let crlf = "func a() {\r\n\tMPI_Barrier();\r\n}\r\n\tfunc b() {\r\n}\r\n" in
+  check_split "CRLF and tabs" crlf ~clean:true
+    [
+      ("func a() {\r\n\tMPI_Barrier();\r\n}\r\n\t", 1, 1);
+      ("func b() {\r\n}\r\n", 4, 2);
+    ];
+  check_chunked_equals_direct crlf;
+  check_split "unterminated block comment in a body"
+    "func a() { /* open }\n" ~clean:false
+    [ ("func a() { /* open }\n", 1, 1) ];
+  check_split "line comment on the last line" "func a() {\n}\n// end" ~clean:true
+    [ ("func a() {\n}\n// end", 1, 1) ];
+  check_chunked_equals_direct "func a() {\n}\n// end";
+  (* Stray tokens before the first function make the scan unclean; after
+     it they stay in the chunk, whose parse then fails. *)
+  check_split "stray token first" "; func a() { }" ~clean:false
+    [ ("func a() { }", 1, 3) ];
+  check_split "stray token after" "func a() { } ;\nfunc b() { }" ~clean:true
+    [ ("func a() { } ;\n", 1, 1); ("func b() { }", 2, 1) ]
+
 let prop_chunker_roundtrip =
   QCheck.Test.make ~name:"chunked parse = direct parse (incl. locations)"
     ~count:40 Test_qcheck.arb_program (fun p ->
@@ -336,8 +379,8 @@ let test_daemon_warm_identity () =
     "warm report byte-identical to cold"
     (cold_json edited)
     (Parcoach.Json_report.to_string warm.Serve.Daemon.report);
-  (* Re-sending the same source must hit the whole-source AST cache and
-     still produce the identical report. *)
+  (* Re-sending the same source is an all-hit chunk walk and still
+     produces the identical report. *)
   let again =
     analysis_exn "again"
       (Serve.Daemon.analyze_source daemon ~options:serve_options ~jobs:1
@@ -406,7 +449,7 @@ let run_serve ~pool lines =
               | None -> Alcotest.failf "response without id: %s" line))
         lines)
 
-let analyze_request id source =
+let request_line ?(options = []) ?only ~id ~file source =
   Serve.Json.to_string
     (Serve.Json.Obj
        [
@@ -414,15 +457,35 @@ let analyze_request id source =
          ("method", Serve.Json.Str "analyze");
          ( "params",
            Serve.Json.Obj
-             [
-               ("source", Serve.Json.Str source);
-               ("file", Serve.Json.Str "pool.hml");
-               ("taint_filter", Serve.Json.Bool true);
-               ("interprocedural", Serve.Json.Bool true);
-               ("races", Serve.Json.Bool true);
-               ("jobs", Serve.Json.Int 1);
-             ] );
+             ([
+                ("source", Serve.Json.Str source);
+                ("file", Serve.Json.Str file);
+                ("jobs", Serve.Json.Int 1);
+              ]
+             @ List.map (fun (k, b) -> (k, Serve.Json.Bool b)) options
+             @
+             match only with
+             | None -> []
+             | Some c -> [ ("only", Serve.Json.Str c) ]) );
        ])
+
+let response_exn line =
+  match Serve.Json.parse line with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "unparsable response %s: %s" line msg
+
+let warnings_of response =
+  match
+    Option.bind (Serve.Json.member "warnings" response) Serve.Json.to_int
+  with
+  | Some n -> n
+  | None -> Alcotest.failf "response without warning count"
+
+let analyze_request id source =
+  request_line ~id ~file:"pool.hml"
+    ~options:
+      [ ("taint_filter", true); ("interprocedural", true); ("races", true) ]
+    source
 
 (* The analysis payload of a response: everything except the cache
    counters and timings, which legitimately depend on scheduling. *)
@@ -432,7 +495,9 @@ let payload response =
     | Some v -> Serve.Json.to_string v
     | None -> "<absent>"
   in
-  String.concat "|" [ part "ok"; part "valid"; part "report"; part "warnings" ]
+  String.concat "|"
+    [ part "ok"; part "valid"; part "report"; part "warnings"; part "issues";
+      part "error" ]
 
 let test_daemon_pool_deterministic () =
   let edit n =
@@ -518,33 +583,9 @@ let test_daemon_only_filter () =
      }\n"
   in
   let request id only =
-    Serve.Json.to_string
-      (Serve.Json.Obj
-         ([
-            ("id", Serve.Json.Int id);
-            ("method", Serve.Json.Str "analyze");
-          ]
-         @ [
-             ( "params",
-               Serve.Json.Obj
-                 ([
-                    ("source", Serve.Json.Str source);
-                    ("file", Serve.Json.Str "only.hml");
-                    ("taint_filter", Serve.Json.Bool true);
-                    ("requests", Serve.Json.Bool true);
-                  ]
-                 @
-                 match only with
-                 | None -> []
-                 | Some classes -> [ ("only", Serve.Json.Str classes) ]) );
-           ]))
-  in
-  let warning_count response =
-    match
-      Option.bind (Serve.Json.member "warnings" response) Serve.Json.to_int
-    with
-    | Some n -> n
-    | None -> Alcotest.failf "response without warning count"
+    request_line ~id ~file:"only.hml" ?only
+      ~options:[ ("taint_filter", true); ("requests", true) ]
+      source
   in
   let responses =
     run_serve ~pool:1
@@ -556,10 +597,337 @@ let test_daemon_only_filter () =
   in
   let get id = List.assoc id responses in
   (* Unfiltered: the leak and the completion mismatch. *)
-  Alcotest.(check int) "both warnings unfiltered" 2 (warning_count (get 1));
-  Alcotest.(check int) "leak only" 1 (warning_count (get 2));
+  Alcotest.(check int) "both warnings unfiltered" 2 (warnings_of (get 1));
+  Alcotest.(check int) "leak only" 1 (warnings_of (get 2));
   Alcotest.(check int) "disjoint class filters everything" 0
-    (warning_count (get 3))
+    (warnings_of (get 3))
+
+(* Every analysis option is part of the summary key.  The record literal
+   in [with_field] breaks the build when a field is added; the field
+   count check then asks for a flip of the new field. *)
+let test_options_digest_fields () =
+  let base = serve_options in
+  let with_field ?(initial_word = base.Parcoach.Driver.initial_word)
+      ?(provided_level = base.Parcoach.Driver.provided_level)
+      ?(taint_filter = base.Parcoach.Driver.taint_filter)
+      ?(interprocedural = base.Parcoach.Driver.interprocedural)
+      ?(races = base.Parcoach.Driver.races)
+      ?(requests = base.Parcoach.Driver.requests) () =
+    {
+      Parcoach.Driver.initial_word;
+      provided_level;
+      taint_filter;
+      interprocedural;
+      races;
+      requests;
+    }
+  in
+  let flips =
+    [
+      ( "initial_word",
+        with_field
+          ~initial_word:
+            (if base.Parcoach.Driver.initial_word = [] then
+               [ Parcoach.Pword.P 0 ]
+             else [])
+          () );
+      ( "provided_level",
+        with_field
+          ~provided_level:
+            (if base.Parcoach.Driver.provided_level = Mpisim.Thread_level.Single
+             then Mpisim.Thread_level.Multiple
+             else Mpisim.Thread_level.Single)
+          () );
+      ("taint_filter", with_field ~taint_filter:(not base.taint_filter) ());
+      ( "interprocedural",
+        with_field ~interprocedural:(not base.interprocedural) () );
+      ("races", with_field ~races:(not base.races) ());
+      ("requests", with_field ~requests:(not base.requests) ());
+    ]
+  in
+  Alcotest.(check int)
+    "one flip per options field"
+    (Obj.size (Obj.repr base))
+    (List.length flips);
+  let d = Serve.Hash.options_digest base in
+  Alcotest.(check string) "unchanged options keep the digest" d
+    (Serve.Hash.options_digest (with_field ()));
+  List.iter
+    (fun (field, o) ->
+      Alcotest.(check bool)
+        (field ^ " changes the options digest")
+        false
+        (String.equal d (Serve.Hash.options_digest o)))
+    flips
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A summary computed without the requests pass must not answer a request
+   that asks for it. *)
+let test_daemon_requests_option () =
+  let source = read_file "../examples/programs/leaky_request.hml" in
+  let request id requests =
+    request_line ~id ~file:"leaky_request.hml"
+      ~options:[ ("requests", requests) ] source
+  in
+  let daemon = Serve.Daemon.create () in
+  let without = response_exn (Serve.Daemon.handle_line daemon (request 1 false)) in
+  let warm = response_exn (Serve.Daemon.handle_line daemon (request 2 true)) in
+  let cold =
+    response_exn
+      (Serve.Daemon.handle_line (Serve.Daemon.create ()) (request 2 true))
+  in
+  Alcotest.(check int) "no request warnings without the pass" 0
+    (warnings_of without);
+  Alcotest.(check int) "the cold run finds the leak" 3 (warnings_of cold);
+  Alcotest.(check string) "warm = cold after the option flips" (payload cold)
+    (payload warm);
+  ignore
+    (Serve.Daemon.handle_line daemon {|{"id":3,"method":"clear"}|});
+  Alcotest.(check int) "after clear" 3
+    (warnings_of (response_exn (Serve.Daemon.handle_line daemon (request 4 true))))
+
+(* Editing a callee's parameter count re-validates its callers although
+   their text, and so their chunk memo, did not change. *)
+let test_daemon_callee_arity () =
+  let daemon = Serve.Daemon.create () in
+  let analyze source =
+    Serve.Daemon.analyze_source daemon ~options:serve_options ~jobs:1
+      ~file:"arity.hml" source
+  in
+  ignore (analysis_exn "base" (analyze base_source));
+  let edited = replace ~sub:"func leaf()" ~by:"func leaf(extra)" base_source in
+  (match analyze edited with
+  | Ok _ -> Alcotest.fail "caller of a re-declared leaf should not validate"
+  | Error issues ->
+      Alcotest.(check (list string))
+        "the unchanged caller reports the arity error"
+        [ "error: arity.hml:5:3: 'leaf' expects 1 argument(s), got 0" ]
+        (List.map Validate.issue_to_string issues));
+  ignore (analysis_exn "reverted" (analyze base_source));
+  (* Two definitions of one name: both memos stay per chunk. *)
+  let dup = base_source ^ "func loner() {\n  MPI_Barrier();\n}\n" in
+  (match analyze dup with
+  | Ok _ -> Alcotest.fail "duplicate function should not validate"
+  | Error issues ->
+      Alcotest.(check (list string))
+        "duplicate reported once, on the first definition"
+        [ "error: arity.hml:7:1: duplicate function 'loner'" ]
+        (List.map Validate.issue_to_string issues));
+  Alcotest.(check string)
+    "duplicate removed: warm = cold" (cold_json base_source)
+    (Parcoach.Json_report.to_string
+       (analysis_exn "dedup" (analyze base_source)).Serve.Daemon.report)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: warm memos = a fresh daemon, over edit sessions       *)
+(* ------------------------------------------------------------------ *)
+
+type step =
+  | Body of int * int  (** Prepend [compute(marker)] to function [i]. *)
+  | Arity of int  (** Toggle an extra parameter on a called function. *)
+  | Dup of int  (** Toggle a trailing copy of function [i]. *)
+  | Layout of int  (** Leading comment and blank lines. *)
+  | Syntax of bool  (** One request with a broken function appended. *)
+  | Only of string  (** One request filtered to a warning class. *)
+  | Requests  (** Toggle the requests pass. *)
+  | Clear
+
+let step_to_string = function
+  | Body (i, m) -> Printf.sprintf "body %d %d" i m
+  | Arity i -> Printf.sprintf "arity %d" i
+  | Dup i -> Printf.sprintf "dup %d" i
+  | Layout n -> Printf.sprintf "layout %d" n
+  | Syntax b -> Printf.sprintf "syntax %b" b
+  | Only c -> Printf.sprintf "only %s" c
+  | Requests -> "requests"
+  | Clear -> "clear"
+
+let session_bases =
+  lazy
+    (let examples =
+       List.filter_map
+         (fun name ->
+           if Filename.check_suffix name ".hml" then
+             Some
+               (Parser.parse_file (Filename.concat "../examples/programs" name))
+           else None)
+         (List.sort String.compare
+            (Array.to_list (Sys.readdir "../examples/programs")))
+     in
+     Array.of_list
+       ((parse base_source
+        :: List.map
+             (fun (e : Benchsuite.Catalog.entry) ->
+               e.Benchsuite.Catalog.generate ())
+             Benchsuite.Catalog.all)
+       @ examples))
+
+let extra_param = "zz_extra"
+
+(* Runs [steps] against one long-lived daemon, comparing each response
+   with a fresh daemon's answer to the same request line. *)
+let run_session base steps =
+  let funcs = ref (Lazy.force session_bases).(base).Ast.funcs in
+  let dup = ref None and lead = ref 0 and requests = ref false in
+  let daemon = Serve.Daemon.create () in
+  let render () =
+    String.concat "\n"
+      ((if !lead = 0 then []
+        else [ "// layout" ^ String.make !lead '\n' ])
+      @ List.map
+          (fun f -> Pretty.program_to_string { Ast.funcs = [ f ] })
+          (!funcs @ Option.to_list !dup))
+  in
+  let nth i = List.nth !funcs (i mod List.length !funcs) in
+  let update (g : Ast.func) =
+    funcs :=
+      List.map
+        (fun (f : Ast.func) ->
+          if String.equal f.Ast.fname g.Ast.fname then g else f)
+        !funcs
+  in
+  let called () =
+    let names = List.concat_map Parcoach.Callgraph.callees !funcs in
+    List.filter (fun (f : Ast.func) -> List.mem f.Ast.fname names) !funcs
+  in
+  List.for_all
+    (fun step ->
+      let only = ref None and extra = ref "" in
+      (match step with
+      | Body (i, m) ->
+          let f = nth i in
+          update
+            { f with Ast.body = Ast.mk (Ast.Compute (Ast.Int m)) :: f.Ast.body }
+      | Arity i -> (
+          match called () with
+          | [] -> ()
+          | fs ->
+              let f = List.nth fs (i mod List.length fs) in
+              update
+                {
+                  f with
+                  Ast.params =
+                    (if List.mem extra_param f.Ast.params then
+                       List.filter (( <> ) extra_param) f.Ast.params
+                     else f.Ast.params @ [ extra_param ]);
+                })
+      | Dup i -> dup := (match !dup with Some _ -> None | None -> Some (nth i))
+      | Layout n -> lead := n
+      | Syntax unbalanced ->
+          extra :=
+            if unbalanced then "\nfunc broken( {\n"
+            else "\nfunc broken() { var = ; }\n"
+      | Only c -> only := Some c
+      | Requests -> requests := not !requests
+      | Clear -> ());
+      match step with
+      | Clear ->
+          Serve.Daemon.handle_line daemon {|{"id":0,"method":"clear"}|}
+          = {|{"id":0,"ok":true,"cleared":true}|}
+      | _ ->
+          let line =
+            request_line ~id:1 ~file:"session.hml" ?only:!only
+              ~options:
+                [
+                  ("taint_filter", true);
+                  ("interprocedural", true);
+                  ("races", true);
+                  ("requests", !requests);
+                ]
+              (render () ^ !extra)
+          in
+          let warm = response_exn (Serve.Daemon.handle_line daemon line) in
+          let cold =
+            response_exn
+              (Serve.Daemon.handle_line (Serve.Daemon.create ()) line)
+          in
+          String.equal (payload warm) (payload cold)
+          || QCheck.Test.fail_reportf "step %s: warm %s@.cold %s"
+               (step_to_string step) (payload warm) (payload cold))
+    steps
+
+(* Every step kind, on every base: a callee's arity edited and restored,
+   a duplicate added and removed, layout shifts around a filtered
+   request, both kinds of syntax error, the requests pass switched on,
+   and a clear. *)
+let scripted_steps =
+  [
+    Body (3, 1);
+    Arity 0;
+    Body (0, 2);
+    Arity 0;
+    Dup 1;
+    Layout 3;
+    Dup 1;
+    Only "collective mismatch";
+    Syntax true;
+    Layout 0;
+    Syntax false;
+    Requests;
+    Body (2, 3);
+    Clear;
+    Body (2, 4);
+  ]
+
+let test_daemon_session () =
+  Array.iteri
+    (fun base _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "scripted session on base %d: warm = cold" base)
+        true
+        (run_session base scripted_steps))
+    (Lazy.force session_bases)
+
+let gen_step =
+  let open Gen in
+  frequency
+    [
+      (4, map2 (fun i m -> Body (i, m)) nat (int_bound 1000));
+      (2, map (fun i -> Arity i) nat);
+      (1, map (fun i -> Dup i) nat);
+      (2, map (fun n -> Layout n) (int_bound 3));
+      (1, map (fun b -> Syntax b) bool);
+      (1, map (fun c -> Only c) (oneofl Parcoach.Warning.all_classes));
+      (1, return Requests);
+      (1, return Clear);
+    ]
+
+let prop_daemon_sessions =
+  QCheck.Test.make ~name:"warm memos = fresh daemon over edit sessions"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (base, steps) ->
+         Printf.sprintf "base %d: %s" base
+           (String.concat "; " (List.map step_to_string steps)))
+       Gen.(
+         pair
+           (int_bound (Array.length (Lazy.force session_bases) - 1))
+           (list_size (int_range 4 12) gen_step)))
+    (fun (base, steps) -> run_session base steps)
+
+(* The stats response reports the memo hits of warm requests. *)
+let test_daemon_memo_stats () =
+  let daemon = Serve.Daemon.create () in
+  let line = request_line ~id:1 ~file:"stats.hml" base_source in
+  ignore (Serve.Daemon.handle_line daemon line);
+  ignore (Serve.Daemon.handle_line daemon line);
+  let stats =
+    response_exn (Serve.Daemon.handle_line daemon {|{"id":2,"method":"stats"}|})
+  in
+  let get path =
+    List.fold_left
+      (fun v k -> Option.bind v (Serve.Json.member k))
+      (Some stats) path
+    |> Fun.flip Option.bind Serve.Json.to_int
+  in
+  Alcotest.(check (option int)) "chunks" (Some 4) (get [ "chunks" ]);
+  Alcotest.(check (option int))
+    "validation memo hits" (Some 4)
+    (get [ "memo_hits"; "validation" ]);
+  Alcotest.(check (option int))
+    "fragment memo hits" (Some 4)
+    (get [ "memo_hits"; "fragments" ])
 
 (* ------------------------------------------------------------------ *)
 (* Driver.analyze ?reuse                                               *)
@@ -639,7 +1007,11 @@ let test_pool_runs_everything () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_chunker_roundtrip; prop_keys_location_insensitive ]
+    [
+      prop_chunker_roundtrip;
+      prop_keys_location_insensitive;
+      prop_daemon_sessions;
+    ]
 
 let suite =
   [
@@ -653,6 +1025,8 @@ let suite =
           test_chunker_equals_direct;
         Alcotest.test_case "chunker falls back on unclean input" `Quick
           test_chunker_fallback;
+        Alcotest.test_case "chunker edge cases are pinned" `Quick
+          test_chunker_edge_cases;
         Alcotest.test_case "keys ignore comments and blank lines" `Quick
           test_keys_ignore_layout;
         Alcotest.test_case "keys ignore unrelated functions" `Quick
@@ -671,6 +1045,16 @@ let suite =
           test_daemon_protocol_errors;
         Alcotest.test_case "daemon syntax errors are located issues" `Quick
           test_daemon_syntax_errors;
+        Alcotest.test_case "options digest covers every field" `Quick
+          test_options_digest_fields;
+        Alcotest.test_case "daemon keys summaries by the requests option"
+          `Quick test_daemon_requests_option;
+        Alcotest.test_case "daemon re-validates callers of a re-declared callee"
+          `Quick test_daemon_callee_arity;
+        Alcotest.test_case "daemon scripted session warm = cold" `Quick
+          test_daemon_session;
+        Alcotest.test_case "daemon stats count memo hits" `Quick
+          test_daemon_memo_stats;
         Alcotest.test_case "Driver.analyze reuse identity" `Quick
           test_driver_reuse_identity;
         Alcotest.test_case "promise" `Quick test_promise;
