@@ -41,6 +41,12 @@ let arr items =
   in
   String.concat "" ("[" :: pieces items)
 
+let timings_json t =
+  obj
+    (List.map
+       (fun (phase, ns) -> (phase, Printf.sprintf "%.0f" ns))
+       (Timings.entries t))
+
 let loc_json (l : Loc.t) =
   obj
     [

@@ -4,6 +4,10 @@
 (** JSON string escaping (exposed for tests). *)
 val escape : string -> string
 
+(** Per-phase timings as one object, [{"phase": ns, ...}] (integer
+    nanoseconds, phases in first-recorded order). *)
+val timings_json : Timings.t -> string
+
 val warning_json : Warning.t -> string
 
 (** Validation issues as a JSON array of

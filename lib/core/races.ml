@@ -114,25 +114,83 @@ let self_mhp w = not (Pword.monothreaded w)
 (* ------------------------------------------------------------------ *)
 
 (* Nodes lying on a cycle through a Barrier_node: reachable from some
-   barrier that is reachable from them. *)
+   barrier that is reachable from them.  Those are exactly the barriers
+   and the nodes whose strongly connected component holds a barrier, so
+   one iterative Tarjan pass rooted at the barriers finds them all in
+   O(N+E). *)
 let barrier_loopy (g : Cfg.Graph.t) =
   let n = Cfg.Graph.nb_nodes g in
   let loopy = Array.make n false in
-  let barriers =
-    Cfg.Graph.filter_nodes g (function
-      | Cfg.Graph.Barrier_node _ -> true
-      | _ -> false)
+  let is_barrier id =
+    match Cfg.Graph.kind g id with
+    | Cfg.Graph.Barrier_node _ -> true
+    | _ -> false
   in
-  List.iter
-    (fun b ->
-      let fwd = Array.make n false in
-      Array.iter
-        (fun id -> fwd.(id) <- true)
-        (Cfg.Traversal.postorder_array g ~root:b ~backward:false);
-      Array.iter
-        (fun id -> if fwd.(id) then loopy.(id) <- true)
-        (Cfg.Traversal.postorder_array g ~root:b ~backward:true))
-    barriers;
+  let index = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let next_index = ref 0 in
+  (* Tarjan's stack of open components, and the explicit DFS call stack
+     (node, next successor rank). *)
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let on_stack = Bytes.make n '\000' in
+  let call_node = Array.make n 0 in
+  let call_edge = Array.make n 0 in
+  let csp = ref 0 in
+  let push v =
+    index.(v) <- !next_index;
+    low.(v) <- !next_index;
+    incr next_index;
+    stack.(!sp) <- v;
+    incr sp;
+    Bytes.set on_stack v '\001';
+    call_node.(!csp) <- v;
+    call_edge.(!csp) <- 0;
+    incr csp
+  in
+  (* [v] roots a component: it is the stack segment from [v] up. *)
+  let pop_component v =
+    let base = ref (!sp - 1) in
+    while stack.(!base) <> v do
+      decr base
+    done;
+    let has_barrier = ref false in
+    for i = !base to !sp - 1 do
+      Bytes.set on_stack stack.(i) '\000';
+      if is_barrier stack.(i) then has_barrier := true
+    done;
+    if !has_barrier then
+      for i = !base to !sp - 1 do
+        loopy.(stack.(i)) <- true
+      done;
+    sp := !base
+  in
+  let visit root =
+    push root;
+    while !csp > 0 do
+      let top = !csp - 1 in
+      let v = call_node.(top) in
+      let k = call_edge.(top) in
+      if k < Cfg.Graph.out_degree g v then begin
+        call_edge.(top) <- k + 1;
+        let w = Cfg.Graph.nth_succ g v k in
+        if index.(w) < 0 then push w
+        else if Bytes.get on_stack w = '\001' then
+          low.(v) <- Int.min low.(v) index.(w)
+      end
+      else begin
+        decr csp;
+        if low.(v) = index.(v) then pop_component v;
+        if !csp > 0 then begin
+          let u = call_node.(!csp - 1) in
+          low.(u) <- Int.min low.(u) low.(v)
+        end
+      end
+    done
+  in
+  for id = 0 to n - 1 do
+    if index.(id) < 0 && is_barrier id then visit id
+  done;
   loopy
 
 (* ------------------------------------------------------------------ *)

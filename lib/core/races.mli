@@ -51,6 +51,11 @@ val mhp : phase_blind:bool -> Pword.word -> Pword.word -> bool
 (** May two dynamic instances of the same node overlap? *)
 val self_mhp : Pword.word -> bool
 
+(** [barrier_loopy g], indexed by node id: does the node lie on a cycle
+    through a barrier (reachable from some barrier that it reaches)?
+    Every barrier node counts.  Such nodes are phase-blind for {!mhp}. *)
+val barrier_loopy : Cfg.Graph.t -> bool array
+
 (** [requests], when given, enables the happens-before refinement
     against the request-lifecycle facts of the same function. *)
 val analyze :

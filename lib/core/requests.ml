@@ -173,42 +173,10 @@ let node_read_accesses g id =
     (fun x -> (x, false))
     (Cfg.Dataflow.StringSet.elements (Cfg.Dataflow.node_used_vars g id))
 
-let analyze ?actx (g : Cfg.Graph.t) ~taint_filter ~params : result =
-  let actx =
-    match actx with
-    | Some a when not (Cfg.Actx.graph a == g) ->
-        invalid_arg "Requests.analyze: actx belongs to a different graph"
-    | Some a -> a
-    | None -> Cfg.Actx.create g
-  in
-  (* Syntactic inventory: request names, buffers, collective starts and
-     completion sites. *)
-  let nstarts = ref 0 in
-  let req_names = ref SSet.empty in
-  let buffers = ref [] in
-  let rops = Hashtbl.create 8 in
-  (* request -> representative [request_op_name] *)
-  Cfg.Graph.iter_nodes g (fun n ->
-      match n.Cfg.Graph.kind with
-      | Cfg.Graph.Simple stmts ->
-          List.iter
-            (fun (s : Ast.stmt) ->
-              match s.Ast.sdesc with
-              | Ast.Istart { req; rop } ->
-                  incr nstarts;
-                  req_names := SSet.add req !req_names;
-                  if not (Hashtbl.mem rops req) then
-                    Hashtbl.add rops req (Ast.request_op_name rop);
-                  (match Ast.request_buffer rop with
-                  | Some b ->
-                      if not (List.mem (req, b) !buffers) then
-                        buffers := (req, b) :: !buffers
-                  | None -> ());
-                  ignore (Ast.request_collective rop)
-              | _ -> ())
-            stmts
-      | _ -> ());
-  let buffers = List.rev !buffers in
+(* The forward solve and the post-fixpoint checks, for a function with
+   at least one start or completion. *)
+let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
+    ~buffers ~rops : result =
   (* Forward may-analysis to fixpoint. *)
   let input, _output =
     Cfg.Dataflow.solve g Cfg.Dataflow.Forward ~equal:fact_equal
@@ -353,14 +321,65 @@ let analyze ?actx (g : Cfg.Graph.t) ~taint_filter ~params : result =
                  })
         end
       end)
-    !req_names;
+    req_names;
   {
-    nrequests = SSet.cardinal !req_names;
-    nstarts = !nstarts;
+    nrequests = SSet.cardinal req_names;
+    nstarts;
     findings = List.rev !findings;
     inflight;
     buffers;
   }
+
+let analyze ?actx (g : Cfg.Graph.t) ~taint_filter ~params : result =
+  let actx =
+    match actx with
+    | Some a when not (Cfg.Actx.graph a == g) ->
+        invalid_arg "Requests.analyze: actx belongs to a different graph"
+    | Some a -> a
+    | None -> Cfg.Actx.create g
+  in
+  (* Syntactic inventory: request names, buffers, collective starts and
+     completion sites. *)
+  let nstarts = ref 0 in
+  let ncompletions = ref 0 in
+  let req_names = ref SSet.empty in
+  let buffers = ref [] in
+  let rops = Hashtbl.create 8 in
+  (* request -> representative [request_op_name] *)
+  Cfg.Graph.iter_nodes g (fun n ->
+      match n.Cfg.Graph.kind with
+      | Cfg.Graph.Simple stmts ->
+          List.iter
+            (fun (s : Ast.stmt) ->
+              match s.Ast.sdesc with
+              | Ast.Istart { req; rop } ->
+                  incr nstarts;
+                  req_names := SSet.add req !req_names;
+                  if not (Hashtbl.mem rops req) then
+                    Hashtbl.add rops req (Ast.request_op_name rop);
+                  (match Ast.request_buffer rop with
+                  | Some b ->
+                      if not (List.mem (req, b) !buffers) then
+                        buffers := (req, b) :: !buffers
+                  | None -> ())
+              | Ast.Wait _ | Ast.Test _ -> incr ncompletions
+              | _ -> ())
+            stmts
+      | _ -> ());
+  let buffers = List.rev !buffers in
+  (* Facts only change at starts and completions: without either, every
+     node's fact is empty and so is every finding. *)
+  if !nstarts = 0 && !ncompletions = 0 then
+    {
+      nrequests = 0;
+      nstarts = 0;
+      findings = [];
+      inflight = Array.make (Cfg.Graph.nb_nodes g) SSet.empty;
+      buffers = [];
+    }
+  else
+    solve actx g ~taint_filter ~params ~nstarts:!nstarts
+      ~req_names:!req_names ~buffers ~rops
 
 (** [completion_ordered r ~node ~var] tells whether every request whose
     buffer is [var] is definitely completed at [node]'s input — the

@@ -47,12 +47,3 @@ let pp ppf t =
     (fun (phase, ns) -> Fmt.pf ppf "%-10s %10.3f ms@\n" phase (ns /. 1e6))
     (entries t);
   Fmt.pf ppf "%-10s %10.3f ms@\n" "total" (total_ns t /. 1e6)
-
-let to_json t =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (phase, ns) ->
-           Printf.sprintf "\"%s\":%.0f" (String.escaped phase) ns)
-         (entries t))
-  ^ "}"

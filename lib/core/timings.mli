@@ -30,6 +30,3 @@ val total_ns : t -> float
 
 (** Human-readable table, one [phase: time] row per line. *)
 val pp : t Fmt.t
-
-(** JSON object [{"phase": ns, ...}] (integer nanoseconds). *)
-val to_json : t -> string

@@ -32,15 +32,6 @@
 
 open Minilang
 
-(* Physical-identity statement table (same keying as [Sim.stmt_ids]). *)
-module Stmt_tbl = Hashtbl.Make (struct
-  type t = Ast.stmt
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -457,7 +448,7 @@ let coll_access_exprs (c : Ast.collective) =
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
-  uids : int Stmt_tbl.t;
+  uids : int Ast.Stmt_tbl.t;
   next_uid : int ref;
   resolve : string -> cfunc option;
 }
@@ -468,12 +459,12 @@ type ctx = {
    statement, which keeps [single]-arbitration keys and fingerprints
    identical across interpreters. *)
 let uid_of ctx (s : Ast.stmt) =
-  match Stmt_tbl.find_opt ctx.uids s with
+  match Ast.Stmt_tbl.find_opt ctx.uids s with
   | Some u -> u
   | None ->
       let u = !(ctx.next_uid) in
       incr ctx.next_uid;
-      Stmt_tbl.replace ctx.uids s u;
+      Ast.Stmt_tbl.replace ctx.uids s u;
       u
 
 let dummy_cstmt = { uid = -1; site = "<dummy>"; acc = [||]; desc = CBarrier }
@@ -556,10 +547,10 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
                KCc_next
                  {
                    color;
-                   csite = Printf.sprintf "%s (next: %s)" site coll_name;
+                   csite = String.concat "" [ site; " (next: "; coll_name; ")" ];
                  }
            | Ast.Cc_return ->
-               KCc_return { csite = Printf.sprintf "%s (function exit)" site }
+               KCc_return { csite = site ^ " (function exit)" }
            | Ast.Assert_monothread _ -> KAssert_mono
            | Ast.Count_enter { region } -> KCount_enter region
            | Ast.Count_exit { region } -> KCount_exit region))
@@ -705,7 +696,7 @@ let lower (program : Ast.program) : t =
     pairs;
   let ctx =
     {
-      uids = Stmt_tbl.create 256;
+      uids = Ast.Stmt_tbl.create 256;
       next_uid = ref 0;
       resolve = (fun name -> Hashtbl.find_opt by_name name);
     }

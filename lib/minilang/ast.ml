@@ -153,6 +153,47 @@ type program = { funcs : func list }
 
 let mk ?(loc = Loc.none) sdesc = { sdesc; sloc = loc }
 
+let sdesc_tag = function
+  | Decl _ -> 0
+  | Assign _ -> 1
+  | If _ -> 2
+  | While _ -> 3
+  | For _ -> 4
+  | Return -> 5
+  | Call _ -> 6
+  | Compute _ -> 7
+  | Print _ -> 8
+  | Coll _ -> 9
+  | Send _ -> 10
+  | Recv _ -> 11
+  | Istart _ -> 12
+  | Wait _ -> 13
+  | Test _ -> 14
+  | Omp_parallel _ -> 15
+  | Omp_single _ -> 16
+  | Omp_master _ -> 17
+  | Omp_critical _ -> 18
+  | Omp_barrier -> 19
+  | Omp_for _ -> 20
+  | Omp_sections _ -> 21
+  | Check _ -> 22
+
+(* The hash is consistent with [==]: one statement value has one
+   location and one tag.  Only synthesised code ([Loc.none],
+   [Loc.builder]) puts many statements of one constructor at one
+   location, where they share a bucket. *)
+module Stmt_tbl = Hashtbl.Make (struct
+  type t = stmt
+
+  let equal = ( == )
+
+  let hash s =
+    let h =
+      (s.sloc.Loc.line * 0x2c9277b5) + (s.sloc.Loc.col * 0x3f1) + sdesc_tag s.sdesc
+    in
+    (h lxor (h lsr 17)) land max_int
+end)
+
 (** [find_func p name] returns the function named [name], if any. *)
 let find_func program name =
   List.find_opt (fun f -> String.equal f.fname name) program.funcs

@@ -118,6 +118,12 @@ type program = { funcs : func list }
 
 val mk : ?loc:Loc.t -> sdesc -> stmt
 
+(** Tables keyed by a statement's physical identity ([equal] is [==]).
+    Hashing is O(1): it mixes the statement's line, column and
+    constructor tag, and reads no string and no sub-block.  Statements
+    that share a location and a constructor share a bucket. *)
+module Stmt_tbl : Hashtbl.S with type key = stmt
+
 val find_func : program -> string -> func option
 
 (** @raise Not_found if there is no [main]. *)

@@ -25,7 +25,9 @@ let pp ppf l =
   if is_none l then Fmt.string ppf l.file
   else Fmt.pf ppf "%s:%d:%d" l.file l.line l.col
 
-let to_string l = Fmt.str "%a" pp l
+let to_string l =
+  if is_none l then l.file
+  else String.concat ":" [ l.file; string_of_int l.line; string_of_int l.col ]
 
 let equal a b = String.equal a.file b.file && a.line = b.line && a.col = b.col
 

@@ -71,11 +71,14 @@ let pp_call ppf c =
 let signature c = (c.kind, c.op, c.root)
 
 let signature_to_string (kind, op, root) =
-  Fmt.str "%s%a%a" (kind_name kind)
-    (fun ppf -> function None -> () | Some o -> Fmt.pf ppf "[%a]" Op.pp o)
-    op
-    (fun ppf -> function None -> () | Some r -> Fmt.pf ppf "[root=%d]" r)
-    root
+  String.concat ""
+    [
+      kind_name kind;
+      (match op with None -> "" | Some o -> "[" ^ Op.to_string o ^ "]");
+      (match root with
+      | None -> ""
+      | Some r -> "[root=" ^ string_of_int r ^ "]");
+    ]
 
 (** Signature interning for streaming checkers (MUST-style overlay
     tools).  Comparing collective signatures is the hot operation of an

@@ -399,7 +399,7 @@ let analyze_response t id params =
                             ("entries", Json.Int stats.Cache.entries);
                           ] );
                       ( "timings",
-                        Json.Raw (Parcoach.Timings.to_json a.timings) );
+                        Json.Raw (Parcoach.Json_report.timings_json a.timings) );
                     ])))
 
 let stats_response t id =

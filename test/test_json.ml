@@ -143,6 +143,20 @@ let tests =
               true
               (json_well_formed (Json_report.to_string report)))
           Benchsuite.Catalog.all);
+    Alcotest.test_case "timings object escapes phase names" `Quick (fun () ->
+        let tm = Timings.create () in
+        let odd = "a\"b\\c\x01d\n" in
+        Timings.add_ns tm "races" 1500.;
+        Timings.add_ns tm odd 42.;
+        let js = Json_report.timings_json tm in
+        Alcotest.(check bool) "well-formed" true (json_well_formed js);
+        match Serve.Json.parse js with
+        | Error e -> Alcotest.fail e
+        | Ok v ->
+            Alcotest.(check (option int)) "plain phase" (Some 1500)
+              (Option.bind (Serve.Json.member "races" v) Serve.Json.to_int);
+            Alcotest.(check (option int)) "odd phase" (Some 42)
+              (Option.bind (Serve.Json.member odd v) Serve.Json.to_int));
   ]
 
 let suite = [ ("json.report", tests) ]

@@ -326,6 +326,19 @@ let helper_tests =
         let l = Loc.make ~file:"f.hml" ~line:3 ~col:7 in
         Alcotest.(check string) "format" "f.hml:3:7" (Loc.to_string l);
         Alcotest.(check bool) "none is none" true (Loc.is_none Loc.none));
+    Alcotest.test_case "loc renderings" `Quick (fun () ->
+        List.iter
+          (fun (l, expected) ->
+            Alcotest.(check string) expected expected (Loc.to_string l);
+            Alcotest.(check string) expected expected (Fmt.str "%a" Loc.pp l))
+          [
+            (Loc.none, "<none>");
+            (Loc.builder, "<builder>");
+            (Loc.make ~file:"f.hml" ~line:3 ~col:7, "f.hml:3:7");
+            (Loc.make ~file:"" ~line:0 ~col:5, ":0:5");
+            (Loc.make ~file:"dir/a b.hml" ~line:120_000 ~col:0, "dir/a b.hml:120000:0");
+            (Loc.make ~file:"x" ~line:(-1) ~col:12, "x:-1:12");
+          ]);
   ]
 
 let suite =

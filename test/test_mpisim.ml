@@ -19,6 +19,39 @@ let op_tests =
         match Op.fold Op.Sum [] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "signature strings" `Quick (fun () ->
+        (* The rendering the overlay reports: kind, then [op], then
+           [root=r]. *)
+        let spec (kind, op, root) =
+          Fmt.str "%s%a%a" (Coll.kind_name kind)
+            (fun ppf -> function None -> () | Some o -> Fmt.pf ppf "[%a]" Op.pp o)
+            op
+            (fun ppf -> function None -> () | Some r -> Fmt.pf ppf "[root=%d]" r)
+            root
+        in
+        let kinds =
+          Coll.
+            [
+              Barrier; Bcast; Reduce; Allreduce; Gather; Scatter; Allgather;
+              Alltoall; Scan; Reduce_scatter; Cc_check;
+            ]
+        in
+        let ops = None :: List.map Option.some Op.[ Sum; Prod; Max; Min; Land; Lor ] in
+        let roots = [ None; Some 0; Some 3; Some (-1) ] in
+        List.iter
+          (fun kind ->
+            List.iter
+              (fun op ->
+                List.iter
+                  (fun root ->
+                    let s = (kind, op, root) in
+                    Alcotest.(check string) (spec s) (spec s)
+                      (Coll.signature_to_string s))
+                  roots)
+              ops)
+          kinds;
+        Alcotest.(check string) "example" "MPI_Reduce[MPI_SUM][root=2]"
+          (Coll.signature_to_string (Coll.Reduce, Some Op.Sum, Some 2)));
   ]
 
 let result_tests =

@@ -81,6 +81,57 @@ let test_fan_fast () =
     (Printf.sprintf "10k-edge fan in %.3fs" elapsed)
     true (elapsed < 2.0)
 
+(* Statement tables hash a statement by its location and constructor:
+   a program whose statements all sit at [Loc.none] is their worst case
+   and must still analyse and lower fast. *)
+let test_same_location_fast () =
+  let open Minilang in
+  let n = 1000 in
+  let var i = Printf.sprintf "v%d" i in
+  let decls = List.init n (fun i -> Ast.mk (Ast.Decl (var i, Ast.Int 0))) in
+  let reads =
+    List.init n (fun i ->
+        Ast.mk
+          (Ast.Omp_critical
+             (None, [ Ast.mk (Ast.Assign (var i, Ast.Var (var i))) ])))
+  in
+  let program =
+    {
+      Ast.funcs =
+        [
+          {
+            Ast.fname = "main";
+            params = [];
+            body =
+              decls
+              @ [ Ast.mk (Ast.Omp_parallel { num_threads = None; body = reads }) ];
+            floc = Loc.none;
+          };
+        ];
+    }
+  in
+  Alcotest.(check bool) "valid" true
+    (Validate.is_valid (Validate.check_program program));
+  Alcotest.(check bool) "over 2,000 statements" true
+    (Ast.program_size program > 2 * n);
+  let t0 = Sys.time () in
+  let options =
+    {
+      Parcoach.Driver.default_options with
+      races = true;
+      requests = true;
+      interprocedural = true;
+    }
+  in
+  let report = Parcoach.Driver.analyze ~options program in
+  ignore (Interp.Compile.lower program);
+  ignore (Interp.Sim.stmt_ids program);
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check int) "no warnings" 0 (Parcoach.Driver.warning_count report);
+  Alcotest.(check bool)
+    (Printf.sprintf "analysed and lowered in %.3fs" elapsed)
+    true (elapsed < 1.0)
+
 let test_freeze_invalidation () =
   let g = new_graph "freeze" in
   let a = Graph.add_node g (Graph.Simple []) in
@@ -353,6 +404,8 @@ let suite =
         Alcotest.test_case "10k-node chain builds and analyses fast" `Quick
           test_chain_fast;
         Alcotest.test_case "10k-edge fan builds fast" `Quick test_fan_fast;
+        Alcotest.test_case "same-location statements analyse fast" `Quick
+          test_same_location_fast;
         Alcotest.test_case "freeze / mutation invalidation" `Quick
           test_freeze_invalidation;
         Alcotest.test_case "has_edge and parallel edges" `Quick

@@ -323,10 +323,102 @@ let qcheck_tests =
              (dynamic_race_keys ~seeds:3 p)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Barrier cycles: the SCC pass against the two-walk definition         *)
+(* ------------------------------------------------------------------ *)
+
+(* The definition [Races.barrier_loopy] implements: a node is loopy iff
+   it is reachable from some barrier that it reaches.  One forward and
+   one backward walk per barrier. *)
+let barrier_loopy_spec (g : Cfg.Graph.t) =
+  let n = Cfg.Graph.nb_nodes g in
+  let loopy = Array.make n false in
+  let barriers =
+    Cfg.Graph.filter_nodes g (function
+      | Cfg.Graph.Barrier_node _ -> true
+      | _ -> false)
+  in
+  List.iter
+    (fun b ->
+      let fwd = Array.make n false in
+      Array.iter
+        (fun id -> fwd.(id) <- true)
+        (Cfg.Traversal.postorder_array g ~root:b ~backward:false);
+      Array.iter
+        (fun id -> if fwd.(id) then loopy.(id) <- true)
+        (Cfg.Traversal.postorder_array g ~root:b ~backward:true))
+    barriers;
+  loopy
+
+(* Function names whose CFG disagrees with the spec. *)
+let loopy_mismatches (p : Minilang.Ast.program) =
+  List.filter_map
+    (fun g ->
+      if Races.barrier_loopy g = barrier_loopy_spec g then None
+      else Some g.Cfg.Graph.fname)
+    (Cfg.Build.of_program p)
+
+let arb_farm_skeleton =
+  QCheck.make ~print:Minilang.Pretty.program_to_string
+    (QCheck.Gen.map
+       (fun seed ->
+         Farm.Gen.skeleton
+           (Farm.Gen.random_trace (Random.State.make [| seed |])))
+       QCheck.Gen.nat)
+
+let loopy_tests =
+  [
+    Alcotest.test_case "barrier loops: loop body only" `Quick (fun () ->
+        let g =
+          List.hd
+            (Cfg.Build.of_program
+               (parse
+                  {|func main() {
+                      var i = 0;
+                      pragma omp parallel {
+                        pragma omp barrier;
+                        while (i < 3) {
+                          pragma omp barrier;
+                          compute(1);
+                        }
+                        compute(2);
+                      }
+                    }|}))
+        in
+        let loopy = Races.barrier_loopy g in
+        Alcotest.(check (array bool)) "spec" (barrier_loopy_spec g) loopy;
+        Alcotest.(check bool) "some loopy node" true (Array.exists Fun.id loopy);
+        Alcotest.(check bool) "entry not loopy" false
+          loopy.(g.Cfg.Graph.entry));
+    Alcotest.test_case "barrier loops: catalog and examples" `Quick (fun () ->
+        let dir = "../examples/programs" in
+        let examples =
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".hml")
+          |> List.map (fun f -> Minilang.Parser.parse_file (Filename.concat dir f))
+        in
+        let catalog =
+          List.concat_map
+            (fun (e : Benchsuite.Catalog.entry) ->
+              [ e.generate_small (); e.generate (); e.generate_large () ])
+            Benchsuite.Catalog.all
+        in
+        Alcotest.(check (list string))
+          "mismatching functions" []
+          (List.concat_map loopy_mismatches (examples @ catalog)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"barrier loops: SCC = two walks (generated)"
+         ~count:100 Test_qcheck.arb_program (fun p -> loopy_mismatches p = []));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"barrier loops: SCC = two walks (farm skeletons)"
+         ~count:200 arb_farm_skeleton (fun p -> loopy_mismatches p = []));
+  ]
+
 let suite =
   [
     ("races.mhp", mhp_tests);
     ("races.static", static_tests);
     ("races.dynamic", dynamic_tests);
     ("races.qcheck", qcheck_tests);
+    ("races.loopy", loopy_tests);
   ]
