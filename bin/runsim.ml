@@ -26,9 +26,24 @@ let read_program file bench =
       Fmt.epr "give a source file or --bench NAME@.";
       exit 2
 
+(* Numeric flags outside their range are usage errors (exit 2), reported
+   before the program is read. *)
+let check_at_least flag ~min v =
+  if v < min then begin
+    Fmt.epr "--%s must be at least %d (got %d)@." flag min v;
+    exit 2
+  end
+
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
     explore_mode branch_depth budget explore_jobs interp =
+  check_at_least "ranks" ~min:1 ranks;
+  check_at_least "threads" ~min:1 threads;
+  check_at_least "max-steps" ~min:0 max_steps;
+  Option.iter (check_at_least "jobs" ~min:1) jobs;
+  check_at_least "branch-depth" ~min:0 branch_depth;
+  check_at_least "budget" ~min:1 budget;
+  check_at_least "explore-jobs" ~min:1 explore_jobs;
   let print_issue i = Fmt.epr "%s@." (Minilang.Validate.issue_to_string i) in
   let program =
     match
@@ -42,11 +57,6 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
   let issues = Minilang.Validate.check_program program in
   List.iter print_issue issues;
   if not (Minilang.Validate.is_valid issues) then exit 1;
-  (match jobs with
-  | Some j when j < 1 ->
-      Fmt.epr "--jobs must be at least 1 (got %d)@." j;
-      exit 2
-  | _ -> ());
   let program =
     match inject with
     | None -> program
@@ -76,10 +86,6 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
     }
   in
   if explore then begin
-    if explore_jobs < 1 then begin
-      Fmt.epr "--explore-jobs must be at least 1 (got %d)@." explore_jobs;
-      exit 2
-    end;
     let summary =
       match explore_mode with
       | `Bfs ->

@@ -312,8 +312,9 @@ let rec compile_expr cenv ~site (e : Ast.expr) : exprc =
       let fb = compile_expr cenv ~site b in
       match op with
       | Ast.And ->
-          fun ec fr -> if fa ec fr = 0 then 0 else min 1 (abs (fb ec fr))
-      | Ast.Or -> fun ec fr -> if fa ec fr <> 0 then 1 else min 1 (abs (fb ec fr))
+          fun ec fr -> if fa ec fr = 0 then 0 else Int.min 1 (abs (fb ec fr))
+      | Ast.Or ->
+          fun ec fr -> if fa ec fr <> 0 then 1 else Int.min 1 (abs (fb ec fr))
       | Ast.Add ->
           fun ec fr ->
             let x = fa ec fr in

@@ -12,8 +12,8 @@
     - the {b compiled core} ([make] / [run_compiled]; [run] is
       [make]+[run_compiled]) executes the slot-resolved form produced by
       {!Compile} — no AST dispatch, no string-keyed environment lookups,
-      no per-step site-string allocation, and an index-scan scheduler over
-      a preallocated task array;
+      no per-step site-string allocation, and a scheduler that draws
+      from a runnable queue kept up to date at status transitions;
     - the {b reference core} ([run_reference]) is the original AST
       tree-walker, kept verbatim as the equivalence oracle (the same
       pattern as [Explore.outcomes_reference]).  Both produce identical
@@ -232,6 +232,12 @@ type ('k, 'c) core = {
   set_cell : 'c -> int -> unit;  (** Deliver a result into a cell. *)
   iter_tasks : (('k, 'c) Task.t -> unit) -> unit;
       (** In spawn order; may skip finished tasks. *)
+  mutable rq : int array;
+      (** Ids of the [Runnable] tasks in ascending order ([nrq] valid):
+          ids are assigned in spawn order, so this is the runnable list
+          the scheduler draws from.  Kept by {!set_status} and the spawn
+          functions, never rebuilt. *)
+  mutable nrq : int;
   mutable race : Raceck.t option;
       (** Dynamic race oracle; fed the synchronisation the runtime
           executes (and, in the compiled core only, slot accesses).
@@ -244,6 +250,44 @@ type ('k, 'c) core = {
 
 let emit_event (co : _ core) e =
   match co.events with Some f -> f e | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Runnable queue                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Spawns insert at the end: a new task's id is the largest so far. *)
+let rq_insert (co : _ core) id =
+  if co.nrq = Array.length co.rq then begin
+    let rq = Array.make (2 * co.nrq) 0 in
+    Array.blit co.rq 0 rq 0 co.nrq;
+    co.rq <- rq
+  end;
+  let rq = co.rq in
+  let i = ref co.nrq in
+  while !i > 0 && rq.(!i - 1) > id do
+    rq.(!i) <- rq.(!i - 1);
+    decr i
+  done;
+  rq.(!i) <- id;
+  co.nrq <- co.nrq + 1
+
+let rq_remove (co : _ core) id =
+  let rq = co.rq in
+  let i = ref 0 in
+  while rq.(!i) <> id do
+    incr i
+  done;
+  Array.blit rq (!i + 1) rq !i (co.nrq - !i - 1);
+  co.nrq <- co.nrq - 1
+
+(** Every task status change goes through here, so the runnable queue
+    changes exactly when a task enters or leaves [Runnable]. *)
+let set_status (co : _ core) (task : _ Task.t) status =
+  let was = Task.is_runnable task in
+  task.Task.status <- status;
+  match status with
+  | Task.Runnable -> if not was then rq_insert co task.Task.id
+  | Task.Blocked _ | Task.Finished -> if was then rq_remove co task.Task.id
 
 let fail_eval rank site fmt =
   Printf.ksprintf
@@ -264,8 +308,8 @@ let apply_reduce_op op a b =
   match op with
   | Ast.Rsum -> a + b
   | Ast.Rprod -> a * b
-  | Ast.Rmax -> max a b
-  | Ast.Rmin -> min a b
+  | Ast.Rmax -> Int.max a b
+  | Ast.Rmin -> Int.min a b
   | Ast.Rland -> if a <> 0 && b <> 0 then 1 else 0
   | Ast.Rlor -> if a <> 0 || b <> 0 then 1 else 0
 
@@ -298,13 +342,13 @@ let collective_arrive (co : ('k, 'c) core) (task : ('k, 'c) Task.t) call cell =
       then raise (Abort_exn (Aborted error))
       else raise (Abort_exn (Fault error))
   | Mpisim.Engine.Waiting -> (
-      task.Task.status <-
-        Task.Blocked
+      set_status co task
+        (Task.Blocked
           (Task.At_collective
              {
                site = call.Mpisim.Coll.site;
                coll = Mpisim.Coll.kind_name call.Mpisim.Coll.kind;
-             });
+             }));
       match Mpisim.Engine.try_complete co.engine with
       | None -> ()
       | Some (Mpisim.Engine.Completed { calls; results }) ->
@@ -332,7 +376,7 @@ let collective_arrive (co : ('k, 'c) core) (task : ('k, 'c) Task.t) call cell =
               | Some c -> co.set_cell c results.(rc.Mpisim.Engine.rank)
               | None -> ());
               t.Task.wait_cell <- None;
-              t.Task.status <- Task.Runnable)
+              set_status co t Task.Runnable)
             calls
       | Some (Mpisim.Engine.Mismatch calls) ->
           raise (Abort_exn (Fault (Mismatch calls)))
@@ -342,12 +386,12 @@ let collective_arrive (co : ('k, 'c) core) (task : ('k, 'c) Task.t) call cell =
 let barrier_arrive (co : _ core) task (team : Ompsim.Team.t) ~site =
   match Ompsim.Barrier.arrive team.Ompsim.Team.barrier ~cookie:task.Task.id with
   | Ompsim.Barrier.Wait ->
-      task.Task.status <- Task.Blocked (Task.At_barrier { site })
+      set_status co task (Task.Blocked (Task.At_barrier { site }))
   | Ompsim.Barrier.Release cookies ->
       (match co.race with
       | Some r -> Raceck.barrier r (task.Task.id :: cookies)
       | None -> ());
-      List.iter (fun c -> (co.find c).Task.status <- Task.Runnable) cookies
+      List.iter (fun c -> set_status co (co.find c) Task.Runnable) cookies
 
 (* The instrumentation checks (the paper's CC agreement and concurrency
    counters). *)
@@ -375,7 +419,7 @@ let check_count_exit (co : _ core) task ~region =
   emit_event co (Dpor.ECounter { rank = task.Task.rank; region });
   let key = (task.Task.rank, region) in
   let n = Option.value ~default:0 (Hashtbl.find_opt co.counters key) in
-  Hashtbl.replace co.counters key (max 0 (n - 1))
+  Hashtbl.replace co.counters key (Int.max 0 (n - 1))
 
 (* Dynamic thread-level requirement of the calling context: no team means
    the single initial thread; inside a [single]/[master]/[section] body one
@@ -477,10 +521,10 @@ let wake_waiters (co : _ core) =
                 record_lifecycle co
                   (Double_wait
                      { rank = t.Task.rank; site; start_site = r.rsite });
-                t.Task.status <- Task.Runnable
+                set_status co t Task.Runnable
               end
               else if try_complete_request co r then
-                t.Task.status <- Task.Runnable)
+                set_status co t Task.Runnable)
       | _ -> ())
 
 (* Advance the engine's nonblocking rounds after a new post; a completed
@@ -527,7 +571,7 @@ let exec_wait (co : _ core) task ~rid ~site =
     record_lifecycle co
       (Double_wait { rank = task.Task.rank; site; start_site = r.rsite })
   else if not (try_complete_request co r) then
-    task.Task.status <- Task.Blocked (Task.At_wait { rid; site })
+    set_status co task (Task.Blocked (Task.At_wait { rid; site }))
 
 (* [MPI_Test]: never blocks; returns 1 (and completes the request) when
    completable, 0 otherwise.  Testing a completed request records the
@@ -570,7 +614,7 @@ let do_send (co : _ core) task ~value ~dst ~tag ~site =
               | Some cell -> co.set_cell cell m.Mpisim.Mailbox.value
               | None -> ());
               t.Task.wait_cell <- None;
-              t.Task.status <- Task.Runnable
+              set_status co t Task.Runnable
           | None -> ())
       | _ -> ());
   (* ... or a task blocked in [MPI_Wait] on a matching [MPI_Irecv]. *)
@@ -588,7 +632,7 @@ let recv_attempt (co : _ core) task cell ~src ~tag ~site =
   | Some m -> co.set_cell cell m.Mpisim.Mailbox.value
   | None ->
       task.Task.wait_cell <- Some cell;
-      task.Task.status <- Task.Blocked (Task.At_recv { src; tag; site })
+      set_status co task (Task.Blocked (Task.At_recv { src; tag; site }))
 
 let critical_acquire (co : _ core) task ~name ~site =
   emit_event co (Dpor.ELock { rank = task.Task.rank; name });
@@ -602,7 +646,7 @@ let critical_acquire (co : _ core) task ~name ~site =
           Raceck.acquire r ~task:task.Task.id ~rank:task.Task.rank ~name
       | None -> ())
   | Ompsim.Critical.Must_wait ->
-      task.Task.status <- Task.Blocked (Task.At_critical { name; site })
+      set_status co task (Task.Blocked (Task.At_critical { name; site }))
 
 let critical_release (co : _ core) task name =
   emit_event co (Dpor.ELock { rank = task.Task.rank; name });
@@ -619,10 +663,10 @@ let critical_release (co : _ core) task name =
       (match co.race with
       | Some r -> Raceck.acquire r ~task:next ~rank:task.Task.rank ~name
       | None -> ());
-      (co.find next).Task.status <- Task.Runnable
+      set_status co (co.find next) Task.Runnable
 
 let finish_task (co : _ core) task =
-  task.Task.status <- Task.Finished;
+  set_status co task Task.Finished;
   match task.Task.team with
   | None -> ()
   | Some team ->
@@ -633,8 +677,7 @@ let finish_task (co : _ core) task =
           Raceck.join r ~parent:team.Ompsim.Team.forker ~child:task.Task.id
       | None -> ());
       if Ompsim.Team.member_finished team then begin
-        let forker = co.find team.Ompsim.Team.forker in
-        forker.Task.status <- Task.Runnable
+        set_status co (co.find team.Ompsim.Team.forker) Task.Runnable
       end
 
 (* ------------------------------------------------------------------ *)
@@ -813,6 +856,7 @@ let spawn st ~rank ~tid ~team ~konts =
   let t = Task.make ~id ~rank ~tid ~team ~konts in
   st.tasks := !(st.tasks) @ [ t ];
   Hashtbl.replace st.task_tbl id t;
+  rq_insert st.core id;
   st.core.stats.tasks_spawned <- st.core.stats.tasks_spawned + 1;
   t
 
@@ -1112,7 +1156,7 @@ let exec_stmt st (task : rtask) (s : Ast.stmt) env =
           (spawn st ~rank:task.Task.rank ~tid ~team:(Some team)
              ~konts:[ Task.Kseq (body, env) ])
       done;
-      task.Task.status <- Task.Blocked Task.At_join
+      set_status st.core task (Task.Blocked Task.At_join)
   | Ast.Omp_single { nowait; body } -> (
       match task.Task.team with
       | None -> push_single_body task body env ~team:None ~nowait:true
@@ -1349,6 +1393,8 @@ let run_reference ?(config = default_config) ?probe (program : Ast.program) =
       find = (fun id -> Hashtbl.find task_tbl id);
       set_cell = (fun c v -> c := v);
       iter_tasks = (fun f -> List.iter f !tasks);
+      rq = Array.make 8 0;
+      nrq = 0;
       race = None;
       events = None;
     }
@@ -1496,19 +1542,18 @@ type ctask = (ckont, Compile.loc) Task.t
 (* Tasks live in a dense growable array: ids are assigned 0,1,2,… in
    spawn order, so the id doubles as the array index ([core.find] is an
    array load) and as the canonical scheduling-order position used by
-   fingerprints.  The per-step scans (scheduler, wake-ups) walk [live]
-   instead, so their cost follows the tasks still alive rather than every
-   task ever spawned. *)
+   fingerprints.  The scheduler draws from [core.rq]; the wake-up scans
+   walk [live] instead of every task ever spawned. *)
 type cstate = {
   core : (ckont, Compile.loc) core;
   ctasks : ctask array ref;
   ectxs : Compile.ectx array ref;
   ntasks : int ref;
   live : int array ref;
-      (** Ids of unfinished tasks in spawn order ([nlive] valid); finished
-          ones are dropped lazily by the scheduler's scan. *)
+      (** Ids of tasks in spawn order ([nlive] valid), including finished
+          ones not yet dropped: [core.iter_tasks] drops them as it walks,
+          and the end of the run compacts the rest. *)
   nlive : int ref;
-  runnable : int array ref;  (** Scratch for the scheduler's index scan. *)
   fresh_fid : unit -> int;
       (** Creation-time frame identity for the DPOR recorder (frames of
           runs sharing a schedule prefix get equal ids); [-1] — the
@@ -1533,8 +1578,7 @@ let cspawn st ~rank ~tid ~team ~konts =
     st.ectxs := es;
     let live = Array.make cap 0 in
     Array.blit !(st.live) 0 live 0 !(st.nlive);
-    st.live := live;
-    st.runnable := Array.make cap 0
+    st.live := live
   end;
   let t = Task.make ~id ~rank ~tid ~team ~konts in
   !(st.ctasks).(id) <- t;
@@ -1548,6 +1592,7 @@ let cspawn st ~rank ~tid ~team ~konts =
   st.ntasks := id + 1;
   !(st.live).(!(st.nlive)) <- id;
   incr st.nlive;
+  rq_insert st.core id;
   st.core.stats.tasks_spawned <- st.core.stats.tasks_spawned + 1;
   t
 
@@ -1709,7 +1754,7 @@ let cexec_stmt st (task : ctask) (cs : Compile.cstmt) frame =
         :: CKcall_return :: task.Task.konts
   | Compile.CCompute e ->
       let n = e ec frame in
-      st.core.stats.work <- st.core.stats.work + max 0 n
+      st.core.stats.work <- st.core.stats.work + Int.max 0 n
   | Compile.CPrint e ->
       let v = e ec frame in
       if st.core.config.record_trace then
@@ -1845,7 +1890,7 @@ let cexec_stmt st (task : ctask) (cs : Compile.cstmt) frame =
         | Some r -> Raceck.fork r ~parent:task.Task.id ~child:child.Task.id
         | None -> ()
       done;
-      task.Task.status <- Task.Blocked Task.At_join
+      set_status st.core task (Task.Blocked Task.At_join)
   | Compile.CSingle { nowait; body } -> (
       match task.Task.team with
       | None -> cpush_single_body task body frame ~team:None ~nowait:true
@@ -1971,7 +2016,7 @@ let cstep st (task : ctask) =
           task.Task.single_depth <- task.Task.single_depth + 1;
           task.Task.konts <- rest
       | CKexit_single { team; nowait } -> (
-          task.Task.single_depth <- max 0 (task.Task.single_depth - 1);
+          task.Task.single_depth <- Int.max 0 (task.Task.single_depth - 1);
           task.Task.konts <- rest;
           match team with
           | Some tm when not nowait ->
@@ -2044,9 +2089,21 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
       set_cell = Compile.write_loc;
       iter_tasks =
         (fun f ->
+          (* Drop finished tasks (finishing is terminal) while walking. *)
+          let tasks = !ctasks and ids = !live in
+          let kept = ref 0 in
           for i = 0 to !nlive - 1 do
-            f !ctasks.(!live.(i))
-          done);
+            let t = tasks.(ids.(i)) in
+            match t.Task.status with
+            | Task.Finished -> ()
+            | Task.Runnable | Task.Blocked _ ->
+                ids.(!kept) <- ids.(i);
+                incr kept;
+                f t
+          done;
+          nlive := !kept);
+      rq = Array.make 8 0;
+      nrq = 0;
       race;
       events = (match recorder with Some d -> Some (Dpor.emit d) | None -> None);
     }
@@ -2067,7 +2124,6 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
       ntasks;
       live;
       nlive;
-      runnable = ref (Array.make 8 0);
       fresh_fid;
     }
   in
@@ -2084,62 +2140,39 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
   in
   let script = ref (match config.schedule with `Scripted l -> l | _ -> []) in
   let cursor = ref 0 in
+  (* Called with [core.nrq > 0].  Selection is the reference's: [rq]
+     lists the runnable tasks in spawn order, and the scripted indexing
+     keeps the [((choice mod n) + n) mod n] formula, so existing seeds and
+     scripts replay identically. *)
   let pick () =
-    (* Index scan over the live list, compacting it in place: finished
-       tasks are dropped (finishing is terminal), the rest keep their
-       spawn order.  Selection is the reference's: the scan lists
-       runnable tasks in spawn order, and the scripted indexing keeps the
-       [((choice mod n) + n) mod n] formula, so existing seeds and
-       scripts replay identically. *)
-    let tasks = !(st.ctasks) in
-    let live = !(st.live) in
-    let buf = !(st.runnable) in
-    let n = ref 0 in
-    let kept = ref 0 in
-    for i = 0 to !(st.nlive) - 1 do
-      let id = live.(i) in
-      match tasks.(id).Task.status with
-      | Task.Finished -> ()
-      | Task.Runnable ->
-          live.(!kept) <- id;
-          incr kept;
-          buf.(!n) <- id;
-          incr n
-      | Task.Blocked _ ->
-          live.(!kept) <- id;
-          incr kept
-    done;
-    st.nlive := !kept;
-    let n = !n in
-    if n = 0 then None
-    else begin
-      if core.stats.ndegrees < degree_cap then begin
-        core.stats.degrees.(core.stats.ndegrees) <- n;
-        core.stats.ndegrees <- core.stats.ndegrees + 1
-      end;
-      let idx =
-        match (rng, !script) with
-        | Some rng, _ -> Random.State.int rng n
-        | None, choice :: rest ->
-            script := rest;
-            ((choice mod n) + n) mod n
-        | None, [] ->
-            let c = !cursor mod n in
-            incr cursor;
-            c
-      in
-      (match recorder with
-      | Some d when core.events <> None ->
-          (* Open the step: runnable ids + chosen task + clock tick.  The
-             recorder stops at its window; beyond it, drop the hooks so
-             the tail runs at full speed. *)
-          if not (Dpor.begin_step d ~task:buf.(idx) ~runnable:buf ~n) then begin
-            core.events <- None;
-            core.race <- None
-          end
-      | Some _ | None -> ());
-      Some tasks.(buf.(idx))
-    end
+    let n = core.nrq in
+    if core.stats.ndegrees < degree_cap then begin
+      core.stats.degrees.(core.stats.ndegrees) <- n;
+      core.stats.ndegrees <- core.stats.ndegrees + 1
+    end;
+    let idx =
+      match (rng, !script) with
+      | Some rng, _ -> Random.State.int rng n
+      | None, choice :: rest ->
+          script := rest;
+          ((choice mod n) + n) mod n
+      | None, [] ->
+          let c = !cursor mod n in
+          incr cursor;
+          c
+    in
+    let id = core.rq.(idx) in
+    (match (recorder, core.events) with
+    | Some d, Some _ ->
+        (* Open the step: runnable ids + chosen task + clock tick.  The
+           recorder stops at its window; beyond it, drop the hooks so the
+           tail runs at full speed. *)
+        if not (Dpor.begin_step d ~task:id ~runnable:core.rq ~n) then begin
+          core.events <- None;
+          core.race <- None
+        end
+    | _ -> ());
+    !(st.ctasks).(id)
   in
   let record_fp =
     match probe with
@@ -2160,19 +2193,23 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
         if core.stats.steps >= config.max_steps then Step_limit
         else begin
           record_fp ();
-          match pick () with
-          | Some task ->
-              core.stats.steps <- core.stats.steps + 1;
-              cstep st task;
-              loop ()
-          | None ->
-              (* [pick] just compacted [live]: every task left is blocked. *)
-              let tasks = !(st.ctasks) and live = !(st.live) in
-              if !(st.nlive) = 0 then Finished
-              else
-                Deadlock
-                  (List.init !(st.nlive) (fun i ->
-                       Task.describe tasks.(live.(i))))
+          if core.nrq > 0 then begin
+            let task = pick () in
+            core.stats.steps <- core.stats.steps + 1;
+            cstep st task;
+            loop ()
+          end
+          else begin
+            (* Nothing is runnable: every task left in [live] once the
+               finished ones are dropped is blocked. *)
+            core.iter_tasks ignore;
+            let tasks = !(st.ctasks) and live = !(st.live) in
+            if !(st.nlive) = 0 then Finished
+            else
+              Deadlock
+                (List.init !(st.nlive) (fun i ->
+                     Task.describe tasks.(live.(i))))
+          end
         end
       in
       loop ()

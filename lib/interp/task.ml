@@ -68,10 +68,16 @@ type ('k, 'c) t = {
           executing as the designated thread. *)
   mutable wait_cell : 'c option;
       (** Cell to store a collective result into upon release. *)
-  encounters : (int, int) Hashtbl.t;
+  mutable encounters : (int, int) Hashtbl.t;
       (** Per-construct dynamic instance counters (for [single]
-          arbitration). *)
+          arbitration); {!no_encounters} until the first [single]. *)
 }
+
+(* Shared by every task that has not yet met a [single], so a fresh task
+   allocates no table.  Nothing may write to it, not even a fold (which
+   marks the table as being traversed): {!next_instance} replaces it
+   before the first insertion and {!encounters_hash} does not fold it. *)
+let no_encounters : (int, int) Hashtbl.t = Hashtbl.create 1
 
 let make ~id ~rank ~tid ~team ~konts =
   {
@@ -83,18 +89,20 @@ let make ~id ~rank ~tid ~team ~konts =
     status = Runnable;
     single_depth = 0;
     wait_cell = None;
-    encounters = Hashtbl.create 8;
+    encounters = no_encounters;
   }
 
 (** Next dynamic instance index of construct [uid] for this task. *)
 let next_instance t uid =
+  if t.encounters == no_encounters then t.encounters <- Hashtbl.create 8;
   let n = Option.value ~default:0 (Hashtbl.find_opt t.encounters uid) in
   Hashtbl.replace t.encounters uid (n + 1);
   n
 
 let team_size t = Ompsim.Team.size_of t.team
 
-let is_runnable t = t.status = Runnable
+let is_runnable t =
+  match t.status with Runnable -> true | Blocked _ | Finished -> false
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint ingredients                                             *)
@@ -113,9 +121,12 @@ let status_hash = function
     between schedules reaching the same state), so entries combine by
     commutative sum. *)
 let encounters_hash t =
-  Hashtbl.fold
-    (fun uid n acc -> acc + (Hashtbl.hash (uid, n) lor 1))
-    t.encounters 0
+  (* Skip the sentinel: even a fold over an empty table writes to it. *)
+  if t.encounters == no_encounters then 0
+  else
+    Hashtbl.fold
+      (fun uid n acc -> acc + (Hashtbl.hash (uid, n) lor 1))
+      t.encounters 0
 
 let describe_block_reason = function
   | At_collective { site; coll } -> Printf.sprintf "in %s at %s" coll site

@@ -51,7 +51,8 @@ type ('k, 'c) t = {
   mutable status : status;
   mutable single_depth : int;
   mutable wait_cell : 'c option;
-  encounters : (int, int) Hashtbl.t;
+  mutable encounters : (int, int) Hashtbl.t;
+      (** Shared empty sentinel until the task's first [single]. *)
 }
 
 val make :

@@ -14,8 +14,8 @@ let apply2 op a b =
   match op with
   | Sum -> a + b
   | Prod -> a * b
-  | Max -> Stdlib.max a b
-  | Min -> Stdlib.min a b
+  | Max -> Int.max a b
+  | Min -> Int.min a b
   | Land -> if a <> 0 && b <> 0 then 1 else 0
   | Lor -> if a <> 0 || b <> 0 then 1 else 0
 

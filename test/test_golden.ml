@@ -8,7 +8,19 @@
     prints is recorded here: the JSON report, the instrumented program
     and the check counts.  A change to any static pass that moves a
     warning, a location, a CC site or a byte of the rendering fails
-    these tests. *)
+    these tests.
+
+    Pinned scheduler observables.  Every example, small catalog program
+    and reproducer — plain and after selective instrumentation — plus
+    small programs that drive each task-status transition of the
+    simulator (collective completion, barrier release, critical handoff,
+    receive woken by a send, [MPI_Wait] woken by a nonblocking round or
+    by an [MPI_Irecv], a double-wait release, team join, finish) is run
+    on 3 ranks × 2 threads under round-robin, three random seeds and one
+    scripted choice list.  Each run is pinned by its outcome class, step
+    count, spawned-task count and an MD5 of the outcome text, the
+    per-step runnable counts and the print trace.  None of this depends
+    on the reference interpreter. *)
 
 open Minilang
 
@@ -53,15 +65,19 @@ let mutants ~seed =
         figure1)
     Benchsuite.Injector.all
 
+(* The sample program files, in a fixed order. *)
+let example_files () =
+  Sys.readdir programs_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".hml")
+  |> List.sort String.compare
+
 (* Every pinned input, as (name, source), in a fixed order. *)
 let inputs =
   lazy
     (let examples =
-       Sys.readdir programs_dir |> Array.to_list
-       |> List.filter (fun f -> Filename.check_suffix f ".hml")
-       |> List.sort String.compare
-       |> List.map (fun f ->
-              ("examples/" ^ f, read (Filename.concat programs_dir f)))
+       List.map
+         (fun f -> ("examples/" ^ f, read (Filename.concat programs_dir f)))
+         (example_files ())
      in
      let reproducers =
        List.map
@@ -352,6 +368,612 @@ let pinned =
      "d86a32302528f1aa2f2a62f4e69a1bae");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Scheduler observables                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Small programs, each reaching one task-status transition on every
+   schedule below. *)
+let sched_sources =
+  [
+    ( "sched/collective",
+      {|func main() {
+  if (rank() == 0) { compute(1); compute(1); compute(1); }
+  var x = 0;
+  x = MPI_Allreduce(rank() + 1, sum);
+  MPI_Barrier();
+  print(x);
+}|} );
+    ( "sched/barrier",
+      {|func main() {
+  pragma omp parallel num_threads(3) {
+    compute(omp_tid());
+    if (omp_tid() == 0) { compute(1); compute(1); }
+    pragma omp barrier;
+    print(omp_tid());
+  }
+}|} );
+    ( "sched/critical",
+      {|func main() {
+  var c = 0;
+  pragma omp parallel num_threads(3) {
+    pragma omp critical {
+      c = c + 1;
+      compute(1);
+      c = c + 1;
+    }
+  }
+  print(c);
+}|} );
+    ( "sched/recv-wake",
+      {|func main() {
+  var x = 0;
+  if (rank() == 0) { compute(1); compute(1); compute(1); MPI_Send(7, 1, 0); }
+  if (rank() == 1) { x = MPI_Recv(0, 0); }
+  print(x);
+}|} );
+    ( "sched/wait-round",
+      {|func main() {
+  if (rank() == 0) { compute(1); compute(1); compute(1); }
+  r = MPI_Ibarrier();
+  MPI_Wait(r);
+  print(rank());
+}|} );
+    ( "sched/wait-irecv",
+      {|func main() {
+  var v = 0;
+  if (rank() == 1) {
+    r = MPI_Irecv(v, 0, 5);
+    MPI_Wait(r);
+  }
+  if (rank() == 0) { compute(1); compute(1); compute(1); MPI_Send(3, 1, 5); }
+  print(v);
+}|} );
+    ( "sched/double-wait",
+      {|func main() {
+  var v = 0;
+  if (rank() == 1) {
+    r = MPI_Irecv(v, 0, 5);
+    pragma omp parallel num_threads(2) {
+      MPI_Wait(r);
+    }
+  }
+  if (rank() == 0) {
+    compute(1); compute(1); compute(1); compute(1); compute(1); compute(1);
+    MPI_Send(3, 1, 5);
+  }
+  print(v);
+}|} );
+  ]
+
+(* Every scheduled program, as (name, program), in a fixed order; the
+   ["+cc"] variant is the selectively instrumented program. *)
+let sched_inputs =
+  lazy
+    (let examples =
+       List.map
+         (fun f ->
+           ("examples/" ^ f, Parser.parse_file (Filename.concat programs_dir f)))
+         (example_files ())
+     in
+     let catalog =
+       List.map
+         (fun (e : Benchsuite.Catalog.entry) ->
+           ("catalog/" ^ e.name, e.generate_small ()))
+         Benchsuite.Catalog.all
+     in
+     let reproducers =
+       List.map
+         (fun (e : Benchsuite.Reproducers.entry) ->
+           ("reproducers/" ^ e.name, Benchsuite.Reproducers.program e))
+         Benchsuite.Reproducers.all
+     in
+     let sched =
+       List.map
+         (fun (name, src) -> (name, Parser.parse_string ~file:name src))
+         sched_sources
+     in
+     List.concat_map
+       (fun (name, p) ->
+         let report = Parcoach.Driver.analyze p in
+         [
+           (name, p);
+           ( name ^ "+cc",
+             Parcoach.Instrument.instrument report Parcoach.Instrument.Selective
+           );
+         ])
+       (examples @ catalog @ reproducers @ sched))
+
+let sched_schedules =
+  [
+    `Round_robin;
+    `Random 1;
+    `Random 2;
+    `Random 3;
+    `Scripted [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5; 8 ];
+  ]
+
+(* A probe widens the runnable-count record from the default 64 steps to
+   the probe depth. *)
+let sched_depth = 4096
+
+let outcome_class = function
+  | Interp.Sim.Finished -> "finished"
+  | Interp.Sim.Aborted _ -> "aborted"
+  | Interp.Sim.Fault _ -> "fault"
+  | Interp.Sim.Deadlock _ -> "deadlock"
+  | Interp.Sim.Step_limit -> "step-limit"
+
+(* "class steps spawned md5" for one run. *)
+let sched_observe program schedule =
+  let config =
+    {
+      Interp.Sim.nranks = 3;
+      default_nthreads = 2;
+      schedule;
+      max_steps = 200_000;
+      entry = "main";
+      record_trace = true;
+      thread_level = Mpisim.Thread_level.Multiple;
+    }
+  in
+  let probe =
+    Interp.Sim.make_probe ~depth:sched_depth ~ids:(Interp.Sim.stmt_ids program)
+  in
+  let r = Interp.Sim.run ~config ~probe program in
+  let s = r.Interp.Sim.stats in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Interp.Sim.outcome_to_string r.Interp.Sim.outcome);
+  Buffer.add_string b "\ndegrees";
+  for i = 0 to s.Interp.Sim.ndegrees - 1 do
+    Buffer.add_char b ' ';
+    Buffer.add_string b (string_of_int s.Interp.Sim.degrees.(i))
+  done;
+  Buffer.add_string b "\ntrace";
+  List.iter
+    (fun (rank, tid, v) -> Printf.bprintf b " %d/%d:%d" rank tid v)
+    (Interp.Sim.trace r);
+  Printf.sprintf "%s %d %d %s"
+    (outcome_class r.Interp.Sim.outcome)
+    s.Interp.Sim.steps s.Interp.Sim.tasks_spawned
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let sched_pinned =
+  [
+    ( "examples/buggy_halo.hml",
+      [
+        "fault 113 9 c7f7f266cb574153c26b904b8a7841ea";
+        "fault 100 9 36d42f2e2fd397e6e2140271b9ebe1b3";
+        "fault 97 9 2ae544a8bb2e80e0fa908384bb9b20f3";
+        "fault 104 9 84788eb4e841563e02726c6eda521694";
+        "fault 114 9 2f730fce5e78cc52b88a5bb591f6792b";
+      ] );
+    ( "examples/buggy_halo.hml+cc",
+      [
+        "aborted 116 9 7583a363718f98a9bd85473777a646be";
+        "aborted 104 9 e254b8f81d9b13bb7bd9717b6dee1036";
+        "aborted 95 9 c671b54920f97c43fec7a274895134cc";
+        "aborted 113 9 01d8a3a13837b460197f3cf32b57d208";
+        "aborted 117 9 367158b4a2b58f37135d9c3c959512c8";
+      ] );
+    ( "examples/farm_racy_update.hml",
+      [
+        "finished 42 9 2447166e4eaab203ee0a258d36807d66";
+        "finished 42 9 bc68b46aea8b96027b6447831595bdac";
+        "finished 42 9 b43d20606aa1f83717c41d5f378f7d0b";
+        "finished 42 9 53496b59ec1b42c10941032ce9e3f70e";
+        "finished 42 9 bef2cf8ce077eccbbf8d48d73b0c4790";
+      ] );
+    ( "examples/farm_racy_update.hml+cc",
+      [
+        "finished 42 9 2447166e4eaab203ee0a258d36807d66";
+        "finished 42 9 bc68b46aea8b96027b6447831595bdac";
+        "finished 42 9 b43d20606aa1f83717c41d5f378f7d0b";
+        "finished 42 9 53496b59ec1b42c10941032ce9e3f70e";
+        "finished 42 9 bef2cf8ce077eccbbf8d48d73b0c4790";
+      ] );
+    ( "examples/farm_rank_divergence.hml",
+      [
+        "deadlock 23 3 d8c2b0645883c72e3ab13bd7275aa85c";
+        "deadlock 23 3 0362221364958ce38fb76b30a0f573f7";
+        "deadlock 23 3 4a6f0b8a7d5ce79d4810168244260079";
+        "deadlock 23 3 d25dac4a453d375b815ef24e43fdaf02";
+        "deadlock 23 3 00c18aabe6d18a446c8adf8b232bee80";
+      ] );
+    ( "examples/farm_rank_divergence.hml+cc",
+      [
+        "aborted 34 3 72eff7a6209a8798ad9e227d563b350c";
+        "aborted 34 3 869576a0a45da5eeb0c05c4f6281af36";
+        "aborted 34 3 24cb33c3a74fd8c9242d87aeb9917172";
+        "aborted 34 3 debbfaa64cf6235574eae13c11e84722";
+        "aborted 34 3 11e2dfa32061b98c80a5f170a306c912";
+      ] );
+    ( "examples/ibarrier_divergence.hml",
+      [
+        "finished 19 3 1021978e4b870836c80b62966d0f5063";
+        "finished 19 3 5f8d34565ee3eaa8e83417bafc888176";
+        "finished 19 3 34415c0ee6bdfe938325c541fbb49629";
+        "finished 19 3 d7e512c5c815cf81887afad9118ab08d";
+        "finished 19 3 8ca6abe333d86fc61013e0ef5051daad";
+      ] );
+    ( "examples/ibarrier_divergence.hml+cc",
+      [
+        "finished 19 3 1021978e4b870836c80b62966d0f5063";
+        "finished 19 3 5f8d34565ee3eaa8e83417bafc888176";
+        "finished 19 3 34415c0ee6bdfe938325c541fbb49629";
+        "finished 19 3 d7e512c5c815cf81887afad9118ab08d";
+        "finished 19 3 8ca6abe333d86fc61013e0ef5051daad";
+      ] );
+    ( "examples/jacobi.hml",
+      [
+        "finished 2062 99 66a495f6d612110ec46f0ab59fc9ad9f";
+        "finished 2062 99 700c52f0e6d3a07c3ac79179482d66af";
+        "finished 2062 99 f714cdc28be3d3a2da9cd2b598bf32c0";
+        "finished 2062 99 6b1922e87b7fae9c6e00e66abe446a4c";
+        "finished 2062 99 f6082b21b35e8deb3c9bdd1c7447582c";
+      ] );
+    ( "examples/jacobi.hml+cc",
+      [
+        "finished 2110 99 d4a1c289b7cc6480ebfac65a15cc7ec7";
+        "finished 2110 99 efdd4c7fb5ff3bcd870e90408432b099";
+        "finished 2110 99 0e8be7ba7325313349f65c436d16f43f";
+        "finished 2110 99 d157b178a4de9688268df5465ba11f42";
+        "finished 2110 99 6d1e3c96a6268efd82d559bc66df3fb0";
+      ] );
+    ( "examples/leaky_request.hml",
+      [
+        "finished 24 3 16b9ec085f92602fe8b69b22f399dd18";
+        "finished 24 3 027dfc77f6aa6b6c0ed8ce146211c42b";
+        "finished 24 3 2e72de07a87b9e757093c60901aca775";
+        "finished 24 3 da03913a2d0f02e0274b8ff69dbe412e";
+        "finished 24 3 6291ed6acc6ac5b848a137ff2868115c";
+      ] );
+    ( "examples/leaky_request.hml+cc",
+      [
+        "finished 24 3 16b9ec085f92602fe8b69b22f399dd18";
+        "finished 24 3 027dfc77f6aa6b6c0ed8ce146211c42b";
+        "finished 24 3 2e72de07a87b9e757093c60901aca775";
+        "finished 24 3 da03913a2d0f02e0274b8ff69dbe412e";
+        "finished 24 3 6291ed6acc6ac5b848a137ff2868115c";
+      ] );
+    ( "examples/pipeline.hml",
+      [
+        "finished 418 30 10f7aef0970b51752e959ebdb7d5feae";
+        "finished 418 30 6b63a0146f95c5bbc86c31671830bc8b";
+        "finished 418 30 618465bcabb7c23883ddfad1be2004b2";
+        "finished 418 30 5c9eaa123786d9b7cddebf95937b6c0b";
+        "finished 418 30 d77b61595a32bfee286ecc8d06e3edac";
+      ] );
+    ( "examples/pipeline.hml+cc",
+      [
+        "finished 442 30 e13c1947f1804a932ec1b76c58cbe3c3";
+        "finished 442 30 326de3a54ddb2bab3449f0f5f68a9259";
+        "finished 442 30 0a98e221abc1009ffba703686cfb46c5";
+        "finished 442 30 7b18c6a7a82a4edf463931065d02ead9";
+        "finished 442 30 468b810093669fa49f07b301f4f5f51b";
+      ] );
+    ( "examples/racy_counter.hml",
+      [
+        "finished 66 15 bc5a1fcda3702f0afa9ceda9c9bfacc8";
+        "finished 66 15 7bc55448ebad53d07fb73f56fc50438c";
+        "finished 66 15 b24981f5431529501df5478106eb790f";
+        "finished 66 15 eab10bcee5ab210a66b153419383cc58";
+        "finished 66 15 1d200f3327889c8fd163ffe6fa585249";
+      ] );
+    ( "examples/racy_counter.hml+cc",
+      [
+        "finished 66 15 bc5a1fcda3702f0afa9ceda9c9bfacc8";
+        "finished 66 15 7bc55448ebad53d07fb73f56fc50438c";
+        "finished 66 15 b24981f5431529501df5478106eb790f";
+        "finished 66 15 eab10bcee5ab210a66b153419383cc58";
+        "finished 66 15 1d200f3327889c8fd163ffe6fa585249";
+      ] );
+    ( "examples/racy_flag.hml",
+      [
+        "finished 69 9 2f7ff9596010b4fb124263f3524b85e7";
+        "finished 69 9 ae2f65f5ac9b932213d388de26e48da3";
+        "finished 69 9 5e63d118a929abea2fa734c4f5b60576";
+        "finished 69 9 336e19b545e78d03c34b5b871d8a6256";
+        "finished 69 9 1e14a0c33ebfdd5e74f216a855137258";
+      ] );
+    ( "examples/racy_flag.hml+cc",
+      [
+        "finished 69 9 2f7ff9596010b4fb124263f3524b85e7";
+        "finished 69 9 ae2f65f5ac9b932213d388de26e48da3";
+        "finished 69 9 5e63d118a929abea2fa734c4f5b60576";
+        "finished 69 9 336e19b545e78d03c34b5b871d8a6256";
+        "finished 69 9 1e14a0c33ebfdd5e74f216a855137258";
+      ] );
+    ( "examples/racy_ring.hml",
+      [
+        "aborted 41 12 2f15296ea54fbff47b003bdc1189b433";
+        "aborted 28 9 4a662c799cdc7df42c367e9674bceb2e";
+        "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
+        "aborted 41 12 d351b91eea0b416e87ab94c31c5d4acc";
+        "aborted 41 12 a355503d27c74cd717d9b81f3920d037";
+      ] );
+    ( "examples/racy_ring.hml+cc",
+      [
+        "aborted 41 12 2f15296ea54fbff47b003bdc1189b433";
+        "aborted 28 9 4a662c799cdc7df42c367e9674bceb2e";
+        "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
+        "aborted 41 12 d351b91eea0b416e87ab94c31c5d4acc";
+        "aborted 41 12 a355503d27c74cd717d9b81f3920d037";
+      ] );
+    ( "catalog/BT-MZ",
+      [
+        "finished 8837 57 648444feb1f4a22996dce925c344d84e";
+        "finished 8837 57 ea3dcc6df29bdee36436d5e85682c591";
+        "finished 8837 57 ebcfa4bd6611663ed3ebfbbfcb096bbf";
+        "finished 8837 57 eab943956dff81966c8721eaec04f2be";
+        "finished 8837 57 08b028fb5a233f0a319658f67d0850ed";
+      ] );
+    ( "catalog/BT-MZ+cc",
+      [
+        "finished 8855 57 648444feb1f4a22996dce925c344d84e";
+        "finished 8855 57 ea3dcc6df29bdee36436d5e85682c591";
+        "finished 8855 57 ebcfa4bd6611663ed3ebfbbfcb096bbf";
+        "finished 8855 57 eab943956dff81966c8721eaec04f2be";
+        "finished 8855 57 08b028fb5a233f0a319658f67d0850ed";
+      ] );
+    ( "catalog/SP-MZ",
+      [
+        "finished 8945 69 97285b3ea3fbc0013a3d1c362fa7ffc6";
+        "finished 8945 69 b341e64e81ed0af70b3327e8421a823a";
+        "finished 8945 69 65ae659776100c1b619942fa95e54de3";
+        "finished 8945 69 4dcfcf569240dfc9367436afb7ca7889";
+        "finished 8945 69 ca6f0853a6043e3973381e53dc2648e0";
+      ] );
+    ( "catalog/SP-MZ+cc",
+      [
+        "finished 8963 69 97285b3ea3fbc0013a3d1c362fa7ffc6";
+        "finished 8963 69 b341e64e81ed0af70b3327e8421a823a";
+        "finished 8963 69 65ae659776100c1b619942fa95e54de3";
+        "finished 8963 69 4dcfcf569240dfc9367436afb7ca7889";
+        "finished 8963 69 ca6f0853a6043e3973381e53dc2648e0";
+      ] );
+    ( "catalog/LU-MZ",
+      [
+        "finished 4493 45 e556fd6b5b369e703aad168e44a63467";
+        "finished 4493 45 f25db3112be5f1c6696bf9eaf41fe37c";
+        "finished 4493 45 c80e6005c85a6c41f7d1aceb61016bf2";
+        "finished 4493 45 1ccb9dca1cad01f5c85434a343c70aa4";
+        "finished 4493 45 d84bc9ed558de9167e2bc2722ee834cc";
+      ] );
+    ( "catalog/LU-MZ+cc",
+      [
+        "finished 4511 45 502d498e417e19010cb3e27a3e00a2c3";
+        "finished 4511 45 4819b53d0cd9e7b0201cc801dc85df85";
+        "finished 4511 45 08abed409b99ba58103996b58b04440f";
+        "finished 4511 45 a1a745ecab6d532c6fc926cad99ddcf7";
+        "finished 4511 45 22e5ca2bfaa9b64da197f113fb56f5fd";
+      ] );
+    ( "catalog/EPCC suite",
+      [
+        "finished 2062 99 ae63ec37e57bd723499f0af86c027c40";
+        "finished 2062 99 fca4bc95f46398c27707c88f1017c450";
+        "finished 2062 99 85a854d35e90b6c3d134b7c52c621bed";
+        "finished 2062 99 12c82fcd6da9b984b86b2fa326130132";
+        "finished 2062 99 84300bafe59bd923c69e1447a5c502c6";
+      ] );
+    ( "catalog/EPCC suite+cc",
+      [
+        "finished 2224 99 434733a94813bdce1235da8ea422418c";
+        "finished 2224 99 6377c773bf04620550d5124b7b0b7713";
+        "finished 2224 99 85140c62dd6c18f616cd598155168251";
+        "finished 2224 99 09688d6e40565f8b734631a6ecf56b80";
+        "finished 2224 99 23c0e8fbf5b829f7ca52120539137535";
+      ] );
+    ( "catalog/HERA",
+      [
+        "finished 8312 405 e0bfad34c6f1ccf77fdf9a3e764a8947";
+        "finished 8312 405 298dc005f9e0d7523f11eaeaf6858117";
+        "finished 8312 405 53e6d172b794bcf9664d8fc13aeba44d";
+        "finished 8312 405 c0807a3cb5ee1d7dbf3b0167fb8bd1e0";
+        "finished 8312 405 29bfed664a1b1178078b316de5c02b89";
+      ] );
+    ( "catalog/HERA+cc",
+      [
+        "finished 8660 405 827f08cce6f3f6aeb20ae7f774f3e14a";
+        "finished 8660 405 f82d02477f8378c2dc795f9e11143aef";
+        "finished 8660 405 d85fa6afda23a6c133738eb77af09d79";
+        "finished 8660 405 4e27561acc7ae2fd00407fd9fef21d2d";
+        "finished 8660 405 95ba94a533fe201155319c16b20e6d89";
+      ] );
+    ( "reproducers/deadlock-barrier",
+      [
+        "deadlock 18 3 6d8580478904b004258d2bfbaa9f8c4f";
+        "deadlock 18 3 0bbb81bab5dcc511ba858a132dce952e";
+        "deadlock 18 3 0df57602d99fb375c7223b0bc999dceb";
+        "deadlock 18 3 38b8a5b6d39a3a6f7b6696d7925f1dd6";
+        "deadlock 18 3 6d8580478904b004258d2bfbaa9f8c4f";
+      ] );
+    ( "reproducers/deadlock-barrier+cc",
+      [
+        "aborted 20 3 e858202cd8c11d6f4f4f90e285170d04";
+        "aborted 20 3 baab74bc2fc49fabcd6681a00e1ce1a8";
+        "aborted 20 3 cc63e2a5f7260e86feb04279ca22eaa5";
+        "aborted 20 3 55b672f2e1113a745eda3049c40c5e05";
+        "aborted 20 3 e858202cd8c11d6f4f4f90e285170d04";
+      ] );
+    ( "reproducers/racy-singles",
+      [
+        "aborted 21 9 3429502da3d7ed1a644374c9d6a7957c";
+        "aborted 14 7 881cf585dda7e1c88d9d52ce301debf2";
+        "aborted 18 9 b73fcbbdd4646fb6bd2fea25f9e9f8f9";
+        "aborted 18 9 fe121ad475187236f21bd60dc06fefae";
+        "aborted 21 9 bcc7b51574b7004c4b3a40fe61cdfcde";
+      ] );
+    ( "reproducers/racy-singles+cc",
+      [
+        "aborted 22 9 563535de6ece6e51f05ab34456f57e50";
+        "aborted 13 7 3a5589ce6bc0f548f6f759b664b9311b";
+        "aborted 18 9 fd6ba6a073c057463b90f8a4e4e81748";
+        "aborted 15 7 ed9eb0b30e012585264a23b84f236138";
+        "aborted 21 9 19e069e44345196cf25611ee61bd6c27";
+      ] );
+    ( "reproducers/master-vs-single",
+      [
+        "fault 17 9 cb1f100874105bdcefc6ef1e3ed026f1";
+        "fault 16 9 795dd2670ada751cbc9f3faa19a632bd";
+        "fault 18 9 4bee2ba7cc17be1083398671bcba9fd1";
+        "fault 17 9 a65edbc0a5982ef7a62b5f69b367f98f";
+        "fault 18 9 2346953ff2b685f40eb9a1e483ee7740";
+      ] );
+    ( "reproducers/master-vs-single+cc",
+      [
+        "aborted 20 9 3877af381d7a80775c51f88831a6594e";
+        "aborted 14 7 a7ababda7ff769dfb1ecda4af9e875b1";
+        "aborted 18 9 e913331b7604e801a9d6ed8af15341de";
+        "aborted 18 9 8b9e50e8173f6048d0f019208d6b9157";
+        "aborted 16 9 c237e6fb0c331e0bb1bf1190fe550228";
+      ] );
+    ( "reproducers/racy-ring",
+      [
+        "aborted 41 12 95a92a2b8961dadc58d4abca680f31f0";
+        "aborted 28 9 39befa775db528340d31aa750ee8ac02";
+        "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
+        "aborted 41 12 05a8746a8d8ea3542e96e44becbfa3a5";
+        "aborted 41 12 045b4a25820dbdc7891d2c1a68f288cf";
+      ] );
+    ( "reproducers/racy-ring+cc",
+      [
+        "aborted 41 12 95a92a2b8961dadc58d4abca680f31f0";
+        "aborted 28 9 39befa775db528340d31aa750ee8ac02";
+        "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
+        "aborted 41 12 05a8746a8d8ea3542e96e44becbfa3a5";
+        "aborted 41 12 045b4a25820dbdc7891d2c1a68f288cf";
+      ] );
+    ( "reproducers/sections-collectives",
+      [
+        "fault 25 12 1c1f7ab7e85c0347fd7e51fc7e969170";
+        "fault 19 12 80bf6121e4eac4c75b48db532824be17";
+        "fault 24 12 d56ef94196794e4a0f417621c8ea1c39";
+        "fault 22 12 5bab03a5a644199212b6403210607a8b";
+        "fault 22 12 ea8eae45006d693fd5ff639aef86a817";
+      ] );
+    ( "reproducers/sections-collectives+cc",
+      [
+        "aborted 23 12 541908a56cf0fdbdce1d37d35d6a3c74";
+        "aborted 19 12 048bfbf13fe3aa59c3fed4fe07d3b42b";
+        "aborted 32 12 70d2505c8e52c65c00d4dd3f692da5b4";
+        "aborted 28 12 49e7cfcba165bffdc8adb371714fb0fa";
+        "aborted 21 12 24e1ab21b3c2cec3f23e664b26951b37";
+      ] );
+    ( "sched/collective",
+      [
+        "finished 27 3 91897dfb9aacfe991c61608a1bf42184";
+        "finished 27 3 9d71a17c67cf698880a64988dc66f77e";
+        "finished 27 3 d8c2d9a80191122b30c26783478ed8ea";
+        "finished 27 3 4e58c6f47e3cb8d74d5d885c0745a6fb";
+        "finished 27 3 4bd8ad3e4ffa0dc50948f0127e95b07d";
+      ] );
+    ( "sched/collective+cc",
+      [
+        "finished 27 3 91897dfb9aacfe991c61608a1bf42184";
+        "finished 27 3 9d71a17c67cf698880a64988dc66f77e";
+        "finished 27 3 d8c2d9a80191122b30c26783478ed8ea";
+        "finished 27 3 4e58c6f47e3cb8d74d5d885c0745a6fb";
+        "finished 27 3 4bd8ad3e4ffa0dc50948f0127e95b07d";
+      ] );
+    ( "sched/barrier",
+      [
+        "finished 78 12 ba20d0052c12b6e58e6b68ba6399da56";
+        "finished 78 12 dc8bd5de4b0eb58cc0e5ffccc46376ec";
+        "finished 78 12 714108e17af6088bfa556b97f01602e0";
+        "finished 78 12 04859c6ce987c94dc6580624bfd30dbe";
+        "finished 78 12 827831e329c7af3216f4ca9c506d53db";
+      ] );
+    ( "sched/barrier+cc",
+      [
+        "finished 78 12 ba20d0052c12b6e58e6b68ba6399da56";
+        "finished 78 12 dc8bd5de4b0eb58cc0e5ffccc46376ec";
+        "finished 78 12 714108e17af6088bfa556b97f01602e0";
+        "finished 78 12 04859c6ce987c94dc6580624bfd30dbe";
+        "finished 78 12 827831e329c7af3216f4ca9c506d53db";
+      ] );
+    ( "sched/critical",
+      [
+        "finished 87 12 6a62f9e359be6b619d84b5a59c625439";
+        "finished 87 12 3a2b6709a6438ef5412fdd8dd9d302e1";
+        "finished 87 12 efef4f3758efee534616202c38814b5a";
+        "finished 87 12 09039fdcc00ba6b55b3c272955f69b4f";
+        "finished 87 12 8474d77960ff9fbc3544258405fc5d0d";
+      ] );
+    ( "sched/critical+cc",
+      [
+        "finished 87 12 6a62f9e359be6b619d84b5a59c625439";
+        "finished 87 12 3a2b6709a6438ef5412fdd8dd9d302e1";
+        "finished 87 12 efef4f3758efee534616202c38814b5a";
+        "finished 87 12 09039fdcc00ba6b55b3c272955f69b4f";
+        "finished 87 12 8474d77960ff9fbc3544258405fc5d0d";
+      ] );
+    ( "sched/recv-wake",
+      [
+        "finished 29 3 72e0beba2f54c4adda6282256059cb57";
+        "finished 29 3 5fc4df4a2e7a23f5060717bc02d0f299";
+        "finished 29 3 8631de8170c5a3f84e2e721ab8566789";
+        "finished 29 3 5dd2c50c62fdb3aa92af39370561e28c";
+        "finished 29 3 1d8b9a1a15aa6cb718ee13614ef30c37";
+      ] );
+    ( "sched/recv-wake+cc",
+      [
+        "finished 29 3 72e0beba2f54c4adda6282256059cb57";
+        "finished 29 3 5fc4df4a2e7a23f5060717bc02d0f299";
+        "finished 29 3 8631de8170c5a3f84e2e721ab8566789";
+        "finished 29 3 5dd2c50c62fdb3aa92af39370561e28c";
+        "finished 29 3 1d8b9a1a15aa6cb718ee13614ef30c37";
+      ] );
+    ( "sched/wait-round",
+      [
+        "finished 24 3 9813a050b3ed921ba14f4b44430b25e2";
+        "finished 24 3 9bb3410671f937df25ad0f2d3fedaa4e";
+        "finished 24 3 70f567888bd21d080d39a49d3779eceb";
+        "finished 24 3 57d96884716b9ebb0099e058e13b6bc7";
+        "finished 24 3 bd01ce58a9ba5bff6c7bb4778fb71a8d";
+      ] );
+    ( "sched/wait-round+cc",
+      [
+        "finished 24 3 9813a050b3ed921ba14f4b44430b25e2";
+        "finished 24 3 9bb3410671f937df25ad0f2d3fedaa4e";
+        "finished 24 3 70f567888bd21d080d39a49d3779eceb";
+        "finished 24 3 57d96884716b9ebb0099e058e13b6bc7";
+        "finished 24 3 bd01ce58a9ba5bff6c7bb4778fb71a8d";
+      ] );
+    ( "sched/wait-irecv",
+      [
+        "finished 30 3 f454ad940f367953e8f0b31779f1f80c";
+        "finished 30 3 9cfa81f2e1e03fa6d9cc49ac3c952fed";
+        "finished 30 3 fcc0bd32b312f34589c852287edd23ed";
+        "finished 30 3 ed0ae5c02a98e19c1a5e24203b80902b";
+        "finished 30 3 a539d5ee95f63d142b59473e7c1c4652";
+      ] );
+    ( "sched/wait-irecv+cc",
+      [
+        "finished 30 3 f454ad940f367953e8f0b31779f1f80c";
+        "finished 30 3 9cfa81f2e1e03fa6d9cc49ac3c952fed";
+        "finished 30 3 fcc0bd32b312f34589c852287edd23ed";
+        "finished 30 3 ed0ae5c02a98e19c1a5e24203b80902b";
+        "finished 30 3 a539d5ee95f63d142b59473e7c1c4652";
+      ] );
+    ( "sched/double-wait",
+      [
+        "finished 39 5 b8367d8621e5818c5d143c794daca359";
+        "finished 39 5 85fc4b61bc61f09021d78ede03017c3c";
+        "finished 39 5 ac4c6c7468579589b27354267e7bfece";
+        "finished 39 5 9d867d98847c1ef11d742ea22a23deeb";
+        "finished 39 5 a9c3affac10892e67f8fb90a98b72875";
+      ] );
+    ( "sched/double-wait+cc",
+      [
+        "finished 39 5 b8367d8621e5818c5d143c794daca359";
+        "finished 39 5 85fc4b61bc61f09021d78ede03017c3c";
+        "finished 39 5 ac4c6c7468579589b27354267e7bfece";
+        "finished 39 5 9d867d98847c1ef11d742ea22a23deeb";
+        "finished 39 5 a9c3affac10892e67f8fb90a98b72875";
+      ] );
+  ]
+
 let suite =
   [
     ( "golden.reports",
@@ -371,6 +993,29 @@ let suite =
                       if d = d' then None
                       else Some (Printf.sprintf "%s: %s, pinned %s" name d' d))
                 (Lazy.force inputs)
+            in
+            Alcotest.(check (list string)) "mismatches" [] mismatches);
+      ] );
+    ( "golden.schedules",
+      [
+        Alcotest.test_case "every scheduled input exists" `Quick (fun () ->
+            Alcotest.(check (list string))
+              "inputs" (List.map fst sched_pinned)
+              (List.map fst (Lazy.force sched_inputs)));
+        Alcotest.test_case "runs match their pins" `Quick (fun () ->
+            let mismatches =
+              List.filter_map
+                (fun (name, p) ->
+                  match List.assoc_opt name sched_pinned with
+                  | None -> None
+                  | Some pins ->
+                      let got = List.map (sched_observe p) sched_schedules in
+                      if got = pins then None
+                      else
+                        Some
+                          (Printf.sprintf "%s: [%s], pinned [%s]" name
+                             (String.concat "; " got) (String.concat "; " pins)))
+                (Lazy.force sched_inputs)
             in
             Alcotest.(check (list string)) "mismatches" [] mismatches);
       ] );
