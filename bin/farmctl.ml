@@ -4,7 +4,7 @@
    through the sharded generate -> validate -> analyze -> simulate
    pipeline (lib/farm) and reports every static-vs-dynamic disagreement.
    Exit codes follow the house style: 0 clean, 3 when violations are
-   reported, 124 on CLI errors. *)
+   reported, 2 on an out-of-range numeric flag, 124 on CLI errors. *)
 
 let version = "0.7.0"
 
@@ -18,9 +18,25 @@ let parse_sim_seeds s =
   | seeds -> Ok seeds
   | exception _ -> Error (Printf.sprintf "bad seed list '%s'" s)
 
+(* Numeric flags outside their range are usage errors (exit 2), reported
+   before any work starts. *)
+let check_at_least flag ~min v =
+  if v < min then begin
+    Fmt.epr "--%s must be at least %d (got %d)@." flag min v;
+    exit 2
+  end
+
 let run seed families variants jobs shards batch ranks threads sim_seeds
-    max_steps serial handicap minimize save_repro manifest_file dry_run timings
+    max_steps handicap minimize save_repro manifest_file dry_run timings
     verdicts =
+  check_at_least "families" ~min:1 families;
+  check_at_least "variants" ~min:1 variants;
+  check_at_least "jobs" ~min:1 jobs;
+  check_at_least "shards" ~min:1 shards;
+  check_at_least "batch" ~min:1 batch;
+  check_at_least "ranks" ~min:1 ranks;
+  check_at_least "threads" ~min:1 threads;
+  check_at_least "max-steps" ~min:0 max_steps;
   let sim =
     {
       Farm.Oracle.nranks = ranks;
@@ -43,10 +59,7 @@ let run seed families variants jobs shards batch ranks threads sim_seeds
         (if String.equal path "-" then "<stdout>" else path));
   if dry_run then 0
   else begin
-    let result =
-      if serial then Farm.Pipeline.run_serial ?timings:tm spec
-      else Farm.Pipeline.run ?timings:tm ~jobs ~shards ~batch spec
-    in
+    let result = Farm.Pipeline.run ?timings:tm ~jobs ~shards ~batch spec in
     let st = result.Farm.Pipeline.stats in
     Fmt.pr "farm: %d programs (%d unique, %d duplicates) over %d shard(s), %d batch(es), %d stolen@."
       st.Farm.Pipeline.programs st.Farm.Pipeline.unique
@@ -164,14 +177,6 @@ let max_steps =
     value & opt int 200_000
     & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run scheduler step budget.")
 
-let serial =
-  Arg.(
-    value & flag
-    & info [ "serial" ]
-        ~doc:
-          "Use the CLI-equivalent serial baseline (re-parse/re-analyze per \
-           invocation; the farm's speedup reference).")
-
 let handicap =
   let handicap_conv =
     Arg.conv
@@ -230,7 +235,7 @@ let cmd =
     (Cmd.info "farmctl" ~version ~doc)
     Term.(
       const run $ seed $ families $ variants $ jobs $ shards $ batch $ ranks
-      $ threads $ sim_seeds $ max_steps $ serial $ handicap $ minimize
+      $ threads $ sim_seeds $ max_steps $ handicap $ minimize
       $ save_repro $ manifest_file $ dry_run $ timings $ verdicts)
 
 let () = exit (Cmd.eval' cmd)

@@ -36,7 +36,7 @@ let check_at_least flag ~min v =
 
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
-    explore_mode branch_depth budget explore_jobs interp =
+    explore_mode branch_depth budget explore_jobs =
   check_at_least "ranks" ~min:1 ranks;
   check_at_least "threads" ~min:1 threads;
   check_at_least "max-steps" ~min:0 max_steps;
@@ -90,13 +90,10 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
       match explore_mode with
       | `Bfs ->
           Interp.Explore.outcomes ~branch_depth ~budget ~jobs:explore_jobs
-            ~interp ~config program
+            ~config program
       | `Dpor ->
           Interp.Explore.outcomes_dpor ~branch_depth ~budget
             ~jobs:explore_jobs ~config program
-      | `Reference ->
-          Interp.Explore.outcomes_reference ~branch_depth ~budget ~config
-            program
     in
     Fmt.pr "%a@." Interp.Explore.pp_summary summary;
     if
@@ -114,25 +111,20 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
     | Some m -> Some m
     | None -> if must_check then Some `Posthoc else None
   in
-  (* Online checking needs the engine hook of the compiled core; the
-     reference interpreter retains full traces, which are streamed through
-     the same checker after the run. *)
+  (* Online checking streams the run's events through the engine hook. *)
   let stream_checker =
-    match (overlay_mode, interp) with
-    | Some `Stream, `Compiled ->
+    match overlay_mode with
+    | Some `Stream ->
         Some (Mustlike.Stream.create ~fanout:overlay_fanout ~nranks:ranks ())
-    | _ -> None
+    | Some `Posthoc | None -> None
   in
   let result =
-    match interp with
-    | `Compiled ->
-        Interp.Sim.run ~config
-          ?on_engine:
-            (Option.map
-               (fun t engine -> Mustlike.Stream.attach_engine t engine)
-               stream_checker)
-          program
-    | `Reference -> Interp.Sim.run_reference ~config program
+    Interp.Sim.run ~config
+      ?on_engine:
+        (Option.map
+           (fun t engine -> Mustlike.Stream.attach_engine t engine)
+           stream_checker)
+      program
   in
   Fmt.pr "outcome: %a@." Interp.Sim.pp_outcome result.Interp.Sim.outcome;
   let stats = result.Interp.Sim.stats in
@@ -154,7 +146,6 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
         Fmt.pr "  [rank %d thread %d] print %d@." rank tid value)
       (Interp.Sim.trace result);
   (match overlay_mode with
-  | None -> ()
   | Some `Posthoc ->
       let report =
         Mustlike.Overlay.check_engine ~fanout:overlay_fanout
@@ -162,14 +153,10 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
       in
       Fmt.pr "MUST-like post-mortem trace check:@.%s@."
         (Mustlike.Overlay.report_to_string report)
-  | Some `Stream ->
-      let report, stats =
-        match stream_checker with
-        | Some t -> Mustlike.Stream.result t
-        | None ->
-            Mustlike.Stream.check_traces ~fanout:overlay_fanout
-              (Mpisim.Engine.all_traces result.Interp.Sim.engine)
-      in
+  | Some `Stream | None -> ());
+  Option.iter
+    (fun t ->
+      let report, stats = Mustlike.Stream.result t in
       Fmt.pr "MUST-like streaming trace check:@.%s@."
         (Mustlike.Overlay.report_to_string report);
       Fmt.pr
@@ -178,7 +165,8 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
         stats.Mustlike.Stream.events stats.Mustlike.Stream.drained
         stats.Mustlike.Stream.batches stats.Mustlike.Stream.max_batch_fill
         stats.Mustlike.Stream.max_in_flight
-        stats.Mustlike.Stream.distinct_signatures);
+        stats.Mustlike.Stream.distinct_signatures)
+    stream_checker;
   match result.Interp.Sim.outcome with
   | Interp.Sim.Finished -> ()
   | Interp.Sim.Aborted _ -> exit 4
@@ -334,16 +322,14 @@ let explore =
 let explore_mode =
   Arg.(
     value
-    & opt (enum [ ("bfs", `Bfs); ("dpor", `Dpor); ("reference", `Reference) ])
-        `Bfs
+    & opt (enum [ ("bfs", `Bfs); ("dpor", `Dpor) ]) `Bfs
     & info [ "explore-mode" ] ~docv:"MODE"
         ~doc:
           "With $(b,--explore): exploration engine. 'bfs' (default) \
            enumerates schedule prefixes breadth-first with \
            state-fingerprint pruning; 'dpor' explores one representative \
            schedule per Mazurkiewicz trace with dynamic partial-order \
-           reduction; 'reference' is the unpruned brute-force baseline \
-           (ignores --explore-jobs and --interp).")
+           reduction.")
 
 let branch_depth =
   Arg.(
@@ -368,28 +354,6 @@ let explore_jobs =
            $(docv) OCaml domains; the summary is identical whatever \
            $(docv) is.")
 
-let interp =
-  let cv =
-    Arg.conv
-      ( (fun s ->
-          match s with
-          | "compiled" -> Ok `Compiled
-          | "reference" -> Ok `Reference
-          | _ -> Error (`Msg "expected 'compiled' or 'reference'")),
-        fun ppf i ->
-          Fmt.string ppf
-            (match i with `Compiled -> "compiled" | `Reference -> "reference")
-      )
-  in
-  Arg.(
-    value
-    & opt cv `Compiled
-    & info [ "interp" ] ~docv:"CORE"
-        ~doc:
-          "Interpreter core: 'compiled' (default; slot-resolved, \
-           pre-lowered) or 'reference' (the original AST walker). Both \
-           produce identical traces and outcomes.")
-
 let cmd =
   let doc = "run hybrid MPI+OpenMP programs on the simulated runtime" in
   Cmd.v
@@ -398,6 +362,6 @@ let cmd =
       const run $ file $ bench $ ranks $ threads $ seed $ round_robin
       $ max_steps $ instrument $ jobs $ inject $ show_trace $ must_check
       $ overlay $ overlay_fanout $ level $ explore $ explore_mode
-      $ branch_depth $ budget $ explore_jobs $ interp)
+      $ branch_depth $ budget $ explore_jobs)
 
 let () = exit (Cmd.eval cmd)

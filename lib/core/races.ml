@@ -208,7 +208,7 @@ let sset_of_expr e =
    variables read by collective arguments and branch conditions, then
    pull in the right-hand sides of assignments to relevant variables
    until fixpoint.  Coarse (flow-insensitive) but only used to annotate
-   warnings and bench counters, never to drop a race. *)
+   warnings and pass counters, never to drop a race. *)
 let relevant_vars (f : Ast.func) =
   let seeds = ref SSet.empty in
   let assigns = ref [] in

@@ -17,7 +17,7 @@ val record : t -> string -> (unit -> 'a) -> 'a
 
 (** [record_opt tm phase f]: {!record} when [tm] is [Some], plain [f ()]
     otherwise — the shape every optional [--timings] code path needs
-    (CLI drivers, the bench harness, the fuzzing farm). *)
+    (CLI drivers, the fuzzing farm). *)
 val record_opt : t option -> string -> (unit -> 'a) -> 'a
 
 (** Add [ns] nanoseconds to [phase] directly. *)

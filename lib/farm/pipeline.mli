@@ -20,8 +20,9 @@
       CLI's unconditional output), sharing nothing across invocations
       or programs.
 
-    The throughput gate in [bench farm] compares the two on a
-    pre-generated corpus ({!run_entries} vs {!run_serial_entries}). *)
+    The tests check that the two agree; the benchmark's [farm] workload
+    checks it too, on a pre-generated corpus ({!run_entries} vs
+    {!run_serial_entries}). *)
 
 type spec = {
   seed : int;

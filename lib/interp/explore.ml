@@ -186,8 +186,7 @@ let replay_wave ~probes ~config ~runner (frontier : node array) infos to_replay
     selects the interpreter core: [`Compiled] (default) lowers the
     program once with [Sim.make] and every replay — on every worker
     domain — executes the shared compiled form; [`Reference] replays
-    with the AST tree-walker (the equivalence oracle and bench
-    baseline). *)
+    with the AST tree-walker (the equivalence oracle). *)
 let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
     ?(interp = `Compiled) ~(config : Sim.config) program =
   if branch_depth < 0 then
@@ -326,8 +325,7 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
 (* ------------------------------------------------------------------ *)
 
 (** The original depth-first, unpruned, sequential enumeration, kept as
-    the baseline the bench compares against and as the oracle for the
-    equivalence properties in the tests.  Runs the reference interpreter
+    the oracle for the equivalence properties in the tests.  Runs the reference interpreter
     ([Sim.run_reference]), so comparing it against [outcomes] also
     cross-checks the two interpreter cores.  One replay per represented
     run: [replays = runs], [pruned = 0]. *)

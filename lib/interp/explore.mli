@@ -9,10 +9,9 @@
     credited) and can replay each breadth-first wave on OCaml 5 domains;
     the summary is byte-identical whatever [jobs] is.
     {!outcomes_reference} is the original unpruned depth-first engine,
-    kept as baseline and test oracle.  {!outcomes_dpor} replaces
-    prefix enumeration with dynamic partial-order reduction: one
-    representative schedule per Mazurkiewicz trace, backtracking only at
-    racing steps. *)
+    kept as test oracle.  {!outcomes_dpor} replaces prefix enumeration
+    with dynamic partial-order reduction: one representative schedule
+    per Mazurkiewicz trace, backtracking only at racing steps. *)
 
 (** Accounting specific to {!outcomes_dpor}. *)
 type dpor_stats = {
@@ -96,8 +95,7 @@ val outcomes_reference :
     reached, provided the racing steps lie inside the recording window
     ([branch_depth + 32] steps — size [branch_depth] to the interesting
     prefix); the deep fatal-step rule routinely reaches {e more} classes
-    than a budgeted enumeration (checked by the tests and the [dpor]
-    bench gate).
+    than a budgeted enumeration (checked by the tests).
     @raise Invalid_argument if [branch_depth < 0], [budget < 0] or
     [jobs < 1]. *)
 val outcomes_dpor :

@@ -703,9 +703,8 @@ let team_opt_hash = function
           (fun key () acc -> acc + (Hashtbl.hash key lor 1))
           tm.Ompsim.Team.singles 0
       in
-      (* The creation-order team id (and the forker cookie) depend on the
-         schedule that spawned the team; identify it by its logical
-         coordinates instead. *)
+      (* The forker cookie depends on the schedule that spawned the team;
+         identify it by its logical coordinates instead. *)
       let coords =
         mix
           (mix (mix tm.Ompsim.Team.rank tm.Ompsim.Team.size)

@@ -7,7 +7,6 @@
     for the forking task. *)
 
 type t = {
-  id : int;  (** Unique team id within the simulation. *)
   rank : int;  (** Owning MPI process. *)
   size : int;
   parent : t option;  (** Enclosing team, for nested parallelism. *)
@@ -19,12 +18,8 @@ type t = {
   forker : int;  (** Cookie of the task blocked on the join. *)
 }
 
-let next_id = ref 0
-
 let create ~rank ~size ~parent ~forker =
-  incr next_id;
   {
-    id = !next_id;
     rank;
     size;
     parent;

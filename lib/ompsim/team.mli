@@ -3,7 +3,6 @@
     bookkeeping. *)
 
 type t = {
-  id : int;
   rank : int;  (** Owning MPI process. *)
   size : int;
   parent : t option;

@@ -42,7 +42,7 @@ val create : ?capacity:int -> ?jobs:int -> unit -> t
 
 val cache : t -> Cache.t
 
-(** Outcome of one analysis request, exposed for the bench harness and
+(** Outcome of one analysis request, exposed for the benchmark and
     tests. *)
 type analysis = {
   report : Parcoach.Driver.report;

@@ -240,14 +240,35 @@ let probe_parity name ~depth ~config program =
 let test_reproducer_fingerprints () =
   List.iter
     (fun entry ->
+      let name = entry.Benchsuite.Reproducers.name in
       let program = Benchsuite.Reproducers.program entry in
       List.iter
         (fun schedule ->
           ignore
-            (probe_parity entry.Benchsuite.Reproducers.name ~depth:12
+            (probe_parity name ~depth:12
                ~config:(config ~nranks:3 ~nthreads:2 schedule)
                program))
-        [ `Round_robin; `Random 42; `Scripted [ 2; 0; 1; 2; 1; 0; 2 ] ])
+        [
+          `Round_robin;
+          `Random 42;
+          `Random 7;
+          `Random 1337;
+          `Scripted [ 2; 0; 1; 2; 1; 0; 2 ];
+        ];
+      (* The exploration summary is built from the same fingerprints. *)
+      let explore interp =
+        Interp.Explore.summary_to_string
+          (Interp.Explore.outcomes ~branch_depth:10 ~budget:100_000 ~interp
+             ~config:
+               {
+                 (config ~nranks:3 ~nthreads:2 `Round_robin) with
+                 Interp.Sim.record_trace = false;
+               }
+             program)
+      in
+      Alcotest.(check string)
+        (name ^ ": exploration summary")
+        (explore `Reference) (explore `Compiled))
     Benchsuite.Reproducers.all
 
 (* ------------------------------------------------------------------ *)

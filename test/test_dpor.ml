@@ -252,26 +252,31 @@ let ring_tests =
              (Explore.outcomes_dpor ~branch_depth:8 ~budget:500
                 ~config:(config ()) entry));
         let budget = 2000 in
-        let dpor =
-          Explore.outcomes_dpor ~branch_depth:16 ~budget ~config:(config ())
-            program
-        in
-        let bfs =
-          Explore.outcomes ~branch_depth:16 ~budget ~config:(config ())
-            program
-        in
-        Alcotest.(check bool) "dpor finds the abort" true
-          (Explore.reaches dpor "aborted");
-        Alcotest.(check bool) "dpor finds the clean completion" true
-          (Explore.reaches dpor "finished");
-        Alcotest.(check bool) "bfs classes covered" true
-          (subset (classes bfs) (classes dpor));
-        check_invariant "racy_ring" dpor;
-        Alcotest.(check bool)
-          (Printf.sprintf "10x fewer replays (dpor %d vs bfs %d)"
-             dpor.Explore.replays bfs.Explore.replays)
-          true
-          (dpor.Explore.replays * 10 <= bfs.Explore.replays));
+        List.iter
+          (fun branch_depth ->
+            let dpor =
+              Explore.outcomes_dpor ~branch_depth ~budget ~config:(config ())
+                program
+            in
+            let bfs =
+              Explore.outcomes ~branch_depth ~budget ~config:(config ())
+                program
+            in
+            let label = Printf.sprintf "depth %d: " branch_depth in
+            Alcotest.(check bool) (label ^ "dpor finds the abort") true
+              (Explore.reaches dpor "aborted");
+            Alcotest.(check bool) (label ^ "dpor finds the clean completion")
+              true
+              (Explore.reaches dpor "finished");
+            Alcotest.(check bool) (label ^ "bfs classes covered") true
+              (subset (classes bfs) (classes dpor));
+            check_invariant ("racy_ring " ^ label) dpor;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s10x fewer replays (dpor %d vs bfs %d)" label
+                 dpor.Explore.replays bfs.Explore.replays)
+              true
+              (dpor.Explore.replays * 10 <= bfs.Explore.replays))
+          [ 16; 20 ]);
   ]
 
 let suite =

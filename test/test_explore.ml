@@ -81,16 +81,25 @@ let tests =
           (s.Explore.runs >= s.Explore.replays));
     Alcotest.test_case "pruned engine matches the reference on the reproducers"
       `Quick (fun () ->
+        let cases =
+          List.map
+            (fun (e : Benchsuite.Reproducers.entry) ->
+              (e.Benchsuite.Reproducers.name, Benchsuite.Reproducers.program e,
+               2, 8))
+            Benchsuite.Reproducers.all
+          @ [
+              ( "deadlock-barrier (3 ranks, depth 10)",
+                Benchsuite.Reproducers.load "deadlock-barrier",
+                3,
+                10 );
+            ]
+        in
         List.iter
-          (fun (e : Benchsuite.Reproducers.entry) ->
-            let program = Benchsuite.Reproducers.program e in
+          (fun (name, program, nranks, branch_depth) ->
+            let config = config ~nranks () in
             let reference =
-              Explore.outcomes_reference ~branch_depth:8 ~budget:100_000
-                ~config:(config ()) program
-            in
-            let pruned =
-              Explore.outcomes ~branch_depth:8 ~budget:100_000
-                ~config:(config ()) program
+              Explore.outcomes_reference ~branch_depth ~budget:100_000 ~config
+                program
             in
             let counts (s : Explore.summary) =
               ( s.Explore.finished,
@@ -102,14 +111,22 @@ let tests =
             let classes (s : Explore.summary) =
               List.sort compare (List.map fst s.Explore.witnesses)
             in
-            Alcotest.(check (list string))
-              (e.Benchsuite.Reproducers.name ^ ": same classes")
-              (classes reference) (classes pruned);
-            Alcotest.(check bool)
-              (e.Benchsuite.Reproducers.name ^ ": same counts")
-              true
-              (counts reference = counts pruned))
-          Benchsuite.Reproducers.all);
+            List.iter
+              (fun jobs ->
+                let pruned =
+                  Explore.outcomes ~branch_depth ~budget:100_000 ~jobs ~config
+                    program
+                in
+                let label = Printf.sprintf "%s, jobs %d" name jobs in
+                Alcotest.(check (list string))
+                  (label ^ ": same classes")
+                  (classes reference) (classes pruned);
+                Alcotest.(check bool)
+                  (label ^ ": same counts")
+                  true
+                  (counts reference = counts pruned))
+              [ 1; 2; 4 ])
+          cases);
     Alcotest.test_case "pruning replays far fewer schedules than it represents"
       `Quick (fun () ->
         let s =

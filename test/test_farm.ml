@@ -22,6 +22,10 @@ let spec_small =
     sim = sim_small;
   }
 
+(* A larger corpus on the default simulation settings. *)
+let spec_default =
+  { Farm.Pipeline.default_spec with Farm.Pipeline.families = 25; variants = 6 }
+
 let nonblank_lines text =
   List.length
     (List.filter
@@ -94,18 +98,25 @@ let tests =
         Alcotest.(check bool) "jobs 1 = jobs 2" true
           (obs_list r1 = obs_list r2);
         Alcotest.(check bool) "shard/batch invariant" true
-          (obs_list r1 = obs_list r3));
+          (obs_list r1 = obs_list r3);
+        let d1 = Farm.Pipeline.run ~jobs:1 ~shards:8 ~batch:16 spec_default in
+        let d2 = Farm.Pipeline.run ~jobs:2 ~shards:8 ~batch:16 spec_default in
+        Alcotest.(check bool) "default settings: jobs 1 = jobs 2" true
+          (obs_list d1 = obs_list d2));
     Alcotest.test_case "farm agrees with the serial baseline" `Quick
       (fun () ->
-        let farm = Farm.Pipeline.run ~jobs:1 spec_small in
-        let serial = Farm.Pipeline.run_serial spec_small in
-        List.iter2
-          (fun f s ->
-            Alcotest.(check bool) "obs agree" true
-              (Farm.Oracle.obs_agree f s))
-          (obs_list farm) (obs_list serial);
-        Alcotest.(check int) "clean corpus, no violations" 0
-          (List.length farm.Farm.Pipeline.violations));
+        List.iter
+          (fun spec ->
+            let farm = Farm.Pipeline.run ~jobs:1 spec in
+            let serial = Farm.Pipeline.run_serial spec in
+            List.iter2
+              (fun f s ->
+                Alcotest.(check bool) "obs agree" true
+                  (Farm.Oracle.obs_agree f s))
+              (obs_list farm) (obs_list serial);
+            Alcotest.(check int) "clean corpus, no violations" 0
+              (List.length farm.Farm.Pipeline.violations))
+          [ spec_small; spec_default ]);
     Alcotest.test_case "manifest is byte-stable" `Quick (fun () ->
         let m () =
           Farm.Pipeline.manifest ~shards:8 spec_small
@@ -156,35 +167,41 @@ let tests =
           ]);
     Alcotest.test_case "weakened checker is caught and minimized" `Quick
       (fun () ->
-        let spec =
-          {
-            spec_small with
-            Farm.Pipeline.families = 6;
-            variants = 6;
-            handicap = Some Farm.Oracle.Blind_mismatch;
-          }
-        in
-        let entries =
-          Farm.Pipeline.fingerprinted (Farm.Pipeline.corpus spec)
-        in
-        let result = Farm.Pipeline.run_entries ~jobs:1 spec entries in
-        Alcotest.(check bool) "drill violations found" true
-          (result.Farm.Pipeline.violations <> []);
-        let repros =
-          Farm.Pipeline.minimized_reproducers ~limit:1 spec result entries
-        in
         List.iter
-          (fun ( (_ : Farm.Pipeline.entry),
-                 (v : Farm.Oracle.violation),
-                 case,
-                 program ) ->
-            Alcotest.(check bool) "still violates" true
-              (Farm.Pipeline.violates ~handicap:Farm.Oracle.Blind_mismatch
-                 ~sim:spec.Farm.Pipeline.sim ~vkind:v.Farm.Oracle.vkind case);
-            Alcotest.(check bool) "reproducer fits in 30 lines" true
-              (nonblank_lines (Minilang.Pretty.program_to_string program)
-              <= 30))
-          repros);
+          (fun (spec, limit) ->
+            let spec =
+              {
+                spec with
+                Farm.Pipeline.handicap = Some Farm.Oracle.Blind_mismatch;
+              }
+            in
+            let entries =
+              Farm.Pipeline.fingerprinted (Farm.Pipeline.corpus spec)
+            in
+            let result = Farm.Pipeline.run_entries ~jobs:1 spec entries in
+            Alcotest.(check bool) "drill violations found" true
+              (result.Farm.Pipeline.violations <> []);
+            let repros =
+              Farm.Pipeline.minimized_reproducers ?limit spec result entries
+            in
+            List.iter
+              (fun ( (_ : Farm.Pipeline.entry),
+                     (v : Farm.Oracle.violation),
+                     case,
+                     program ) ->
+                Alcotest.(check bool) "still violates" true
+                  (Farm.Pipeline.violates ~handicap:Farm.Oracle.Blind_mismatch
+                     ~sim:spec.Farm.Pipeline.sim ~vkind:v.Farm.Oracle.vkind
+                     case);
+                Alcotest.(check bool) "reproducer fits in 30 lines" true
+                  (nonblank_lines (Minilang.Pretty.program_to_string program)
+                  <= 30))
+              repros)
+          [
+            ( { spec_small with Farm.Pipeline.families = 6; variants = 6 },
+              Some 1 );
+            ({ spec_default with Farm.Pipeline.families = 10 }, None);
+          ]);
   ]
 
 let suite =

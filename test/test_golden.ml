@@ -16,11 +16,19 @@
     simulator (collective completion, barrier release, critical handoff,
     receive woken by a send, [MPI_Wait] woken by a nonblocking round or
     by an [MPI_Irecv], a double-wait release, team join, finish) is run
-    on 3 ranks × 2 threads under round-robin, three random seeds and one
-    scripted choice list.  Each run is pinned by its outcome class, step
-    count, spawned-task count and an MD5 of the outcome text, the
-    per-step runnable counts and the print trace.  None of this depends
-    on the reference interpreter. *)
+    on 3 ranks × 2 threads under round-robin, random seeds 1, 2, 3, 42,
+    7 and 1337 and one scripted choice list.  Each run is pinned by its
+    outcome class, step count, spawned-task count and an MD5 of the
+    outcome text, the per-step runnable counts and the print trace.
+    None of this depends on the reference interpreter.
+
+    Pinned exploration observables.  Every example and reproducer, the
+    3-rank [deadlock-barrier] at depth 10 and [racy-ring] at depths 16
+    and 20, is explored breadth-first and by DPOR.  Each exploration is
+    pinned by its per-class counts, [runs], [replays], [pruned] and the
+    order in which its witness classes were first observed — counts and
+    classes, not fingerprints, so the fingerprint encoding stays free to
+    change. *)
 
 open Minilang
 
@@ -491,6 +499,9 @@ let sched_schedules =
     `Random 2;
     `Random 3;
     `Scripted [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5; 8 ];
+    `Random 42;
+    `Random 7;
+    `Random 1337;
   ]
 
 (* A probe widens the runnable-count record from the default 64 steps to
@@ -547,6 +558,9 @@ let sched_pinned =
         "fault 97 9 2ae544a8bb2e80e0fa908384bb9b20f3";
         "fault 104 9 84788eb4e841563e02726c6eda521694";
         "fault 114 9 2f730fce5e78cc52b88a5bb591f6792b";
+        "fault 112 9 552445c27bbb6d6c37401584f0c174ab";
+        "fault 96 9 306cc3ec6d6e862799af49375fade9c1";
+        "fault 100 9 e60f3a9359d65f4f4dd5d8d73a5b93b7";
       ] );
     ( "examples/buggy_halo.hml+cc",
       [
@@ -555,6 +569,9 @@ let sched_pinned =
         "aborted 95 9 c671b54920f97c43fec7a274895134cc";
         "aborted 113 9 01d8a3a13837b460197f3cf32b57d208";
         "aborted 117 9 367158b4a2b58f37135d9c3c959512c8";
+        "aborted 108 9 2834a6c1ceecb85617fdec9b3bbfe997";
+        "aborted 104 9 baffdbba511b1b2f353094050f142364";
+        "aborted 99 9 498742696a2a0ae46160518406dff2d8";
       ] );
     ( "examples/farm_racy_update.hml",
       [
@@ -563,6 +580,9 @@ let sched_pinned =
         "finished 42 9 b43d20606aa1f83717c41d5f378f7d0b";
         "finished 42 9 53496b59ec1b42c10941032ce9e3f70e";
         "finished 42 9 bef2cf8ce077eccbbf8d48d73b0c4790";
+        "finished 42 9 12b52437bf9117372066028063a37039";
+        "finished 42 9 d06faa26ec18120cc4b00e24fdae50cf";
+        "finished 42 9 60118b61c9ce26d5e8da0015445e837c";
       ] );
     ( "examples/farm_racy_update.hml+cc",
       [
@@ -571,6 +591,9 @@ let sched_pinned =
         "finished 42 9 b43d20606aa1f83717c41d5f378f7d0b";
         "finished 42 9 53496b59ec1b42c10941032ce9e3f70e";
         "finished 42 9 bef2cf8ce077eccbbf8d48d73b0c4790";
+        "finished 42 9 12b52437bf9117372066028063a37039";
+        "finished 42 9 d06faa26ec18120cc4b00e24fdae50cf";
+        "finished 42 9 60118b61c9ce26d5e8da0015445e837c";
       ] );
     ( "examples/farm_rank_divergence.hml",
       [
@@ -579,6 +602,9 @@ let sched_pinned =
         "deadlock 23 3 4a6f0b8a7d5ce79d4810168244260079";
         "deadlock 23 3 d25dac4a453d375b815ef24e43fdaf02";
         "deadlock 23 3 00c18aabe6d18a446c8adf8b232bee80";
+        "deadlock 23 3 a31992083e3549b6d99057dceb0ba0e8";
+        "deadlock 23 3 ea09fe2c4ba9d81bf86632c171aa77b6";
+        "deadlock 23 3 42ed2c732f613a9d32d43a24b765683c";
       ] );
     ( "examples/farm_rank_divergence.hml+cc",
       [
@@ -587,6 +613,9 @@ let sched_pinned =
         "aborted 34 3 24cb33c3a74fd8c9242d87aeb9917172";
         "aborted 34 3 debbfaa64cf6235574eae13c11e84722";
         "aborted 34 3 11e2dfa32061b98c80a5f170a306c912";
+        "aborted 34 3 d70056eb56ffe54566bf3427126a793f";
+        "aborted 34 3 90aa54c43906967a1a74c0cd9ad31af4";
+        "aborted 34 3 8b8f81fbc7611c72b862f76785e601b0";
       ] );
     ( "examples/ibarrier_divergence.hml",
       [
@@ -595,6 +624,9 @@ let sched_pinned =
         "finished 19 3 34415c0ee6bdfe938325c541fbb49629";
         "finished 19 3 d7e512c5c815cf81887afad9118ab08d";
         "finished 19 3 8ca6abe333d86fc61013e0ef5051daad";
+        "finished 19 3 4520866a4238d3cdc3f7b354d31107ef";
+        "finished 19 3 9fdff4f3f5849d34525ea64338be76e1";
+        "finished 19 3 c322a4a75e4a302037d5405f557fc93e";
       ] );
     ( "examples/ibarrier_divergence.hml+cc",
       [
@@ -603,6 +635,9 @@ let sched_pinned =
         "finished 19 3 34415c0ee6bdfe938325c541fbb49629";
         "finished 19 3 d7e512c5c815cf81887afad9118ab08d";
         "finished 19 3 8ca6abe333d86fc61013e0ef5051daad";
+        "finished 19 3 4520866a4238d3cdc3f7b354d31107ef";
+        "finished 19 3 9fdff4f3f5849d34525ea64338be76e1";
+        "finished 19 3 c322a4a75e4a302037d5405f557fc93e";
       ] );
     ( "examples/jacobi.hml",
       [
@@ -611,6 +646,9 @@ let sched_pinned =
         "finished 2062 99 f714cdc28be3d3a2da9cd2b598bf32c0";
         "finished 2062 99 6b1922e87b7fae9c6e00e66abe446a4c";
         "finished 2062 99 f6082b21b35e8deb3c9bdd1c7447582c";
+        "finished 2062 99 bf56a6cfb2c60a0984b3f12db47235f8";
+        "finished 2062 99 b1adf502f74bec5e259493096bd4bea3";
+        "finished 2062 99 2eef4daf5589cdd417fe37f48a7d74e9";
       ] );
     ( "examples/jacobi.hml+cc",
       [
@@ -619,6 +657,9 @@ let sched_pinned =
         "finished 2110 99 0e8be7ba7325313349f65c436d16f43f";
         "finished 2110 99 d157b178a4de9688268df5465ba11f42";
         "finished 2110 99 6d1e3c96a6268efd82d559bc66df3fb0";
+        "finished 2110 99 7939b8605555e27016e31c64a5fa0635";
+        "finished 2110 99 8a0eb299b772299eae6d673e57c4ffff";
+        "finished 2110 99 35b9e3801b6ae0915abc6578e47dde12";
       ] );
     ( "examples/leaky_request.hml",
       [
@@ -627,6 +668,9 @@ let sched_pinned =
         "finished 24 3 2e72de07a87b9e757093c60901aca775";
         "finished 24 3 da03913a2d0f02e0274b8ff69dbe412e";
         "finished 24 3 6291ed6acc6ac5b848a137ff2868115c";
+        "finished 24 3 58c172807a2652d70690f5b3b094d626";
+        "finished 24 3 51ee9f44ecd916096dcc78acb23ed85c";
+        "finished 24 3 63ceb860774e40e49d31fc1e92fe0228";
       ] );
     ( "examples/leaky_request.hml+cc",
       [
@@ -635,6 +679,9 @@ let sched_pinned =
         "finished 24 3 2e72de07a87b9e757093c60901aca775";
         "finished 24 3 da03913a2d0f02e0274b8ff69dbe412e";
         "finished 24 3 6291ed6acc6ac5b848a137ff2868115c";
+        "finished 24 3 58c172807a2652d70690f5b3b094d626";
+        "finished 24 3 51ee9f44ecd916096dcc78acb23ed85c";
+        "finished 24 3 63ceb860774e40e49d31fc1e92fe0228";
       ] );
     ( "examples/pipeline.hml",
       [
@@ -643,6 +690,9 @@ let sched_pinned =
         "finished 418 30 618465bcabb7c23883ddfad1be2004b2";
         "finished 418 30 5c9eaa123786d9b7cddebf95937b6c0b";
         "finished 418 30 d77b61595a32bfee286ecc8d06e3edac";
+        "finished 418 30 2f19013c27436383959cdb9a7b3dc995";
+        "finished 418 30 0a859a43b175e80d679dc9da3037548d";
+        "finished 418 30 770599ee2645f9d99e287bf248921edb";
       ] );
     ( "examples/pipeline.hml+cc",
       [
@@ -651,6 +701,9 @@ let sched_pinned =
         "finished 442 30 0a98e221abc1009ffba703686cfb46c5";
         "finished 442 30 7b18c6a7a82a4edf463931065d02ead9";
         "finished 442 30 468b810093669fa49f07b301f4f5f51b";
+        "finished 442 30 b3f48333d62e6f4901f54dcb2aa4c9e3";
+        "finished 442 30 9fdc6e6c8ccbc25851fbbdfb15fab974";
+        "finished 442 30 a3c1b464fa42a89eb027265bd6a2abf3";
       ] );
     ( "examples/racy_counter.hml",
       [
@@ -659,6 +712,9 @@ let sched_pinned =
         "finished 66 15 b24981f5431529501df5478106eb790f";
         "finished 66 15 eab10bcee5ab210a66b153419383cc58";
         "finished 66 15 1d200f3327889c8fd163ffe6fa585249";
+        "finished 66 15 f4e6033b34d311a0a7ac04eb9d69fb49";
+        "finished 66 15 9a9e59527a2bb1811a26d53d1990b2de";
+        "finished 66 15 cb84536729d670d9ad4d59cdc26ac5b8";
       ] );
     ( "examples/racy_counter.hml+cc",
       [
@@ -667,6 +723,9 @@ let sched_pinned =
         "finished 66 15 b24981f5431529501df5478106eb790f";
         "finished 66 15 eab10bcee5ab210a66b153419383cc58";
         "finished 66 15 1d200f3327889c8fd163ffe6fa585249";
+        "finished 66 15 f4e6033b34d311a0a7ac04eb9d69fb49";
+        "finished 66 15 9a9e59527a2bb1811a26d53d1990b2de";
+        "finished 66 15 cb84536729d670d9ad4d59cdc26ac5b8";
       ] );
     ( "examples/racy_flag.hml",
       [
@@ -675,6 +734,9 @@ let sched_pinned =
         "finished 69 9 5e63d118a929abea2fa734c4f5b60576";
         "finished 69 9 336e19b545e78d03c34b5b871d8a6256";
         "finished 69 9 1e14a0c33ebfdd5e74f216a855137258";
+        "finished 69 9 25f52b87b35bbc082f70335a5f8d6849";
+        "finished 69 9 b4ce13888f767bd80b95a828d102d18c";
+        "finished 69 9 9265c1f7b35d0eeec8c6251567a152ce";
       ] );
     ( "examples/racy_flag.hml+cc",
       [
@@ -683,6 +745,9 @@ let sched_pinned =
         "finished 69 9 5e63d118a929abea2fa734c4f5b60576";
         "finished 69 9 336e19b545e78d03c34b5b871d8a6256";
         "finished 69 9 1e14a0c33ebfdd5e74f216a855137258";
+        "finished 69 9 25f52b87b35bbc082f70335a5f8d6849";
+        "finished 69 9 b4ce13888f767bd80b95a828d102d18c";
+        "finished 69 9 9265c1f7b35d0eeec8c6251567a152ce";
       ] );
     ( "examples/racy_ring.hml",
       [
@@ -691,6 +756,9 @@ let sched_pinned =
         "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
         "aborted 41 12 d351b91eea0b416e87ab94c31c5d4acc";
         "aborted 41 12 a355503d27c74cd717d9b81f3920d037";
+        "aborted 33 9 1af52a2bbc44c84c8003ad31f097b4c5";
+        "aborted 50 12 ce4396d077417fb5db7172ca0bb73620";
+        "aborted 20 6 bbfcce4734590de17c73c8e0e251936f";
       ] );
     ( "examples/racy_ring.hml+cc",
       [
@@ -699,6 +767,9 @@ let sched_pinned =
         "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
         "aborted 41 12 d351b91eea0b416e87ab94c31c5d4acc";
         "aborted 41 12 a355503d27c74cd717d9b81f3920d037";
+        "aborted 33 9 1af52a2bbc44c84c8003ad31f097b4c5";
+        "aborted 50 12 ce4396d077417fb5db7172ca0bb73620";
+        "aborted 20 6 bbfcce4734590de17c73c8e0e251936f";
       ] );
     ( "catalog/BT-MZ",
       [
@@ -707,6 +778,9 @@ let sched_pinned =
         "finished 8837 57 ebcfa4bd6611663ed3ebfbbfcb096bbf";
         "finished 8837 57 eab943956dff81966c8721eaec04f2be";
         "finished 8837 57 08b028fb5a233f0a319658f67d0850ed";
+        "finished 8837 57 ee931e6ea2cc85821895b8c3dfaf88b7";
+        "finished 8837 57 2b2ebfcdfc21d0f97e2f85bb42e260b8";
+        "finished 8837 57 056315f942cafb39ef65c43ac2c9a5fb";
       ] );
     ( "catalog/BT-MZ+cc",
       [
@@ -715,6 +789,9 @@ let sched_pinned =
         "finished 8855 57 ebcfa4bd6611663ed3ebfbbfcb096bbf";
         "finished 8855 57 eab943956dff81966c8721eaec04f2be";
         "finished 8855 57 08b028fb5a233f0a319658f67d0850ed";
+        "finished 8855 57 ee931e6ea2cc85821895b8c3dfaf88b7";
+        "finished 8855 57 2b2ebfcdfc21d0f97e2f85bb42e260b8";
+        "finished 8855 57 056315f942cafb39ef65c43ac2c9a5fb";
       ] );
     ( "catalog/SP-MZ",
       [
@@ -723,6 +800,9 @@ let sched_pinned =
         "finished 8945 69 65ae659776100c1b619942fa95e54de3";
         "finished 8945 69 4dcfcf569240dfc9367436afb7ca7889";
         "finished 8945 69 ca6f0853a6043e3973381e53dc2648e0";
+        "finished 8945 69 6ece2d3e540f460176a2d79a39d9587e";
+        "finished 8945 69 186f8e4714443b6eebdd2fb6e1d292c8";
+        "finished 8945 69 5ae7e93746820fa4895d8d9b76109a4b";
       ] );
     ( "catalog/SP-MZ+cc",
       [
@@ -731,6 +811,9 @@ let sched_pinned =
         "finished 8963 69 65ae659776100c1b619942fa95e54de3";
         "finished 8963 69 4dcfcf569240dfc9367436afb7ca7889";
         "finished 8963 69 ca6f0853a6043e3973381e53dc2648e0";
+        "finished 8963 69 6ece2d3e540f460176a2d79a39d9587e";
+        "finished 8963 69 186f8e4714443b6eebdd2fb6e1d292c8";
+        "finished 8963 69 5ae7e93746820fa4895d8d9b76109a4b";
       ] );
     ( "catalog/LU-MZ",
       [
@@ -739,6 +822,9 @@ let sched_pinned =
         "finished 4493 45 c80e6005c85a6c41f7d1aceb61016bf2";
         "finished 4493 45 1ccb9dca1cad01f5c85434a343c70aa4";
         "finished 4493 45 d84bc9ed558de9167e2bc2722ee834cc";
+        "finished 4493 45 34271352c1a26c536ce86f90a1bca364";
+        "finished 4493 45 fc7f6bd8c7209e095442d3b5fd614bfe";
+        "finished 4493 45 68212060b3cb4070db81a7bdfc9f468a";
       ] );
     ( "catalog/LU-MZ+cc",
       [
@@ -747,6 +833,9 @@ let sched_pinned =
         "finished 4511 45 08abed409b99ba58103996b58b04440f";
         "finished 4511 45 a1a745ecab6d532c6fc926cad99ddcf7";
         "finished 4511 45 22e5ca2bfaa9b64da197f113fb56f5fd";
+        "finished 4511 45 6f4f8ba269fba134f1ac8847216541c7";
+        "finished 4511 45 28d17eb215428cdb1ede08fd7dbc5cf3";
+        "finished 4511 45 c585ebf2ee18a0cbee1a36325033001a";
       ] );
     ( "catalog/EPCC suite",
       [
@@ -755,6 +844,9 @@ let sched_pinned =
         "finished 2062 99 85a854d35e90b6c3d134b7c52c621bed";
         "finished 2062 99 12c82fcd6da9b984b86b2fa326130132";
         "finished 2062 99 84300bafe59bd923c69e1447a5c502c6";
+        "finished 2062 99 ee051f3673b7d6fbbb914551d0e94360";
+        "finished 2062 99 9546457053f8eb3c335c70eaf40ab0c9";
+        "finished 2062 99 d40aa40dfa4018b107ad83d53750c6d1";
       ] );
     ( "catalog/EPCC suite+cc",
       [
@@ -763,6 +855,9 @@ let sched_pinned =
         "finished 2224 99 85140c62dd6c18f616cd598155168251";
         "finished 2224 99 09688d6e40565f8b734631a6ecf56b80";
         "finished 2224 99 23c0e8fbf5b829f7ca52120539137535";
+        "finished 2224 99 c4caa21962d4a5176e17ba9be97817ec";
+        "finished 2224 99 d6a0d10d432446075f61b6f642b5b430";
+        "finished 2224 99 64e9886e75fe2f644626baad6ccd3f3d";
       ] );
     ( "catalog/HERA",
       [
@@ -771,6 +866,9 @@ let sched_pinned =
         "finished 8312 405 53e6d172b794bcf9664d8fc13aeba44d";
         "finished 8312 405 c0807a3cb5ee1d7dbf3b0167fb8bd1e0";
         "finished 8312 405 29bfed664a1b1178078b316de5c02b89";
+        "finished 8312 405 7ed7c48ac10b00b9613cb64e4cd8b9c8";
+        "finished 8312 405 cd9a1a2408d7d5ef842326ce876678cb";
+        "finished 8312 405 a0b44fe72f2ae9cf28f1ff73b3f7dc83";
       ] );
     ( "catalog/HERA+cc",
       [
@@ -779,6 +877,9 @@ let sched_pinned =
         "finished 8660 405 d85fa6afda23a6c133738eb77af09d79";
         "finished 8660 405 4e27561acc7ae2fd00407fd9fef21d2d";
         "finished 8660 405 95ba94a533fe201155319c16b20e6d89";
+        "finished 8660 405 e6b7afe564c19ab514a088c3483799dd";
+        "finished 8660 405 5299d54b0b34d01a913ace532992b44f";
+        "finished 8660 405 728bcd23777461fce502ba01f69bf05a";
       ] );
     ( "reproducers/deadlock-barrier",
       [
@@ -787,6 +888,9 @@ let sched_pinned =
         "deadlock 18 3 0df57602d99fb375c7223b0bc999dceb";
         "deadlock 18 3 38b8a5b6d39a3a6f7b6696d7925f1dd6";
         "deadlock 18 3 6d8580478904b004258d2bfbaa9f8c4f";
+        "deadlock 18 3 d275ca05e42f29a26b004fd1e15262b7";
+        "deadlock 18 3 fa526d04e73907d342be85daaf8ca6e2";
+        "deadlock 18 3 9259c2698a8c7f8a6af2738b20d4a2f0";
       ] );
     ( "reproducers/deadlock-barrier+cc",
       [
@@ -795,6 +899,9 @@ let sched_pinned =
         "aborted 20 3 cc63e2a5f7260e86feb04279ca22eaa5";
         "aborted 20 3 55b672f2e1113a745eda3049c40c5e05";
         "aborted 20 3 e858202cd8c11d6f4f4f90e285170d04";
+        "aborted 20 3 e858202cd8c11d6f4f4f90e285170d04";
+        "aborted 20 3 5d5ab40891b2ceb76b749f8028448801";
+        "aborted 20 3 e5181381616775c7382955d90105d6d0";
       ] );
     ( "reproducers/racy-singles",
       [
@@ -803,6 +910,9 @@ let sched_pinned =
         "aborted 18 9 b73fcbbdd4646fb6bd2fea25f9e9f8f9";
         "aborted 18 9 fe121ad475187236f21bd60dc06fefae";
         "aborted 21 9 bcc7b51574b7004c4b3a40fe61cdfcde";
+        "aborted 12 7 7c69369e788b705d72fc8e5f467b2489";
+        "aborted 20 9 ac346d702f121847833308093a7a3a22";
+        "aborted 22 9 f6fb8f9ac1a500593817a43a205dd353";
       ] );
     ( "reproducers/racy-singles+cc",
       [
@@ -811,6 +921,9 @@ let sched_pinned =
         "aborted 18 9 fd6ba6a073c057463b90f8a4e4e81748";
         "aborted 15 7 ed9eb0b30e012585264a23b84f236138";
         "aborted 21 9 19e069e44345196cf25611ee61bd6c27";
+        "aborted 16 7 9ca97c9a115cbcf073ec2d5a97cb99a8";
+        "fault 25 9 f18e057c232d1cc22271e2093eb5b015";
+        "aborted 22 9 d64e83b1438a0e3e36d4da732ddfa779";
       ] );
     ( "reproducers/master-vs-single",
       [
@@ -819,6 +932,9 @@ let sched_pinned =
         "fault 18 9 4bee2ba7cc17be1083398671bcba9fd1";
         "fault 17 9 a65edbc0a5982ef7a62b5f69b367f98f";
         "fault 18 9 2346953ff2b685f40eb9a1e483ee7740";
+        "fault 17 9 18d4f602c8665399f9ba09093efd5ccb";
+        "fault 19 9 d5e82fc59c423db3a4e276d4225876fc";
+        "fault 19 9 9f611dbc424dd40efd3f6784b6bf53d6";
       ] );
     ( "reproducers/master-vs-single+cc",
       [
@@ -827,6 +943,9 @@ let sched_pinned =
         "aborted 18 9 e913331b7604e801a9d6ed8af15341de";
         "aborted 18 9 8b9e50e8173f6048d0f019208d6b9157";
         "aborted 16 9 c237e6fb0c331e0bb1bf1190fe550228";
+        "aborted 16 7 05376332ef57bd398deeeb9671f10364";
+        "aborted 20 9 e592e8cf831880560007aac72025d38e";
+        "aborted 19 9 f45d2bf49c7a9abf6c1c14873de4647f";
       ] );
     ( "reproducers/racy-ring",
       [
@@ -835,6 +954,9 @@ let sched_pinned =
         "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
         "aborted 41 12 05a8746a8d8ea3542e96e44becbfa3a5";
         "aborted 41 12 045b4a25820dbdc7891d2c1a68f288cf";
+        "aborted 33 9 78bc8fc27c6f5151a86d29ae2e5514c8";
+        "aborted 50 12 0aa437f8b3c0c5e4236efba5742dcc6f";
+        "aborted 20 6 e277ef92cf2b91ff8ea9ff951d75be7e";
       ] );
     ( "reproducers/racy-ring+cc",
       [
@@ -843,6 +965,9 @@ let sched_pinned =
         "finished 246 12 ffa0a590fcd134ac8797ad3c19c04db7";
         "aborted 41 12 05a8746a8d8ea3542e96e44becbfa3a5";
         "aborted 41 12 045b4a25820dbdc7891d2c1a68f288cf";
+        "aborted 33 9 78bc8fc27c6f5151a86d29ae2e5514c8";
+        "aborted 50 12 0aa437f8b3c0c5e4236efba5742dcc6f";
+        "aborted 20 6 e277ef92cf2b91ff8ea9ff951d75be7e";
       ] );
     ( "reproducers/sections-collectives",
       [
@@ -851,6 +976,9 @@ let sched_pinned =
         "fault 24 12 d56ef94196794e4a0f417621c8ea1c39";
         "fault 22 12 5bab03a5a644199212b6403210607a8b";
         "fault 22 12 ea8eae45006d693fd5ff639aef86a817";
+        "finished 81 12 be3da2ca406913159c851f41134113f1";
+        "fault 18 12 15763fa5a5bb02ed599cf17c4f5f5138";
+        "fault 22 12 f714e88784a172ef2845ae16c4a29a43";
       ] );
     ( "reproducers/sections-collectives+cc",
       [
@@ -859,6 +987,9 @@ let sched_pinned =
         "aborted 32 12 70d2505c8e52c65c00d4dd3f692da5b4";
         "aborted 28 12 49e7cfcba165bffdc8adb371714fb0fa";
         "aborted 21 12 24e1ab21b3c2cec3f23e664b26951b37";
+        "aborted 23 12 d4446a5b2a4ebf41a02867da76315ce8";
+        "aborted 20 12 1fba74d89b468f400c286c80c1aa191f";
+        "aborted 23 12 bb33d4c2bc798063adc75ed18ca8d844";
       ] );
     ( "sched/collective",
       [
@@ -867,6 +998,9 @@ let sched_pinned =
         "finished 27 3 d8c2d9a80191122b30c26783478ed8ea";
         "finished 27 3 4e58c6f47e3cb8d74d5d885c0745a6fb";
         "finished 27 3 4bd8ad3e4ffa0dc50948f0127e95b07d";
+        "finished 27 3 bac867a825cd0405bc86dccdbc6f8774";
+        "finished 27 3 d5887bec3b0e0d374d3089339cfc0cfb";
+        "finished 27 3 5923e830a3591121c4766c4f2649d0b9";
       ] );
     ( "sched/collective+cc",
       [
@@ -875,6 +1009,9 @@ let sched_pinned =
         "finished 27 3 d8c2d9a80191122b30c26783478ed8ea";
         "finished 27 3 4e58c6f47e3cb8d74d5d885c0745a6fb";
         "finished 27 3 4bd8ad3e4ffa0dc50948f0127e95b07d";
+        "finished 27 3 bac867a825cd0405bc86dccdbc6f8774";
+        "finished 27 3 d5887bec3b0e0d374d3089339cfc0cfb";
+        "finished 27 3 5923e830a3591121c4766c4f2649d0b9";
       ] );
     ( "sched/barrier",
       [
@@ -883,6 +1020,9 @@ let sched_pinned =
         "finished 78 12 714108e17af6088bfa556b97f01602e0";
         "finished 78 12 04859c6ce987c94dc6580624bfd30dbe";
         "finished 78 12 827831e329c7af3216f4ca9c506d53db";
+        "finished 78 12 00cb597d007b7f4c50de88bb48f8744b";
+        "finished 78 12 ca8e90f18e355d687644ddb4c374853d";
+        "finished 78 12 c39e3ed116ea67a2c5d310c03c2d6da0";
       ] );
     ( "sched/barrier+cc",
       [
@@ -891,6 +1031,9 @@ let sched_pinned =
         "finished 78 12 714108e17af6088bfa556b97f01602e0";
         "finished 78 12 04859c6ce987c94dc6580624bfd30dbe";
         "finished 78 12 827831e329c7af3216f4ca9c506d53db";
+        "finished 78 12 00cb597d007b7f4c50de88bb48f8744b";
+        "finished 78 12 ca8e90f18e355d687644ddb4c374853d";
+        "finished 78 12 c39e3ed116ea67a2c5d310c03c2d6da0";
       ] );
     ( "sched/critical",
       [
@@ -899,6 +1042,9 @@ let sched_pinned =
         "finished 87 12 efef4f3758efee534616202c38814b5a";
         "finished 87 12 09039fdcc00ba6b55b3c272955f69b4f";
         "finished 87 12 8474d77960ff9fbc3544258405fc5d0d";
+        "finished 87 12 78c7b504932ea4bee8e8ad2ae9a80473";
+        "finished 87 12 23022b14de899d9d5a7a0b94ef1ccf98";
+        "finished 87 12 6a243dd5f39553e6c3f3803ea68bc1a2";
       ] );
     ( "sched/critical+cc",
       [
@@ -907,6 +1053,9 @@ let sched_pinned =
         "finished 87 12 efef4f3758efee534616202c38814b5a";
         "finished 87 12 09039fdcc00ba6b55b3c272955f69b4f";
         "finished 87 12 8474d77960ff9fbc3544258405fc5d0d";
+        "finished 87 12 78c7b504932ea4bee8e8ad2ae9a80473";
+        "finished 87 12 23022b14de899d9d5a7a0b94ef1ccf98";
+        "finished 87 12 6a243dd5f39553e6c3f3803ea68bc1a2";
       ] );
     ( "sched/recv-wake",
       [
@@ -915,6 +1064,9 @@ let sched_pinned =
         "finished 29 3 8631de8170c5a3f84e2e721ab8566789";
         "finished 29 3 5dd2c50c62fdb3aa92af39370561e28c";
         "finished 29 3 1d8b9a1a15aa6cb718ee13614ef30c37";
+        "finished 29 3 dc2f92c576dc1cefd562cc30673276b6";
+        "finished 29 3 cd7ad7415838c3cf8d6a663eda081eaa";
+        "finished 29 3 750456d44d0989773c33b60951675a3e";
       ] );
     ( "sched/recv-wake+cc",
       [
@@ -923,6 +1075,9 @@ let sched_pinned =
         "finished 29 3 8631de8170c5a3f84e2e721ab8566789";
         "finished 29 3 5dd2c50c62fdb3aa92af39370561e28c";
         "finished 29 3 1d8b9a1a15aa6cb718ee13614ef30c37";
+        "finished 29 3 dc2f92c576dc1cefd562cc30673276b6";
+        "finished 29 3 cd7ad7415838c3cf8d6a663eda081eaa";
+        "finished 29 3 750456d44d0989773c33b60951675a3e";
       ] );
     ( "sched/wait-round",
       [
@@ -931,6 +1086,9 @@ let sched_pinned =
         "finished 24 3 70f567888bd21d080d39a49d3779eceb";
         "finished 24 3 57d96884716b9ebb0099e058e13b6bc7";
         "finished 24 3 bd01ce58a9ba5bff6c7bb4778fb71a8d";
+        "finished 24 3 b33aaba2c7fd5290bc8a4d6db7c21a10";
+        "finished 24 3 7aefba71eba64afea042abcc57bce61f";
+        "finished 24 3 c3c4ab797a6d48d51acc04d292f8c6c7";
       ] );
     ( "sched/wait-round+cc",
       [
@@ -939,6 +1097,9 @@ let sched_pinned =
         "finished 24 3 70f567888bd21d080d39a49d3779eceb";
         "finished 24 3 57d96884716b9ebb0099e058e13b6bc7";
         "finished 24 3 bd01ce58a9ba5bff6c7bb4778fb71a8d";
+        "finished 24 3 b33aaba2c7fd5290bc8a4d6db7c21a10";
+        "finished 24 3 7aefba71eba64afea042abcc57bce61f";
+        "finished 24 3 c3c4ab797a6d48d51acc04d292f8c6c7";
       ] );
     ( "sched/wait-irecv",
       [
@@ -947,6 +1108,9 @@ let sched_pinned =
         "finished 30 3 fcc0bd32b312f34589c852287edd23ed";
         "finished 30 3 ed0ae5c02a98e19c1a5e24203b80902b";
         "finished 30 3 a539d5ee95f63d142b59473e7c1c4652";
+        "finished 30 3 1da9a088afec760cc192313c47b8a757";
+        "finished 30 3 7cc2c7bc0c260be3c5c0bac79dfb8e86";
+        "finished 30 3 67020c96b76e05125908bda5bfef6029";
       ] );
     ( "sched/wait-irecv+cc",
       [
@@ -955,6 +1119,9 @@ let sched_pinned =
         "finished 30 3 fcc0bd32b312f34589c852287edd23ed";
         "finished 30 3 ed0ae5c02a98e19c1a5e24203b80902b";
         "finished 30 3 a539d5ee95f63d142b59473e7c1c4652";
+        "finished 30 3 1da9a088afec760cc192313c47b8a757";
+        "finished 30 3 7cc2c7bc0c260be3c5c0bac79dfb8e86";
+        "finished 30 3 67020c96b76e05125908bda5bfef6029";
       ] );
     ( "sched/double-wait",
       [
@@ -963,6 +1130,9 @@ let sched_pinned =
         "finished 39 5 ac4c6c7468579589b27354267e7bfece";
         "finished 39 5 9d867d98847c1ef11d742ea22a23deeb";
         "finished 39 5 a9c3affac10892e67f8fb90a98b72875";
+        "finished 39 5 a9676fed9b08411a359be45b0b1411e4";
+        "finished 39 5 77cba29b12f4b188c9a06410bac3b367";
+        "finished 39 5 c45e9f988e110b1cd5ede8a5ffc37a7d";
       ] );
     ( "sched/double-wait+cc",
       [
@@ -971,6 +1141,159 @@ let sched_pinned =
         "finished 39 5 ac4c6c7468579589b27354267e7bfece";
         "finished 39 5 9d867d98847c1ef11d742ea22a23deeb";
         "finished 39 5 a9c3affac10892e67f8fb90a98b72875";
+        "finished 39 5 a9676fed9b08411a359be45b0b1411e4";
+        "finished 39 5 77cba29b12f4b188c9a06410bac3b367";
+        "finished 39 5 c45e9f988e110b1cd5ede8a5ffc37a7d";
+      ] );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Exploration observables                                              *)
+(* ------------------------------------------------------------------ *)
+
+let explore_config nranks =
+  {
+    Interp.Sim.nranks;
+    default_nthreads = 2;
+    schedule = `Round_robin;
+    max_steps = 200_000;
+    entry = "main";
+    record_trace = false;
+    thread_level = Mpisim.Thread_level.Multiple;
+  }
+
+(* Every explored input, as (name, program, ranks, branch depth, budget),
+   in a fixed order. *)
+let explore_inputs =
+  lazy
+    (let window name p = (name, p, 2, 8, 2000) in
+     List.map
+       (fun f ->
+         window ("examples/" ^ f)
+           (Parser.parse_file (Filename.concat programs_dir f)))
+       (example_files ())
+     @ List.map
+         (fun (e : Benchsuite.Reproducers.entry) ->
+           window ("reproducers/" ^ e.name) (Benchsuite.Reproducers.program e))
+         Benchsuite.Reproducers.all
+     @ [
+         ( "deadlock-barrier/ranks3-depth10",
+           Benchsuite.Reproducers.load "deadlock-barrier",
+           3,
+           10,
+           100_000 );
+         ( "racy-ring/depth16",
+           Benchsuite.Reproducers.load "racy-ring",
+           2,
+           16,
+           2000 );
+         ( "racy-ring/depth20",
+           Benchsuite.Reproducers.load "racy-ring",
+           2,
+           20,
+           2000 );
+       ])
+
+(* "finished/aborted/fault/deadlock/step-limit runs R replays P pruned Q
+   [witness classes]" for one exploration. *)
+let explore_observe (s : Interp.Explore.summary) =
+  Printf.sprintf "%d/%d/%d/%d/%d runs %d replays %d pruned %d [%s]"
+    s.finished s.aborted s.faulted s.deadlocked s.step_limited s.runs
+    s.replays s.pruned
+    (String.concat " " (List.map fst s.witnesses))
+
+(* (input, [BFS; DPOR] observables). *)
+let explore_pinned =
+  [
+    ( "examples/buggy_halo.hml",
+      [
+        "0/0/119/10/0 runs 129 replays 45 pruned 84 [deadlock fault]";
+        "0/0/0/2/0 runs 3 replays 2 pruned 1 [deadlock]";
+      ] );
+    ( "examples/farm_racy_update.hml",
+      [
+        "113/0/0/0/0 runs 113 replays 37 pruned 76 [finished]";
+        "7/0/0/0/0 runs 13 replays 7 pruned 6 [finished]";
+      ] );
+    ( "examples/farm_rank_divergence.hml",
+      [
+        "0/0/0/3/0 runs 3 replays 3 pruned 0 [deadlock]";
+        "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
+      ] );
+    ( "examples/ibarrier_divergence.hml",
+      [
+        "7/0/0/0/0 runs 7 replays 7 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "examples/jacobi.hml",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "examples/leaky_request.hml",
+      [
+        "9/0/0/0/0 runs 9 replays 9 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "examples/pipeline.hml",
+      [
+        "45/0/0/0/0 runs 45 replays 36 pruned 9 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "examples/racy_counter.hml",
+      [
+        "5383/0/0/0/0 runs 5383 replays 475 pruned 4908 [finished]";
+        "45/0/0/0/0 runs 74 replays 45 pruned 29 [finished]";
+      ] );
+    ( "examples/racy_flag.hml",
+      [
+        "127/0/0/0/0 runs 127 replays 67 pruned 60 [finished]";
+        "8/0/0/0/0 runs 15 replays 8 pruned 7 [finished]";
+      ] );
+    ( "examples/racy_ring.hml",
+      [
+        "0/125/0/0/0 runs 125 replays 65 pruned 60 [aborted]";
+        "2/4/0/0/0 runs 7 replays 6 pruned 1 [aborted finished]";
+      ] );
+    ( "reproducers/deadlock-barrier",
+      [
+        "0/0/0/8/0 runs 8 replays 8 pruned 0 [deadlock]";
+        "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
+      ] );
+    ( "reproducers/racy-singles",
+      [
+        "1/195/0/0/0 runs 196 replays 68 pruned 128 [aborted finished]";
+        "13/61/3/0/0 runs 105 replays 77 pruned 28 [aborted finished fault]";
+      ] );
+    ( "reproducers/master-vs-single",
+      [
+        "8/0/118/0/0 runs 126 replays 33 pruned 93 [fault finished]";
+        "4/0/4/0/0 runs 12 replays 8 pruned 4 [fault finished]";
+      ] );
+    ( "reproducers/racy-ring",
+      [
+        "0/125/0/0/0 runs 125 replays 65 pruned 60 [aborted]";
+        "2/4/0/0/0 runs 7 replays 6 pruned 1 [aborted finished]";
+      ] );
+    ( "reproducers/sections-collectives",
+      [
+        "45/0/2287/0/0 runs 2332 replays 172 pruned 2160 [fault finished]";
+        "40/0/175/0/0 runs 276 replays 215 pruned 61 [fault finished]";
+      ] );
+    ( "deadlock-barrier/ranks3-depth10",
+      [
+        "0/0/0/1913/0 runs 1913 replays 93 pruned 1820 [deadlock]";
+        "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
+      ] );
+    ( "racy-ring/depth16",
+      [
+        "0/489689/0/0/0 runs 489689 replays 1379 pruned 488310 [aborted]";
+        "5/10/0/0/0 runs 18 replays 15 pruned 3 [aborted finished]";
+      ] );
+    ( "racy-ring/depth20",
+      [
+        "0/2236151/0/0/0 runs 2236151 replays 2000 pruned 2234151 [aborted]";
+        "16/41/0/0/0 runs 72 replays 57 pruned 15 [aborted finished]";
       ] );
   ]
 
@@ -1016,6 +1339,41 @@ let suite =
                           (Printf.sprintf "%s: [%s], pinned [%s]" name
                              (String.concat "; " got) (String.concat "; " pins)))
                 (Lazy.force sched_inputs)
+            in
+            Alcotest.(check (list string)) "mismatches" [] mismatches);
+      ] );
+    ( "golden.explore",
+      [
+        Alcotest.test_case "every explored input exists" `Quick (fun () ->
+            Alcotest.(check (list string))
+              "inputs"
+              (List.map fst explore_pinned)
+              (List.map (fun (name, _, _, _, _) -> name)
+                 (Lazy.force explore_inputs)));
+        Alcotest.test_case "BFS and DPOR match their pins" `Quick (fun () ->
+            let mismatches =
+              List.filter_map
+                (fun (name, p, nranks, branch_depth, budget) ->
+                  match List.assoc_opt name explore_pinned with
+                  | None -> None
+                  | Some pins ->
+                      let config = explore_config nranks in
+                      let got =
+                        [
+                          explore_observe
+                            (Interp.Explore.outcomes ~branch_depth ~budget
+                               ~config p);
+                          explore_observe
+                            (Interp.Explore.outcomes_dpor ~branch_depth ~budget
+                               ~config p);
+                        ]
+                      in
+                      if got = pins then None
+                      else
+                        Some
+                          (Printf.sprintf "%s: [%s], pinned [%s]" name
+                             (String.concat "; " got) (String.concat "; " pins)))
+                (Lazy.force explore_inputs)
             in
             Alcotest.(check (list string)) "mismatches" [] mismatches);
       ] );

@@ -330,23 +330,28 @@ let test_interproc_with_actx () =
 
 let check_jobs_deterministic name options program =
   let seq = Parcoach.Driver.analyze ~options ~jobs:1 program in
-  let par = Parcoach.Driver.analyze ~options ~jobs:4 program in
-  Alcotest.(check bool)
-    (name ^ ": warnings identical")
-    true
-    (Parcoach.Driver.all_warnings seq = Parcoach.Driver.all_warnings par);
-  List.iter2
-    (fun (a : Parcoach.Driver.func_report) (b : Parcoach.Driver.func_report) ->
-      Alcotest.(check string) (name ^ ": func order") a.Parcoach.Driver.fname
-        b.Parcoach.Driver.fname;
-      Alcotest.(check (list int))
-        (name ^ "/" ^ a.Parcoach.Driver.fname ^ ": CC sites")
-        a.Parcoach.Driver.cc_sites b.Parcoach.Driver.cc_sites)
-    seq.Parcoach.Driver.funcs par.Parcoach.Driver.funcs;
-  Alcotest.(check string)
-    (name ^ ": JSON byte-identical")
-    (Parcoach.Json_report.to_string seq)
-    (Parcoach.Json_report.to_string par)
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "%s (jobs %d)" name jobs in
+      let par = Parcoach.Driver.analyze ~options ~jobs program in
+      Alcotest.(check bool)
+        (name ^ ": warnings identical")
+        true
+        (Parcoach.Driver.all_warnings seq = Parcoach.Driver.all_warnings par);
+      List.iter2
+        (fun (a : Parcoach.Driver.func_report)
+             (b : Parcoach.Driver.func_report) ->
+          Alcotest.(check string) (name ^ ": func order")
+            a.Parcoach.Driver.fname b.Parcoach.Driver.fname;
+          Alcotest.(check (list int))
+            (name ^ "/" ^ a.Parcoach.Driver.fname ^ ": CC sites")
+            a.Parcoach.Driver.cc_sites b.Parcoach.Driver.cc_sites)
+        seq.Parcoach.Driver.funcs par.Parcoach.Driver.funcs;
+      Alcotest.(check string)
+        (name ^ ": JSON byte-identical")
+        (Parcoach.Json_report.to_string seq)
+        (Parcoach.Json_report.to_string par))
+    [ 2; 4 ]
 
 let full_options =
   {
@@ -375,7 +380,27 @@ let test_parallel_determinism_generated () =
       check_jobs_deterministic
         (e.Benchsuite.Catalog.name ^ "+taint+interproc")
         full_options p)
-    Benchsuite.Catalog.all
+    Benchsuite.Catalog.all;
+  (* Every Figure-1 program's functions, twice over under fresh names:
+     more functions than domains. *)
+  let funcs =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun (e : Benchsuite.Catalog.entry) ->
+            List.map
+              (fun (f : Minilang.Ast.func) ->
+                {
+                  f with
+                  Minilang.Ast.fname =
+                    f.Minilang.Ast.fname ^ "__c" ^ string_of_int k;
+                })
+              (e.Benchsuite.Catalog.generate ()).Minilang.Ast.funcs)
+          Benchsuite.Catalog.all)
+      [ 0; 1 ]
+  in
+  check_jobs_deterministic "replicated catalog" Parcoach.Driver.default_options
+    { Minilang.Ast.funcs }
 
 let parallel_determinism_prop =
   QCheck.Test.make ~count:25

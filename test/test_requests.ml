@@ -191,7 +191,7 @@ let statically_covered report (cls, site) =
       | _ -> String.equal (Minilang.Loc.to_string w.Warning.loc) site)
     (Driver.all_warnings report)
 
-let check_dynamic_covered program =
+let check_dynamic_covered ?nranks program =
   let report = analyze program in
   List.iter
     (fun (cls, site) ->
@@ -199,7 +199,7 @@ let check_dynamic_covered program =
         (Printf.sprintf "dynamic %s at %s statically reported" cls site)
         true
         (statically_covered report (cls, site)))
-    (dynamic_keys program)
+    (dynamic_keys ?nranks program)
 
 let dynamic_tests =
   [
@@ -236,6 +236,13 @@ let dynamic_tests =
         Alcotest.(check bool) "double wait observed" true
           (List.exists (fun (cls, _) -> String.equal cls "double wait") keys);
         check_dynamic_covered program);
+    Alcotest.test_case "buggy examples: violations statically covered"
+      `Quick (fun () ->
+        List.iter
+          (fun name ->
+            check_dynamic_covered ~nranks:3
+              (Minilang.Parser.parse_file ("../examples/programs/" ^ name)))
+          [ "leaky_request.hml"; "ibarrier_divergence.hml" ]);
     Alcotest.test_case "clean split-phase run has no violations" `Quick
       (fun () ->
         let program =

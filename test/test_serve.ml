@@ -389,7 +389,43 @@ let test_daemon_warm_identity () =
   Alcotest.(check string)
     "replayed report identical"
     (cold_json edited)
-    (Parcoach.Json_report.to_string again.Serve.Daemon.report)
+    (Parcoach.Json_report.to_string again.Serve.Daemon.report);
+  (* Service-scale programs: appending a statement to [main] (which
+     nothing calls) changes one summary key. *)
+  List.iter
+    (fun (e : Benchsuite.Catalog.entry) ->
+      let program = e.generate_large () in
+      let append_to_main (f : Ast.func) =
+        if String.equal f.Ast.fname "main" then
+          {
+            f with
+            Ast.body = f.Ast.body @ [ Ast.mk (Ast.Compute (Ast.Int 9_999_999)) ];
+          }
+        else f
+      in
+      let edited =
+        Pretty.program_to_string
+          { Ast.funcs = List.map append_to_main program.Ast.funcs }
+      in
+      let daemon = Serve.Daemon.create () in
+      ignore
+        (analysis_exn e.name
+           (Serve.Daemon.analyze_source daemon ~options:serve_options ~jobs:1
+              ~file:"warm.hml"
+              (Pretty.program_to_string program)));
+      let warm =
+        analysis_exn e.name
+          (Serve.Daemon.analyze_source daemon ~options:serve_options ~jobs:1
+             ~file:"warm.hml" edited)
+      in
+      Alcotest.(check int)
+        (e.name ^ ": one function re-analysed")
+        1 warm.Serve.Daemon.analysed;
+      Alcotest.(check string)
+        (e.name ^ ": warm report byte-identical to cold")
+        (cold_json edited)
+        (Parcoach.Json_report.to_string warm.Serve.Daemon.report))
+    Benchsuite.Catalog.all
 
 let test_daemon_invalid_source () =
   let daemon = Serve.Daemon.create () in

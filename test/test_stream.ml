@@ -13,24 +13,46 @@ let barrier site = ev Mpisim.Coll.Barrier site
 let allreduce site = ev ~op:(Some Mpisim.Op.Sum) Mpisim.Coll.Allreduce site
 
 (* Full-report byte identity: verdict, divergence localization and cost
-   metrics all agree. *)
-let check_identity ?window ?batch ?shards ~fanout traces =
+   metrics all agree, on one shard and on four. *)
+let check_identity ?window ?batch ~fanout traces =
   let post = Overlay.check ~fanout traces in
-  let stream, _ = Stream.check_traces ~fanout ?window ?batch ?shards traces in
-  Alcotest.(check string)
-    "streaming report = post-hoc report"
-    (Overlay.report_to_string post)
-    (Overlay.report_to_string stream)
+  List.iter
+    (fun shards ->
+      let stream, _ =
+        Stream.check_traces ~fanout ?window ?batch ~shards traces
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "streaming report = post-hoc report (shards %d)"
+           shards)
+        (Overlay.report_to_string post)
+        (Overlay.report_to_string stream))
+    [ 1; 4 ]
 
 let identity_tests =
   [
     Alcotest.test_case "matching traces: identical reports" `Quick (fun () ->
         let trace = [ barrier "a"; allreduce "b"; barrier "c" ] in
-        check_identity ~fanout:2 (Array.make 4 trace));
+        check_identity ~fanout:2 (Array.make 4 trace);
+        check_identity ~fanout:2 (Array.make 8 trace);
+        (* The recorded collectives of an 8-rank HERA run. *)
+        let hera = Option.get (Benchsuite.Catalog.find "HERA") in
+        let config =
+          {
+            Interp.Sim.default_config with
+            nranks = 8;
+            default_nthreads = 2;
+            record_trace = false;
+          }
+        in
+        let result = Interp.Sim.run ~config (hera.generate_small ()) in
+        check_identity ~fanout:2
+          (Mpisim.Engine.all_traces result.Interp.Sim.engine));
     Alcotest.test_case "divergence: identical localization" `Quick (fun () ->
         let t1 = [ barrier "a"; allreduce "b" ] in
         let t2 = [ barrier "a"; barrier "bad" ] in
-        check_identity ~fanout:2 [| t1; t1; t2; t1 |]);
+        check_identity ~fanout:2 [| t1; t1; t2; t1 |];
+        check_identity ~fanout:2
+          (Array.init 8 (fun r -> if r = 5 then t2 else t1)));
     Alcotest.test_case "early-ended stream: identical <no event> groups"
       `Quick (fun () ->
         let long = [ barrier "a"; allreduce "b" ] in
