@@ -178,10 +178,9 @@ let test_function_params () =
     [ (0, 0, 3); (0, 0, 2); (0, 0, 1); (0, 0, 42) ]
     trace
 
-let test_scripted_indexing () =
-  (* Scripted choices index runnable tasks as ((choice mod n) + n) mod n:
-     negative and out-of-range scripts must replay identically on both
-     cores. *)
+(* One rank forking three threads that print their ids, and scripts whose
+   choices are negative or far out of range. *)
+let scripted_program =
   let body =
     [
       mk
@@ -192,23 +191,29 @@ let test_scripted_indexing () =
            });
     ]
   in
-  let program =
-    Builder.number_lines
-      { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
-  in
+  Builder.number_lines
+    { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
+
+let hostile_scripts =
+  [
+    [ -7; 13; -2; 5; 0 ];
+    [ 1_000_000; -1_000_000; 3; -1 ];
+    [ min_int + 1; max_int ];
+  ]
+
+let test_scripted_indexing () =
+  (* Scripted choices index runnable tasks as ((choice mod n) + n) mod n:
+     negative and out-of-range scripts must replay identically on both
+     cores. *)
   List.iter
     (fun script ->
       let config = config ~nranks:1 (`Scripted script) in
-      let reference = Interp.Sim.run_reference ~config program in
-      let compiled = Interp.Sim.run ~config program in
+      let reference = Interp.Sim.run_reference ~config scripted_program in
+      let compiled = Interp.Sim.run ~config scripted_program in
       Alcotest.(check bool)
         "identical observables under hostile scripts" true
         (observe reference = observe compiled))
-    [
-      [ -7; 13; -2; 5; 0 ];
-      [ 1_000_000; -1_000_000; 3; -1 ];
-      [ min_int + 1; max_int ];
-    ]
+    hostile_scripts
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint parity on the reproducer catalogue                       *)
@@ -315,6 +320,16 @@ let spawn_heavy tail =
 }|}
        tail)
 
+(* A last region whose thread 1 waits for a message nobody sends. *)
+let spawn_heavy_deadlock =
+  spawn_heavy
+    {|pragma omp parallel num_threads(3) {
+    if (omp_tid() == 1) {
+      var z = 0;
+      z = MPI_Recv(prev, 99999);
+    }
+  }|}
+
 let test_spawn_heavy () =
   let check name program =
     List.iter
@@ -333,15 +348,7 @@ let test_spawn_heavy () =
   (* A last region whose thread 1 waits for a message nobody sends: the
      deadlock report lists, per rank, the joining parent and thread 1,
      which sit among hundreds of finished tasks. *)
-  let deadlocking =
-    spawn_heavy
-      {|pragma omp parallel num_threads(3) {
-    if (omp_tid() == 1) {
-      var z = 0;
-      z = MPI_Recv(prev, 99999);
-    }
-  }|}
-  in
+  let deadlocking = spawn_heavy_deadlock in
   check "deadlocking" deadlocking;
   let outcome program =
     (Interp.Sim.run ~config:(config ~nranks:2 `Round_robin) program)

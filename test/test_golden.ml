@@ -20,11 +20,17 @@
     7 and 1337 and one scripted choice list.  Each run is pinned by its
     outcome class, step count, spawned-task count and an MD5 of the
     outcome text, the per-step runnable counts and the print trace.
-    None of this depends on the reference interpreter.
+    The same harness pins two spawn-heavy programs and one program under
+    hostile (negative, out-of-range) scripts on the schedules of its own
+    shape, and a fixed-seed generated corpus (40 deterministic and 25
+    racy programs drawn from [Test_qcheck]'s generators, the text of
+    which is pinned by one MD5) with one line per program for all its
+    runs.
 
-    Pinned exploration observables.  Every example and reproducer, the
-    3-rank [deadlock-barrier] at depth 10 and [racy-ring] at depths 16
-    and 20, is explored breadth-first and by DPOR.  Each exploration is
+    Pinned exploration observables.  Every example and reproducer, every
+    reproducer again on 3 ranks at depth 10, [racy-ring] at depths 16
+    and 20 and the first ten racy corpus programs at depth 4 are
+    explored breadth-first and by DPOR.  Each exploration is
     pinned by its per-class counts, [runs], [replays], [pruned] and the
     order in which its witness classes were first observed — counts and
     classes, not fingerprints, so the fingerprint encoding stays free to
@@ -454,8 +460,119 @@ let sched_sources =
 }|} );
   ]
 
-(* Every scheduled program, as (name, program), in a fixed order; the
-   ["+cc"] variant is the selectively instrumented program. *)
+let sched_schedules =
+  [
+    `Round_robin;
+    `Random 1;
+    `Random 2;
+    `Random 3;
+    `Scripted [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5; 8 ];
+    `Random 42;
+    `Random 7;
+    `Random 1337;
+  ]
+
+(* A probe widens the runnable-count record from the default 64 steps to
+   the probe depth. *)
+let sched_depth = 4096
+
+let outcome_class = function
+  | Interp.Sim.Finished -> "finished"
+  | Interp.Sim.Aborted _ -> "aborted"
+  | Interp.Sim.Fault _ -> "fault"
+  | Interp.Sim.Deadlock _ -> "deadlock"
+  | Interp.Sim.Step_limit -> "step-limit"
+
+let sched_config nranks schedule =
+  {
+    Interp.Sim.nranks;
+    default_nthreads = 2;
+    schedule;
+    max_steps = 200_000;
+    entry = "main";
+    record_trace = true;
+    thread_level = Mpisim.Thread_level.Multiple;
+  }
+
+let sched_probe program =
+  Interp.Sim.make_probe ~depth:sched_depth ~ids:(Interp.Sim.stmt_ids program)
+
+(* "class steps spawned md5" for one run. *)
+let sched_line (r : Interp.Sim.result) =
+  let s = r.Interp.Sim.stats in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Interp.Sim.outcome_to_string r.Interp.Sim.outcome);
+  Buffer.add_string b "\ndegrees";
+  for i = 0 to s.Interp.Sim.ndegrees - 1 do
+    Buffer.add_char b ' ';
+    Buffer.add_string b (string_of_int s.Interp.Sim.degrees.(i))
+  done;
+  Buffer.add_string b "\ntrace";
+  List.iter
+    (fun (rank, tid, v) -> Printf.bprintf b " %d/%d:%d" rank tid v)
+    (Interp.Sim.trace r);
+  Printf.sprintf "%s %d %d %s"
+    (outcome_class r.Interp.Sim.outcome)
+    s.Interp.Sim.steps s.Interp.Sim.tasks_spawned
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let sched_observe ~nranks program schedule =
+  let probe = sched_probe program in
+  sched_line
+    (Interp.Sim.run ~config:(sched_config nranks schedule) ~probe program)
+
+(* A folded corpus line: the run classes, then the MD5 of the run lines. *)
+let fold_lines lines =
+  Printf.sprintf "%s %s"
+    (String.concat "," (List.map (fun l -> List.hd (String.split_on_char ' ' l)) lines))
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* How a scheduled input runs: on [ranks] ranks × 2 threads, once per
+   schedule, one pinned line per run — or, for a generated-corpus
+   program ([fold]), one line for all its runs. *)
+type sched_shape = {
+  ranks : int;
+  schedules : [ `Round_robin | `Random of int | `Scripted of int list ] list;
+  fold : bool;
+}
+
+let sched_lines program shape =
+  let lines = List.map (sched_observe ~nranks:shape.ranks program) shape.schedules in
+  if shape.fold then [ fold_lines lines ] else lines
+
+(* The fixed-seed generated corpus: the first programs QCheck draws from
+   [Test_qcheck]'s generators under fixed seeds.  [corpus_digest] pins
+   their pretty-printed text, so a change to QCheck or to a generator
+   fails as "corpus changed", not as an interpreter difference. *)
+let corpus_size = 40
+
+let racy_corpus_size = 25
+
+let draw gen ~seed n =
+  QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n gen
+
+let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 corpus_size)
+
+let racy_corpus =
+  lazy (draw Test_qcheck.gen_racy_program ~seed:1312 racy_corpus_size)
+
+let corpus_text () =
+  String.concat "\n"
+    (List.map Pretty.program_to_string
+       (Lazy.force corpus @ Lazy.force racy_corpus))
+
+let corpus_digest = "40874a6f355858be318a3966ca258c75"
+
+(* The schedules of the generated-corpus and spawn-heavy runs. *)
+let compile_schedules = Test_compile.schedules
+
+let standard = { ranks = 3; schedules = sched_schedules; fold = false }
+
+let numbered prefix l =
+  List.mapi (fun i x -> (Printf.sprintf "%s-%02d" prefix i, x)) l
+
+(* Every scheduled program, as (name, program, shape), in a fixed order;
+   the ["+cc"] variant is the selectively instrumented program. *)
 let sched_inputs =
   lazy
     (let examples =
@@ -481,73 +598,39 @@ let sched_inputs =
          (fun (name, src) -> (name, Parser.parse_string ~file:name src))
          sched_sources
      in
+     let two_ranks = { ranks = 2; schedules = compile_schedules; fold = false } in
+     let corpus_shape = { two_ranks with fold = true } in
      List.concat_map
        (fun (name, p) ->
          let report = Parcoach.Driver.analyze p in
          [
-           (name, p);
+           (name, p, standard);
            ( name ^ "+cc",
-             Parcoach.Instrument.instrument report Parcoach.Instrument.Selective
-           );
+             Parcoach.Instrument.instrument report Parcoach.Instrument.Selective,
+             standard );
          ])
-       (examples @ catalog @ reproducers @ sched))
-
-let sched_schedules =
-  [
-    `Round_robin;
-    `Random 1;
-    `Random 2;
-    `Random 3;
-    `Scripted [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5; 8 ];
-    `Random 42;
-    `Random 7;
-    `Random 1337;
-  ]
-
-(* A probe widens the runnable-count record from the default 64 steps to
-   the probe depth. *)
-let sched_depth = 4096
-
-let outcome_class = function
-  | Interp.Sim.Finished -> "finished"
-  | Interp.Sim.Aborted _ -> "aborted"
-  | Interp.Sim.Fault _ -> "fault"
-  | Interp.Sim.Deadlock _ -> "deadlock"
-  | Interp.Sim.Step_limit -> "step-limit"
-
-(* "class steps spawned md5" for one run. *)
-let sched_observe program schedule =
-  let config =
-    {
-      Interp.Sim.nranks = 3;
-      default_nthreads = 2;
-      schedule;
-      max_steps = 200_000;
-      entry = "main";
-      record_trace = true;
-      thread_level = Mpisim.Thread_level.Multiple;
-    }
-  in
-  let probe =
-    Interp.Sim.make_probe ~depth:sched_depth ~ids:(Interp.Sim.stmt_ids program)
-  in
-  let r = Interp.Sim.run ~config ~probe program in
-  let s = r.Interp.Sim.stats in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Interp.Sim.outcome_to_string r.Interp.Sim.outcome);
-  Buffer.add_string b "\ndegrees";
-  for i = 0 to s.Interp.Sim.ndegrees - 1 do
-    Buffer.add_char b ' ';
-    Buffer.add_string b (string_of_int s.Interp.Sim.degrees.(i))
-  done;
-  Buffer.add_string b "\ntrace";
-  List.iter
-    (fun (rank, tid, v) -> Printf.bprintf b " %d/%d:%d" rank tid v)
-    (Interp.Sim.trace r);
-  Printf.sprintf "%s %d %d %s"
-    (outcome_class r.Interp.Sim.outcome)
-    s.Interp.Sim.steps s.Interp.Sim.tasks_spawned
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+       (examples @ catalog @ reproducers @ sched)
+     @ [
+         ( "spawn-heavy/finishing",
+           Test_compile.spawn_heavy "print(x);",
+           two_ranks );
+         ("spawn-heavy/deadlocking", Test_compile.spawn_heavy_deadlock, two_ranks);
+         ( "hostile-scripts",
+           Test_compile.scripted_program,
+           {
+             ranks = 1;
+             schedules =
+               List.map (fun s -> `Scripted s) Test_compile.hostile_scripts;
+             fold = false;
+           } );
+       ]
+     @ List.map
+         (fun (name, p) ->
+           (name, Test_compile.with_final_prints p, corpus_shape))
+         (numbered "corpus/program" (Lazy.force corpus))
+     @ List.map
+         (fun (name, p) -> (name, p, corpus_shape))
+         (numbered "corpus/racy" (Lazy.force racy_corpus)))
 
 let sched_pinned =
   [
@@ -1145,6 +1228,288 @@ let sched_pinned =
         "finished 39 5 77cba29b12f4b188c9a06410bac3b367";
         "finished 39 5 c45e9f988e110b1cd5ede8a5ffc37a7d";
       ] );
+    ( "spawn-heavy/finishing",
+      [
+        "finished 20596 1262 af846a147c14e35d9d78e8134f7005c2";
+        "finished 20596 1262 72240edc34d7abc28b60e1e44ca151bc";
+        "finished 20596 1262 5eb186bedf84bf3d9fe18e1385b8c52e";
+        "finished 20596 1262 0d9c9ff9556d4202c4366bf47f83af66";
+        "finished 20596 1262 a0df64c9a78545f661411be4e3c581fb";
+      ] );
+    ( "spawn-heavy/deadlocking",
+      [
+        "deadlock 20614 1268 3599c58ff57205355f0893aac0c5c202";
+        "deadlock 20614 1268 af476b565ae8ac227a3d31220f45eb28";
+        "deadlock 20614 1268 f8bc862ae32af42963903e3834dff265";
+        "deadlock 20614 1268 9918fa18989230b1bc69b049dbd42719";
+        "deadlock 20614 1268 01abaad89041e6ea173819dece9192b8";
+      ] );
+    ( "hostile-scripts",
+      [
+        "finished 12 4 1ed8bb420fa47ea2b71d918d3ce0161c";
+        "finished 12 4 49d30e11f9874cf619e754f8b7a5dd76";
+        "finished 12 4 3d02fb7b78955ee6865e830848b3a6c5";
+      ] );
+    ( "corpus/program-00",
+      [
+        "finished,finished,finished,finished,finished fa07986616a01246784b29b4148b7d96";
+      ] );
+    ( "corpus/program-01",
+      [
+        "finished,finished,finished,finished,finished 46beb0de6522f8fa4fc4e92097b7c3f0";
+      ] );
+    ( "corpus/program-02",
+      [
+        "finished,finished,finished,finished,finished 38260121e336d719c1973dfd039654ce";
+      ] );
+    ( "corpus/program-03",
+      [
+        "finished,finished,finished,finished,finished 4fec43b94d68b407ad873cbfd4a4ec6c";
+      ] );
+    ( "corpus/program-04",
+      [
+        "finished,finished,finished,finished,finished 7b6c268268d9a0c46d9894e9a34ecd29";
+      ] );
+    ( "corpus/program-05",
+      [
+        "finished,finished,finished,finished,finished f6ed8603f711c4ff267c580097eea1eb";
+      ] );
+    ( "corpus/program-06",
+      [
+        "finished,finished,finished,finished,finished 170fc818c64b7f6fbf061cd2df334cd1";
+      ] );
+    ( "corpus/program-07",
+      [
+        "finished,finished,finished,finished,finished 0afacfe6bbad1f5def267f0efccd78d4";
+      ] );
+    ( "corpus/program-08",
+      [
+        "finished,finished,finished,finished,finished d0ff37daa12d4c17914637f851470a8e";
+      ] );
+    ( "corpus/program-09",
+      [
+        "finished,finished,finished,finished,finished 33f03f62797055d18fbd6f1d47ed695c";
+      ] );
+    ( "corpus/program-10",
+      [
+        "finished,finished,finished,finished,finished b6657d6c0cd09c758428f65b16fceca5";
+      ] );
+    ( "corpus/program-11",
+      [
+        "finished,finished,finished,finished,finished f37e78cf8a759b5deca686d162e9d0d9";
+      ] );
+    ( "corpus/program-12",
+      [
+        "finished,finished,finished,finished,finished e8f62f107452b7bca548686646394c36";
+      ] );
+    ( "corpus/program-13",
+      [
+        "finished,finished,finished,finished,finished 7d5c2de5003723e512108271fbffaaf0";
+      ] );
+    ( "corpus/program-14",
+      [
+        "finished,finished,finished,finished,finished e27271044b5cc6cc0a107841acdcc44d";
+      ] );
+    ( "corpus/program-15",
+      [
+        "finished,finished,finished,finished,finished e2dce9cdf9135b25ada3c380ac9f70c7";
+      ] );
+    ( "corpus/program-16",
+      [
+        "finished,finished,finished,finished,finished 3e8827d530adff9b3d15b1e918c601ea";
+      ] );
+    ( "corpus/program-17",
+      [
+        "finished,finished,finished,finished,finished 0afacfe6bbad1f5def267f0efccd78d4";
+      ] );
+    ( "corpus/program-18",
+      [
+        "finished,finished,finished,finished,finished a08e58c387d0b0da77e4d143a5d6d892";
+      ] );
+    ( "corpus/program-19",
+      [
+        "finished,finished,finished,finished,finished bf2f1a84ce734634a49719663a6d8d13";
+      ] );
+    ( "corpus/program-20",
+      [
+        "finished,finished,finished,finished,finished 3e8827d530adff9b3d15b1e918c601ea";
+      ] );
+    ( "corpus/program-21",
+      [
+        "finished,finished,finished,finished,finished 41d03e1653194c6a682f6aef8b29f728";
+      ] );
+    ( "corpus/program-22",
+      [
+        "finished,finished,finished,finished,finished a36e60d9da9a8c8f85315f8f4b73439b";
+      ] );
+    ( "corpus/program-23",
+      [
+        "finished,finished,finished,finished,finished 3e8827d530adff9b3d15b1e918c601ea";
+      ] );
+    ( "corpus/program-24",
+      [
+        "finished,finished,finished,finished,finished 13b8ab040884d96cead11067dc57f227";
+      ] );
+    ( "corpus/program-25",
+      [
+        "finished,finished,finished,finished,finished 8bb075b041e7f3a8ffbc482a919dc91f";
+      ] );
+    ( "corpus/program-26",
+      [
+        "finished,finished,finished,finished,finished 06e01ef0611a575f02e53f5719617ab2";
+      ] );
+    ( "corpus/program-27",
+      [
+        "finished,finished,finished,finished,finished 1e3ffad3291586f6a2bb2ab268e3b4e9";
+      ] );
+    ( "corpus/program-28",
+      [
+        "finished,finished,finished,finished,finished d4badd1e585749767dfc288e7e412bdf";
+      ] );
+    ( "corpus/program-29",
+      [
+        "finished,finished,finished,finished,finished 5ef7bfb6fd6c5101da3f38f3e75b30bc";
+      ] );
+    ( "corpus/program-30",
+      [
+        "finished,finished,finished,finished,finished 6f4c1a2257f5f3ac683ff21f9d2ba3cc";
+      ] );
+    ( "corpus/program-31",
+      [
+        "finished,finished,finished,finished,finished 571336bfb356717d6d64c1e55e553b3f";
+      ] );
+    ( "corpus/program-32",
+      [
+        "finished,finished,finished,finished,finished e21d561e90a063abf25cf923fc29e2d8";
+      ] );
+    ( "corpus/program-33",
+      [
+        "finished,finished,finished,finished,finished 2f0e25f77bebbcc16d3339c420ba8078";
+      ] );
+    ( "corpus/program-34",
+      [
+        "finished,finished,finished,finished,finished b316900db22ae6fc318a5cd98d248106";
+      ] );
+    ( "corpus/program-35",
+      [
+        "finished,finished,finished,finished,finished 28b100e824241aa21b97cbf2b43a07ad";
+      ] );
+    ( "corpus/program-36",
+      [
+        "finished,finished,finished,finished,finished 0afacfe6bbad1f5def267f0efccd78d4";
+      ] );
+    ( "corpus/program-37",
+      [
+        "finished,finished,finished,finished,finished ba78c2f58879eabf428754f92149333f";
+      ] );
+    ( "corpus/program-38",
+      [
+        "finished,finished,finished,finished,finished 2dff55d7e006aeb344f6fa1c217a8d92";
+      ] );
+    ( "corpus/program-39",
+      [
+        "finished,finished,finished,finished,finished 7e53d17e819bdecbb148f68214da8158";
+      ] );
+    ( "corpus/racy-00",
+      [
+        "finished,finished,finished,finished,finished d67ec65ab5b63e602a375bad5d5692a7";
+      ] );
+    ( "corpus/racy-01",
+      [
+        "finished,finished,finished,finished,finished ff5c96a1cb4de1db9d808cfa11bcddfb";
+      ] );
+    ( "corpus/racy-02",
+      [
+        "finished,finished,finished,finished,finished f9d820cf0b5b64c3b2dfee53e0e63dab";
+      ] );
+    ( "corpus/racy-03",
+      [
+        "finished,finished,finished,finished,finished 728bee561572e3f776f158056abcd273";
+      ] );
+    ( "corpus/racy-04",
+      [
+        "finished,finished,finished,finished,finished a87e91486d811198935c5f84a51b302a";
+      ] );
+    ( "corpus/racy-05",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock ccbc0dfaf60bd0f57119ef2d0d8a4a76";
+      ] );
+    ( "corpus/racy-06",
+      [
+        "finished,finished,finished,finished,finished a87e91486d811198935c5f84a51b302a";
+      ] );
+    ( "corpus/racy-07",
+      [
+        "finished,finished,finished,finished,finished d36086734b93a4137aba9352ca98e12a";
+      ] );
+    ( "corpus/racy-08",
+      [
+        "finished,finished,finished,finished,finished e080e6848e5805a21bd57c8b6e758f76";
+      ] );
+    ( "corpus/racy-09",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock f1343a6a9d5241ef2230e59f7db4aea9";
+      ] );
+    ( "corpus/racy-10",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock 1bb1562d99e0a1db2055d402b8529268";
+      ] );
+    ( "corpus/racy-11",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock a1c12c4496827370382ff58acd044b76";
+      ] );
+    ( "corpus/racy-12",
+      [
+        "finished,finished,finished,finished,finished ac09c6b7567a22dc5d49454d851ebf8c";
+      ] );
+    ( "corpus/racy-13",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock 5f126f3b74c41513c61096da097bc0e3";
+      ] );
+    ( "corpus/racy-14",
+      [
+        "finished,finished,finished,finished,finished 652a1d6cde181791cf2c673e39c8ca0f";
+      ] );
+    ( "corpus/racy-15",
+      [
+        "deadlock,fault,deadlock,deadlock,deadlock a6892c3e24a4a30f266ca585ec0e3afe";
+      ] );
+    ( "corpus/racy-16",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock cdd0f09fe595831b58b532899bcf0a67";
+      ] );
+    ( "corpus/racy-17",
+      [
+        "deadlock,deadlock,deadlock,deadlock,deadlock 520974c3b27352220e0ab75612630194";
+      ] );
+    ( "corpus/racy-18",
+      [
+        "finished,finished,finished,finished,finished 4a70bad152d715c4dc48981f92d1672c";
+      ] );
+    ( "corpus/racy-19",
+      [
+        "finished,finished,finished,finished,finished a9b7fb4dc697fa2ee01dabdaea5d5aa3";
+      ] );
+    ( "corpus/racy-20",
+      [
+        "finished,finished,finished,finished,finished e61f87be89f5817def80dd30d8c1f907";
+      ] );
+    ( "corpus/racy-21",
+      [
+        "finished,finished,finished,finished,finished e080e6848e5805a21bd57c8b6e758f76";
+      ] );
+    ( "corpus/racy-22",
+      [
+        "finished,finished,finished,finished,finished e2baea647e25b5ec111083cdd5528ef3";
+      ] );
+    ( "corpus/racy-23",
+      [
+        "finished,finished,finished,finished,finished e61f87be89f5817def80dd30d8c1f907";
+      ] );
+    ( "corpus/racy-24",
+      [
+        "finished,finished,finished,finished,finished a9b7fb4dc697fa2ee01dabdaea5d5aa3";
+      ] );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1163,7 +1528,8 @@ let explore_config nranks =
   }
 
 (* Every explored input, as (name, program, ranks, branch depth, budget),
-   in a fixed order. *)
+   in a fixed order.  The 3-rank depth-10 runs of the reproducers share
+   one naming scheme; [deadlock-barrier]'s is listed first. *)
 let explore_inputs =
   lazy
     (let window name p = (name, p, 2, 8, 2000) in
@@ -1192,7 +1558,23 @@ let explore_inputs =
            2,
            20,
            2000 );
-       ])
+       ]
+     @ List.filter_map
+         (fun (e : Benchsuite.Reproducers.entry) ->
+           if e.name = "deadlock-barrier" then None
+           else
+             Some
+               ( e.name ^ "/ranks3-depth10",
+                 Benchsuite.Reproducers.program e,
+                 3,
+                 10,
+                 100_000 ))
+         Benchsuite.Reproducers.all
+     @ List.filteri
+         (fun i _ -> i < 10)
+         (List.map
+            (fun (name, p) -> (name ^ "/depth4", p, 2, 4, 20_000))
+            (numbered "corpus/racy" (Lazy.force racy_corpus))))
 
 (* "finished/aborted/fault/deadlock/step-limit runs R replays P pruned Q
    [witness classes]" for one exploration. *)
@@ -1295,7 +1677,137 @@ let explore_pinned =
         "0/2236151/0/0/0 runs 2236151 replays 2000 pruned 2234151 [aborted]";
         "16/41/0/0/0 runs 72 replays 57 pruned 15 [aborted finished]";
       ] );
+    ( "racy-singles/ranks3-depth10",
+      [
+        "196/312613/0/0/0 runs 312809 replays 4361 pruned 308448 [aborted finished]";
+        "227/18547/798/0/0 runs 25106 replays 19572 pruned 5534 [aborted finished fault]";
+      ] );
+    ( "master-vs-single/ranks3-depth10",
+      [
+        "7816/0/244115/0/0 runs 251931 replays 1719 pruned 250212 [fault finished]";
+        "23/0/62/0/0 runs 112 replays 85 pruned 27 [fault finished]";
+      ] );
+    ( "racy-ring/ranks3-depth10",
+      [
+        "0/34343/0/0/0 runs 34343 replays 1125 pruned 33218 [aborted]";
+        "0/4/0/0/0 runs 5 replays 4 pruned 1 [aborted]";
+      ] );
+    ( "sections-collectives/ranks3-depth10",
+      [
+        "296170/0/6721267/0/0 runs 7017437 replays 16091 pruned 7001346 [fault finished]";
+        "160/0/7361/0/0 runs 9201 replays 7521 pruned 1680 [fault finished]";
+      ] );
+    ( "corpus/racy-00/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-01/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-02/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-03/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-04/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-05/depth4",
+      [
+        "0/0/0/5/0 runs 5 replays 5 pruned 0 [deadlock]";
+        "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
+      ] );
+    ( "corpus/racy-06/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-07/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-08/depth4",
+      [
+        "5/0/0/0/0 runs 5 replays 5 pruned 0 [finished]";
+        "1/0/0/0/0 runs 1 replays 1 pruned 0 [finished]";
+      ] );
+    ( "corpus/racy-09/depth4",
+      [
+        "0/0/0/5/0 runs 5 replays 5 pruned 0 [deadlock]";
+        "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
+      ] );
   ]
+
+(* Pin recorder for the inputs not pinned yet: every run must agree with
+   the reference interpreter (observables and per-step state
+   fingerprints; BFS summaries) before its pin is printed. *)
+let record () =
+  let print_entry name lines =
+    Printf.printf "    ( %S,\n      [\n" name;
+    List.iter (Printf.printf "        %S;\n") lines;
+    Printf.printf "      ] );\n"
+  in
+  Printf.printf "corpus_digest = %S\n"
+    (Digest.to_hex (Digest.string (corpus_text ())));
+  List.iter
+    (fun (name, p, shape) ->
+      if not (List.mem_assoc name sched_pinned) then begin
+        let lines =
+          List.map
+            (fun schedule ->
+              let config = sched_config shape.ranks schedule in
+              let pr = sched_probe p and pc = sched_probe p in
+              let r = Interp.Sim.run_reference ~config ~probe:pr p in
+              let c = Interp.Sim.run ~config ~probe:pc p in
+              let line = sched_line c in
+              if sched_line r <> line then
+                failwith (name ^ ": compiled <> reference");
+              let n = Interp.Sim.probe_recorded pr in
+              if n <> Interp.Sim.probe_recorded pc then
+                failwith (name ^ ": recorded depths differ");
+              for k = 0 to n - 1 do
+                if
+                  Interp.Sim.probe_fingerprint pr k
+                  <> Interp.Sim.probe_fingerprint pc k
+                then failwith (Printf.sprintf "%s: fingerprint %d differs" name k)
+              done;
+              line)
+            shape.schedules
+        in
+        print_entry name (if shape.fold then [ fold_lines lines ] else lines)
+      end)
+    (Lazy.force sched_inputs);
+  List.iter
+    (fun (name, p, nranks, branch_depth, budget) ->
+      if not (List.mem_assoc name explore_pinned) then begin
+        let config = explore_config nranks in
+        let bfs interp =
+          Interp.Explore.outcomes ~branch_depth ~budget ~interp ~config p
+        in
+        let c = bfs `Compiled in
+        if
+          Interp.Explore.summary_to_string (bfs `Reference)
+          <> Interp.Explore.summary_to_string c
+        then failwith (name ^ ": compiled exploration <> reference");
+        print_entry name
+          [
+            explore_observe c;
+            explore_observe
+              (Interp.Explore.outcomes_dpor ~branch_depth ~budget ~config p);
+          ]
+      end)
+    (Lazy.force explore_inputs)
 
 let suite =
   [
@@ -1324,15 +1836,20 @@ let suite =
         Alcotest.test_case "every scheduled input exists" `Quick (fun () ->
             Alcotest.(check (list string))
               "inputs" (List.map fst sched_pinned)
-              (List.map fst (Lazy.force sched_inputs)));
+              (List.map (fun (name, _, _) -> name) (Lazy.force sched_inputs)));
+        Alcotest.test_case "the generated corpus is unchanged" `Quick
+          (fun () ->
+            Alcotest.(check string)
+              "corpus digest" corpus_digest
+              (Digest.to_hex (Digest.string (corpus_text ()))));
         Alcotest.test_case "runs match their pins" `Quick (fun () ->
             let mismatches =
               List.filter_map
-                (fun (name, p) ->
+                (fun (name, p, shape) ->
                   match List.assoc_opt name sched_pinned with
                   | None -> None
                   | Some pins ->
-                      let got = List.map (sched_observe p) sched_schedules in
+                      let got = sched_lines p shape in
                       if got = pins then None
                       else
                         Some
