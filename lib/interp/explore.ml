@@ -108,7 +108,7 @@ let script_of node =
     branching degree at the first unscripted step. *)
 type replay_info = { r_cls : int; r_fp : int option; r_degree : int }
 
-let replay_node ~probe ~(config : Sim.config) ~runner node =
+let replay_node ~probe ~(config : Sim.config) cp node =
   let config =
     (* Exploration never reads the print trace; recording it would
        allocate on every run. *)
@@ -118,7 +118,7 @@ let replay_node ~probe ~(config : Sim.config) ~runner node =
       Sim.record_trace = false;
     }
   in
-  let result : Sim.result = runner ~config ~probe in
+  let result = Sim.run_compiled ~config ~probe cp in
   let stats = result.Sim.stats in
   let r_fp =
     if Sim.probe_recorded probe > node.depth then
@@ -168,47 +168,35 @@ let run_wave ~probes ~f (inputs : 'a array) (outputs : 'b option array)
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
     errors
 
-let replay_wave ~probes ~config ~runner (frontier : node array) infos to_replay
-    =
+let replay_wave ~probes ~config cp (frontier : node array) infos to_replay =
   run_wave ~probes
-    ~f:(fun probe node -> replay_node ~probe ~config ~runner node)
+    ~f:(fun probe node -> replay_node ~probe ~config cp node)
     frontier infos to_replay
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [outcomes ?branch_depth ?budget ?jobs ?interp ~config program]
-    explores the prefix tree breadth-first, replaying at most [budget]
-    schedules (pruned subtrees are credited, not replayed, so [runs] may
-    exceed [budget]) and branching over the first [branch_depth] choices.
-    [config.schedule] is ignored (every run is scripted).  [interp]
-    selects the interpreter core: [`Compiled] (default) lowers the
-    program once with [Sim.make] and every replay — on every worker
-    domain — executes the shared compiled form; [`Reference] replays
-    with the AST tree-walker (the equivalence oracle). *)
+(** [outcomes ?branch_depth ?budget ?jobs ~config program] explores the
+    prefix tree breadth-first, replaying at most [budget] schedules
+    (pruned subtrees are credited, not replayed, so [runs] may exceed
+    [budget]) and branching over the first [branch_depth] choices.
+    [config.schedule] is ignored (every run is scripted).  The program is
+    lowered once with [Sim.make]; every replay — on every worker domain —
+    executes the shared compiled form. *)
 let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
-    ?(interp = `Compiled) ~(config : Sim.config) program =
+    ~(config : Sim.config) program =
   if branch_depth < 0 then
     invalid_arg "Explore.outcomes: branch_depth must be >= 0";
   if budget < 0 then invalid_arg "Explore.outcomes: budget must be >= 0";
   if jobs < 1 then invalid_arg "Explore.outcomes: jobs must be >= 1";
-  let runner =
-    match interp with
-    | `Compiled ->
-        (* Compile once, before the worker domains exist: the compiled
-           form is immutable and Domain.spawn gives the happens-before
-           edge, so sharing it is race-free. *)
-        let cp = Sim.make program in
-        fun ~config ~probe -> Sim.run_compiled ~config ~probe cp
-    | `Reference -> fun ~config ~probe -> Sim.run_reference ~config ~probe program
-  in
-  let ids = Sim.stmt_ids program in
+  (* Compile once, before the worker domains exist: the compiled form is
+     immutable and Domain.spawn gives the happens-before edge, so sharing
+     it is race-free. *)
+  let cp = Sim.make program in
   (* One reusable probe per worker: the fingerprint buffer is allocated
      once and amortised over every replay the worker performs. *)
-  let probes =
-    Array.init jobs (fun _ -> Sim.make_probe ~depth:branch_depth ~ids)
-  in
+  let probes = Array.init jobs (fun _ -> Sim.make_probe ~depth:branch_depth) in
   let next_id = ref 0 in
   let mk ~parent ~choice ~depth =
     let n =
@@ -234,7 +222,7 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
     budget_left := !budget_left - to_replay;
     let infos = Array.make (Array.length fr) None in
     if to_replay > 0 then
-      replay_wave ~probes ~config ~runner fr infos to_replay;
+      replay_wave ~probes ~config cp fr infos to_replay;
     (* Coordinator: everything below is sequential and in frontier
        order, so memo decisions, witnesses and child order are
        independent of how workers interleaved. *)
@@ -325,12 +313,12 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
 (* ------------------------------------------------------------------ *)
 
 (** The original depth-first, unpruned, sequential enumeration, kept as
-    the oracle for the equivalence properties in the tests.  Runs the reference interpreter
-    ([Sim.run_reference]), so comparing it against [outcomes] also
-    cross-checks the two interpreter cores.  One replay per represented
-    run: [replays = runs], [pruned = 0]. *)
+    the oracle that the tests compare [outcomes]' fingerprint pruning and
+    [outcomes_dpor]'s coverage against.  One replay per represented run:
+    [replays = runs], [pruned = 0]. *)
 let outcomes_reference ?(branch_depth = 8) ?(budget = 2000)
     ~(config : Sim.config) program =
+  let cp = Sim.make program in
   let summary =
     ref
       {
@@ -368,7 +356,7 @@ let outcomes_reference ?(branch_depth = 8) ?(budget = 2000)
     if !budget_left > 0 then begin
       decr budget_left;
       let cfg = { config with Sim.schedule = `Scripted prefix } in
-      let result = Sim.run_reference ~config:cfg program in
+      let result = Sim.run_compiled ~config:cfg cp in
       record prefix result.Sim.outcome;
       let depth = List.length prefix in
       if depth < branch_depth && depth < result.Sim.stats.Sim.ndegrees then begin
@@ -439,7 +427,6 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   if budget < 0 then invalid_arg "Explore.outcomes_dpor: budget must be >= 0";
   if jobs < 1 then invalid_arg "Explore.outcomes_dpor: jobs must be >= 1";
   let cp = Sim.make program in
-  let ids = Sim.stmt_ids program in
   (* Recording continues well past [branch_depth]: a racing pair's
      second access often falls beyond the last branchable step, and the
      fatal-step rule (below) must see the aborting step wherever it
@@ -454,7 +441,7 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
      fatal-step jobs diverge deep, and without a fingerprint at their
      divergence depth every commuting order of delays would be
      re-analyzed instead of collapsing in the memo table. *)
-  let probes = Array.init jobs (fun _ -> Sim.make_probe ~depth:window ~ids) in
+  let probes = Array.init jobs (fun _ -> Sim.make_probe ~depth:window) in
   let replay probe (job : djob) =
     let config =
       {

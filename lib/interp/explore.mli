@@ -51,25 +51,22 @@ val class_name : Sim.outcome -> string
 (** Explore breadth-first with fingerprint pruning, replaying at most
     [budget] schedules ([runs] may exceed [budget] thanks to pruning)
     and branching over the first [branch_depth] choices; wave replays
-    run on [jobs] domains.  [interp] selects the interpreter core:
-    [`Compiled] (default) lowers the program once and shares the
-    immutable compiled form across all workers, [`Reference] replays
-    with the AST tree-walker.  Both produce the same summary.
-    [config.schedule] is ignored.
+    run on [jobs] domains.  The program is lowered once and the immutable
+    compiled form is shared across all workers.  [config.schedule] is
+    ignored.
     @raise Invalid_argument if [branch_depth < 0], [budget < 0] or
     [jobs < 1]. *)
 val outcomes :
   ?branch_depth:int ->
   ?budget:int ->
   ?jobs:int ->
-  ?interp:[ `Compiled | `Reference ] ->
   config:Sim.config ->
   Minilang.Ast.program ->
   summary
 
-(** The original unpruned sequential depth-first enumeration, on the
-    reference interpreter ([Sim.run_reference]): one replay per run
-    ([replays = runs], [pruned = 0]), budget bounds runs. *)
+(** The original unpruned sequential depth-first enumeration, the oracle
+    for {!outcomes}' pruning and {!outcomes_dpor}'s coverage: one replay
+    per run ([replays = runs], [pruned = 0]), budget bounds runs. *)
 val outcomes_reference :
   ?branch_depth:int ->
   ?budget:int ->

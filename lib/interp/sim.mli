@@ -56,7 +56,7 @@ type lifecycle =
           request. *)
   | Stale_read of { rank : int; site : string; start_site : string }
       (** Statement at [site] accessed the buffer of an in-flight
-          [MPI_Irecv]/[MPI_Iallreduce] (compiled core only). *)
+          [MPI_Irecv]/[MPI_Iallreduce]. *)
 
 type result = {
   outcome : outcome;
@@ -91,21 +91,14 @@ val pp_outcome : outcome Fmt.t
 
 val outcome_to_string : outcome -> string
 
-(** Canonical construct-id table: statement ids assigned in AST order,
-    so they are identical across schedules of the same program (unlike
-    the default encounter-order ids). *)
-type stmt_ids
-
-val stmt_ids : Minilang.Ast.program -> stmt_ids
-
 (** Exploration instrumentation handed to {!run}: a preallocated
-    per-step state-fingerprint buffer plus a canonical id table.
-    Reusable across runs (each run resets it), so one probe per worker
-    amortises the allocation over thousands of replays. *)
+    per-step state-fingerprint buffer.  Reusable across runs (each run
+    resets it), so one probe per worker amortises the allocation over
+    thousands of replays. *)
 type probe
 
 (** @raise Invalid_argument if [depth < 0]. *)
-val make_probe : depth:int -> ids:stmt_ids -> probe
+val make_probe : depth:int -> probe
 
 val probe_depth : probe -> int
 
@@ -126,7 +119,8 @@ val make : Minilang.Ast.program -> compiled
 
 (** Execute a compiled program.  [probe], when given, records state
     fingerprints for the first [probe_depth] steps (construct ids are
-    always canonical in compiled form).  [race], when given, feeds every
+    the canonical statement uids of {!Compile}, so fingerprints are
+    comparable across schedules).  [race], when given, feeds every
     slot access and synchronisation event of the run to the dynamic race
     oracle ({!Raceck}); query it with {!Raceck.races} afterwards.
     [recorder], when given, records per-step dependence footprints,
@@ -140,8 +134,7 @@ val run_compiled :
   ?recorder:Dpor.recorder -> ?on_engine:(Mpisim.Engine.t -> unit) ->
   compiled -> result
 
-(** Execute a validated program with the compiled core:
-    {!make} + {!run_compiled}.  [probe], when given, records state
+(** Execute a validated program: {!make} + {!run_compiled}.  [probe], when given, records state
     fingerprints for the first [probe_depth] steps; [race] attaches the
     dynamic race oracle; [recorder] the DPOR step recorder; [on_engine]
     receives the freshly created MPI engine before any rank runs, so
@@ -153,15 +146,6 @@ val run :
   ?config:config -> ?probe:probe -> ?race:Raceck.t ->
   ?recorder:Dpor.recorder -> ?on_engine:(Mpisim.Engine.t -> unit) ->
   Minilang.Ast.program -> result
-
-(** The original AST tree-walker, kept as the equivalence oracle for the
-    compiled core: same contract and observable behaviour (traces,
-    outcomes, step counts, fingerprints) as {!run}.  [probe] switches
-    construct ids to the probe's canonical table.
-    @raise Invalid_argument if the entry function is missing or takes
-    parameters. *)
-val run_reference :
-  ?config:config -> ?probe:probe -> Minilang.Ast.program -> result
 
 (** Trace of [print] events in execution order: (rank, tid, value). *)
 val trace : result -> (int * int * int) list

@@ -1,27 +1,33 @@
 (** Tasks: one per MPI rank initially, plus one per thread forked at each
-    [parallel] construct.  A task carries a continuation stack; the
-    scheduler advances one task by one small step at a time, which makes
-    thread interleavings (and the bugs that depend on them) schedulable and
-    reproducible.
+    [parallel] construct.  A task carries a continuation stack over the
+    lowered program ({!Compile}); the scheduler advances one task by one
+    small step at a time, which makes thread interleavings (and the bugs
+    that depend on them) schedulable and reproducible. *)
 
-    The record is polymorphic in the continuation type ['k] and the
-    result-cell type ['c] so the same scheduling state (status,
-    single-nesting depth, encounter counters, team membership) is shared
-    by the two interpreter cores: the reference tree-walker instantiates
-    it at [(Task.kont, Env.cell) t] while the compiled core uses its own
-    continuation type and slot locations ([(Sim.ckont, Compile.loc) t]). *)
-
+(** Continuations over compiled blocks: a [Kseq] is a program counter
+    into a statement array (advancing allocates nothing); loops carry
+    their compiled bodies, the scope that state fingerprints hash, and
+    the frame they run against. *)
 type kont =
-  | Kseq of Minilang.Ast.block * Env.t
-      (** Remaining statements of a block with their environment. *)
-  | Kwhile of Minilang.Ast.expr * Minilang.Ast.block * Env.t
+  | Kseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
+  | Kwhile of {
+      cond : Compile.exprc;
+      chash : int;
+      scope : Compile.scope;
+      cacc : Compile.access array;
+      wsite : string;  (** The while statement's source site. *)
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }
   | Kfor of {
-      var : string;
+      slot : int;
+      vhash : int;
       mutable current : int;
       stop : int;
-      body : Minilang.Ast.block;
-      env : Env.t;
-    }  (** Counted loop; also used for a thread's chunk of an [omp for]. *)
+      scope : Compile.scope;
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }  (** Counted loop; also a thread's chunk of an [omp for]. *)
   | Kcall_return  (** Function frame marker popped by [return]. *)
   | Kenter_single
       (** Increment the single-nesting depth (executor entering a
@@ -32,11 +38,13 @@ type kont =
   | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
       (** End of a worksharing construct ([for]/[sections]): implicit
           barrier unless [nowait]. *)
-  | Kcritical_end of string  (** Release the named critical lock. *)
+  | Kcritical_end of { name : string; nhash : int }
+      (** Release the named critical lock. *)
   | Kreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      shared : Env.cell;
-      private_ : Env.cell;
+      ophash : int;
+      shared : Compile.loc;
+      private_ : Compile.loc;
     }
       (** End of a thread's chunk of a [reduction] worksharing loop:
           fold the private accumulator into the shared variable. *)
@@ -56,18 +64,19 @@ type block_reason =
 
 type status = Runnable | Blocked of block_reason | Finished
 
-type ('k, 'c) t = {
+type t = {
   id : int;  (** Cookie used by the engine, barriers and locks. *)
   rank : int;
   tid : int;  (** Thread number in the innermost team (0 if sequential). *)
   team : Ompsim.Team.t option;
-  mutable konts : 'k list;
+  mutable konts : kont list;
   mutable status : status;
   mutable single_depth : int;
       (** Number of enclosing single-threaded bodies this task is currently
           executing as the designated thread. *)
-  mutable wait_cell : 'c option;
-      (** Cell to store a collective result into upon release. *)
+  mutable wait_cell : Compile.loc option;
+      (** Location to store a collective or receive result into upon
+          release. *)
   mutable encounters : (int, int) Hashtbl.t;
       (** Per-construct dynamic instance counters (for [single]
           arbitration); {!no_encounters} until the first [single]. *)

@@ -1,34 +1,38 @@
 (** Tasks: one per MPI rank, plus one per thread forked at each
-    [parallel] construct.  A task carries a continuation stack; the
-    scheduler advances one task by one small step at a time.
-
-    [('k, 'c) t] is polymorphic in the continuation type ['k] and the
-    collective result-cell type ['c]: the reference tree-walker uses
-    [(kont, Env.cell) t]; the compiled core (see {!Compile} and
-    {!Sim.run_compiled}) instantiates its own continuation and slot
-    location types.  The scheduling state (status, block reasons,
-    encounter counters) stays monomorphic so fingerprint ingredients are
-    shared verbatim by both interpreters. *)
+    [parallel] construct.  A task carries a continuation stack over the
+    lowered program ({!Compile}); the scheduler ({!Sim.run_compiled})
+    advances one task by one small step at a time. *)
 
 type kont =
-  | Kseq of Minilang.Ast.block * Env.t
-  | Kwhile of Minilang.Ast.expr * Minilang.Ast.block * Env.t
+  | Kseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
+  | Kwhile of {
+      cond : Compile.exprc;
+      chash : int;
+      scope : Compile.scope;
+      cacc : Compile.access array;
+      wsite : string;
+      body : Compile.cblock;
+      frame : Compile.frame;
+    }
   | Kfor of {
-      var : string;
+      slot : int;
+      vhash : int;
       mutable current : int;
       stop : int;
-      body : Minilang.Ast.block;
-      env : Env.t;
+      scope : Compile.scope;
+      body : Compile.cblock;
+      frame : Compile.frame;
     }
   | Kcall_return
   | Kenter_single
   | Kexit_single of { team : Ompsim.Team.t option; nowait : bool }
   | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
-  | Kcritical_end of string
+  | Kcritical_end of { name : string; nhash : int }
   | Kreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      shared : Env.cell;
-      private_ : Env.cell;
+      ophash : int;
+      shared : Compile.loc;
+      private_ : Compile.loc;
     }
 
 type block_reason =
@@ -42,15 +46,15 @@ type block_reason =
 
 type status = Runnable | Blocked of block_reason | Finished
 
-type ('k, 'c) t = {
+type t = {
   id : int;  (** Cookie used by the engine, barriers and locks. *)
   rank : int;
   tid : int;
   team : Ompsim.Team.t option;
-  mutable konts : 'k list;
+  mutable konts : kont list;
   mutable status : status;
   mutable single_depth : int;
-  mutable wait_cell : 'c option;
+  mutable wait_cell : Compile.loc option;
   mutable encounters : (int, int) Hashtbl.t;
       (** Shared empty sentinel until the task's first [single]. *)
 }
@@ -60,15 +64,15 @@ val make :
   rank:int ->
   tid:int ->
   team:Ompsim.Team.t option ->
-  konts:'k list ->
-  ('k, 'c) t
+  konts:kont list ->
+  t
 
 (** Next dynamic instance index of construct [uid] for this task. *)
-val next_instance : ('k, 'c) t -> int -> int
+val next_instance : t -> int -> int
 
-val team_size : ('k, 'c) t -> int
+val team_size : t -> int
 
-val is_runnable : ('k, 'c) t -> bool
+val is_runnable : t -> bool
 
 (** Hash of the scheduling status (fingerprint ingredient). *)
 val status_hash : status -> int
@@ -77,8 +81,8 @@ val status_hash : status -> int
     (fingerprint ingredient): commutative over entries, so schedules that
     filled the table in different orders but reached the same counts hash
     alike. *)
-val encounters_hash : ('k, 'c) t -> int
+val encounters_hash : t -> int
 
 val describe_block_reason : block_reason -> string
 
-val describe : ('k, 'c) t -> string
+val describe : t -> string

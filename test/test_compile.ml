@@ -1,12 +1,7 @@
-(** Equivalence of the two interpreter cores: the compiled slot-resolved
-    core ([Sim.run] = [Sim.make] + [Sim.run_compiled]) must be
-    observationally identical to the reference AST walker
-    ([Sim.run_reference]) — same outcomes, print traces, step counts,
-    spawned-task counts and per-step runnable counts, and, under a probe,
-    the same number of recorded state fingerprints with bit-identical
-    values.  Also pins the compile-time scoping rules
-    (shadowing, privatized loop variables, function parameters) and the
-    scheduler's scripted-choice indexing. *)
+(** The compiled interpreter's scoping rules (shadowing, privatized loop
+    variables, function parameters), the scheduler's scripted-choice
+    indexing and its live-task list under spawn-heavy programs.  The
+    runs these programs make are pinned in [golden.schedules]. *)
 
 open Minilang
 
@@ -42,18 +37,14 @@ let schedules =
     `Scripted [ 3; 1; 4; 1; 5; 9; 2; 6; 5; 3; 5; 8 ];
   ]
 
-(* Run both cores under every schedule and insist on identical
-   observables; returns the compiled observables for further checks. *)
-let both_agree ?nranks ?nthreads program =
-  List.map
+(* The print trace of [program] on one rank under every schedule. *)
+let check_traces name expected program =
+  List.iter
     (fun schedule ->
-      let config = config ?nranks ?nthreads schedule in
-      let reference = Interp.Sim.run_reference ~config program in
-      let compiled = Interp.Sim.run ~config program in
-      Alcotest.(check bool)
-        "compiled = reference (outcome, trace, steps, spawns, degrees)" true
-        (observe reference = observe compiled);
-      observe compiled)
+      Alcotest.(check (list (triple int int int)))
+        name expected
+        (Interp.Sim.trace
+           (Interp.Sim.run ~config:(config ~nranks:1 schedule) program)))
     schedules
 
 (* ------------------------------------------------------------------ *)
@@ -77,10 +68,7 @@ let test_shadowing () =
     Builder.number_lines
       { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
   in
-  let obs = both_agree ~nranks:1 program in
-  let _, trace, _, _, _ = List.hd obs in
-  Alcotest.(check (list (triple int int int)))
-    "inner 2, outer 1" [ (0, 0, 2); (0, 0, 1) ] trace
+  check_traces "inner 2, outer 1" [ (0, 0, 2); (0, 0, 1) ] program
 
 let test_loop_privatization () =
   (* The worksharing loop variable is private to each iteration and does
@@ -123,12 +111,9 @@ let test_loop_privatization () =
     Builder.number_lines
       { Ast.funcs = [ { Ast.fname = "main"; params = []; body; floc = Loc.none } ] }
   in
-  let obs = both_agree ~nranks:1 program in
-  let _, trace, _, _, _ = List.hd obs in
-  Alcotest.(check (list (triple int int int)))
-    "outer i untouched, reduction = 0+1+2+3+4"
+  check_traces "outer i untouched, reduction = 0+1+2+3+4"
     [ (0, 0, 100); (0, 0, 10) ]
-    trace
+    program
 
 let test_function_params () =
   (* Parameters land in callee-frame slots; recursion re-enters the
@@ -171,12 +156,9 @@ let test_function_params () =
     }
   in
   let program = Builder.number_lines { Ast.funcs = [ main; countdown; add ] } in
-  let obs = both_agree ~nranks:1 program in
-  let _, trace, _, _, _ = List.hd obs in
-  Alcotest.(check (list (triple int int int)))
-    "3 2 1 then 42"
+  check_traces "3 2 1 then 42"
     [ (0, 0, 3); (0, 0, 2); (0, 0, 1); (0, 0, 42) ]
-    trace
+    program
 
 (* One rank forking three threads that print their ids, and scripts whose
    choices are negative or far out of range. *)
@@ -203,78 +185,23 @@ let hostile_scripts =
 
 let test_scripted_indexing () =
   (* Scripted choices index runnable tasks as ((choice mod n) + n) mod n:
-     negative and out-of-range scripts must replay identically on both
-     cores. *)
+     a hostile script replays exactly like the script of those in-range
+     indices, read off the runnable counts the run recorded. *)
   List.iter
     (fun script ->
-      let config = config ~nranks:1 (`Scripted script) in
-      let reference = Interp.Sim.run_reference ~config scripted_program in
-      let compiled = Interp.Sim.run ~config scripted_program in
-      Alcotest.(check bool)
-        "identical observables under hostile scripts" true
-        (observe reference = observe compiled))
-    hostile_scripts
-
-(* ------------------------------------------------------------------ *)
-(* Fingerprint parity on the reproducer catalogue                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Run both cores under a [depth]-step probe: identical observables and
-   bit-identical recorded fingerprints.  Returns the compiled result. *)
-let probe_parity name ~depth ~config program =
-  let ids = Interp.Sim.stmt_ids program in
-  let pr = Interp.Sim.make_probe ~depth ~ids in
-  let pc = Interp.Sim.make_probe ~depth ~ids in
-  let reference = Interp.Sim.run_reference ~config ~probe:pr program in
-  let compiled = Interp.Sim.run ~config ~probe:pc program in
-  Alcotest.(check bool)
-    (name ^ ": observables") true
-    (observe reference = observe compiled);
-  Alcotest.(check int)
-    (name ^ ": recorded depth")
-    (Interp.Sim.probe_recorded pr)
-    (Interp.Sim.probe_recorded pc);
-  for k = 0 to Interp.Sim.probe_recorded pr - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: fingerprint %d" name k)
-      (Interp.Sim.probe_fingerprint pr k)
-      (Interp.Sim.probe_fingerprint pc k)
-  done;
-  compiled
-
-let test_reproducer_fingerprints () =
-  List.iter
-    (fun entry ->
-      let name = entry.Benchsuite.Reproducers.name in
-      let program = Benchsuite.Reproducers.program entry in
-      List.iter
-        (fun schedule ->
-          ignore
-            (probe_parity name ~depth:12
-               ~config:(config ~nranks:3 ~nthreads:2 schedule)
-               program))
-        [
-          `Round_robin;
-          `Random 42;
-          `Random 7;
-          `Random 1337;
-          `Scripted [ 2; 0; 1; 2; 1; 0; 2 ];
-        ];
-      (* The exploration summary is built from the same fingerprints. *)
-      let explore interp =
-        Interp.Explore.summary_to_string
-          (Interp.Explore.outcomes ~branch_depth:10 ~budget:100_000 ~interp
-             ~config:
-               {
-                 (config ~nranks:3 ~nthreads:2 `Round_robin) with
-                 Interp.Sim.record_trace = false;
-               }
-             program)
+      let run script =
+        Interp.Sim.run ~config:(config ~nranks:1 (`Scripted script))
+          scripted_program
       in
-      Alcotest.(check string)
-        (name ^ ": exploration summary")
-        (explore `Reference) (explore `Compiled))
-    Benchsuite.Reproducers.all
+      let hostile = run script in
+      let degrees = hostile.Interp.Sim.stats.Interp.Sim.degrees in
+      let in_range =
+        List.mapi (fun k c -> ((c mod degrees.(k)) + degrees.(k)) mod degrees.(k)) script
+      in
+      Alcotest.(check bool)
+        "hostile script = its in-range script" true
+        (observe hostile = observe (run in_range)))
+    hostile_scripts
 
 (* ------------------------------------------------------------------ *)
 (* Spawn-heavy programs: the scheduler's live-task list                 *)
@@ -335,8 +262,7 @@ let test_spawn_heavy () =
     List.iter
       (fun schedule ->
         let compiled =
-          probe_parity name ~depth:1000 ~config:(config ~nranks:2 schedule)
-            program
+          Interp.Sim.run ~config:(config ~nranks:2 schedule) program
         in
         Alcotest.(check bool)
           (name ^ ": spawns beyond the 200th region") true
@@ -363,81 +289,6 @@ let test_spawn_heavy () =
     | Interp.Sim.Deadlock blocked -> List.length blocked = 4
     | _ -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Properties over the random program generators                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Realize the final shared-variable values as observables: printing
-   x0..x3 at the end of main folds the final environment into the trace,
-   so trace equality also checks final stores. *)
-let with_final_prints (p : Ast.program) =
-  let prints =
-    List.map (fun v -> mk (Ast.Print (Ast.Var v))) Test_qcheck.shared_vars
-  in
-  Builder.number_lines
-    {
-      Ast.funcs =
-        List.map
-          (fun (f : Ast.func) ->
-            if f.Ast.fname = "main" then
-              { f with Ast.body = f.Ast.body @ prints }
-            else f)
-          p.Ast.funcs;
-    }
-
-let properties =
-  let open QCheck in
-  [
-    Test.make
-      ~name:"compiled = reference on deterministic programs (incl. final env)"
-      ~count:40 Test_qcheck.arb_program (fun p ->
-        let p = with_final_prints p in
-        List.for_all
-          (fun schedule ->
-            let config = config schedule in
-            observe (Interp.Sim.run_reference ~config p)
-            = observe (Interp.Sim.run ~config p))
-          schedules);
-    Test.make
-      ~name:"compiled = reference on racy programs (outcome, trace, fingerprints)"
-      ~count:25 Test_qcheck.arb_racy_program (fun p ->
-        let ids = Interp.Sim.stmt_ids p in
-        let depth = 10 in
-        List.for_all
-          (fun schedule ->
-            let config = config schedule in
-            let pr = Interp.Sim.make_probe ~depth ~ids in
-            let pc = Interp.Sim.make_probe ~depth ~ids in
-            let reference = Interp.Sim.run_reference ~config ~probe:pr p in
-            let compiled = Interp.Sim.run ~config ~probe:pc p in
-            observe reference = observe compiled
-            && Interp.Sim.probe_recorded pr = Interp.Sim.probe_recorded pc
-            && List.for_all
-                 (fun k ->
-                   Interp.Sim.probe_fingerprint pr k
-                   = Interp.Sim.probe_fingerprint pc k)
-                 (List.init (Interp.Sim.probe_recorded pr) Fun.id))
-          schedules);
-    Test.make
-      ~name:"compiled exploration = reference exploration (racy programs)"
-      ~count:10 Test_qcheck.arb_racy_program (fun p ->
-        let config =
-          {
-            (config `Round_robin) with
-            Interp.Sim.record_trace = false;
-            max_steps = 50_000;
-          }
-        in
-        let branch_depth = 4 and budget = 20_000 in
-        String.equal
-          (Interp.Explore.summary_to_string
-             (Interp.Explore.outcomes ~branch_depth ~budget ~interp:`Compiled
-                ~config p))
-          (Interp.Explore.summary_to_string
-             (Interp.Explore.outcomes ~branch_depth ~budget ~interp:`Reference
-                ~config p)));
-  ]
-
 let suite =
   [
     ( "compile.scoping",
@@ -450,15 +301,9 @@ let suite =
         Alcotest.test_case "scripted-choice indexing is unchanged" `Quick
           test_scripted_indexing;
       ] );
-    ( "compile.fingerprints",
-      [
-        Alcotest.test_case "reproducer catalogue parity" `Quick
-          test_reproducer_fingerprints;
-      ] );
     ( "compile.scheduler",
       [
         Alcotest.test_case "spawn-heavy programs under every schedule" `Quick
           test_spawn_heavy;
       ] );
-    ("compile.equivalence", List.map QCheck_alcotest.to_alcotest properties);
   ]

@@ -494,8 +494,6 @@ let sched_config nranks schedule =
     thread_level = Mpisim.Thread_level.Multiple;
   }
 
-let sched_probe program =
-  Interp.Sim.make_probe ~depth:sched_depth ~ids:(Interp.Sim.stmt_ids program)
 
 (* "class steps spawned md5" for one run. *)
 let sched_line (r : Interp.Sim.result) =
@@ -517,7 +515,7 @@ let sched_line (r : Interp.Sim.result) =
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let sched_observe ~nranks program schedule =
-  let probe = sched_probe program in
+  let probe = Interp.Sim.make_probe ~depth:sched_depth in
   sched_line
     (Interp.Sim.run ~config:(sched_config nranks schedule) ~probe program)
 
@@ -555,6 +553,25 @@ let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 corpus_size)
 
 let racy_corpus =
   lazy (draw Test_qcheck.gen_racy_program ~seed:1312 racy_corpus_size)
+
+(* Printing x0..x3 at the end of main makes the final values of the
+   shared variables part of the pinned print trace. *)
+let with_final_prints (p : Ast.program) =
+  let prints =
+    List.map
+      (fun v -> Ast.mk ~loc:Loc.none (Ast.Print (Ast.Var v)))
+      Test_qcheck.shared_vars
+  in
+  Builder.number_lines
+    {
+      Ast.funcs =
+        List.map
+          (fun (f : Ast.func) ->
+            if f.Ast.fname = "main" then
+              { f with Ast.body = f.Ast.body @ prints }
+            else f)
+          p.Ast.funcs;
+    }
 
 let corpus_text () =
   String.concat "\n"
@@ -626,7 +643,7 @@ let sched_inputs =
        ]
      @ List.map
          (fun (name, p) ->
-           (name, Test_compile.with_final_prints p, corpus_shape))
+           (name, with_final_prints p, corpus_shape))
          (numbered "corpus/program" (Lazy.force corpus))
      @ List.map
          (fun (name, p) -> (name, p, corpus_shape))
@@ -1748,66 +1765,6 @@ let explore_pinned =
         "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
       ] );
   ]
-
-(* Pin recorder for the inputs not pinned yet: every run must agree with
-   the reference interpreter (observables and per-step state
-   fingerprints; BFS summaries) before its pin is printed. *)
-let record () =
-  let print_entry name lines =
-    Printf.printf "    ( %S,\n      [\n" name;
-    List.iter (Printf.printf "        %S;\n") lines;
-    Printf.printf "      ] );\n"
-  in
-  Printf.printf "corpus_digest = %S\n"
-    (Digest.to_hex (Digest.string (corpus_text ())));
-  List.iter
-    (fun (name, p, shape) ->
-      if not (List.mem_assoc name sched_pinned) then begin
-        let lines =
-          List.map
-            (fun schedule ->
-              let config = sched_config shape.ranks schedule in
-              let pr = sched_probe p and pc = sched_probe p in
-              let r = Interp.Sim.run_reference ~config ~probe:pr p in
-              let c = Interp.Sim.run ~config ~probe:pc p in
-              let line = sched_line c in
-              if sched_line r <> line then
-                failwith (name ^ ": compiled <> reference");
-              let n = Interp.Sim.probe_recorded pr in
-              if n <> Interp.Sim.probe_recorded pc then
-                failwith (name ^ ": recorded depths differ");
-              for k = 0 to n - 1 do
-                if
-                  Interp.Sim.probe_fingerprint pr k
-                  <> Interp.Sim.probe_fingerprint pc k
-                then failwith (Printf.sprintf "%s: fingerprint %d differs" name k)
-              done;
-              line)
-            shape.schedules
-        in
-        print_entry name (if shape.fold then [ fold_lines lines ] else lines)
-      end)
-    (Lazy.force sched_inputs);
-  List.iter
-    (fun (name, p, nranks, branch_depth, budget) ->
-      if not (List.mem_assoc name explore_pinned) then begin
-        let config = explore_config nranks in
-        let bfs interp =
-          Interp.Explore.outcomes ~branch_depth ~budget ~interp ~config p
-        in
-        let c = bfs `Compiled in
-        if
-          Interp.Explore.summary_to_string (bfs `Reference)
-          <> Interp.Explore.summary_to_string c
-        then failwith (name ^ ": compiled exploration <> reference");
-        print_entry name
-          [
-            explore_observe c;
-            explore_observe
-              (Interp.Explore.outcomes_dpor ~branch_depth ~budget ~config p);
-          ]
-      end)
-    (Lazy.force explore_inputs)
 
 let suite =
   [

@@ -125,7 +125,6 @@ let test_same_location_fast () =
   in
   let report = Parcoach.Driver.analyze ~options program in
   ignore (Interp.Compile.lower program);
-  ignore (Interp.Sim.stmt_ids program);
   let elapsed = Sys.time () -. t0 in
   Alcotest.(check int) "no warnings" 0 (Parcoach.Driver.warning_count report);
   Alcotest.(check bool)
