@@ -1,8 +1,8 @@
 (** One-shot lowering of a validated [Ast.program] into the resolved form
     the simulator executes ({!Sim.run_compiled}).
 
-    The lowering resolves, once per program, everything the reference
-    tree-walker recomputes on every step of every replay:
+    The lowering resolves, once per program, everything an AST
+    tree-walker would recompute on every step of every replay:
 
     - {b Variables} become integer slots in per-frame [int array]s.  Scope
       analysis runs here: a fresh frame level opens per function
@@ -13,22 +13,20 @@
       declarations inside the parallel body land in the member's own
       frame.  Privatized variables (loop indices, [reduction] private
       copies) get fresh slots.
-    - {b Sites and uids} ([Loc.to_string], the canonical statement
-      numbering of [Sim.stmt_ids], pre-rendered CC-check site strings) are
+    - {b Sites and uids} ([Loc.to_string], a canonical statement
+      numbering in AST order, pre-rendered CC-check site strings) are
       computed exactly once, never per replay.
     - {b Callees, collective descriptors and reduction operators} are
       resolved to direct pointers/values; call errors (unknown function,
       arity) become pre-rendered error statements so dead code still
-      fails only when executed, like the reference.
+      fails only when executed.
     - {b Expressions} are closure-compiled: evaluation does no constructor
       dispatch on [Ast.expr].
 
-    Fingerprint parity: alongside each program point the lowering stores
-    the *hash ingredients* the reference interpreter derives dynamically —
-    per-suffix block hashes, sorted scope descriptors replaying
-    [Env.StringMap]'s fold order, [Hashtbl.hash]es of loop variables,
-    critical names, while-conditions and reduce ops — so compiled runs
-    produce bit-identical state fingerprints (see docs/PERFORMANCE.md). *)
+    For state fingerprints, each program point also carries its scope:
+    the locations of the variables visible there, whose values the
+    fingerprint hashes next to the point's statement uid (see
+    docs/PERFORMANCE.md, "The fingerprint contract"). *)
 
 open Minilang
 
@@ -52,7 +50,7 @@ let child_frame ?(fid = -1) ~parent nslots =
 let rec up fr n = if n <= 0 then fr else up fr.up (n - 1)
 
 (** A resolved storage location: collective result cells, reduction
-    accumulators.  Plays the role of [Env.cell] in the compiled core. *)
+    accumulators. *)
 type loc = { l_frame : frame; l_slot : int }
 
 let read_loc l = l.l_frame.slots.(l.l_slot)
@@ -64,8 +62,7 @@ let write_loc l v = l.l_frame.slots.(l.l_slot) <- v
 type ectx = { e_rank : int; e_tid : int; e_nthreads : int; e_nranks : int }
 
 (** Raised by compiled code on evaluation errors; the driver converts it
-    to [Fault (Eval_error _)] at the same boundary where the reference
-    interpreter raises its abort exception. *)
+    to [Fault (Eval_error _)]. *)
 exception Error of { rank : int; site : string; message : string }
 
 let error ec site fmt =
@@ -81,16 +78,12 @@ type exprc = ectx -> frame -> int
 type vref = { v_hops : int; v_slot : int }
 
 (** A reference that may be statically unbound: the error fires at
-    execution time (with the reference interpreter's message), not at
-    compile time, so unreached code stays harmless. *)
+    execution time, not at compile time, so unreached code stays
+    harmless. *)
 type cell_ref = CRef of vref | CUnbound of string
 
-(** One visible binding at a program point, pre-hashed for fingerprints:
-    entries are sorted by variable name so iterating them replays
-    [Env.StringMap.fold]'s ascending key order exactly. *)
-type scope_entry = { se_nhash : int; se_hops : int; se_slot : int }
-
-type scope = scope_entry array
+(** The variables visible at a program point, in a fixed order. *)
+type scope = vref array
 
 (** A resolved variable access a statement performs, kept alongside the
     compiled closures for the dynamic race oracle ({!Raceck}): the
@@ -104,18 +97,10 @@ type access = { a_name : string; a_hops : int; a_slot : int; a_write : bool }
 (* Compiled program form                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Head hash of the empty block suffix; must equal the reference's
-   [block_hash ids []]. *)
-let empty_suffix_hash = 0x27d4eb2f
-
 type cstmt = { uid : int; site : string; acc : access array; desc : cdesc }
 
 and cblock = {
   stmts : cstmt array;
-  bhash : int array;
-      (** [n + 1] entries: [bhash.(i)] identifies the suffix starting at
-          statement [i] (the reference hashes a block by its head
-          statement's canonical uid); entry [n] is the empty suffix. *)
   scopes : scope array;
       (** [n + 1] entries: visible bindings before statement [i].
           Positions not following a declaration share the same physical
@@ -126,12 +111,10 @@ and cdesc =
   | CDecl of int * exprc  (** Write the initializer into a fresh slot. *)
   | CAssign of vref * exprc
   | CAssign_unbound of string * exprc
-      (** Evaluate the value, then fail — the reference evaluates before
-          the unbound check. *)
+      (** Evaluate the value, then fail. *)
   | CIf of exprc * cblock * cblock
   | CWhile of {
       cond : exprc;
-      chash : int;
       scope : scope;
       cacc : access array;
           (** Reads of the condition, re-recorded at every loop-back
@@ -139,11 +122,8 @@ and cdesc =
               evaluation). *)
       body : cblock;
     }
-      (** [chash] pre-hashes the AST condition (fingerprint parity with
-          the reference's [Hashtbl.hash c]). *)
   | CFor of {
       slot : int;
-      vhash : int;
       lo : exprc;
       hi : exprc;
       scope : scope;  (** Bindings at the construct (loop var excluded). *)
@@ -169,11 +149,10 @@ and cdesc =
       (** [nslots]: size of each team member's private frame. *)
   | CSingle of { nowait : bool; body : cblock }
   | CMaster of cblock
-  | CCritical of { name : string; nhash : int; body : cblock }
+  | CCritical of { name : string; body : cblock }
   | CBarrier
   | CWsfor of {
       slot : int;
-      vhash : int;
       lo : exprc;
       hi : exprc;
       nowait : bool;
@@ -194,7 +173,6 @@ and crop =
 
 and creduction = {
   r_op : Ast.reduce_op;
-  r_ophash : int;
   r_shared : cell_ref;
   r_priv_slot : int;
 }
@@ -262,29 +240,18 @@ let find_var cenv x =
 let cell_of cenv x =
   match find_var cenv x with Some vr -> CRef vr | None -> CUnbound x
 
-(* [Map.bindings] is ascending by key — the same order the reference's
-   [Env.StringMap.fold] hashes environments in. *)
 let scope_of cenv : scope =
-  let entries =
-    SMap.fold
-      (fun name b acc ->
-        {
-          se_nhash = Hashtbl.hash name;
-          se_hops = cenv.level - b.b_level;
-          se_slot = b.b_slot;
-        }
-        :: acc)
-      cenv.vars []
-  in
-  Array.of_list (List.rev entries)
+  Array.of_list
+    (SMap.fold
+       (fun _ b acc -> { v_hops = cenv.level - b.b_level; v_slot = b.b_slot } :: acc)
+       cenv.vars [])
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors [Sim]'s reference [eval] exactly: left operand first,
-   short-circuit [&&]/[||] normalising to 0/1 via [min 1 (abs _)],
-   division/modulo checks after both operands, identical messages. *)
+(* Left operand first, short-circuit [&&]/[||] normalising to 0/1 via
+   [min 1 (abs _)], division/modulo checks after both operands. *)
 let rec compile_expr cenv ~site (e : Ast.expr) : exprc =
   match e with
   | Ast.Int n -> fun _ _ -> n
@@ -371,8 +338,7 @@ let compile_root cenv ~site e =
     else r
 
 (* Payload compiled separately from root; the executor evaluates payload
-   first, then root — the order the reference's labelled-argument call
-   evaluates them in. *)
+   first, then root. *)
 let compile_coll cenv ~site (c : Ast.collective) : ccoll =
   let ev e = compile_expr cenv ~site e in
   let root e = Some (compile_root cenv ~site e) in
@@ -454,11 +420,11 @@ type ctx = {
   resolve : string -> cfunc option;
 }
 
-(* Canonical uids, assigned in the same [fold_stmts] order (statement
-   before its sub-blocks; [If] then-branch first; sections in order; dedup
-   on physical identity) as [Sim.stmt_ids] — the two tables agree on every
-   statement, which keeps [single]-arbitration keys and fingerprints
-   identical across interpreters. *)
+(* Canonical uids, numbered in AST order (statement before its
+   sub-blocks; [If] then-branch first; sections in order; dedup on
+   physical identity), so they are the same in every run of the program:
+   [single]-arbitration keys and fingerprints are comparable across
+   schedules. *)
 let uid_of ctx (s : Ast.stmt) =
   match Ast.Stmt_tbl.find_opt ctx.uids s with
   | Some u -> u
@@ -470,8 +436,7 @@ let uid_of ctx (s : Ast.stmt) =
 
 let dummy_cstmt = { uid = -1; site = "<dummy>"; acc = [||]; desc = CBarrier }
 
-let empty_cblock =
-  { stmts = [||]; bhash = [| empty_suffix_hash |]; scopes = [| [||] |] }
+let empty_cblock = { stmts = [||]; scopes = [| [||] |] }
 
 let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
   let uid = uid_of ctx s in
@@ -497,18 +462,12 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let bf = compile_block ctx cenv bf in
       ret ~acc:(racc [ c ]) (CIf (cond, bt, bf))
   | Ast.While (c, body) ->
-      (* The reference evaluates loop conditions at site "<while>". *)
+      (* Loop conditions report errors at site "<while>". *)
       let cond = compile_expr cenv ~site:"<while>" c in
       let cacc = racc [ c ] in
       ret ~acc:cacc
         (CWhile
-           {
-             cond;
-             chash = Hashtbl.hash c;
-             scope = scope_of cenv;
-             cacc;
-             body = compile_block ctx cenv body;
-           })
+           { cond; scope = scope_of cenv; cacc; body = compile_block ctx cenv body })
   | Ast.For (x, lo, hi, body) ->
       let acc = racc [ lo; hi ] in
       let lo = ev lo in
@@ -516,7 +475,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let scope = scope_of cenv in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv x slot) body in
-      ret ~acc (CFor { slot; vhash = Hashtbl.hash x; lo; hi; scope; body })
+      ret ~acc (CFor { slot; lo; hi; scope; body })
   | Ast.Return -> ret CReturn
   | Ast.Call (fname, args) -> (
       match ctx.resolve fname with
@@ -610,13 +569,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
   | Ast.Omp_master body -> ret (CMaster (compile_block ctx cenv body))
   | Ast.Omp_critical (name, body) ->
       let name = Option.value name ~default:Ompsim.Critical.anonymous in
-      ret
-        (CCritical
-           {
-             name;
-             nhash = Hashtbl.hash name;
-             body = compile_block ctx cenv body;
-           })
+      ret (CCritical { name; body = compile_block ctx cenv body })
   | Ast.Omp_barrier -> ret CBarrier
   | Ast.Omp_for { var; lo; hi; nowait; reduction; body } ->
       let acc = racc [ lo; hi ] in
@@ -628,21 +581,14 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
         | Some (op, x) ->
             let r_shared = cell_of cenv x in
             let r_priv_slot = alloc cenv in
-            ( Some
-                {
-                  r_op = op;
-                  r_ophash = Hashtbl.hash op;
-                  r_shared;
-                  r_priv_slot;
-                },
+            ( Some { r_op = op; r_shared; r_priv_slot },
               declare cenv x r_priv_slot )
       in
       let kscope = scope_of cenv_in in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv_in var slot) body in
       ret ~acc
-        (CWsfor
-           { slot; vhash = Hashtbl.hash var; lo; hi; nowait; reduction; kscope; body })
+        (CWsfor { slot; lo; hi; nowait; reduction; kscope; body })
   | Ast.Omp_sections { nowait; sections } ->
       ret
         (CSections
@@ -656,7 +602,6 @@ and compile_block ctx cenv0 (b : Ast.block) : cblock =
   let n = List.length b in
   let stmts = Array.make n dummy_cstmt in
   let scopes = Array.make (n + 1) [||] in
-  let bhash = Array.make (n + 1) empty_suffix_hash in
   let cenv = ref cenv0 in
   let cur_scope = ref (scope_of cenv0) in
   List.iteri
@@ -664,14 +609,13 @@ and compile_block ctx cenv0 (b : Ast.block) : cblock =
       scopes.(i) <- !cur_scope;
       let cs, cenv' = compile_stmt ctx !cenv s in
       stmts.(i) <- cs;
-      bhash.(i) <- cs.uid + 0x100;
       (* Only declarations change the visible bindings; share the scope
          array physically otherwise. *)
       if not ((!cenv).vars == cenv'.vars) then cur_scope := scope_of cenv';
       cenv := cenv')
     b;
   scopes.(n) <- !cur_scope;
-  { stmts; bhash; scopes }
+  { stmts; scopes }
 
 (* ------------------------------------------------------------------ *)
 (* Program lowering                                                    *)
@@ -703,15 +647,14 @@ let lower (program : Ast.program) : t =
     }
   in
   (* Two passes: records first so call sites (including mutual recursion)
-     resolve to their callee directly; bodies second, in program order so
-     canonical uids match [Sim.stmt_ids]. *)
+     resolve to their callee directly; bodies second, in program order, so
+     uids follow the AST order. *)
   List.iter
     (fun ((f : Ast.func), cf) ->
       let counter = ref 0 in
       let cenv = { vars = SMap.empty; level = 0; counter } in
       (* Parameters take slots 0..n-1, in declaration order (duplicates
-         keep distinct slots; the last binding wins, as in the
-         reference's left fold of [Env.declare]). *)
+         keep distinct slots; the last binding wins). *)
       let cenv =
         List.fold_left
           (fun ce p ->

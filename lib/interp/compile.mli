@@ -4,12 +4,10 @@
     shared-by-default preserved by chaining team-member frames to the
     forker's frame), statements carry precomputed site strings, canonical
     uids, resolved callees and pre-translated collective/reduction
-    descriptors, and expressions are closure-compiled.  Alongside each
-    program point the lowering stores the hash ingredients (suffix hashes,
-    sorted scope descriptors, pre-hashed names/conditions/operators) that
-    make compiled state fingerprints bit-identical to the reference
-    interpreter's — see docs/PERFORMANCE.md, "The compiled interpreter
-    core". *)
+    descriptors, and expressions are closure-compiled.  Each program
+    point carries its scope, the locations of the variables visible
+    there, which state fingerprints hash — see docs/PERFORMANCE.md, "The
+    compiled interpreter core". *)
 
 (** One level of mutable variable storage; [up] is the lexically enclosing
     frame (root frames point at a dummy).  [fid] is a per-run frame
@@ -28,7 +26,7 @@ val child_frame : ?fid:int -> parent:frame -> int -> frame
 (** [up fr n] walks [n] levels up the frame chain. *)
 val up : frame -> int -> frame
 
-(** A resolved storage location (the compiled core's [Env.cell]). *)
+(** A resolved storage location. *)
 type loc = { l_frame : frame; l_slot : int }
 
 val read_loc : loc -> int
@@ -47,14 +45,11 @@ type exprc = ectx -> frame -> int
 type vref = { v_hops : int; v_slot : int }
 
 (** A variable reference that may be statically unbound; the error fires
-    at execution time, like the reference interpreter's. *)
+    at execution time. *)
 type cell_ref = CRef of vref | CUnbound of string
 
-(** One visible binding, pre-hashed; scope arrays are sorted by variable
-    name to replay [Env.StringMap.fold]'s order. *)
-type scope_entry = { se_nhash : int; se_hops : int; se_slot : int }
-
-type scope = scope_entry array
+(** The variables visible at a program point, in a fixed order. *)
+type scope = vref array
 
 (** A resolved variable access a statement performs (reads in evaluation
     order, then writes), recorded for the dynamic race oracle:
@@ -68,7 +63,6 @@ type cstmt = { uid : int; site : string; acc : access array; desc : cdesc }
 
 and cblock = {
   stmts : cstmt array;
-  bhash : int array;  (** [n+1] suffix hashes ([bhash.(n)] = empty). *)
   scopes : scope array;  (** [n+1] scopes (before statement [i]). *)
 }
 
@@ -79,14 +73,12 @@ and cdesc =
   | CIf of exprc * cblock * cblock
   | CWhile of {
       cond : exprc;
-      chash : int;
       scope : scope;
       cacc : access array;  (** Condition reads, re-recorded per loop-back. *)
       body : cblock;
     }
   | CFor of {
       slot : int;
-      vhash : int;
       lo : exprc;
       hi : exprc;
       scope : scope;
@@ -109,11 +101,10 @@ and cdesc =
   | CPar of { num_threads : exprc option; nslots : int; body : cblock }
   | CSingle of { nowait : bool; body : cblock }
   | CMaster of cblock
-  | CCritical of { name : string; nhash : int; body : cblock }
+  | CCritical of { name : string; body : cblock }
   | CBarrier
   | CWsfor of {
       slot : int;
-      vhash : int;
       lo : exprc;
       hi : exprc;
       nowait : bool;
@@ -131,7 +122,6 @@ and crop =
 
 and creduction = {
   r_op : Minilang.Ast.reduce_op;
-  r_ophash : int;
   r_shared : cell_ref;
   r_priv_slot : int;
 }

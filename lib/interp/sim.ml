@@ -733,34 +733,36 @@ let team_opt_hash = function
 
 (* The values of a program point's visible variables, read from the live
    frames. *)
-let scope_hash (sc : Compile.scope) (frame : Compile.frame) =
-  let h = ref 0x51ed270b in
+let scope_hash h (sc : Compile.scope) (frame : Compile.frame) =
+  let h = ref h in
   for i = 0 to Array.length sc - 1 do
-    let e = sc.(i) in
-    let fr = Compile.up frame e.Compile.se_hops in
-    h := mix (mix !h e.Compile.se_nhash) fr.Compile.slots.(e.Compile.se_slot)
+    let v = sc.(i) in
+    h := mix !h (Compile.up frame v.Compile.v_hops).Compile.slots.(v.Compile.v_slot)
   done;
   !h
 
+(* A continuation is its program point (a statement uid; [-1] past the
+   end of a block) and the values visible there. *)
 let kont_hash (k : Task.kont) =
   match k with
   | Task.Kseq { code; pc; frame } ->
-      mix (mix 1 code.Compile.bhash.(pc)) (scope_hash code.Compile.scopes.(pc) frame)
-  | Task.Kwhile { chash; scope; body; frame; _ } ->
-      mix (mix (mix 2 chash) body.Compile.bhash.(0)) (scope_hash scope frame)
-  | Task.Kfor { vhash; current; stop; scope; body; frame; _ } ->
-      mix
-        (mix (mix (mix (mix 3 vhash) current) stop) body.Compile.bhash.(0))
-        (scope_hash scope frame)
+      let point =
+        if pc < Array.length code.Compile.stmts then code.Compile.stmts.(pc).Compile.uid
+        else -1
+      in
+      scope_hash (mix 1 point) code.Compile.scopes.(pc) frame
+  | Task.Kwhile { uid; scope; frame; _ } -> scope_hash (mix 2 uid) scope frame
+  | Task.Kfor { uid; current; stop; scope; frame; _ } ->
+      scope_hash (mix (mix (mix 3 uid) current) stop) scope frame
   | Task.Kcall_return -> 4
   | Task.Kenter_single -> 5
   | Task.Kexit_single { team; nowait } ->
       mix (mix 6 (team_opt_hash team)) (Bool.to_int nowait)
   | Task.Kexit_ws { team; nowait } ->
       mix (mix 7 (team_opt_hash team)) (Bool.to_int nowait)
-  | Task.Kcritical_end { nhash; _ } -> mix 8 nhash
-  | Task.Kreduce_combine { ophash; shared; private_; _ } ->
-      mix (mix (mix 9 ophash) (Compile.read_loc shared)) (Compile.read_loc private_)
+  | Task.Kcritical_end { uid; _ } -> mix 8 uid
+  | Task.Kreduce_combine { uid; shared; private_; _ } ->
+      mix (mix (mix 9 uid) (Compile.read_loc shared)) (Compile.read_loc private_)
 
 let task_hash h (t : Task.t) =
   (* The logical identity is (rank, tid) plus the position in the fold;
@@ -944,15 +946,16 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
   | Compile.CIf (cond, bt, bf) ->
       let branch = if cond ec frame <> 0 then bt else bf in
       task.Task.konts <- Task.Kseq { code = branch; pc = 0; frame } :: task.Task.konts
-  | Compile.CWhile { cond; chash; scope; cacc; body } ->
+  | Compile.CWhile { cond; scope; cacc; body } ->
       task.Task.konts <-
-        Task.Kwhile { cond; chash; scope; cacc; wsite = site; body; frame }
+        Task.Kwhile { cond; uid = cs.Compile.uid; scope; cacc; wsite = site; body; frame }
         :: task.Task.konts
-  | Compile.CFor { slot; vhash; lo; hi; scope; body } ->
+  | Compile.CFor { slot; lo; hi; scope; body } ->
       let l = lo ec frame in
       let h = hi ec frame in
       task.Task.konts <-
-        Task.Kfor { slot; vhash; current = l; stop = h; scope; body; frame }
+        Task.Kfor
+          { slot; uid = cs.Compile.uid; current = l; stop = h; scope; body; frame }
         :: task.Task.konts
   | Compile.CReturn ->
       let rec unwind = function
@@ -1135,17 +1138,17 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
       | Some _ ->
           if task.Task.tid = 0 then
             push_single_body task body frame ~team:None ~nowait:true)
-  | Compile.CCritical { name; nhash; body } ->
+  | Compile.CCritical { name; body } ->
       task.Task.konts <-
         Task.Kseq { code = body; pc = 0; frame }
-        :: Task.Kcritical_end { name; nhash }
+        :: Task.Kcritical_end { name; uid = cs.Compile.uid }
         :: task.Task.konts;
       critical_acquire st task ~name ~site
   | Compile.CBarrier -> (
       match task.Task.team with
       | None -> ()
       | Some team -> barrier_arrive st task team ~site)
-  | Compile.CWsfor { slot; vhash; lo; hi; nowait; reduction; kscope; body } ->
+  | Compile.CWsfor { slot; lo; hi; nowait; reduction; kscope; body } ->
       let l = lo ec frame in
       let h = hi ec frame in
       let start, stop =
@@ -1172,7 +1175,7 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
               Task.Kreduce_combine
                 {
                   op = r.Compile.r_op;
-                  ophash = r.Compile.r_ophash;
+                  uid = cs.Compile.uid;
                   shared;
                   private_ =
                     { Compile.l_frame = frame; l_slot = r.Compile.r_priv_slot };
@@ -1180,7 +1183,8 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
             ]
       in
       task.Task.konts <-
-        (Task.Kfor { slot; vhash; current = start; stop; scope = kscope; body; frame }
+        (Task.Kfor
+           { slot; uid = cs.Compile.uid; current = start; stop; scope = kscope; body; frame }
         :: combine_konts)
         @ Task.Kexit_ws { team = task.Task.team; nowait } :: task.Task.konts
   | Compile.CSections { nowait; sections } ->

@@ -6,13 +6,14 @@
 
 (** Continuations over compiled blocks: a [Kseq] is a program counter
     into a statement array (advancing allocates nothing); loops carry
-    their compiled bodies, the scope that state fingerprints hash, and
-    the frame they run against. *)
+    their compiled bodies and the frame they run against.  The [uid] of
+    a construct's statement and the [scope] are the program point and
+    the visible variables that state fingerprints hash. *)
 type kont =
   | Kseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
   | Kwhile of {
       cond : Compile.exprc;
-      chash : int;
+      uid : int;  (** The while statement's. *)
       scope : Compile.scope;
       cacc : Compile.access array;
       wsite : string;  (** The while statement's source site. *)
@@ -21,7 +22,7 @@ type kont =
     }
   | Kfor of {
       slot : int;
-      vhash : int;
+      uid : int;  (** The loop statement's. *)
       mutable current : int;
       stop : int;
       scope : Compile.scope;
@@ -38,11 +39,11 @@ type kont =
   | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
       (** End of a worksharing construct ([for]/[sections]): implicit
           barrier unless [nowait]. *)
-  | Kcritical_end of { name : string; nhash : int }
+  | Kcritical_end of { name : string; uid : int }
       (** Release the named critical lock. *)
   | Kreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      ophash : int;
+      uid : int;
       shared : Compile.loc;
       private_ : Compile.loc;
     }

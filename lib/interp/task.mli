@@ -7,7 +7,7 @@ type kont =
   | Kseq of { code : Compile.cblock; mutable pc : int; frame : Compile.frame }
   | Kwhile of {
       cond : Compile.exprc;
-      chash : int;
+      uid : int;
       scope : Compile.scope;
       cacc : Compile.access array;
       wsite : string;
@@ -16,7 +16,7 @@ type kont =
     }
   | Kfor of {
       slot : int;
-      vhash : int;
+      uid : int;
       mutable current : int;
       stop : int;
       scope : Compile.scope;
@@ -27,10 +27,10 @@ type kont =
   | Kenter_single
   | Kexit_single of { team : Ompsim.Team.t option; nowait : bool }
   | Kexit_ws of { team : Ompsim.Team.t option; nowait : bool }
-  | Kcritical_end of { name : string; nhash : int }
+  | Kcritical_end of { name : string; uid : int }
   | Kreduce_combine of {
       op : Minilang.Ast.reduce_op;
-      ophash : int;
+      uid : int;
       shared : Compile.loc;
       private_ : Compile.loc;
     }
