@@ -9,7 +9,12 @@ open Cmdliner
 
 let read_program file bench =
   match (file, bench) with
-  | Some path, None -> Minilang.Parser.parse_file path
+  | Some path, None -> (
+      match Minilang.Parser.read_file path with
+      | Ok src -> Minilang.Parser.parse_string ~file:path src
+      | Error reason ->
+          Fmt.epr "cannot read %s: %s@." path reason;
+          exit 2)
   | None, Some name -> (
       match Benchsuite.Catalog.find name with
       | Some entry -> entry.Benchsuite.Catalog.generate_small ()
@@ -26,6 +31,12 @@ let read_program file bench =
 
 let run file bench initial_multi level taint interproc races requests only
     list_checks jobs json timings instrument_mode output dot =
+  (* Usage errors first, before the program is read. *)
+  (match jobs with
+  | Some j when j < 1 ->
+      Fmt.epr "--jobs must be at least 1 (got %d)@." j;
+      exit 2
+  | _ -> ());
   if list_checks then begin
     List.iter print_endline Parcoach.Warning.all_classes;
     exit 0
@@ -70,11 +81,6 @@ let run file bench initial_multi level taint interproc races requests only
   in
   print_issues issues;
   if not (Minilang.Validate.is_valid issues) then reject issues;
-  (match jobs with
-  | Some j when j < 1 ->
-      Fmt.epr "--jobs must be at least 1 (got %d)@." j;
-      exit 2
-  | _ -> ());
   let options =
     {
       Parcoach.Driver.initial_word =

@@ -7,7 +7,12 @@ open Cmdliner
 
 let read_program file bench =
   match (file, bench) with
-  | Some path, None -> Minilang.Parser.parse_file path
+  | Some path, None -> (
+      match Minilang.Parser.read_file path with
+      | Ok src -> Minilang.Parser.parse_string ~file:path src
+      | Error reason ->
+          Fmt.epr "cannot read %s: %s@." path reason;
+          exit 2)
   | None, Some name -> (
       match Benchsuite.Catalog.find name with
       | Some entry -> entry.Benchsuite.Catalog.generate_small ()
@@ -268,9 +273,8 @@ let overlay =
         ~doc:
           "Check collective consistency with the MUST-style overlay: \
            $(i,stream) checks events online through bounded per-rank \
-           mailboxes as the simulation runs (no full-trace retention with \
-           the compiled core); $(i,posthoc) checks the recorded traces after \
-           the run.")
+           mailboxes as the simulation runs (no full-trace retention); \
+           $(i,posthoc) checks the recorded traces after the run.")
 
 let overlay_fanout =
   let cv =

@@ -1,4 +1,4 @@
-(** Dynamic data-race oracle for the compiled interpreter core: a
+(** Dynamic data-race oracle for the simulator: a
     vector-clock happens-before checker in the FastTrack style, adapted to
     the simulator's cooperative tasks.
 
@@ -14,8 +14,8 @@
     - {b critical}: each per-rank named lock carries the clock of its
       last release; acquiring absorbs it.
 
-    Storage locations are keyed by (frame identity, slot): the compiled
-    core records, per executed statement, the slot accesses the lowering
+    Storage locations are keyed by (frame identity, slot): the simulator
+    records, per executed statement, the slot accesses the lowering
     extracted (see {!Compile.access}).  Each location remembers its last
     write epoch and the reads since; an access unordered with a prior
     conflicting access is a race.  Point-to-point sends and MPI

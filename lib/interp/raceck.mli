@@ -1,5 +1,5 @@
 (** Dynamic data-race oracle: a FastTrack-style vector-clock
-    happens-before checker over the compiled core's frame slots.  The
+    happens-before checker over the simulator's frame slots.  The
     simulator feeds it the synchronisation it executes (fork/join at
     [parallel], OpenMP barriers, critical sections) and every slot access
     the lowering recorded ({!Compile.access}); unordered conflicting

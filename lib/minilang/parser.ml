@@ -599,3 +599,14 @@ let parse_file path =
   let src = really_input_string ic n in
   close_in ic;
   parse_string ~file:path src
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | src -> Ok src
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      let n = String.length prefix in
+      Error
+        (if String.starts_with ~prefix msg then
+           String.sub msg n (String.length msg - n)
+         else msg)

@@ -9,3 +9,8 @@ val parse_string : ?file:string -> string -> Ast.program
 
 (** Parse a program from a file on disk. *)
 val parse_file : string -> Ast.program
+
+(** The text of a file on disk, or [Error reason] when it cannot be read
+    (missing, a directory, no permission); [reason] does not repeat the
+    path. *)
+val read_file : string -> (string, string) result
