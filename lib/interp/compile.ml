@@ -243,7 +243,8 @@ let cell_of cenv x =
 let scope_of cenv : scope =
   Array.of_list
     (SMap.fold
-       (fun _ b acc -> { v_hops = cenv.level - b.b_level; v_slot = b.b_slot } :: acc)
+       (fun _ b acc ->
+         { v_hops = cenv.level - b.b_level; v_slot = b.b_slot } :: acc)
        cenv.vars [])
 
 (* ------------------------------------------------------------------ *)
@@ -467,7 +468,12 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let cacc = racc [ c ] in
       ret ~acc:cacc
         (CWhile
-           { cond; scope = scope_of cenv; cacc; body = compile_block ctx cenv body })
+           {
+             cond;
+             scope = scope_of cenv;
+             cacc;
+             body = compile_block ctx cenv body;
+           })
   | Ast.For (x, lo, hi, body) ->
       let acc = racc [ lo; hi ] in
       let lo = ev lo in

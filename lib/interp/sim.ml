@@ -737,7 +737,8 @@ let scope_hash h (sc : Compile.scope) (frame : Compile.frame) =
   let h = ref h in
   for i = 0 to Array.length sc - 1 do
     let v = sc.(i) in
-    h := mix !h (Compile.up frame v.Compile.v_hops).Compile.slots.(v.Compile.v_slot)
+    let fr = Compile.up frame v.Compile.v_hops in
+    h := mix !h fr.Compile.slots.(v.Compile.v_slot)
   done;
   !h
 
@@ -746,9 +747,9 @@ let scope_hash h (sc : Compile.scope) (frame : Compile.frame) =
 let kont_hash (k : Task.kont) =
   match k with
   | Task.Kseq { code; pc; frame } ->
+      let stmts = code.Compile.stmts in
       let point =
-        if pc < Array.length code.Compile.stmts then code.Compile.stmts.(pc).Compile.uid
-        else -1
+        if pc < Array.length stmts then stmts.(pc).Compile.uid else -1
       in
       scope_hash (mix 1 point) code.Compile.scopes.(pc) frame
   | Task.Kwhile { uid; scope; frame; _ } -> scope_hash (mix 2 uid) scope frame
@@ -785,15 +786,14 @@ let task_hash h (t : Task.t) =
    order), mailboxes (FIFO order is semantic), criticals (sorted by name)
    and live concurrency counters (order-insensitive, zero entries elided —
    a region exited to zero must equal one never entered).  Task ids
-   (engine cookies, lock holders) are spawn-order positions, the same in
-   every schedule that reaches the state. *)
+   (engine cookies, lock holders) enter as they are: an id is the task's
+   position in the task list the fingerprint folds in order. *)
 let plumbing_hash st h =
   let h =
     List.fold_left
       (fun h (rc : Mpisim.Engine.rank_call) ->
         mix
-          (mix (mix h rc.Mpisim.Engine.rank)
-             rc.Mpisim.Engine.cookie)
+          (mix (mix h rc.Mpisim.Engine.rank) rc.Mpisim.Engine.cookie)
           (Hashtbl.hash
              ( Mpisim.Coll.signature rc.Mpisim.Engine.call,
                rc.Mpisim.Engine.call.Mpisim.Coll.payload )))
@@ -810,8 +810,7 @@ let plumbing_hash st h =
     List.fold_left
       (fun h (rc : Mpisim.Engine.rank_call) ->
         mix
-          (mix (mix h rc.Mpisim.Engine.rank)
-             rc.Mpisim.Engine.cookie)
+          (mix (mix h rc.Mpisim.Engine.rank) rc.Mpisim.Engine.cookie)
           (Hashtbl.hash
              ( Mpisim.Coll.signature rc.Mpisim.Engine.call,
                rc.Mpisim.Engine.call.Mpisim.Coll.payload )))
@@ -845,9 +844,7 @@ let plumbing_hash st h =
       (Mpisim.Mailbox.inbox st.mailbox rank);
     List.iter
       (fun (name, holder, waiters) ->
-        h :=
-          mix !h
-            (Hashtbl.hash (name, holder, waiters)))
+        h := mix !h (Hashtbl.hash (name, holder, waiters)))
       (Ompsim.Critical.state st.criticals.(rank))
   done;
   let counters =
@@ -945,10 +942,12 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
       fail_eval task.Task.rank site "unbound variable '%s'" x
   | Compile.CIf (cond, bt, bf) ->
       let branch = if cond ec frame <> 0 then bt else bf in
-      task.Task.konts <- Task.Kseq { code = branch; pc = 0; frame } :: task.Task.konts
+      task.Task.konts <-
+        Task.Kseq { code = branch; pc = 0; frame } :: task.Task.konts
   | Compile.CWhile { cond; scope; cacc; body } ->
       task.Task.konts <-
-        Task.Kwhile { cond; uid = cs.Compile.uid; scope; cacc; wsite = site; body; frame }
+        Task.Kwhile
+          { cond; uid = cs.Compile.uid; scope; cacc; wsite = site; body; frame }
         :: task.Task.konts
   | Compile.CFor { slot; lo; hi; scope; body } ->
       let l = lo ec frame in
@@ -1184,7 +1183,15 @@ let exec_stmt st (task : Task.t) (cs : Compile.cstmt) frame =
       in
       task.Task.konts <-
         (Task.Kfor
-           { slot; uid = cs.Compile.uid; current = start; stop; scope = kscope; body; frame }
+           {
+             slot;
+             uid = cs.Compile.uid;
+             current = start;
+             stop;
+             scope = kscope;
+             body;
+             frame;
+           }
         :: combine_konts)
         @ Task.Kexit_ws { team = task.Task.team; nowait } :: task.Task.konts
   | Compile.CSections { nowait; sections } ->
@@ -1381,8 +1388,10 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
       nrq = 0;
       (* The recorder supplies the vector-clock oracle (it needs the
          synchronisation edges for its happens-before snapshots). *)
-      race = (match recorder with Some d -> Some (Dpor.oracle d) | None -> race);
-      events = (match recorder with Some d -> Some (Dpor.emit d) | None -> None);
+      race =
+        (match recorder with Some d -> Some (Dpor.oracle d) | None -> race);
+      events =
+        (match recorder with Some d -> Some (Dpor.emit d) | None -> None);
       fresh_fid =
         (match recorder with
         | Some d -> fun () -> Dpor.fresh_fid d
@@ -1393,7 +1402,9 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
      before any rank runs, so no collective arrival escapes their hook. *)
   (match on_engine with None -> () | Some f -> f st.engine);
   for rank = 0 to config.nranks - 1 do
-    let frame = Compile.root_frame ~fid:(st.fresh_fid ()) entry.Compile.f_nslots in
+    let frame =
+      Compile.root_frame ~fid:(st.fresh_fid ()) entry.Compile.f_nslots
+    in
     ignore
       (spawn st ~rank ~tid:0 ~team:None
          ~konts:[ Task.Kseq { code = entry.Compile.f_body; pc = 0; frame } ])

@@ -134,12 +134,12 @@ val run_compiled :
   ?recorder:Dpor.recorder -> ?on_engine:(Mpisim.Engine.t -> unit) ->
   compiled -> result
 
-(** Execute a validated program: {!make} + {!run_compiled}.  [probe], when given, records state
-    fingerprints for the first [probe_depth] steps; [race] attaches the
-    dynamic race oracle; [recorder] the DPOR step recorder; [on_engine]
-    receives the freshly created MPI engine before any rank runs, so
-    online consumers (e.g. {!Mpisim.Engine.subscribe} hooks) see every
-    collective arrival.
+(** Execute a validated program: {!make} + {!run_compiled}.  [probe],
+    when given, records state fingerprints for the first [probe_depth]
+    steps; [race] attaches the dynamic race oracle; [recorder] the DPOR
+    step recorder; [on_engine] receives the freshly created MPI engine
+    before any rank runs, so online consumers (e.g.
+    {!Mpisim.Engine.subscribe} hooks) see every collective arrival.
     @raise Invalid_argument if the entry function is missing or takes
     parameters. *)
 val run :

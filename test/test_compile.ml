@@ -7,10 +7,10 @@ open Minilang
 
 let mk = Ast.mk ~loc:Loc.none
 
-let config ?(nranks = 2) ?(nthreads = 2) schedule =
+let config ?(nranks = 2) schedule =
   {
     Interp.Sim.nranks;
-    default_nthreads = nthreads;
+    default_nthreads = 2;
     schedule;
     max_steps = 200_000;
     entry = "main";

@@ -494,7 +494,6 @@ let sched_config nranks schedule =
     thread_level = Mpisim.Thread_level.Multiple;
   }
 
-
 (* "class steps spawned md5" for one run. *)
 let sched_line (r : Interp.Sim.result) =
   let s = r.Interp.Sim.stats in
@@ -521,8 +520,9 @@ let sched_observe ~nranks program schedule =
 
 (* A folded corpus line: the run classes, then the MD5 of the run lines. *)
 let fold_lines lines =
+  let class_of line = List.hd (String.split_on_char ' ' line) in
   Printf.sprintf "%s %s"
-    (String.concat "," (List.map (fun l -> List.hd (String.split_on_char ' ' l)) lines))
+    (String.concat "," (List.map class_of lines))
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 (* How a scheduled input runs: on [ranks] ranks × 2 threads, once per
@@ -534,25 +534,24 @@ type sched_shape = {
   fold : bool;
 }
 
+let standard = { ranks = 3; schedules = sched_schedules; fold = false }
+
 let sched_lines program shape =
-  let lines = List.map (sched_observe ~nranks:shape.ranks program) shape.schedules in
+  let lines =
+    List.map (sched_observe ~nranks:shape.ranks program) shape.schedules
+  in
   if shape.fold then [ fold_lines lines ] else lines
 
 (* The fixed-seed generated corpus: the first programs QCheck draws from
    [Test_qcheck]'s generators under fixed seeds.  [corpus_digest] pins
    their pretty-printed text, so a change to QCheck or to a generator
    fails as "corpus changed", not as an interpreter difference. *)
-let corpus_size = 40
-
-let racy_corpus_size = 25
-
 let draw gen ~seed n =
   QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n gen
 
-let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 corpus_size)
+let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 40)
 
-let racy_corpus =
-  lazy (draw Test_qcheck.gen_racy_program ~seed:1312 racy_corpus_size)
+let racy_corpus = lazy (draw Test_qcheck.gen_racy_program ~seed:1312 25)
 
 (* Printing x0..x3 at the end of main makes the final values of the
    shared variables part of the pinned print trace. *)
@@ -579,11 +578,6 @@ let corpus_text () =
        (Lazy.force corpus @ Lazy.force racy_corpus))
 
 let corpus_digest = "40874a6f355858be318a3966ca258c75"
-
-(* The schedules of the generated-corpus and spawn-heavy runs. *)
-let compile_schedules = Test_compile.schedules
-
-let standard = { ranks = 3; schedules = sched_schedules; fold = false }
 
 let numbered prefix l =
   List.mapi (fun i x -> (Printf.sprintf "%s-%02d" prefix i, x)) l
@@ -615,7 +609,9 @@ let sched_inputs =
          (fun (name, src) -> (name, Parser.parse_string ~file:name src))
          sched_sources
      in
-     let two_ranks = { ranks = 2; schedules = compile_schedules; fold = false } in
+     let two_ranks =
+       { ranks = 2; schedules = Test_compile.schedules; fold = false }
+     in
      let corpus_shape = { two_ranks with fold = true } in
      List.concat_map
        (fun (name, p) ->
@@ -631,7 +627,9 @@ let sched_inputs =
          ( "spawn-heavy/finishing",
            Test_compile.spawn_heavy "print(x);",
            two_ranks );
-         ("spawn-heavy/deadlocking", Test_compile.spawn_heavy_deadlock, two_ranks);
+         ( "spawn-heavy/deadlocking",
+           Test_compile.spawn_heavy_deadlock,
+           two_ranks );
          ( "hostile-scripts",
            Test_compile.scripted_program,
            {
