@@ -34,7 +34,16 @@
     pinned by its per-class counts, [runs], [replays], [pruned] and the
     order in which its witness classes were first observed — counts and
     classes, not fingerprints, so the fingerprint encoding stays free to
-    change. *)
+    change.  A program with same-block redeclarations and shadowing
+    inside [for] and [parallel] bodies is explored too.
+
+    Pinned post-hoc overlay reports.  Every example and small catalog
+    program under selective CC is run on 4 ranks × 3 threads at random
+    seeds 1–3, and hand-built traces cover the edge cases (empty and
+    ragged streams, one rank, divergences at layers 0–2).  Each trace
+    set is checked by [Mustlike.Overlay.check] at fanout 2 and at the
+    central fanout (one node over every rank) and pinned by its
+    verdict, rounds, messages and an MD5 of the rendered report. *)
 
 open Minilang
 
@@ -1542,6 +1551,36 @@ let explore_config nranks =
     thread_level = Mpisim.Thread_level.Multiple;
   }
 
+(* Same-block redeclaration and shadowing inside [parallel] and [for]
+   bodies.  Each team member snapshots the racy [y] into a [var x] that
+   shadows the forker's [x], then hides it behind a second [var x]:
+   prefixes that differ only in the hidden snapshot must merge, and
+   prefixes that differ in a visible one must not, so a fingerprint
+   that hashes a shadowed binding, or misses a visible one, moves
+   [replays] and [pruned]. *)
+let shadowing_source =
+  {|func main() {
+  var x = rank();
+  var y = 0;
+  pragma omp parallel num_threads(2) {
+    var x = y;
+    y = y + 1;
+    var x = 0;
+    for i = 0 to 2 {
+      var x = i;
+      compute(x);
+    }
+  }
+  var x = y;
+  for i = 0 to 2 {
+    var y = i;
+    var x = y + 1;
+    y = y + x;
+  }
+  MPI_Barrier();
+  print(y + x);
+}|}
+
 (* Every explored input, as (name, program, ranks, branch depth, budget),
    in a fixed order.  The 3-rank depth-10 runs of the reproducers share
    one naming scheme; [deadlock-barrier]'s is listed first. *)
@@ -1589,7 +1628,14 @@ let explore_inputs =
          (fun i _ -> i < 10)
          (List.map
             (fun (name, p) -> (name ^ "/depth4", p, 2, 4, 20_000))
-            (numbered "corpus/racy" (Lazy.force racy_corpus))))
+            (numbered "corpus/racy" (Lazy.force racy_corpus)))
+     @ [
+         ( "shadowing/depth12",
+           Parser.parse_string ~file:"shadowing" shadowing_source,
+           2,
+           12,
+           2000 );
+       ])
 
 (* "finished/aborted/fault/deadlock/step-limit runs R replays P pruned Q
    [witness classes]" for one exploration. *)
@@ -1762,6 +1808,341 @@ let explore_pinned =
         "0/0/0/5/0 runs 5 replays 5 pruned 0 [deadlock]";
         "0/0/0/1/0 runs 1 replays 1 pruned 0 [deadlock]";
       ] );
+    ( "shadowing/depth12",
+      [
+        "1026/0/0/0/0 runs 1026 replays 138 pruned 888 [finished]";
+        "28/0/0/0/0 runs 53 replays 28 pruned 25 [finished]";
+      ] );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Post-hoc overlay reports                                             *)
+(* ------------------------------------------------------------------ *)
+
+let overlay_ranks = 4
+
+let overlay_config seed =
+  {
+    Interp.Sim.nranks = overlay_ranks;
+    default_nthreads = 3;
+    schedule = `Random seed;
+    max_steps = 200_000;
+    entry = "main";
+    record_trace = true;
+    thread_level = Mpisim.Thread_level.Multiple;
+  }
+
+(* A binary tree, then the central (Marmot-like) overlay whose root
+   serves every rank. *)
+let overlay_fanouts nranks = [ 2; max 2 nranks ]
+
+(* "class rounds R messages M md5" for one report; the MD5 covers the
+   whole rendered report. *)
+let overlay_line (r : Mustlike.Overlay.report) =
+  Printf.sprintf "%s rounds %d messages %d %s"
+    (match r.Mustlike.Overlay.verdict with
+    | `Match _ -> "match"
+    | `Divergence _ -> "divergence")
+    r.Mustlike.Overlay.rounds r.Mustlike.Overlay.messages
+    (Digest.to_hex
+       (Digest.string (Mustlike.Overlay.report_to_string r)))
+
+let overlay_event ?op ?root kind : Mpisim.Engine.trace_event =
+  { signature = (kind, op, root); payload = 0; event_site = "<golden>" }
+
+(* Hand-built traces for the overlay's edge cases. *)
+let overlay_traces =
+  let b = overlay_event Mpisim.Coll.Barrier in
+  let bcast r = overlay_event ~root:r Mpisim.Coll.Bcast in
+  let allred op = overlay_event ~op Mpisim.Coll.Allreduce in
+  let red op r = overlay_event ~op ~root:r Mpisim.Coll.Reduce in
+  let sum = Mpisim.Op.Sum and max_ = Mpisim.Op.Max in
+  [
+    ("traces/empty", [| []; []; [] |]);
+    ("traces/one-rank", [| [ b; bcast 0; allred sum ] |]);
+    ("traces/one-rank-empty", [| [] |]);
+    ("traces/agree", Array.make 5 [ b; red sum 1; allred max_; b ]);
+    ("traces/ragged-short", [| [ b; b ]; [ b; b ]; [ b ]; [ b; b ] |]);
+    ("traces/ragged-empty", [| []; [ b ]; [ b ] |]);
+    ("traces/ragged-long", [| [ b ]; [ b ]; [ b ]; [ b; bcast 2 ] |]);
+    ( "traces/layer0-op",
+      [| [ b; allred sum ]; [ b; allred max_ ]; [ b; allred sum ] |] );
+    ( "traces/layer1-root",
+      [|
+        [ b; bcast 0 ]; [ b; bcast 0 ]; [ b; bcast 1 ]; [ b; bcast 1 ];
+      |] );
+    ( "traces/layer2-kind",
+      Array.init 8 (fun r -> [ b; (if r < 4 then b else allred sum) ]) );
+    ( "traces/three-groups",
+      Array.init 7 (fun r ->
+          [ b; (match r mod 3 with 0 -> b | 1 -> red sum 0 | _ -> red sum 2) ]) );
+  ]
+
+(* Every overlay input, as (name, fanout, traces), in a fixed order: the
+   examples and small catalog programs under selective CC on
+   [overlay_ranks] ranks × 3 threads at seeds 1–3, then the hand-built
+   traces, each at every fanout of [overlay_fanouts]. *)
+let overlay_inputs =
+  lazy
+    (let programs =
+       List.map
+         (fun f ->
+           ("examples/" ^ f, Parser.parse_file (Filename.concat programs_dir f)))
+         (example_files ())
+       @ List.map
+           (fun (e : Benchsuite.Catalog.entry) ->
+             ("catalog/" ^ e.name, e.generate_small ()))
+           Benchsuite.Catalog.all
+     in
+     let runs =
+       List.concat_map
+         (fun (name, p) ->
+           let inst =
+             Parcoach.Instrument.instrument (Parcoach.Driver.analyze p)
+               Parcoach.Instrument.Selective
+           in
+           List.map
+             (fun seed ->
+               let r = Interp.Sim.run ~config:(overlay_config seed) inst in
+               ( Printf.sprintf "%s+cc/seed%d" name seed,
+                 Mpisim.Engine.all_traces r.Interp.Sim.engine ))
+             [ 1; 2; 3 ])
+         programs
+     in
+     List.concat_map
+       (fun (name, traces) ->
+         List.map
+           (fun fanout -> (Printf.sprintf "%s/fanout%d" name fanout, fanout, traces))
+           (overlay_fanouts (Array.length traces)))
+       (runs @ overlay_traces))
+
+(* (input, report line). *)
+let overlay_pinned =
+  [
+    ("examples/buggy_halo.hml+cc/seed1/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/buggy_halo.hml+cc/seed1/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/buggy_halo.hml+cc/seed2/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/buggy_halo.hml+cc/seed2/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/buggy_halo.hml+cc/seed3/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/buggy_halo.hml+cc/seed3/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/farm_racy_update.hml+cc/seed1/fanout2",
+     "match rounds 2 messages 12 1305dc80693d9c7810eecb7f8f8879c1");
+    ("examples/farm_racy_update.hml+cc/seed1/fanout4",
+     "match rounds 2 messages 8 780aaae6c4be21dfe50b1e7444aa1fd3");
+    ("examples/farm_racy_update.hml+cc/seed2/fanout2",
+     "match rounds 2 messages 12 1305dc80693d9c7810eecb7f8f8879c1");
+    ("examples/farm_racy_update.hml+cc/seed2/fanout4",
+     "match rounds 2 messages 8 780aaae6c4be21dfe50b1e7444aa1fd3");
+    ("examples/farm_racy_update.hml+cc/seed3/fanout2",
+     "match rounds 2 messages 12 1305dc80693d9c7810eecb7f8f8879c1");
+    ("examples/farm_racy_update.hml+cc/seed3/fanout4",
+     "match rounds 2 messages 8 780aaae6c4be21dfe50b1e7444aa1fd3");
+    ("examples/farm_rank_divergence.hml+cc/seed1/fanout2",
+     "match rounds 3 messages 18 53958e5b4295cb2a50b5fcbf1c27ce60");
+    ("examples/farm_rank_divergence.hml+cc/seed1/fanout4",
+     "match rounds 3 messages 12 18271a5cc5cebe8f83f651fbe3dc12f4");
+    ("examples/farm_rank_divergence.hml+cc/seed2/fanout2",
+     "match rounds 3 messages 18 53958e5b4295cb2a50b5fcbf1c27ce60");
+    ("examples/farm_rank_divergence.hml+cc/seed2/fanout4",
+     "match rounds 3 messages 12 18271a5cc5cebe8f83f651fbe3dc12f4");
+    ("examples/farm_rank_divergence.hml+cc/seed3/fanout2",
+     "match rounds 3 messages 18 53958e5b4295cb2a50b5fcbf1c27ce60");
+    ("examples/farm_rank_divergence.hml+cc/seed3/fanout4",
+     "match rounds 3 messages 12 18271a5cc5cebe8f83f651fbe3dc12f4");
+    ("examples/ibarrier_divergence.hml+cc/seed1/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/ibarrier_divergence.hml+cc/seed1/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/ibarrier_divergence.hml+cc/seed2/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/ibarrier_divergence.hml+cc/seed2/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/ibarrier_divergence.hml+cc/seed3/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/ibarrier_divergence.hml+cc/seed3/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/jacobi.hml+cc/seed1/fanout2",
+     "match rounds 11 messages 66 e30ed4e558dfb63a0d478580b0034ec8");
+    ("examples/jacobi.hml+cc/seed1/fanout4",
+     "match rounds 11 messages 44 b75fe25515f0880b44c3a6939f73bd5d");
+    ("examples/jacobi.hml+cc/seed2/fanout2",
+     "match rounds 11 messages 66 e30ed4e558dfb63a0d478580b0034ec8");
+    ("examples/jacobi.hml+cc/seed2/fanout4",
+     "match rounds 11 messages 44 b75fe25515f0880b44c3a6939f73bd5d");
+    ("examples/jacobi.hml+cc/seed3/fanout2",
+     "match rounds 11 messages 66 e30ed4e558dfb63a0d478580b0034ec8");
+    ("examples/jacobi.hml+cc/seed3/fanout4",
+     "match rounds 11 messages 44 b75fe25515f0880b44c3a6939f73bd5d");
+    ("examples/leaky_request.hml+cc/seed1/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/leaky_request.hml+cc/seed1/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/leaky_request.hml+cc/seed2/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/leaky_request.hml+cc/seed2/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/leaky_request.hml+cc/seed3/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/leaky_request.hml+cc/seed3/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/pipeline.hml+cc/seed1/fanout2",
+     "match rounds 6 messages 36 d9ae5ff09935074252a5c4f1de0fcafb");
+    ("examples/pipeline.hml+cc/seed1/fanout4",
+     "match rounds 6 messages 24 1a7604dba78692cdbb589f3fa37c41d4");
+    ("examples/pipeline.hml+cc/seed2/fanout2",
+     "match rounds 6 messages 36 d9ae5ff09935074252a5c4f1de0fcafb");
+    ("examples/pipeline.hml+cc/seed2/fanout4",
+     "match rounds 6 messages 24 1a7604dba78692cdbb589f3fa37c41d4");
+    ("examples/pipeline.hml+cc/seed3/fanout2",
+     "match rounds 6 messages 36 d9ae5ff09935074252a5c4f1de0fcafb");
+    ("examples/pipeline.hml+cc/seed3/fanout4",
+     "match rounds 6 messages 24 1a7604dba78692cdbb589f3fa37c41d4");
+    ("examples/racy_counter.hml+cc/seed1/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/racy_counter.hml+cc/seed1/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/racy_counter.hml+cc/seed2/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/racy_counter.hml+cc/seed2/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/racy_counter.hml+cc/seed3/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/racy_counter.hml+cc/seed3/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("examples/racy_flag.hml+cc/seed1/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/racy_flag.hml+cc/seed1/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/racy_flag.hml+cc/seed2/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/racy_flag.hml+cc/seed2/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/racy_flag.hml+cc/seed3/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/racy_flag.hml+cc/seed3/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/racy_ring.hml+cc/seed1/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/racy_ring.hml+cc/seed1/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/racy_ring.hml+cc/seed2/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("examples/racy_ring.hml+cc/seed2/fanout4",
+     "match rounds 0 messages 0 c767f4f69f4b30af02ed29de3e3a7856");
+    ("examples/racy_ring.hml+cc/seed3/fanout2",
+     "match rounds 1 messages 6 f0c924cf976bd91c88440bae62b251bd");
+    ("examples/racy_ring.hml+cc/seed3/fanout4",
+     "match rounds 1 messages 4 952a46a2b4e392c07f03d3763a9bcd4e");
+    ("catalog/BT-MZ+cc/seed1/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/BT-MZ+cc/seed1/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/BT-MZ+cc/seed2/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/BT-MZ+cc/seed2/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/BT-MZ+cc/seed3/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/BT-MZ+cc/seed3/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/SP-MZ+cc/seed1/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/SP-MZ+cc/seed1/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/SP-MZ+cc/seed2/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/SP-MZ+cc/seed2/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/SP-MZ+cc/seed3/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/SP-MZ+cc/seed3/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/LU-MZ+cc/seed1/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/LU-MZ+cc/seed1/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/LU-MZ+cc/seed2/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/LU-MZ+cc/seed2/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/LU-MZ+cc/seed3/fanout2",
+     "match rounds 10 messages 60 cadcf12941d57660567e07f4a7ee0e3e");
+    ("catalog/LU-MZ+cc/seed3/fanout4",
+     "match rounds 10 messages 40 a6196968bdfea04bdca986829a6d0eea");
+    ("catalog/EPCC suite+cc/seed1/fanout2",
+     "match rounds 17 messages 102 fb658191328dd8ed1ee0281c5d51e37b");
+    ("catalog/EPCC suite+cc/seed1/fanout4",
+     "match rounds 17 messages 68 0432cbe15ddc3c9505790503af3b43a0");
+    ("catalog/EPCC suite+cc/seed2/fanout2",
+     "match rounds 17 messages 102 fb658191328dd8ed1ee0281c5d51e37b");
+    ("catalog/EPCC suite+cc/seed2/fanout4",
+     "match rounds 17 messages 68 0432cbe15ddc3c9505790503af3b43a0");
+    ("catalog/EPCC suite+cc/seed3/fanout2",
+     "match rounds 17 messages 102 fb658191328dd8ed1ee0281c5d51e37b");
+    ("catalog/EPCC suite+cc/seed3/fanout4",
+     "match rounds 17 messages 68 0432cbe15ddc3c9505790503af3b43a0");
+    ("catalog/HERA+cc/seed1/fanout2",
+     "match rounds 66 messages 396 5f76ea4e34c5a4e24ee8812f5b6f9da4");
+    ("catalog/HERA+cc/seed1/fanout4",
+     "match rounds 66 messages 264 2c9af59bbf19868209e742e276d3f343");
+    ("catalog/HERA+cc/seed2/fanout2",
+     "match rounds 66 messages 396 5f76ea4e34c5a4e24ee8812f5b6f9da4");
+    ("catalog/HERA+cc/seed2/fanout4",
+     "match rounds 66 messages 264 2c9af59bbf19868209e742e276d3f343");
+    ("catalog/HERA+cc/seed3/fanout2",
+     "match rounds 66 messages 396 5f76ea4e34c5a4e24ee8812f5b6f9da4");
+    ("catalog/HERA+cc/seed3/fanout4",
+     "match rounds 66 messages 264 2c9af59bbf19868209e742e276d3f343");
+    ("traces/empty/fanout2",
+     "match rounds 0 messages 0 8918ca5f3affd67bb1c03bce474f7a28");
+    ("traces/empty/fanout3",
+     "match rounds 0 messages 0 fd3f1e7faf97291dbfa3175f6ff64f70");
+    ("traces/one-rank/fanout2",
+     "match rounds 3 messages 3 2b738843d0184e06675243ce1bd5ecfe");
+    ("traces/one-rank/fanout2",
+     "match rounds 3 messages 3 2b738843d0184e06675243ce1bd5ecfe");
+    ("traces/one-rank-empty/fanout2",
+     "match rounds 0 messages 0 730fef435544a838c4574e2ffc1097de");
+    ("traces/one-rank-empty/fanout2",
+     "match rounds 0 messages 0 730fef435544a838c4574e2ffc1097de");
+    ("traces/agree/fanout2",
+     "match rounds 4 messages 40 74bcd8a880c8fdc772b409c6f18e8bbd");
+    ("traces/agree/fanout5",
+     "match rounds 4 messages 20 33099221fe3a93f3279c323ae1470e19");
+    ("traces/ragged-short/fanout2",
+     "divergence rounds 2 messages 10 337e0b787d860f089e9bdd13c09d9271");
+    ("traces/ragged-short/fanout4",
+     "divergence rounds 2 messages 8 bddc794642922bbd33e863f458486551");
+    ("traces/ragged-empty/fanout2",
+     "divergence rounds 1 messages 3 00915877ff913fe44d131f4ebaf20144");
+    ("traces/ragged-empty/fanout3",
+     "divergence rounds 1 messages 3 4499ee94b717f3fe948244df2ad6c7eb");
+    ("traces/ragged-long/fanout2",
+     "divergence rounds 2 messages 10 0e6c7ecdd8a0485ae208759a9f51171c");
+    ("traces/ragged-long/fanout4",
+     "divergence rounds 2 messages 8 a728d13aa8c65a5d8a36ea66ef29e4d2");
+    ("traces/layer0-op/fanout2",
+     "divergence rounds 2 messages 8 941d30026768498aa7463082742d93d8");
+    ("traces/layer0-op/fanout3",
+     "divergence rounds 2 messages 6 88b5da40ac3be19bc00304a4e3b923c6");
+    ("traces/layer1-root/fanout2",
+     "divergence rounds 2 messages 12 456db70ea65aa3179fe0202710c7340c");
+    ("traces/layer1-root/fanout4",
+     "divergence rounds 2 messages 8 135edd8f55c08798d67832b1959385d0");
+    ("traces/layer2-kind/fanout2",
+     "divergence rounds 2 messages 28 79c2842ebbbba50cd0c96a9ecd0d2e8f");
+    ("traces/layer2-kind/fanout8",
+     "divergence rounds 2 messages 16 8240e5bfebc3484a39317e109b766931");
+    ("traces/three-groups/fanout2",
+     "divergence rounds 2 messages 20 11d014095f7db071fdb50cbc39dcdae1");
+    ("traces/three-groups/fanout7",
+     "divergence rounds 2 messages 14 a7777e1a3891d5f8ac7719e1d217597b");
   ]
 
 let suite =
@@ -1846,6 +2227,28 @@ let suite =
                           (Printf.sprintf "%s: [%s], pinned [%s]" name
                              (String.concat "; " got) (String.concat "; " pins)))
                 (Lazy.force explore_inputs)
+            in
+            Alcotest.(check (list string)) "mismatches" [] mismatches);
+      ] );
+    ( "golden.overlay",
+      [
+        Alcotest.test_case "every overlay input exists" `Quick (fun () ->
+            Alcotest.(check (list string))
+              "inputs" (List.map fst overlay_pinned)
+              (List.map (fun (name, _, _) -> name) (Lazy.force overlay_inputs)));
+        Alcotest.test_case "reports match their pins" `Quick (fun () ->
+            let mismatches =
+              List.filter_map
+                (fun (name, fanout, traces) ->
+                  match List.assoc_opt name overlay_pinned with
+                  | None -> None
+                  | Some pin ->
+                      let got =
+                        overlay_line (Mustlike.Overlay.check ~fanout traces)
+                      in
+                      if got = pin then None
+                      else Some (Printf.sprintf "%s: %s, pinned %s" name got pin))
+                (Lazy.force overlay_inputs)
             in
             Alcotest.(check (list string)) "mismatches" [] mismatches);
       ] );
