@@ -221,16 +221,63 @@ module SMap = Map.Make (String)
 type binding = { b_level : int; b_slot : int }
 
 (* [counter] allocates slots of the innermost frame; a new level (with a
-   fresh counter) opens per function body and per [parallel] body. *)
-type cenv = { vars : binding SMap.t; level : int; counter : int ref }
+   fresh counter) opens per function body and per [parallel] body.
+   [scope] holds the visible bindings of [vars] in declaration order,
+   relative to [level]: it is built as declarations happen, so a block
+   entry or a loop reuses it as it is. *)
+type cenv = {
+  vars : binding SMap.t;
+  level : int;
+  counter : int ref;
+  scope : scope;
+}
 
 let alloc cenv =
   let s = !(cenv.counter) in
   incr cenv.counter;
   s
 
+(* Bind [x] to [slot] of the innermost frame.  A shadowed binding of [x]
+   (an outer one, or an earlier declaration in the same block) leaves the
+   scope; the new one joins it at the end. *)
 let declare cenv x slot =
-  { cenv with vars = SMap.add x { b_level = cenv.level; b_slot = slot } cenv.vars }
+  let fresh = { v_hops = 0; v_slot = slot } in
+  let sc = cenv.scope in
+  let n = Array.length sc in
+  let scope =
+    match SMap.find_opt x cenv.vars with
+    | None ->
+        let a = Array.make (n + 1) fresh in
+        Array.blit sc 0 a 0 n;
+        a
+    | Some b ->
+        let hops = cenv.level - b.b_level in
+        let a = Array.make n fresh in
+        let j = ref 0 in
+        Array.iter
+          (fun v ->
+            if not (v.v_hops = hops && v.v_slot = b.b_slot) then begin
+              a.(!j) <- v;
+              incr j
+            end)
+          sc;
+        a
+  in
+  {
+    cenv with
+    vars = SMap.add x { b_level = cenv.level; b_slot = slot } cenv.vars;
+    scope;
+  }
+
+(* The environment of a [parallel] body: a new frame level, so every
+   visible binding is one more hop away. *)
+let enter_team cenv =
+  {
+    cenv with
+    level = cenv.level + 1;
+    counter = ref 0;
+    scope = Array.map (fun v -> { v with v_hops = v.v_hops + 1 }) cenv.scope;
+  }
 
 let find_var cenv x =
   match SMap.find_opt x cenv.vars with
@@ -239,13 +286,6 @@ let find_var cenv x =
 
 let cell_of cenv x =
   match find_var cenv x with Some vr -> CRef vr | None -> CUnbound x
-
-let scope_of cenv : scope =
-  Array.of_list
-    (SMap.fold
-       (fun _ b acc ->
-         { v_hops = cenv.level - b.b_level; v_slot = b.b_slot } :: acc)
-       cenv.vars [])
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -415,32 +455,24 @@ let coll_access_exprs (c : Ast.collective) =
 (* Statement compilation                                               *)
 (* ------------------------------------------------------------------ *)
 
-type ctx = {
-  uids : int Ast.Stmt_tbl.t;
-  next_uid : int ref;
-  resolve : string -> cfunc option;
-}
+type ctx = { next_uid : int ref; resolve : string -> cfunc option }
 
-(* Canonical uids, numbered in AST order (statement before its
-   sub-blocks; [If] then-branch first; sections in order; dedup on
-   physical identity), so they are the same in every run of the program:
+(* Canonical uids, numbered by a counter in the lowering walk, which is in
+   AST order (statement before its sub-blocks; [If] then-branch first;
+   sections in order), so they are the same in every run of the program:
    [single]-arbitration keys and fingerprints are comparable across
-   schedules. *)
-let uid_of ctx (s : Ast.stmt) =
-  match Ast.Stmt_tbl.find_opt ctx.uids s with
-  | Some u -> u
-  | None ->
-      let u = !(ctx.next_uid) in
-      incr ctx.next_uid;
-      Ast.Stmt_tbl.replace ctx.uids s u;
-      u
+   schedules.  Every statement position gets its own uid. *)
+let new_uid ctx =
+  let u = !(ctx.next_uid) in
+  incr ctx.next_uid;
+  u
 
 let dummy_cstmt = { uid = -1; site = "<dummy>"; acc = [||]; desc = CBarrier }
 
 let empty_cblock = { stmts = [||]; scopes = [| [||] |] }
 
 let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
-  let uid = uid_of ctx s in
+  let uid = new_uid ctx in
   let site = Loc.to_string s.Ast.sloc in
   let ev e = compile_expr cenv ~site e in
   let racc ?(w = []) es = Array.of_list (reads_of cenv es @ w) in
@@ -470,7 +502,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
         (CWhile
            {
              cond;
-             scope = scope_of cenv;
+             scope = cenv.scope;
              cacc;
              body = compile_block ctx cenv body;
            })
@@ -478,10 +510,9 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let acc = racc [ lo; hi ] in
       let lo = ev lo in
       let hi = ev hi in
-      let scope = scope_of cenv in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv x slot) body in
-      ret ~acc (CFor { slot; lo; hi; scope; body })
+      ret ~acc (CFor { slot; lo; hi; scope = cenv.scope; body })
   | Ast.Return -> ret CReturn
   | Ast.Call (fname, args) -> (
       match ctx.resolve fname with
@@ -567,9 +598,9 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let num_threads = Option.map ev num_threads in
       (* Team members get a private child frame: outer bindings stay
          visible (shared) one hop up; body declarations are private. *)
-      let counter = ref 0 in
-      let body = compile_block ctx { cenv with level = cenv.level + 1; counter } body in
-      ret ~acc (CPar { num_threads; nslots = !counter; body })
+      let team = enter_team cenv in
+      let body = compile_block ctx team body in
+      ret ~acc (CPar { num_threads; nslots = !(team.counter); body })
   | Ast.Omp_single { nowait; body } ->
       ret (CSingle { nowait; body = compile_block ctx cenv body })
   | Ast.Omp_master body -> ret (CMaster (compile_block ctx cenv body))
@@ -590,11 +621,11 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
             ( Some { r_op = op; r_shared; r_priv_slot },
               declare cenv x r_priv_slot )
       in
-      let kscope = scope_of cenv_in in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv_in var slot) body in
       ret ~acc
-        (CWsfor { slot; lo; hi; nowait; reduction; kscope; body })
+        (CWsfor
+           { slot; lo; hi; nowait; reduction; kscope = cenv_in.scope; body })
   | Ast.Omp_sections { nowait; sections } ->
       ret
         (CSections
@@ -609,18 +640,16 @@ and compile_block ctx cenv0 (b : Ast.block) : cblock =
   let stmts = Array.make n dummy_cstmt in
   let scopes = Array.make (n + 1) [||] in
   let cenv = ref cenv0 in
-  let cur_scope = ref (scope_of cenv0) in
   List.iteri
     (fun i s ->
-      scopes.(i) <- !cur_scope;
+      (* Only declarations change the scope: positions between them share
+         the same physical array. *)
+      scopes.(i) <- (!cenv).scope;
       let cs, cenv' = compile_stmt ctx !cenv s in
       stmts.(i) <- cs;
-      (* Only declarations change the visible bindings; share the scope
-         array physically otherwise. *)
-      if not ((!cenv).vars == cenv'.vars) then cur_scope := scope_of cenv';
       cenv := cenv')
     b;
-  scopes.(n) <- !cur_scope;
+  scopes.(n) <- (!cenv).scope;
   { stmts; scopes }
 
 (* ------------------------------------------------------------------ *)
@@ -646,11 +675,7 @@ let lower (program : Ast.program) : t =
       if not (Hashtbl.mem by_name cf.f_name) then Hashtbl.add by_name cf.f_name cf)
     pairs;
   let ctx =
-    {
-      uids = Ast.Stmt_tbl.create 256;
-      next_uid = ref 0;
-      resolve = (fun name -> Hashtbl.find_opt by_name name);
-    }
+    { next_uid = ref 0; resolve = (fun name -> Hashtbl.find_opt by_name name) }
   in
   (* Two passes: records first so call sites (including mutual recursion)
      resolve to their callee directly; bodies second, in program order, so
@@ -658,7 +683,7 @@ let lower (program : Ast.program) : t =
   List.iter
     (fun ((f : Ast.func), cf) ->
       let counter = ref 0 in
-      let cenv = { vars = SMap.empty; level = 0; counter } in
+      let cenv = { vars = SMap.empty; level = 0; counter; scope = [||] } in
       (* Parameters take slots 0..n-1, in declaration order (duplicates
          keep distinct slots; the last binding wins). *)
       let cenv =

@@ -55,14 +55,18 @@ let depth tree = Array.length tree.layers
 let max_fan_in tree =
   Array.fold_left
     (fun acc parents ->
-      let counts = Hashtbl.create 8 in
-      Array.iter
-        (fun p ->
-          Hashtbl.replace counts p
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
-        parents;
-      Hashtbl.fold (fun _ c acc -> max acc c) counts acc)
+      let counts = Array.make (Array.length parents) 0 in
+      Array.fold_left
+        (fun acc p ->
+          counts.(p) <- counts.(p) + 1;
+          max acc counts.(p))
+        acc parents)
     0 tree.layers
+
+(** Messages of a round on which every rank agrees: each node below the
+    root sends one (aggregated) signature to its parent. *)
+let full_round_messages tree =
+  Array.fold_left (fun acc layer -> acc + Array.length layer) 0 tree.layers
 
 (* Groups the elements of [items] (node_index, value) by parent according
    to [parents]; returns per-parent value lists in node order. *)
@@ -153,50 +157,78 @@ let reduce_round tree ~pos initial =
   let result = ascend 0 initial in
   (result, !messages)
 
-(* One checking round at stream position [pos]: each leaf contributes its
-   pos-th event (<no event> if exhausted). *)
-let check_round tree (traces : event array array) pos =
+(* Structural signature equality.  Signature descriptions are
+   injective, so this agrees with comparing them as strings. *)
+let same_signature ((k, o, r) : Mpisim.Coll.Intern.signature) (k', o', r') =
+  k = k'
+  && (match (o, o') with
+     | None, None -> true
+     | Some a, Some b -> a = b
+     | _ -> false)
+  && match (r, r') with
+     | None, None -> true
+     | Some a, Some b -> Int.equal a b
+     | _ -> false
+
+(* Whether every rank holds an event at stream position [pos] and all of
+   them carry rank 0's signature. *)
+let round_agrees (traces : event array array) pos =
+  let t0 = traces.(0) in
+  pos < Array.length t0
+  &&
+  let s = t0.(pos).Mpisim.Engine.signature in
+  let rec from r =
+    r >= Array.length traces
+    ||
+    let tr = traces.(r) in
+    pos < Array.length tr
+    && same_signature s tr.(pos).Mpisim.Engine.signature
+    && from (r + 1)
+  in
+  from 1
+
+(* The reduction of a disagreeing round at stream position [pos]: each
+   leaf contributes its pos-th event (<no event> if exhausted). *)
+let locate_round tree (traces : event array array) pos =
   let initial =
     List.init tree.nranks (fun rank ->
         let tr = traces.(rank) in
         let v = if pos < Array.length tr then Some tr.(pos) else None in
         (rank, (signature_string v, [ rank ])))
   in
-  reduce_round tree ~pos initial
+  match reduce_round tree ~pos initial with
+  | Ok _, _ -> assert false (* the signatures disagreed *)
+  | Error d, msgs -> (d, msgs)
 
 (** Check per-rank traces against each other over the overlay.
 
     All ranks must present the same signature at every stream position;
     the first position where they do not (including streams of different
-    lengths) is reported with the overlay node that detected it. *)
+    lengths) is reported with the overlay node that detected it.  Rounds
+    on which every rank agrees are compared structurally and cost
+    {!full_round_messages}; only the first disagreeing round renders
+    signatures and runs {!reduce_round}, as the streaming checker does. *)
 let check ?(fanout = 2) (traces : event list array) =
   let nranks = Array.length traces in
   let tree = build_tree ~fanout ~nranks in
   let traces = Array.map Array.of_list traces in
   let max_len = Array.fold_left (fun acc t -> max acc (Array.length t)) 0 traces in
-  let messages = ref 0 in
+  let full = full_round_messages tree in
+  let report verdict rounds messages =
+    {
+      verdict;
+      rounds;
+      messages;
+      tree_depth = depth tree;
+      tree_max_fan_in = max_fan_in tree;
+    }
+  in
   let rec run pos =
-    if pos >= max_len then
-      {
-        verdict = `Match max_len;
-        rounds = max_len;
-        messages = !messages;
-        tree_depth = depth tree;
-        tree_max_fan_in = max_fan_in tree;
-      }
+    if pos >= max_len then report (`Match max_len) max_len (pos * full)
+    else if round_agrees traces pos then run (pos + 1)
     else
-      let result, msgs = check_round tree traces pos in
-      messages := !messages + msgs;
-      match result with
-      | Ok _ -> run (pos + 1)
-      | Error d ->
-          {
-            verdict = `Divergence d;
-            rounds = pos + 1;
-            messages = !messages;
-            tree_depth = depth tree;
-            tree_max_fan_in = max_fan_in tree;
-          }
+      let d, msgs = locate_round tree traces pos in
+      report (`Divergence d) (pos + 1) ((pos * full) + msgs)
   in
   run 0
 

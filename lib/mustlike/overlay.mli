@@ -23,6 +23,10 @@ val depth : tree -> int
 (** Maximum fan-in over internal nodes: the busiest tool process's load. *)
 val max_fan_in : tree -> int
 
+(** Overlay messages of a round on which every rank agrees (one per node
+    below the root); both checkers charge it for each such round. *)
+val full_round_messages : tree -> int
+
 type divergence = {
   position : int;  (** Stream position of the first disagreement. *)
   layer : int;

@@ -94,9 +94,6 @@ let auto_fanout ~nranks =
 
 let retune_interval = 32
 
-let full_round_messages tree =
-  Array.fold_left (fun acc layer -> acc + Array.length layer) 0 tree.Overlay.layers
-
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -107,7 +104,7 @@ let coordinate t =
   let n = t.nranks in
   let fanout = ref t.init_fanout in
   let tree = ref (Overlay.build_tree ~fanout:!fanout ~nranks:n) in
-  let full = ref (full_round_messages !tree) in
+  let full = ref (Overlay.full_round_messages !tree) in
   (* Per-rank batch carries: ids drained from the mailboxes but not yet
      reduced.  [len.(r) < nrounds] is only possible for an ended rank,
      whose remaining rounds contribute [Intern.no_event]. *)
@@ -276,7 +273,7 @@ let coordinate t =
                 if fanout' <> !fanout then begin
                   fanout := fanout';
                   tree := Overlay.build_tree ~fanout:fanout' ~nranks:n;
-                  full := full_round_messages !tree;
+                  full := Overlay.full_round_messages !tree;
                   incr retunes
                 end;
                 fill_rounds := 0;

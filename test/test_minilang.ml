@@ -339,6 +339,40 @@ let helper_tests =
             (Loc.make ~file:"dir/a b.hml" ~line:120_000 ~col:0, "dir/a b.hml:120000:0");
             (Loc.make ~file:"x" ~line:(-1) ~col:12, "x:-1:12");
           ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"loc to_string agrees with Printf" ~count:1000
+         (QCheck.make
+            ~print:(fun (l : Loc.t) ->
+              Printf.sprintf "{file=%S; line=%d; col=%d}" l.file l.line l.col)
+            QCheck.Gen.(
+              let file =
+                oneof
+                  [
+                    return "";
+                    return ":";
+                    return "a:b:";
+                    return "caf\xc3\xa9/\xff\x00.hml";
+                    string_size ~gen:char (int_bound 12);
+                  ]
+              in
+              let coord =
+                oneof
+                  [
+                    return 0;
+                    int_range 1 99;
+                    int_range 0 max_int;
+                    map (fun d -> max_int - d) (int_bound 1000);
+                    map (fun e -> 1 lsl e) (int_range 0 61);
+                  ]
+              in
+              map3
+                (fun file line col -> Loc.make ~file ~line ~col)
+                file coord coord))
+         (fun l ->
+           if Loc.is_none l then String.equal (Loc.to_string l) l.file
+           else
+             String.equal (Loc.to_string l)
+               (Printf.sprintf "%s:%d:%d" l.file l.line l.col)));
   ]
 
 let suite =
