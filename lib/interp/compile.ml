@@ -495,8 +495,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       let bf = compile_block ctx cenv bf in
       ret ~acc:(racc [ c ]) (CIf (cond, bt, bf))
   | Ast.While (c, body) ->
-      (* Loop conditions report errors at site "<while>". *)
-      let cond = compile_expr cenv ~site:"<while>" c in
+      let cond = ev c in
       let cacc = racc [ c ] in
       ret ~acc:cacc
         (CWhile

@@ -71,6 +71,24 @@ let seq_tests =
         match result.Sim.outcome with
         | Sim.Fault (Sim.Eval_error _) -> ()
         | o -> Alcotest.failf "expected eval fault, got %s" (Sim.outcome_to_string o));
+    Alcotest.test_case "while-condition errors report the loop's site" `Quick
+      (fun () ->
+        (* The first evaluation, then a re-evaluation at the loop back. *)
+        List.iter
+          (fun (src, expected) ->
+            let result = run ~nranks:1 src in
+            Alcotest.(check string)
+              "outcome" expected
+              (Sim.outcome_to_string result.Sim.outcome))
+          [
+            ( "func main() {\n  var x = 0;\n  while (1 / x > 0) { x = x + 1; }\n}",
+              "runtime fault: evaluation error on rank 0 at test:3:3: division \
+               by zero" );
+            ( "func main() {\n  var x = 2;\n\n\
+              \  while (4 % x == 0) { x = x - 1; x = x - 1; }\n}",
+              "runtime fault: evaluation error on rank 0 at test:4:3: modulo by \
+               zero" );
+          ]);
     Alcotest.test_case "step limit triggers on infinite loop" `Quick (fun () ->
         let result =
           run ~nranks:1 ~max_steps:1000 "func main() { while (true) { compute(1); } }"
