@@ -14,8 +14,8 @@
       frame.  Privatized variables (loop indices, [reduction] private
       copies) get fresh slots.
     - {b Sites and uids} ([Loc.to_string], a canonical statement
-      numbering in AST order, pre-rendered CC-check site strings) are
-      computed exactly once, never per replay.
+      numbering drawn from a counter in AST order, pre-rendered CC-check
+      site strings) are computed exactly once, never per replay.
     - {b Callees, collective descriptors and reduction operators} are
       resolved to direct pointers/values; call errors (unknown function,
       arity) become pre-rendered error statements so dead code still
@@ -24,9 +24,10 @@
       dispatch on [Ast.expr].
 
     For state fingerprints, each program point also carries its scope:
-    the locations of the variables visible there, whose values the
-    fingerprint hashes next to the point's statement uid (see
-    docs/PERFORMANCE.md, "The fingerprint contract"). *)
+    the locations of the variables visible there, in declaration order,
+    whose values the fingerprint hashes next to the point's statement
+    uid (see docs/PERFORMANCE.md, "The fingerprint contract").  Scopes
+    are extended as declarations are compiled, never rebuilt. *)
 
 open Minilang
 
@@ -82,7 +83,7 @@ type vref = { v_hops : int; v_slot : int }
     harmless. *)
 type cell_ref = CRef of vref | CUnbound of string
 
-(** The variables visible at a program point, in a fixed order. *)
+(** The variables visible at a program point, in declaration order. *)
 type scope = vref array
 
 (** A resolved variable access a statement performs, kept alongside the
@@ -241,32 +242,18 @@ let alloc cenv =
    (an outer one, or an earlier declaration in the same block) leaves the
    scope; the new one joins it at the end. *)
 let declare cenv x slot =
-  let fresh = { v_hops = 0; v_slot = slot } in
-  let sc = cenv.scope in
-  let n = Array.length sc in
-  let scope =
+  let visible =
     match SMap.find_opt x cenv.vars with
-    | None ->
-        let a = Array.make (n + 1) fresh in
-        Array.blit sc 0 a 0 n;
-        a
+    | None -> cenv.scope
     | Some b ->
-        let hops = cenv.level - b.b_level in
-        let a = Array.make n fresh in
-        let j = ref 0 in
-        Array.iter
-          (fun v ->
-            if not (v.v_hops = hops && v.v_slot = b.b_slot) then begin
-              a.(!j) <- v;
-              incr j
-            end)
-          sc;
-        a
+        let shadowed = { v_hops = cenv.level - b.b_level; v_slot = b.b_slot } in
+        Array.of_list
+          (List.filter (fun v -> v <> shadowed) (Array.to_list cenv.scope))
   in
   {
     cenv with
     vars = SMap.add x { b_level = cenv.level; b_slot = slot } cenv.vars;
-    scope;
+    scope = Array.append visible [| { v_hops = 0; v_slot = slot } |];
   }
 
 (* The environment of a [parallel] body: a new frame level, so every

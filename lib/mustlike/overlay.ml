@@ -109,9 +109,10 @@ let signature_string = function
    [pos]: ascend layer by layer, merging equal signatures and localizing
    the first conflicting node.  Returns the messages used and either the
    agreed signature or the localized divergence.  This is the shared
-   core: the post-hoc checker runs it every round, the streaming checker
-   ({!Stream}) replays it only on the diverging round it detects online,
-   so both produce identical reports. *)
+   core: both checkers find the first disagreeing round cheaply (the
+   post-hoc one structurally, the streaming one ({!Stream}) on interned
+   ids) and run it only on that round, so both produce identical
+   reports. *)
 let reduce_round tree ~pos initial =
   let messages = ref 0 in
   let rec ascend layer items =
@@ -160,15 +161,7 @@ let reduce_round tree ~pos initial =
 (* Structural signature equality.  Signature descriptions are
    injective, so this agrees with comparing them as strings. *)
 let same_signature ((k, o, r) : Mpisim.Coll.Intern.signature) (k', o', r') =
-  k = k'
-  && (match (o, o') with
-     | None, None -> true
-     | Some a, Some b -> a = b
-     | _ -> false)
-  && match (r, r') with
-     | None, None -> true
-     | Some a, Some b -> Int.equal a b
-     | _ -> false
+  k = k' && Option.equal ( = ) o o' && Option.equal Int.equal r r'
 
 (* Whether every rank holds an event at stream position [pos] and all of
    them carry rank 0's signature. *)

@@ -58,7 +58,9 @@ val reduce_round :
   (string, divergence) result * int
 
 (** Check that all per-rank streams carry the same ordered signature
-    sequence; the first divergence is localized in the overlay. *)
+    sequence; the first divergence is localized in the overlay.  Agreeing
+    rounds are compared structurally; only the first disagreeing one is
+    rendered and run through {!reduce_round}. *)
 val check : ?fanout:int -> event list array -> report
 
 (** Post-mortem check of everything a simulated MPI engine recorded. *)

@@ -20,11 +20,11 @@
       verdicts are identical for every shard count.
     - {e Divergence}: the first disagreeing round is replayed through
       {!Overlay.reduce_round} — the exact reduction the post-hoc checker
-      runs every round — so verdict, divergence position, layer, node
-      and groups are byte-identical to {!Overlay.check} on the same
-      traces with the same fanout.  After a divergence the coordinator
-      drains and discards the remaining input so producers never block
-      on a dead checker.
+      runs on its first disagreeing round — so verdict, divergence
+      position, layer, node and groups are byte-identical to
+      {!Overlay.check} on the same traces with the same fanout.  After a
+      divergence the coordinator drains and discards the remaining input
+      so producers never block on a dead checker.
     - {e Load-aware reconfiguration} ([adapt:true]): every
       {!retune_interval} batches the coordinator looks at the observed
       batch occupancy.  Consistently full batches mean the reduction is
