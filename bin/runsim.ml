@@ -49,6 +49,7 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
   check_at_least "branch-depth" ~min:0 branch_depth;
   check_at_least "budget" ~min:1 budget;
   check_at_least "explore-jobs" ~min:1 explore_jobs;
+  check_at_least "overlay-fanout" ~min:2 overlay_fanout;
   let print_issue i = Fmt.epr "%s@." (Minilang.Validate.issue_to_string i) in
   let program =
     match
@@ -277,20 +278,8 @@ let overlay =
            $(i,posthoc) checks the recorded traces after the run.")
 
 let overlay_fanout =
-  let cv =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 2 -> Ok n
-          | Some n ->
-              Error
-                (`Msg (Printf.sprintf "overlay fanout must be >= 2 (got %d)" n))
-          | None -> Error (`Msg (Printf.sprintf "invalid overlay fanout %S" s))
-        ),
-        Fmt.int )
-  in
   Arg.(
-    value & opt cv 2
+    value & opt int 2
     & info [ "overlay-fanout" ] ~docv:"N"
         ~doc:
           "Fan-out of the overlay tree used by $(b,--overlay) and \

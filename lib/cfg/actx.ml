@@ -62,8 +62,6 @@ let rpo_backward =
     (fun t v -> t.rpo_backward <- Some v)
     (fun t -> Traversal.rpo_backward_array t.graph)
 
-let rpo_list t = Array.to_list (rpo t)
-
 let dom =
   memo
     (fun t -> t.dom)

@@ -19,8 +19,6 @@ val rpo : t -> int array
 (** Reverse postorder on the edge-reversed graph from the exit, cached. *)
 val rpo_backward : t -> int array
 
-val rpo_list : t -> int list
-
 (** Forward dominator tree, cached. *)
 val dom : t -> Dominance.t
 

@@ -54,8 +54,3 @@ let to_dot ?(annot = fun _ -> None) g =
         (succs g n.id));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file path g =
-  let oc = open_out path in
-  output_string oc (to_dot g);
-  close_out oc

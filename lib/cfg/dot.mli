@@ -6,5 +6,3 @@ val escape : string -> string
 (** [to_dot ?annot g]: [annot id] may add an extra label line per node
     (e.g. its parallelism word). *)
 val to_dot : ?annot:(int -> string option) -> Graph.t -> string
-
-val write_file : string -> Graph.t -> unit

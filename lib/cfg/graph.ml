@@ -312,16 +312,3 @@ let kind_label g id =
 (** Collective nodes of the graph, in id order. *)
 let collective_nodes g =
   filter_nodes g (function Collective _ -> true | _ -> false)
-
-(** Ids of [Omp_begin] nodes, i.e. the region identifiers. *)
-let region_begin_nodes g =
-  filter_nodes g (function Omp_begin _ -> true | _ -> false)
-
-(** The [Omp_end] node matching region [r], if the region is well-formed. *)
-let region_end_node g r =
-  let found =
-    filter_nodes g (function
-      | Omp_end { region; _ } -> region = r
-      | _ -> false)
-  in
-  match found with [ e ] -> Some e | _ -> None

@@ -133,9 +133,3 @@ val kind_label : t -> int -> string
 
 (** Collective nodes, in id order. *)
 val collective_nodes : t -> int list
-
-(** [Omp_begin] node ids, i.e. the region identifiers. *)
-val region_begin_nodes : t -> int list
-
-(** The [Omp_end] matching region [r], if well-formed. *)
-val region_end_node : t -> int -> int option

@@ -64,7 +64,3 @@ let detect ?dom g =
       { header; back_edges = edges; body = body_of header edges } :: acc)
     by_header []
   |> List.sort (fun a b -> Int.compare a.header b.header)
-
-(** Does any loop of [g] contain node [id]? *)
-let node_in_loop loops id =
-  List.exists (fun l -> List.mem id l.body) loops

@@ -10,5 +10,3 @@ type loop = {
     given, must be the forward dominator tree of the graph (e.g. cached in
     {!Actx}); it is computed otherwise. *)
 val detect : ?dom:Dominance.t -> Graph.t -> loop list
-
-val node_in_loop : loop list -> int -> bool

@@ -54,12 +54,6 @@ let rpo_backward_array g =
   let n = Array.length po in
   Array.init n (fun i -> po.(n - 1 - i))
 
-(** List versions kept for convenience (and compatibility). *)
-let postorder g ~root ~backward =
-  Array.to_list (postorder_array g ~root ~backward)
-
-let reverse_postorder g = Array.to_list (rpo_array g)
-
 (** Nodes reachable from the entry. *)
 let reachable g =
   freeze g;
@@ -81,23 +75,6 @@ let reachable g =
         end)
   done;
   seen
-
-(** Breadth-first distance (edge count) from the entry; [-1] if
-    unreachable. *)
-let bfs_distance g =
-  let dist = Array.make (nb_nodes g) (-1) in
-  let q = Queue.create () in
-  dist.(g.entry) <- 0;
-  Queue.add g.entry q;
-  while not (Queue.is_empty q) do
-    let id = Queue.pop q in
-    iter_succs g id (fun s ->
-        if dist.(s) < 0 then begin
-          dist.(s) <- dist.(id) + 1;
-          Queue.add s q
-        end)
-  done;
-  dist
 
 (** [path_exists g a b] tests reachability of [b] from [a] along
     successor edges. *)

@@ -11,16 +11,7 @@ val rpo_array : Graph.t -> int array
 (** Reverse postorder on the edge-reversed graph, from the exit. *)
 val rpo_backward_array : Graph.t -> int array
 
-(** List version of {!postorder_array}. *)
-val postorder : Graph.t -> root:int -> backward:bool -> int list
-
-(** List version of {!rpo_array}. *)
-val reverse_postorder : Graph.t -> int list
-
 (** Reachability from the entry, indexed by node id. *)
 val reachable : Graph.t -> bool array
-
-(** BFS edge distance from the entry; [-1] if unreachable. *)
-val bfs_distance : Graph.t -> int array
 
 val path_exists : Graph.t -> int -> int -> bool

@@ -251,20 +251,6 @@ let collective_color = function
 
 let cc_return_color = 0
 
-let all_collective_names =
-  [
-    "MPI_Barrier";
-    "MPI_Bcast";
-    "MPI_Reduce";
-    "MPI_Allreduce";
-    "MPI_Gather";
-    "MPI_Scatter";
-    "MPI_Allgather";
-    "MPI_Alltoall";
-    "MPI_Scan";
-    "MPI_Reduce_scatter";
-  ]
-
 (** The MPI name of a split-phase operation start. *)
 let request_op_name = function
   | Ibarrier -> "MPI_Ibarrier"

@@ -143,8 +143,6 @@ val collective_color : collective -> int
 
 val cc_return_color : int
 
-val all_collective_names : string list
-
 (** MPI name of a split-phase start ("MPI_Ibarrier", ...). *)
 val request_op_name : request_op -> string
 

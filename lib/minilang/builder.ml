@@ -22,10 +22,6 @@ let tid = Tid
 
 let nthreads = Nthreads
 
-let neg e = Unop (Neg, e)
-
-let not_ e = Unop (Not, e)
-
 (* Expression operators use a ':' suffix so the Stdlib integer operators
    stay available in generator code that opens this module. *)
 
@@ -152,9 +148,6 @@ let sections ?(nowait = false) sections_list =
 let func ?(params = []) fname body = { fname; params; body; floc = Loc.builder }
 
 let program funcs = { funcs }
-
-(** Single-function program named [main]. *)
-let main_program body = program [ func "main" body ]
 
 (** [number_lines p] assigns each statement a distinct synthetic line
     number (depth-first order), so that warnings on generated programs can

@@ -19,10 +19,6 @@ val tid : Ast.expr
 
 val nthreads : Ast.expr
 
-val neg : Ast.expr -> Ast.expr
-
-val not_ : Ast.expr -> Ast.expr
-
 val ( +: ) : Ast.expr -> Ast.expr -> Ast.expr
 
 val ( -: ) : Ast.expr -> Ast.expr -> Ast.expr
@@ -151,8 +147,6 @@ val sections : ?nowait:bool -> Ast.block list -> Ast.stmt
 val func : ?params:string list -> string -> Ast.block -> Ast.func
 
 val program : Ast.func list -> Ast.program
-
-val main_program : Ast.block -> Ast.program
 
 (** Assign each builder-located statement a distinct synthetic line
     number (depth-first order), so warnings on generated programs name

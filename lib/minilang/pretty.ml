@@ -188,5 +188,3 @@ let pp_program ppf p =
   Fmt.pf ppf "%a@\n" (Fmt.list ~sep:(Fmt.any "@\n@\n") pp_func) p.funcs
 
 let program_to_string p = Fmt.str "%a" pp_program p
-
-let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s

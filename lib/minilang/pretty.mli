@@ -23,5 +23,3 @@ val pp_func : Ast.func Fmt.t
 val pp_program : Ast.program Fmt.t
 
 val program_to_string : Ast.program -> string
-
-val stmt_to_string : Ast.stmt -> string

@@ -31,20 +31,6 @@ let kind_name = function
   | Reduce_scatter -> "MPI_Reduce_scatter"
   | Cc_check -> "PARCOACH_CC"
 
-let kind_of_name = function
-  | "MPI_Barrier" -> Some Barrier
-  | "MPI_Bcast" -> Some Bcast
-  | "MPI_Reduce" -> Some Reduce
-  | "MPI_Allreduce" -> Some Allreduce
-  | "MPI_Gather" -> Some Gather
-  | "MPI_Scatter" -> Some Scatter
-  | "MPI_Allgather" -> Some Allgather
-  | "MPI_Alltoall" -> Some Alltoall
-  | "MPI_Scan" -> Some Scan
-  | "MPI_Reduce_scatter" -> Some Reduce_scatter
-  | "PARCOACH_CC" -> Some Cc_check
-  | _ -> None
-
 type call = {
   kind : kind;
   op : Op.t option;  (** For reductions. *)

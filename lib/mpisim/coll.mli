@@ -19,8 +19,6 @@ type kind =
 
 val kind_name : kind -> string
 
-val kind_of_name : string -> kind option
-
 type call = {
   kind : kind;
   op : Op.t option;  (** For reductions. *)

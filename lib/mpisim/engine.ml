@@ -100,8 +100,6 @@ let nranks t = t.nranks
     subscriber at a time; subscribing replaces the previous hook. *)
 let subscribe t f = t.hook <- Some f
 
-let unsubscribe t = t.hook <- None
-
 (** [set_retention t false] stops accumulating per-rank traces (and
     drops what was recorded so far): a subscribed streaming checker then
     bounds the job's checking memory instead of the full trace.

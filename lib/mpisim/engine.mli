@@ -49,8 +49,6 @@ val nranks : t -> int
     time; subscribing replaces the previous hook. *)
 val subscribe : t -> (rank:int -> trace_event -> unit) -> unit
 
-val unsubscribe : t -> unit
-
 (** [set_retention t false] stops accumulating the per-rank traces (and
     drops what was recorded so far), so a subscribed streaming checker
     bounds the job's checking memory instead of the full trace.  Default

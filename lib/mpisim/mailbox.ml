@@ -16,7 +16,6 @@ type t = {
   nranks : int;
   queues : message Queue.t array;  (** One inbox per destination rank. *)
   mutable sent : int;
-  mutable received : int;
 }
 
 let create ~nranks =
@@ -25,7 +24,6 @@ let create ~nranks =
     nranks;
     queues = Array.init nranks (fun _ -> Queue.create ());
     sent = 0;
-    received = 0;
   }
 
 let check_rank t what rank =
@@ -62,11 +60,7 @@ let take_matching t ~dst ~src ~tag =
 let recv t ~dst ~src ~tag =
   check_rank t "destination" dst;
   if src <> any_source then check_rank t "source" src;
-  match take_matching t ~dst ~src ~tag with
-  | Some m ->
-      t.received <- t.received + 1;
-      Some m
-  | None -> None
+  take_matching t ~dst ~src ~tag
 
 (** Undelivered messages sitting in [rank]'s inbox. *)
 let pending t rank = Queue.length t.queues.(rank)
@@ -79,5 +73,3 @@ let inbox t rank =
   List.of_seq (Queue.to_seq t.queues.(rank))
 
 let sent_count t = t.sent
-
-let received_count t = t.received

@@ -32,5 +32,3 @@ val pending : t -> int -> int
 val inbox : t -> int -> message list
 
 val sent_count : t -> int
-
-val received_count : t -> int

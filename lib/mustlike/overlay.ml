@@ -104,23 +104,15 @@ let signature_string = function
   | Some (e : event) ->
       Mpisim.Coll.signature_to_string e.Mpisim.Engine.signature
 
-(* One overlay reduction over per-leaf contributions
-   [(node index, (signature description, ranks))] at stream position
-   [pos]: ascend layer by layer, merging equal signatures and localizing
-   the first conflicting node.  Returns the messages used and either the
-   agreed signature or the localized divergence.  This is the shared
-   core: both checkers find the first disagreeing round cheaply (the
-   post-hoc one structurally, the streaming one ({!Stream}) on interned
-   ids) and run it only on that round, so both produce identical
-   reports. *)
-let reduce_round tree ~pos initial =
+(* One overlay reduction of the round at stream position [pos], where
+   leaf [r] contributes the signature description [sigs.(r)]: ascend
+   layer by layer, merging equal signatures, and localize the first
+   conflicting node.  Returns that divergence (None if the root is
+   reached with one aggregated signature) and the messages used. *)
+let reduce_round tree ~pos sigs =
   let messages = ref 0 in
   let rec ascend layer items =
-    if layer >= Array.length tree.layers then
-      (* Root reached with a single aggregated signature. *)
-      match items with
-      | [ (_, (s, _)) ] -> Ok s
-      | _ -> assert false
+    if layer >= Array.length tree.layers then None
     else
       let parents = tree.layers.(layer) in
       let grouped = group_by_parent parents items in
@@ -152,11 +144,11 @@ let reduce_round tree ~pos initial =
                 conflict := Some { position = pos; layer; node = parent; groups = distinct })
         grouped;
       match !conflict with
-      | Some d -> Error d
+      | Some _ as d -> d
       | None -> ascend (layer + 1) (List.rev !next_items)
   in
-  let result = ascend 0 initial in
-  (result, !messages)
+  let d = ascend 0 (List.init tree.nranks (fun r -> (r, (sigs.(r), [ r ])))) in
+  (d, !messages)
 
 (* Structural signature equality.  Signature descriptions are
    injective, so this agrees with comparing them as strings. *)
@@ -180,48 +172,52 @@ let round_agrees (traces : event array array) pos =
   in
   from 1
 
-(* The reduction of a disagreeing round at stream position [pos]: each
-   leaf contributes its pos-th event (<no event> if exhausted). *)
-let locate_round tree (traces : event array array) pos =
-  let initial =
-    List.init tree.nranks (fun rank ->
-        let tr = traces.(rank) in
-        let v = if pos < Array.length tr then Some tr.(pos) else None in
-        (rank, (signature_string v, [ rank ])))
+(** The report of a run whose first [agreed] rounds agree on every
+    rank, given the per-rank signature descriptions of the first
+    disagreeing round if there is one.  The one report constructor: both
+    checkers find that round cheaply (the post-hoc one structurally,
+    {!Stream} on interned ids) and hand it here, so their reports are
+    identical by construction. *)
+let report_of_rounds tree ~agreed diverging =
+  let full = full_round_messages tree in
+  let verdict, rounds, messages =
+    match diverging with
+    | None -> (`Match agreed, agreed, agreed * full)
+    | Some sigs -> (
+        match reduce_round tree ~pos:agreed sigs with
+        | Some d, msgs -> (`Divergence d, agreed + 1, (agreed * full) + msgs)
+        | None, _ -> invalid_arg "Overlay.report_of_rounds: signatures agree")
   in
-  match reduce_round tree ~pos initial with
-  | Ok _, _ -> assert false (* the signatures disagreed *)
-  | Error d, msgs -> (d, msgs)
+  {
+    verdict;
+    rounds;
+    messages;
+    tree_depth = depth tree;
+    tree_max_fan_in = max_fan_in tree;
+  }
 
 (** Check per-rank traces against each other over the overlay.
 
     All ranks must present the same signature at every stream position;
     the first position where they do not (including streams of different
     lengths) is reported with the overlay node that detected it.  Rounds
-    on which every rank agrees are compared structurally and cost
-    {!full_round_messages}; only the first disagreeing round renders
-    signatures and runs {!reduce_round}, as the streaming checker does. *)
+    are compared structurally; only the first disagreeing one renders
+    its signatures for {!report_of_rounds}. *)
 let check ?(fanout = 2) (traces : event list array) =
-  let nranks = Array.length traces in
-  let tree = build_tree ~fanout ~nranks in
+  let tree = build_tree ~fanout ~nranks:(Array.length traces) in
   let traces = Array.map Array.of_list traces in
   let max_len = Array.fold_left (fun acc t -> max acc (Array.length t)) 0 traces in
-  let full = full_round_messages tree in
-  let report verdict rounds messages =
-    {
-      verdict;
-      rounds;
-      messages;
-      tree_depth = depth tree;
-      tree_max_fan_in = max_fan_in tree;
-    }
-  in
   let rec run pos =
-    if pos >= max_len then report (`Match max_len) max_len (pos * full)
+    if pos >= max_len then report_of_rounds tree ~agreed:max_len None
     else if round_agrees traces pos then run (pos + 1)
     else
-      let d, msgs = locate_round tree traces pos in
-      report (`Divergence d) (pos + 1) ((pos * full) + msgs)
+      report_of_rounds tree ~agreed:pos
+        (Some
+           (Array.map
+              (fun tr ->
+                signature_string
+                  (if pos < Array.length tr then Some tr.(pos) else None))
+              traces))
   in
   run 0
 

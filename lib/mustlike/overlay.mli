@@ -1,8 +1,9 @@
 (** MUST-style collective matching over a tree-based overlay network
     (Hilbrich et al., EuroMPI 2013 — reference [2] of the paper); a
     centralized Marmot-like checker is the degenerate overlay with fan-out
-    equal to the process count.  Consumes the per-rank traces recorded by
-    {!Mpisim.Engine}. *)
+    equal to the process count.  {!check} consumes the per-rank traces
+    recorded by {!Mpisim.Engine} after the run; {!Stream} checks the same
+    events online.  Both build their report with {!report_of_rounds}. *)
 
 type event = Mpisim.Engine.trace_event
 
@@ -23,10 +24,6 @@ val depth : tree -> int
 (** Maximum fan-in over internal nodes: the busiest tool process's load. *)
 val max_fan_in : tree -> int
 
-(** Overlay messages of a round on which every rank agrees (one per node
-    below the root); both checkers charge it for each such round. *)
-val full_round_messages : tree -> int
-
 type divergence = {
   position : int;  (** Stream position of the first disagreement. *)
   layer : int;
@@ -44,23 +41,22 @@ type report = {
   tree_max_fan_in : int;
 }
 
-(** One overlay reduction over per-leaf contributions
-    [(node index, (signature description, ranks))] at stream position
-    [pos]: ascend layer by layer, merging equal signatures, and either
-    return the agreed signature or localize the first conflicting node.
-    Also returns the overlay messages the round used.  Shared core of
-    the post-hoc checker and the streaming checker's ({!Stream})
-    divergence localization, which keeps their reports identical. *)
-val reduce_round :
-  tree ->
-  pos:int ->
-  (int * (string * int list)) list ->
-  (string, divergence) result * int
+(** [report_of_rounds tree ~agreed diverging]: the report of a run whose
+    first [agreed] rounds agree on every rank.  [diverging] is [None]
+    when there were no further rounds, otherwise [Some sigs] with
+    [sigs.(r)] rank [r]'s signature description at round [agreed]
+    (["<no event>"] for an ended stream); that round is reduced over
+    the tree to localize the conflict.  Each agreeing round costs one
+    message per node below the root.  The only constructor of
+    {!report}: both checkers find their first disagreeing round
+    cheaply and build the report here, so they agree byte for byte.
+    @raise Invalid_argument if the [sigs] all agree. *)
+val report_of_rounds : tree -> agreed:int -> string array option -> report
 
 (** Check that all per-rank streams carry the same ordered signature
     sequence; the first divergence is localized in the overlay.  Agreeing
     rounds are compared structurally; only the first disagreeing one is
-    rendered and run through {!reduce_round}. *)
+    rendered and passed to {!report_of_rounds}. *)
 val check : ?fanout:int -> event list array -> report
 
 (** Post-mortem check of everything a simulated MPI engine recorded. *)

@@ -1,13 +1,13 @@
 (** Streaming MUST-style overlay checker: the online form of {!Overlay}.
 
-    Ranks push collective events as they happen into bounded per-leaf
-    mailboxes; a coordinator domain drains them in batches, compares
-    interned signature ids (integers, not strings), and optionally
-    shards the scan over {!Serve.Pool} worker domains.  Backpressure: a
-    full mailbox blocks its producer, so in-flight memory is
-    O(window × nranks) regardless of trace length.  Verdicts,
-    divergence localization and cost metrics are byte-identical to
-    {!Overlay.check} on the same traces with the same (fixed) fanout. *)
+    Ranks push collective events as they happen into bounded per-rank
+    {!Ring} mailboxes; a coordinator domain drains them in batches and
+    compares interned signature ids (integers, not strings).
+    Backpressure: a full mailbox blocks its producer, so in-flight memory
+    is O(window × nranks) regardless of trace length.  The report comes
+    from {!Overlay.report_of_rounds}, the builder {!Overlay.check} uses,
+    so it is byte-identical to the post-hoc one on the same traces with
+    the same fanout. *)
 
 type stats = {
   events : int;  (** Events consumed before the verdict was reached. *)
@@ -18,46 +18,21 @@ type stats = {
       (** Largest buffered event count (mailboxes + batch carries)
           observed at a batch boundary; hard bound
           [(window + batch) * nranks]. *)
-  retunes : int;  (** Load-aware tree reconfigurations performed. *)
   distinct_signatures : int;  (** Intern-table size at the end. *)
-  final_fanout : int;  (** Fanout of the tree after the last retune. *)
-  shards : int;
-  window : int;
-  batch : int;
 }
 
 type t
 
-(** Load-aware default fanout for [nranks] leaves: ⌈√nranks⌉ clamped to
-    [2, 16] — at most two overlay layers for typical rank counts without
-    letting any single tool node serve an unbounded fan-in. *)
-val auto_fanout : nranks:int -> int
+(** [create ~fanout ~nranks ()] spawns the coordinator domain and
+    returns a live checker.
 
-(** [create ~nranks ()] spawns the coordinator domain and returns a live
-    checker.
-
-    @param fanout overlay tree fanout (default {!auto_fanout}; >= 2).
+    @param fanout overlay tree fanout (>= 2).
     @param window per-rank mailbox capacity — the divergence window and
       backpressure bound (default 1024; >= 2).
     @param batch maximum rounds reduced per coordinator wake-up
       (default 256; >= 1).
-    @param shards internal-node shards run on a {!Serve.Pool} of domains
-      (default 1 = scan inline; clamped to [nranks]).  The verdict is
-      independent of the shard count.
-    @param adapt enable load-aware tree reconfiguration (default
-      [false]).  Retuning changes only cost metrics, never verdicts; use
-      a fixed [fanout] when byte-identity with {!Overlay.check} on the
-      cost metrics matters.
     @raise Invalid_argument on out-of-range parameters. *)
-val create :
-  ?fanout:int ->
-  ?window:int ->
-  ?batch:int ->
-  ?shards:int ->
-  ?adapt:bool ->
-  nranks:int ->
-  unit ->
-  t
+val create : fanout:int -> ?window:int -> ?batch:int -> nranks:int -> unit -> t
 
 (** Push rank [rank]'s next collective event.  Interns the signature
     (per-rank cache; the shared table's lock is only taken on new
@@ -68,26 +43,9 @@ val create :
     (backpressure).  Each rank's [push]/[close_rank] calls must come
     from a single producer thread; one thread may produce for several
     ranks if it keeps them in lockstep (within a flush chunk of each
-    other), as the simulator and {!check_traces} do.
+    other), as the simulator does.
     @raise Invalid_argument on a bad rank or if the rank was closed. *)
 val push : t -> rank:int -> Overlay.event -> unit
-
-(** {!push} for a signature id already interned in this checker's table
-    (e.g. from {!intern}). *)
-val push_id : t -> rank:int -> int -> unit
-
-(** Bulk {!push} of a whole event array: same semantics, one rank
-    validation and producer lookup for the entire batch. *)
-val push_all : t -> rank:int -> Overlay.event array -> unit
-
-(** [push_slice t ~rank events pos len]: bulk {!push} of
-    [events.(pos .. pos+len-1)].  A single thread producing for several
-    ranks should interleave slices no longer than the flush chunk
-    ([window/4]) to stay in lockstep (see {!push}). *)
-val push_slice : t -> rank:int -> Overlay.event array -> int -> int -> unit
-
-(** Intern an event's signature in this checker's table. *)
-val intern : t -> Overlay.event -> int
 
 (** Mark rank [rank]'s stream as ended; its remaining rounds contribute
     ["<no event>"], exactly as a short trace does post-hoc. *)
@@ -108,16 +66,3 @@ val result : t -> Overlay.report * stats
     The caller still must {!close} (or {!result}) after the run.
     @raise Invalid_argument on a rank-count mismatch. *)
 val attach_engine : t -> Mpisim.Engine.t -> unit
-
-(** Stream complete per-rank traces through a fresh checker (single
-    producer, round-robin by position, each rank closed at its last
-    event) and return its report and stats — the streaming counterpart
-    of {!Overlay.check} on the same traces and fanout. *)
-val check_traces :
-  ?fanout:int ->
-  ?window:int ->
-  ?batch:int ->
-  ?shards:int ->
-  ?adapt:bool ->
-  Overlay.event list array ->
-  Overlay.report * stats

@@ -32,73 +32,13 @@ module Stream : sig
   (** @raise Invalid_argument if the stream is closed. *)
   val push : 'a t -> 'a -> unit
 
-  (** [push_array t arr pos len]: blocking bulk push of
-      [arr.(pos .. pos+len-1)] in order, holding the lock once per
-      capacity refill instead of once per element.  Blocks (in chunks)
-      while the stream is full, exactly like repeated {!push}.
-      @raise Invalid_argument if the stream is closed. *)
-  val push_array : 'a t -> 'a array -> int -> int -> unit
-
   (** Blocking pop; [None] once the stream is closed and drained. *)
   val pop : 'a t -> 'a option
-
-  (** Non-blocking pop: [None] when the queue is currently empty
-      (whether or not the stream is closed) — batch consumers drain what
-      is available and fall back to {!pop} to wait or detect closure. *)
-  val try_pop : 'a t -> 'a option
-
-  (** Non-blocking bulk drain under a single lock acquisition: pop up to
-      [max] queued elements, calling [f] on each in FIFO order, and
-      return how many were popped.  [f] runs with the stream's lock held,
-      so it must be fast and must not raise or touch the stream. *)
-  val pop_upto : 'a t -> max:int -> f:('a -> unit) -> int
-
-  val is_closed : 'a t -> bool
 
   (** Close: pushes fail, pops drain the backlog then return [None]. *)
   val close : 'a t -> unit
 
   val length : 'a t -> int
-end
-
-(** Int-specialized bounded ring buffer with the same
-    blocking/backpressure contract as {!Stream}: elements live unboxed
-    in a flat array and bulk transfers are [Array.blit] copies under a
-    single lock.  Built for high-rate mailboxes (e.g. the streaming
-    overlay checker's interned-signature queues). *)
-module Ring : sig
-  type t
-
-  (** [create capacity]: a bounded int FIFO; pushes block while full. *)
-  val create : int -> t
-
-  (** Blocking push of one element.
-      @raise Invalid_argument if the ring is closed. *)
-  val push : t -> int -> unit
-
-  (** [push_array t src pos len]: blocking bulk push of
-      [src.(pos .. pos+len-1)] in order, copying in capacity-sized
-      chunks under one lock acquisition each.
-      @raise Invalid_argument if the ring is closed. *)
-  val push_array : t -> int array -> int -> int -> unit
-
-  (** Blocking pop; [None] once the ring is closed and drained. *)
-  val pop : t -> int option
-
-  (** [pop_into t dst pos max]: non-blocking bulk pop of up to [max]
-      elements into [dst.(pos..)], FIFO, under one lock; returns the
-      count copied. *)
-  val pop_into : t -> int array -> int -> int -> int
-
-  (** Non-blocking discard of everything queued; returns the count. *)
-  val drain : t -> int
-
-  val is_closed : t -> bool
-
-  (** Close: pushes fail, pops drain the backlog then return [None]. *)
-  val close : t -> unit
-
-  val length : t -> int
 end
 
 (** Sharded batch queue with work stealing: each shard holds a fixed

@@ -37,12 +37,13 @@
     change.  A program with same-block redeclarations and shadowing
     inside [for] and [parallel] bodies is explored too.
 
-    Pinned post-hoc overlay reports.  Every example and small catalog
-    program under selective CC is run on 4 ranks × 3 threads at random
-    seeds 1–3, and hand-built traces cover the edge cases (empty and
-    ragged streams, one rank, divergences at layers 0–2).  Each trace
-    set is checked by [Mustlike.Overlay.check] at fanout 2 and at the
-    central fanout (one node over every rank) and pinned by its
+    Pinned overlay reports.  Every example and small catalog program
+    under selective CC is run on 4 ranks × 3 threads at random seeds
+    1–3, and hand-built traces cover the edge cases (empty and ragged
+    streams, one rank, divergences at layers 0–2).  Each trace set is
+    checked at fanout 2 and at the central fanout (one node over every
+    rank) by both the post-hoc [Mustlike.Overlay.check] and the
+    streaming [Mustlike.Stream], and both reports must equal one pin:
     verdict, rounds, messages and an MD5 of the rendered report. *)
 
 open Minilang
@@ -2234,16 +2235,24 @@ let suite =
               (List.map (fun (name, _, _) -> name) (Lazy.force overlay_inputs)));
         Alcotest.test_case "reports match their pins" `Quick (fun () ->
             let mismatches =
-              List.filter_map
+              List.concat_map
                 (fun (name, fanout, traces) ->
                   match List.assoc_opt name overlay_pinned with
-                  | None -> None
+                  | None -> []
                   | Some pin ->
-                      let got =
-                        overlay_line (Mustlike.Overlay.check ~fanout traces)
-                      in
-                      if got = pin then None
-                      else Some (Printf.sprintf "%s: %s, pinned %s" name got pin))
+                      List.filter_map
+                        (fun (checker, report) ->
+                          let got = overlay_line report in
+                          if got = pin then None
+                          else
+                            Some
+                              (Printf.sprintf "%s (%s): %s, pinned %s" name
+                                 checker got pin))
+                        [
+                          ("post-hoc", Mustlike.Overlay.check ~fanout traces);
+                          ( "stream",
+                            fst (Test_stream.stream_traces ~fanout traces) );
+                        ])
                 (Lazy.force overlay_inputs)
             in
             Alcotest.(check (list string)) "mismatches" [] mismatches);

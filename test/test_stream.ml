@@ -1,6 +1,6 @@
 (** Tests for the streaming MUST-style overlay checker: byte-identity
-    with the post-hoc {!Mustlike.Overlay.check}, shard-count
-    determinism, backpressure, and the engine hook. *)
+    with the post-hoc {!Mustlike.Overlay.check}, backpressure, and the
+    engine hook. *)
 
 open Mustlike
 
@@ -12,21 +12,39 @@ let barrier site = ev Mpisim.Coll.Barrier site
 
 let allreduce site = ev ~op:(Some Mpisim.Op.Sum) Mpisim.Coll.Allreduce site
 
+(* Stream complete per-rank traces through a fresh checker from a single
+   producer (round-robin by stream position, each rank closed at its
+   last event) and return its report and stats: the streaming
+   counterpart of [Overlay.check] on the same traces and fanout. *)
+let stream_traces ?window ?batch ~fanout (traces : Overlay.event list array)
+    =
+  let t = Stream.create ~fanout ?window ?batch ~nranks:(Array.length traces) () in
+  let traces = Array.map Array.of_list traces in
+  let max_len =
+    Array.fold_left (fun acc tr -> max acc (Array.length tr)) 0 traces
+  in
+  Array.iteri
+    (fun r tr -> if Array.length tr = 0 then Stream.close_rank t ~rank:r)
+    traces;
+  for pos = 0 to max_len - 1 do
+    Array.iteri
+      (fun r tr ->
+        if pos < Array.length tr then begin
+          Stream.push t ~rank:r tr.(pos);
+          if pos = Array.length tr - 1 then Stream.close_rank t ~rank:r
+        end)
+      traces
+  done;
+  Stream.result t
+
 (* Full-report byte identity: verdict, divergence localization and cost
-   metrics all agree, on one shard and on four. *)
+   metrics all agree. *)
 let check_identity ?window ?batch ~fanout traces =
-  let post = Overlay.check ~fanout traces in
-  List.iter
-    (fun shards ->
-      let stream, _ =
-        Stream.check_traces ~fanout ?window ?batch ~shards traces
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "streaming report = post-hoc report (shards %d)"
-           shards)
-        (Overlay.report_to_string post)
-        (Overlay.report_to_string stream))
-    [ 1; 4 ]
+  let stream, _ = stream_traces ~fanout ?window ?batch traces in
+  Alcotest.(check string)
+    "streaming report = post-hoc report"
+    (Overlay.report_to_string (Overlay.check ~fanout traces))
+    (Overlay.report_to_string stream)
 
 let identity_tests =
   [
@@ -84,56 +102,22 @@ let identity_tests =
           | _ -> Alcotest.fail "expected Invalid_argument"
         in
         bad (fun () -> Stream.create ~fanout:1 ~nranks:4 ());
-        bad (fun () -> Stream.create ~window:1 ~nranks:4 ());
-        bad (fun () -> Stream.create ~batch:0 ~nranks:4 ());
-        bad (fun () -> Stream.create ~nranks:0 ()));
-  ]
-
-let determinism_tests =
-  [
-    Alcotest.test_case "verdict independent of shard count" `Quick (fun () ->
-        let t1 = List.init 40 (fun i -> if i mod 3 = 0 then allreduce "s" else barrier "s") in
-        let t2 = List.mapi (fun i e -> if i = 29 then barrier "y" else e) t1 in
-        let traces = Array.init 9 (fun r -> if r = 7 then t2 else t1) in
-        let r1, _ = Stream.check_traces ~fanout:3 ~shards:1 traces in
-        let r4, _ = Stream.check_traces ~fanout:3 ~shards:4 traces in
-        let r9, _ = Stream.check_traces ~fanout:3 ~shards:9 traces in
-        Alcotest.(check string)
-          "shards:4 = shards:1"
-          (Overlay.report_to_string r1)
-          (Overlay.report_to_string r4);
-        Alcotest.(check string)
-          "shards:9 = shards:1"
-          (Overlay.report_to_string r1)
-          (Overlay.report_to_string r9));
-    Alcotest.test_case "adaptive retuning never changes the verdict" `Quick
-      (fun () ->
-        let trace = List.init 300 (fun i -> barrier (string_of_int i)) in
-        let traces = Array.make 6 trace in
-        let fixed, _ = Stream.check_traces ~fanout:2 ~batch:4 traces in
-        let adapted, st =
-          Stream.check_traces ~fanout:2 ~batch:4 ~adapt:true traces
-        in
-        Alcotest.(check bool) "both match" true
-          (Overlay.is_match fixed && Overlay.is_match adapted);
-        Alcotest.(check bool) "same verdict" true
-          (fixed.Overlay.verdict = adapted.Overlay.verdict);
-        (* The single lockstep producer keeps batches full, so the tree
-           must have widened at least once. *)
-        Alcotest.(check bool) "retuned" true (st.Stream.retunes >= 1));
+        bad (fun () -> Stream.create ~fanout:2 ~window:1 ~nranks:4 ());
+        bad (fun () -> Stream.create ~fanout:2 ~batch:0 ~nranks:4 ());
+        bad (fun () -> Stream.create ~fanout:2 ~nranks:0 ()));
   ]
 
 let backpressure_tests =
   [
     Alcotest.test_case "full mailbox blocks the producer without dropping"
       `Quick (fun () ->
-        let mb = Serve.Pool.Ring.create 2 in
-        Serve.Pool.Ring.push mb 1;
-        Serve.Pool.Ring.push mb 2;
+        let mb = Ring.create 2 in
+        Ring.push mb 1;
+        Ring.push mb 2;
         let third_pushed = Atomic.make false in
         let producer =
           Domain.spawn (fun () ->
-              Serve.Pool.Ring.push mb 3;
+              Ring.push mb 3;
               Atomic.set third_pushed true)
         in
         (* The producer must be blocked on the full mailbox.  A timing
@@ -142,14 +126,14 @@ let backpressure_tests =
         Unix.sleepf 0.05;
         Alcotest.(check bool) "push blocked while full" false
           (Atomic.get third_pushed);
-        Alcotest.(check (option int)) "fifo" (Some 1) (Serve.Pool.Ring.pop mb);
+        Alcotest.(check (option int)) "fifo" (Some 1) (Ring.pop mb);
         Domain.join producer;
         Alcotest.(check bool) "push completed after pop" true
           (Atomic.get third_pushed);
         Alcotest.(check (option int)) "nothing dropped" (Some 2)
-          (Serve.Pool.Ring.pop mb);
+          (Ring.pop mb);
         Alcotest.(check (option int)) "third delivered" (Some 3)
-          (Serve.Pool.Ring.pop mb));
+          (Ring.pop mb));
     Alcotest.test_case "divergence verdict drains late producers" `Quick
       (fun () ->
         (* Rank 1 diverges at position 0 but keeps pushing far past the
@@ -207,7 +191,7 @@ let engine_tests =
         Alcotest.(check bool) "divergence found online" false
           (Overlay.is_match report));
     Alcotest.test_case "rank-count mismatch rejected" `Quick (fun () ->
-        let t = Stream.create ~nranks:2 () in
+        let t = Stream.create ~fanout:2 ~nranks:2 () in
         let engine = Mpisim.Engine.create ~nranks:3 in
         (match Stream.attach_engine t engine with
         | exception Invalid_argument _ -> ()
@@ -229,40 +213,36 @@ let qcheck_tests =
   in
   let arb =
     make
-      ~print:(fun (traces, fanout, shards) ->
-        Printf.sprintf "%d traces, fanout %d, shards %d" (Array.length traces)
-          fanout shards)
+      ~print:(fun (traces, fanout) ->
+        Printf.sprintf "%d traces, fanout %d" (Array.length traces) fanout)
       Gen.(
-        map3
-          (fun traces fanout shards -> (Array.of_list traces, fanout, shards))
+        map2
+          (fun traces fanout -> (Array.of_list traces, fanout))
           (list_size (int_range 1 9) gen_trace)
-          (int_range 2 8) (int_range 1 4))
+          (int_range 2 8))
   in
   [
     QCheck_alcotest.to_alcotest
       (Test.make
          ~name:"streaming report is byte-identical to post-hoc" ~count:150 arb
-         (fun (traces, fanout, shards) ->
+         (fun (traces, fanout) ->
            let post = Overlay.check ~fanout traces in
-           let stream, _ =
-             Stream.check_traces ~fanout ~shards ~window:2 ~batch:3 traces
-           in
+           let stream, _ = stream_traces ~fanout ~window:2 ~batch:3 traces in
            Overlay.report_to_string post = Overlay.report_to_string stream));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"stats events+drained cover the whole input"
          ~count:100 arb
-         (fun (traces, fanout, shards) ->
+         (fun (traces, fanout) ->
            let total =
              Array.fold_left (fun acc t -> acc + List.length t) 0 traces
            in
-           let _, st = Stream.check_traces ~fanout ~shards traces in
+           let _, st = stream_traces ~fanout traces in
            st.Stream.events + st.Stream.drained = total));
   ]
 
 let suite =
   [
     ("stream.identity", identity_tests);
-    ("stream.determinism", determinism_tests);
     ("stream.backpressure", backpressure_tests);
     ("stream.engine", engine_tests);
     ("stream.qcheck", qcheck_tests);
