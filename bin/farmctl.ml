@@ -18,25 +18,17 @@ let parse_sim_seeds s =
   | seeds -> Ok seeds
   | exception _ -> Error (Printf.sprintf "bad seed list '%s'" s)
 
-(* Numeric flags outside their range are usage errors (exit 2), reported
-   before any work starts. *)
-let check_at_least flag ~min v =
-  if v < min then begin
-    Fmt.epr "--%s must be at least %d (got %d)@." flag min v;
-    exit 2
-  end
-
 let run seed families variants jobs shards batch ranks threads sim_seeds
     max_steps handicap minimize save_repro manifest_file dry_run timings
     verdicts =
-  check_at_least "families" ~min:1 families;
-  check_at_least "variants" ~min:1 variants;
-  check_at_least "jobs" ~min:1 jobs;
-  check_at_least "shards" ~min:1 shards;
-  check_at_least "batch" ~min:1 batch;
-  check_at_least "ranks" ~min:1 ranks;
-  check_at_least "threads" ~min:1 threads;
-  check_at_least "max-steps" ~min:0 max_steps;
+  Cli.check_at_least "families" ~min:1 families;
+  Cli.check_at_least "variants" ~min:1 variants;
+  Cli.check_at_least "jobs" ~min:1 jobs;
+  Cli.check_at_least "shards" ~min:1 shards;
+  Cli.check_at_least "batch" ~min:1 batch;
+  Cli.check_at_least "ranks" ~min:1 ranks;
+  Cli.check_at_least "threads" ~min:1 threads;
+  Cli.check_at_least "max-steps" ~min:0 max_steps;
   let sim =
     {
       Farm.Oracle.nranks = ranks;

@@ -7,36 +7,10 @@
 
 open Cmdliner
 
-let read_program file bench =
-  match (file, bench) with
-  | Some path, None -> (
-      match Minilang.Parser.read_file path with
-      | Ok src -> Minilang.Parser.parse_string ~file:path src
-      | Error reason ->
-          Fmt.epr "cannot read %s: %s@." path reason;
-          exit 2)
-  | None, Some name -> (
-      match Benchsuite.Catalog.find name with
-      | Some entry -> entry.Benchsuite.Catalog.generate_small ()
-      | None ->
-          Fmt.epr "unknown benchmark '%s'; known: %s@." name
-            (String.concat ", " Benchsuite.Catalog.names);
-          exit 2)
-  | Some _, Some _ ->
-      Fmt.epr "give either a file or --bench, not both@.";
-      exit 2
-  | None, None ->
-      Fmt.epr "give a source file or --bench NAME@.";
-      exit 2
-
 let run file bench initial_multi level taint interproc races requests only
     list_checks jobs json timings instrument_mode output dot =
   (* Usage errors first, before the program is read. *)
-  (match jobs with
-  | Some j when j < 1 ->
-      Fmt.epr "--jobs must be at least 1 (got %d)@." j;
-      exit 2
-  | _ -> ());
+  Option.iter (Cli.check_at_least "jobs" ~min:1) jobs;
   if list_checks then begin
     List.iter print_endline Parcoach.Warning.all_classes;
     exit 0
@@ -69,7 +43,7 @@ let run file bench initial_multi level taint interproc races requests only
     match
       time "parse" (fun () ->
           Minilang.Validate.catch_syntax_error (fun () ->
-              read_program file bench))
+              Cli.read_program file bench))
     with
     | Ok program -> program
     | Error issue ->
@@ -138,7 +112,9 @@ let bench =
     value
     & opt (some string) None
     & info [ "bench" ] ~docv:"NAME"
-        ~doc:"Analyse a generated benchmark (BT-MZ, SP-MZ, LU-MZ, EPCC suite, HERA).")
+        ~doc:
+          "Analyse a generated benchmark (BT-MZ, SP-MZ, LU-MZ, EPCC suite, \
+           HERA) or a reproducer (deadlock-barrier, racy-ring, ...).")
 
 let initial_multi =
   Arg.(

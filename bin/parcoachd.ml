@@ -36,20 +36,9 @@ let serve_socket daemon ~pool path =
     ()
 
 let run socket pool jobs cache_size =
-  (match pool with
-  | p when p < 1 ->
-      Fmt.epr "--pool must be at least 1 (got %d)@." p;
-      exit 2
-  | _ -> ());
-  (match jobs with
-  | Some j when j < 1 ->
-      Fmt.epr "--jobs must be at least 1 (got %d)@." j;
-      exit 2
-  | _ -> ());
-  if cache_size < 1 then begin
-    Fmt.epr "--cache-size must be at least 1 (got %d)@." cache_size;
-    exit 2
-  end;
+  Cli.check_at_least "pool" ~min:1 pool;
+  Option.iter (Cli.check_at_least "jobs" ~min:1) jobs;
+  Cli.check_at_least "cache-size" ~min:1 cache_size;
   let daemon = Serve.Daemon.create ~capacity:cache_size ?jobs () in
   match socket with
   | Some path -> serve_socket daemon ~pool path

@@ -5,55 +5,21 @@
 
 open Cmdliner
 
-let read_program file bench =
-  match (file, bench) with
-  | Some path, None -> (
-      match Minilang.Parser.read_file path with
-      | Ok src -> Minilang.Parser.parse_string ~file:path src
-      | Error reason ->
-          Fmt.epr "cannot read %s: %s@." path reason;
-          exit 2)
-  | None, Some name -> (
-      match Benchsuite.Catalog.find name with
-      | Some entry -> entry.Benchsuite.Catalog.generate_small ()
-      | None -> (
-          match Benchsuite.Reproducers.find name with
-          | Some entry -> Benchsuite.Reproducers.program entry
-          | None ->
-              Fmt.epr "unknown benchmark '%s'; known: %s@." name
-                (String.concat ", "
-                   (Benchsuite.Catalog.names @ Benchsuite.Reproducers.names));
-              exit 2))
-  | Some _, Some _ ->
-      Fmt.epr "give either a file or --bench, not both@.";
-      exit 2
-  | None, None ->
-      Fmt.epr "give a source file or --bench NAME@.";
-      exit 2
-
-(* Numeric flags outside their range are usage errors (exit 2), reported
-   before the program is read. *)
-let check_at_least flag ~min v =
-  if v < min then begin
-    Fmt.epr "--%s must be at least %d (got %d)@." flag min v;
-    exit 2
-  end
-
 let run file bench ranks threads seed round_robin max_steps instrument jobs
     inject show_trace must_check overlay overlay_fanout level explore
     explore_mode branch_depth budget explore_jobs =
-  check_at_least "ranks" ~min:1 ranks;
-  check_at_least "threads" ~min:1 threads;
-  check_at_least "max-steps" ~min:0 max_steps;
-  Option.iter (check_at_least "jobs" ~min:1) jobs;
-  check_at_least "branch-depth" ~min:0 branch_depth;
-  check_at_least "budget" ~min:1 budget;
-  check_at_least "explore-jobs" ~min:1 explore_jobs;
-  check_at_least "overlay-fanout" ~min:2 overlay_fanout;
+  Cli.check_at_least "ranks" ~min:1 ranks;
+  Cli.check_at_least "threads" ~min:1 threads;
+  Cli.check_at_least "max-steps" ~min:0 max_steps;
+  Option.iter (Cli.check_at_least "jobs" ~min:1) jobs;
+  Cli.check_at_least "branch-depth" ~min:0 branch_depth;
+  Cli.check_at_least "budget" ~min:1 budget;
+  Cli.check_at_least "explore-jobs" ~min:1 explore_jobs;
+  Cli.check_at_least "overlay-fanout" ~min:2 overlay_fanout;
   let print_issue i = Fmt.epr "%s@." (Minilang.Validate.issue_to_string i) in
   let program =
     match
-      Minilang.Validate.catch_syntax_error (fun () -> read_program file bench)
+      Minilang.Validate.catch_syntax_error (fun () -> Cli.read_program file bench)
     with
     | Ok program -> program
     | Error issue ->

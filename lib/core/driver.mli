@@ -65,11 +65,11 @@ val analyze_func :
     of rebuilding, as PARCOACH does inside the compiler.
 
     [jobs] bounds the number of OCaml 5 domains analysing functions in
-    parallel; it defaults to
-    [min (Domain.recommended_domain_count ()) nfuncs], and [jobs:1]
-    forces the sequential path.  Results are merged in source order, so
-    the report (warnings, CC sites, JSON) is byte-identical for every
-    job count.
+    parallel ({!Par.iter}); it defaults to
+    [Domain.recommended_domain_count ()], never spawns more domains than
+    there are functions to analyse, and [jobs:1] spawns none.  Each
+    result lands in its source-order slot, so the report (warnings, CC
+    sites, JSON) is byte-identical for every job count.
 
     [reuse] injects pre-computed per-function reports (the daemon's
     summary-cache hits): functions for which it returns [Some] skip

@@ -4,20 +4,31 @@
 
 open Minilang
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Bulk-copy runs of plain characters; string values as large as whole
+   source files (the daemon's requests) pass through here. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let buf = Buffer.create (n + 8) in
+  let i = ref 0 in
+  while !i < n do
+    let start = !i in
+    while !i < n && not (needs_escape (String.unsafe_get s !i)) do
+      incr i
+    done;
+    if !i > start then Buffer.add_substring buf s start (!i - start);
+    if !i < n then begin
+      (match s.[!i] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      incr i
+    end
+  done;
   Buffer.contents buf
 
 let str s = Printf.sprintf "\"%s\"" (escape s)

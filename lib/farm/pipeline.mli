@@ -2,8 +2,8 @@
     structural fingerprint, and push every unique program through
     validate → static analysis (with per-shard summary-cache reuse
     across structurally similar mutants) → differential oracle, batched
-    across a bounded {!Serve.Pool} of domains with cross-shard work
-    stealing.
+    across domains by {!Par.iter_shards} (each worker drains the shards
+    it owns, then claims batches from the others).
 
     Two runners produce identical observations:
 
@@ -76,8 +76,10 @@ val fingerprinted :
   ?timings:Parcoach.Timings.t -> entry array -> entry array
 
 (** The farm fast path on a pre-generated, fingerprinted corpus.
-    [jobs] domains ({!Serve.Pool}), [shards] fingerprint shards each
-    with its own summary cache, [batch] entries per work unit.
+    [jobs] domains ({!Par.iter_shards}: worker [w] owns shards [w],
+    [w + jobs], ...), [shards] fingerprint shards each with its own
+    summary cache, [batch] entries per work unit.  At [jobs:1] the
+    shards run in order, each batch in order, on the calling domain.
     Verdicts are identical for every [jobs]/[shards]/[batch]
     combination (summary reuse is relocation-exact). *)
 val run_entries :

@@ -131,48 +131,6 @@ let replay_node ~probe ~(config : Sim.config) cp node =
   in
   { r_cls = class_index result.Sim.outcome; r_fp; r_degree }
 
-(** Run [f probes.(w) inputs.(i)] for [i < to_run] into [outputs],
-    fanning out on domains (one resource from [probes] per worker).
-    Workers only execute; they never touch shared mutable exploration
-    state, so the handout order (an atomic counter, as in
-    [Driver.analyze]) does not affect the result.  The first failure in
-    input order is re-raised with its backtrace. *)
-let run_wave ~probes ~f (inputs : 'a array) (outputs : 'b option array)
-    to_run =
-  let jobs = Array.length probes in
-  let errors = Array.make (max to_run 1) None in
-  let next = Atomic.make 0 in
-  let worker probe =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < to_run then begin
-        (try outputs.(i) <- Some (f probe inputs.(i))
-         with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-        go ()
-      end
-    in
-    go ()
-  in
-  if jobs <= 1 || to_run <= 1 then worker probes.(0)
-  else begin
-    let helpers =
-      Array.init
-        (min (jobs - 1) (to_run - 1))
-        (fun k -> Domain.spawn (fun () -> worker probes.(k + 1)))
-    in
-    worker probes.(0);
-    Array.iter Domain.join helpers
-  end;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-    errors
-
-let replay_wave ~probes ~config cp (frontier : node array) infos to_replay =
-  run_wave ~probes
-    ~f:(fun probe node -> replay_node ~probe ~config cp node)
-    frontier infos to_replay
-
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -221,8 +179,10 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
     let to_replay = min (Array.length fr) !budget_left in
     budget_left := !budget_left - to_replay;
     let infos = Array.make (Array.length fr) None in
-    if to_replay > 0 then
-      replay_wave ~probes ~config cp fr infos to_replay;
+    (* Workers only replay into their own slot (one probe per worker);
+       the first failure in frontier order is re-raised. *)
+    Par.iter ~jobs to_replay (fun ~worker i ->
+        infos.(i) <- Some (replay_node ~probe:probes.(worker) ~config cp fr.(i)));
     (* Coordinator: everything below is sequential and in frontier
        order, so memo decisions, witnesses and child order are
        independent of how workers interleaved. *)
@@ -663,15 +623,13 @@ let outcomes_dpor ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
     let batch = Array.init nwave (fun _ -> Queue.pop pending) in
     budget_left := !budget_left - nwave;
     let runs = Array.make nwave None in
-    run_wave ~probes ~f:replay batch runs nwave;
+    Par.iter ~jobs nwave (fun ~worker i ->
+        runs.(i) <- Some (replay probes.(worker) batch.(i)));
     (* Coordinator: analysis is sequential in job-creation order, so
        trie updates, witnesses and new jobs are independent of how the
        workers interleaved — the summary is byte-identical whatever
        [jobs] is. *)
-    Array.iteri
-      (fun idx job ->
-        match runs.(idx) with None -> () | Some r -> analyze job r)
-      batch
+    Array.iteri (fun idx job -> analyze job (Option.get runs.(idx))) batch
   done;
   {
     finished = cls_counts.(0);

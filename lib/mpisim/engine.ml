@@ -44,7 +44,6 @@ type arrive_result =
 type stats = {
   mutable completed : int;
   mutable cc_checks : int;
-  mutable by_kind : (Coll.kind * int) list;
 }
 
 (** One recorded collective arrival, for post-mortem trace checking
@@ -85,7 +84,7 @@ let create ~nranks =
     slots = Array.make nranks None;
     history = [];
     traces = Array.make nranks [];
-    stats = { completed = 0; cc_checks = 0; by_kind = [] };
+    stats = { completed = 0; cc_checks = 0 };
     hook = None;
     retain = true;
     nb_queue = Array.init nranks (fun _ -> Queue.create ());
@@ -112,8 +111,6 @@ let set_retention t retain =
 (** Pending arrivals, for deadlock diagnostics. *)
 let pending t =
   Array.to_list t.slots |> List.filter_map (fun x -> x)
-
-let rank_waiting t rank = t.slots.(rank) <> None
 
 (* Feed one (non-CC) arrival to the trace stream and the streaming
    subscriber.  Split-phase posts are recorded at posting time: MPI
@@ -146,10 +143,6 @@ let arrive t ~rank ~cookie call =
       t.slots.(rank) <- Some { rank; cookie; call };
       record_arrival t ~rank call;
       Waiting
-
-let bump_kind stats kind =
-  let count = Option.value ~default:0 (List.assoc_opt kind stats.by_kind) in
-  stats.by_kind <- (kind, count + 1) :: List.remove_assoc kind stats.by_kind
 
 (** If every rank has arrived, match and complete the collective.  The
     slots are cleared whatever the verdict, so the scheduler can abort or
@@ -189,7 +182,6 @@ let try_complete t =
               Coll.result_for model ~rank ~contributions)
         in
         t.stats.completed <- t.stats.completed + 1;
-        bump_kind t.stats kind;
         t.history <- kind :: t.history;
         Some (Completed { calls; results })
       end
@@ -245,7 +237,6 @@ let nb_advance t =
         in
         let kind = model.Coll.kind in
         t.stats.completed <- t.stats.completed + 1;
-        bump_kind t.stats kind;
         t.history <- kind :: t.history;
         Hashtbl.replace t.nb_results round results;
         loop (Nb_completed { round; calls; results } :: acc)
@@ -284,9 +275,6 @@ let all_traces t = Array.init t.nranks (fun rank -> rank_trace t rank)
 let completed_count t = t.stats.completed
 
 let cc_check_count t = t.stats.cc_checks
-
-let count_by_kind t kind =
-  Option.value ~default:0 (List.assoc_opt kind t.stats.by_kind)
 
 let pp_rank_call ppf rc =
   Fmt.pf ppf "rank %d: %a" rc.rank Coll.pp_call rc.call

@@ -58,8 +58,6 @@ val set_retention : t -> bool -> unit
 (** Pending arrivals, for deadlock diagnostics. *)
 val pending : t -> rank_call list
 
-val rank_waiting : t -> int -> bool
-
 (** @raise Invalid_argument on an out-of-range rank. *)
 val arrive : t -> rank:int -> cookie:int -> Coll.call -> arrive_result
 
@@ -101,8 +99,6 @@ val all_traces : t -> trace_event list array
 val completed_count : t -> int
 
 val cc_check_count : t -> int
-
-val count_by_kind : t -> Coll.kind -> int
 
 val pp_rank_call : rank_call Fmt.t
 

@@ -15,7 +15,6 @@ type message = { src : int; tag : int; value : int; send_site : string }
 type t = {
   nranks : int;
   queues : message Queue.t array;  (** One inbox per destination rank. *)
-  mutable sent : int;
 }
 
 let create ~nranks =
@@ -23,7 +22,6 @@ let create ~nranks =
   {
     nranks;
     queues = Array.init nranks (fun _ -> Queue.create ());
-    sent = 0;
   }
 
 let check_rank t what rank =
@@ -34,8 +32,7 @@ let check_rank t what rank =
 let send t ~src ~dst ~tag ~value ~site =
   check_rank t "source" src;
   check_rank t "destination" dst;
-  Queue.add { src; tag; value; send_site = site } t.queues.(dst);
-  t.sent <- t.sent + 1
+  Queue.add { src; tag; value; send_site = site } t.queues.(dst)
 
 (* FIFO extraction of the first message matching (src, tag). *)
 let take_matching t ~dst ~src ~tag =
@@ -72,4 +69,3 @@ let inbox t rank =
   check_rank t "inbox" rank;
   List.of_seq (Queue.to_seq t.queues.(rank))
 
-let sent_count t = t.sent

@@ -30,5 +30,3 @@ val pending : t -> int -> int
     state fingerprints and diagnostics.
     @raise Invalid_argument on an out-of-range rank. *)
 val inbox : t -> int -> message list
-
-val sent_count : t -> int

@@ -488,7 +488,7 @@ let serve ?(pool = 1) t ic oc =
         else begin
           (match workers with
           | None -> emit (handle_line t line)
-          | Some p -> ignore (Pool.submit p (fun () -> emit (handle_line t line))));
+          | Some p -> Pool.submit p (fun () -> emit (handle_line t line)));
           loop ()
         end
   in

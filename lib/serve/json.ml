@@ -14,33 +14,6 @@ type t =
 (* Printer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
-
-(* Bulk-copy runs of plain characters; string values as large as whole
-   source files pass through here. *)
-let escape s =
-  let n = String.length s in
-  let buf = Buffer.create (n + 8) in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    while !i < n && not (needs_escape (String.unsafe_get s !i)) do
-      incr i
-    done;
-    if !i > start then Buffer.add_substring buf s start (!i - start);
-    if !i < n then begin
-      (match s.[!i] with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -51,7 +24,7 @@ let rec write buf = function
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (Parcoach.Json_report.escape s);
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -67,7 +40,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          Buffer.add_string buf (Parcoach.Json_report.escape k);
           Buffer.add_string buf "\":";
           write buf v)
         fields;

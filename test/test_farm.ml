@@ -131,26 +131,19 @@ let tests =
           (nonblank_lines a));
     Alcotest.test_case "work queue: take own shards, then steal" `Quick
       (fun () ->
-        let q =
-          Serve.Pool.Workq.create
-            [| [| [| 0; 1 |]; [| 2 |] |]; [| [| 3 |] |]; [||] |]
+        (* One item spawns no helper, so worker 0 runs it whoever owns
+           its shard: shard 2 belongs to worker 2 (foreign), shard 3 to
+           worker 0. *)
+        let once sizes =
+          Par.iter_shards ~jobs:3 sizes (fun ~worker ~shard:_ _ ->
+              Alcotest.(check int) "the caller runs it" 0 worker)
         in
-        Alcotest.(check int) "shards" 3 (Serve.Pool.Workq.shards q);
-        (match Serve.Pool.Workq.take q ~shard:0 with
-        | Some b -> Alcotest.(check (array int)) "first batch" [| 0; 1 |] b
-        | None -> Alcotest.fail "expected a batch");
-        (match Serve.Pool.Workq.steal q ~preferred:2 with
-        | Some (shard, b) ->
-            (* Shard 2 is empty; the scan wraps to the next non-empty. *)
-            Alcotest.(check int) "stolen from" 0 shard;
-            Alcotest.(check (array int)) "stolen batch" [| 2 |] b
-        | None -> Alcotest.fail "expected a steal");
-        (match Serve.Pool.Workq.steal q ~preferred:0 with
-        | Some (shard, _) -> Alcotest.(check int) "last batch" 1 shard
-        | None -> Alcotest.fail "expected a steal");
-        Alcotest.(check bool) "drained" true
-          (Serve.Pool.Workq.steal q ~preferred:0 = None
-          && Serve.Pool.Workq.take q ~shard:0 = None));
+        Alcotest.(check int) "foreign shard counts as stolen" 1
+          (once [| 0; 0; 1 |]);
+        Alcotest.(check int) "own shard does not" 0 (once [| 0; 0; 0; 1 |]);
+        let r = Farm.Pipeline.run ~jobs:1 ~shards:4 ~batch:4 spec_small in
+        Alcotest.(check int) "jobs:1 steals nothing" 0
+          r.Farm.Pipeline.stats.Farm.Pipeline.stolen);
     Alcotest.test_case "timings cover every pipeline stage" `Quick (fun () ->
         let tm = Parcoach.Timings.create () in
         let (_ : Farm.Pipeline.result) =

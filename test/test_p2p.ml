@@ -45,8 +45,7 @@ let mailbox_tests =
         Mailbox.send mb ~src:1 ~dst:0 ~tag:0 ~value:1 ~site:"a";
         Mailbox.send mb ~src:2 ~dst:0 ~tag:0 ~value:2 ~site:"b";
         ignore (Option.get (Mailbox.recv mb ~dst:0 ~src:2 ~tag:0));
-        Alcotest.(check int) "one left" 1 (Mailbox.pending mb 0);
-        Alcotest.(check int) "counts" 2 (Mailbox.sent_count mb));
+        Alcotest.(check int) "one left" 1 (Mailbox.pending mb 0));
     Alcotest.test_case "bad ranks rejected" `Quick (fun () ->
         let mb = Mailbox.create ~nranks:2 in
         match Mailbox.send mb ~src:0 ~dst:9 ~tag:0 ~value:0 ~site:"s" with
