@@ -6,7 +6,11 @@
     {v parcoachc --json --taint-filter --interprocedural --races --requests --instrument selective FILE v}
 
     prints is recorded here: the JSON report, the instrumented program
-    and the check counts.  A change to any static pass that moves a
+    and the check counts.  The same report is pinned for the text of
+    the fixed-seed generated corpus below (whose programs exercise
+    criticals, reductions, sections and loop bounds) and, one digest
+    per 100-entry slice, for the 2,400-program default farm corpus
+    analysed as builder ASTs.  A change to any static pass that moves a
     warning, a location, a CC site or a byte of the rendering fails
     these tests.
 
@@ -95,8 +99,22 @@ let example_files () =
   |> List.filter (fun f -> Filename.check_suffix f ".hml")
   |> List.sort String.compare
 
-(* Every pinned input, as (name, source), in a fixed order. *)
-let inputs =
+(* The fixed-seed generated corpus: the first programs QCheck draws from
+   [Test_qcheck]'s generators under fixed seeds.  [corpus_digest] pins
+   their pretty-printed text, so a change to QCheck or to a generator
+   fails as "corpus changed", not as an interpreter difference. *)
+let draw gen ~seed n =
+  QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n gen
+
+let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 40)
+
+let racy_corpus = lazy (draw Test_qcheck.gen_racy_program ~seed:1312 25)
+
+let numbered prefix l =
+  List.mapi (fun i x -> (Printf.sprintf "%s-%02d" prefix i, x)) l
+
+(* Every source input, as (name, source), in a fixed order. *)
+let sources =
   lazy
     (let examples =
        List.map
@@ -123,7 +141,13 @@ let inputs =
              ])
          Benchsuite.Catalog.all
      in
-     examples @ reproducers @ catalog @ mutants ~seed:1)
+     let generated =
+       List.map
+         (fun (name, p) -> (name, Pretty.program_to_string p))
+         (numbered "corpus/program" (Lazy.force corpus)
+         @ numbered "corpus/racy" (Lazy.force racy_corpus))
+     in
+     examples @ reproducers @ catalog @ mutants ~seed:1 @ generated)
 
 let options =
   {
@@ -134,34 +158,67 @@ let options =
     requests = true;
   }
 
+let invalid issues = Parcoach.Json_report.invalid_to_string issues ^ "\n"
+
+(* What the parcoachc command above prints after parsing [program]. *)
+let program_report program =
+  let issues = Validate.check_program program in
+  if not (Validate.is_valid issues) then invalid issues
+  else
+    let report = Parcoach.Driver.analyze ~options program in
+    let mode = Parcoach.Instrument.Selective in
+    let ccs, counters, returns = Parcoach.Instrument.check_counts report mode in
+    String.concat ""
+      [
+        Parcoach.Json_report.to_string ~issues report;
+        "\n";
+        Pretty.program_to_string (Parcoach.Instrument.instrument report mode);
+        Printf.sprintf "inserted checks: %d CC, %d counters, %d return checks\n"
+          ccs counters returns;
+      ]
+
 (* The standard output of the parcoachc command above, on [src] read
    from a file named [file]. *)
 let report ~file src =
-  let invalid issues = Parcoach.Json_report.invalid_to_string issues ^ "\n" in
   match
     Validate.catch_syntax_error (fun () -> Parser.parse_string ~file src)
   with
   | Error issue -> invalid [ issue ]
-  | Ok program ->
-      let issues = Validate.check_program program in
-      if not (Validate.is_valid issues) then invalid issues
-      else
-        let report = Parcoach.Driver.analyze ~options program in
-        let mode = Parcoach.Instrument.Selective in
-        let ccs, counters, returns =
-          Parcoach.Instrument.check_counts report mode
-        in
-        String.concat ""
-          [
-            Parcoach.Json_report.to_string ~issues report;
-            "\n";
-            Pretty.program_to_string
-              (Parcoach.Instrument.instrument report mode);
-            Printf.sprintf "inserted checks: %d CC, %d counters, %d return checks\n"
-              ccs counters returns;
-          ]
+  | Ok program -> program_report program
 
-let digest ~file src = Digest.to_hex (Digest.string (report ~file src))
+(* The default farm corpus (400 families × 6 variants), analysed as the
+   builder ASTs the farm itself analyses, in slices of [farm_slice]
+   entries: one pin covers the concatenated reports of a slice. *)
+let farm_slice = 100
+
+let farm_slices =
+  lazy
+    (let corpus =
+       Farm.Pipeline.corpus
+         { Farm.Pipeline.default_spec with Farm.Pipeline.families = 400 }
+     in
+     List.init
+       (Array.length corpus / farm_slice)
+       (fun k ->
+         ( Printf.sprintf "farm/%04d-%04d" (k * farm_slice)
+             (((k + 1) * farm_slice) - 1),
+           Array.to_list
+             (Array.map
+                (fun (e : Farm.Pipeline.entry) -> e.Farm.Pipeline.program)
+                (Array.sub corpus (k * farm_slice) farm_slice)) )))
+
+(* Every pinned input, as (name, rendering), in a fixed order. *)
+let inputs =
+  lazy
+    (List.map
+       (fun (name, src) -> (name, fun () -> report ~file:name src))
+       (Lazy.force sources)
+    @ List.map
+        (fun (name, programs) ->
+          (name, fun () -> String.concat "" (List.map program_report programs)))
+        (Lazy.force farm_slices))
+
+let digest render = Digest.to_hex (Digest.string (render ()))
 
 (* (input, report digest). *)
 let pinned =
@@ -390,6 +447,184 @@ let pinned =
      "91aca71a80d58a3072912585969f52aa");
     ("mutant:divergent-wait@EPCC suite#22",
      "d86a32302528f1aa2f2a62f4e69a1bae");
+    ("corpus/program-00",
+     "a5439ab23f0562b422e9f84c5f1a7a90");
+    ("corpus/program-01",
+     "4bc4900227071007390d75a662a093ef");
+    ("corpus/program-02",
+     "94c233c10eae194e428f61c7efb073ad");
+    ("corpus/program-03",
+     "0cbafc98d754ad74b1baeb5dff18aaae");
+    ("corpus/program-04",
+     "1864135fd5db3c06797d4a2e84c47497");
+    ("corpus/program-05",
+     "e705248373f7def2d43d4c654e6267f1");
+    ("corpus/program-06",
+     "a21100291db8c6d49263031673973500");
+    ("corpus/program-07",
+     "a2448a7e498f13ca906633b5ced2eb9d");
+    ("corpus/program-08",
+     "19321608cd914155c92894b18bba0454");
+    ("corpus/program-09",
+     "9db94154e9f537768860e52b5342f4b5");
+    ("corpus/program-10",
+     "658c4ea26e4538666faab2576a85bee8");
+    ("corpus/program-11",
+     "157603b7434d9c0fc239b715ccfb0ebc");
+    ("corpus/program-12",
+     "d5146a06e39f3119fb7451383ee0da24");
+    ("corpus/program-13",
+     "822d5c39e096d94d300d2b214e419142");
+    ("corpus/program-14",
+     "cf73c11e8db09d5a40c06690c95c2835");
+    ("corpus/program-15",
+     "aa7bba191347c4a4b7cb936dac310209");
+    ("corpus/program-16",
+     "1c8ed679757b21cdb2b5df3a22e05c48");
+    ("corpus/program-17",
+     "ea083202b457462f6fd11bd235a8fcbb");
+    ("corpus/program-18",
+     "2e615ecccd617cf0e3991d1662e5dd0a");
+    ("corpus/program-19",
+     "9070808c4ae24714e980e176f32b8ae8");
+    ("corpus/program-20",
+     "1c8ed679757b21cdb2b5df3a22e05c48");
+    ("corpus/program-21",
+     "4164701c6976dc0287f6455e54f536f6");
+    ("corpus/program-22",
+     "d205adf5cbb3c62d03db3c4da7f43fc6");
+    ("corpus/program-23",
+     "1c8ed679757b21cdb2b5df3a22e05c48");
+    ("corpus/program-24",
+     "650edafebe7c2c1607a6ad0bf05c9932");
+    ("corpus/program-25",
+     "1cdd35f2b15a9b54261c121198a80488");
+    ("corpus/program-26",
+     "519d19170507b3a2b4f4219dae82fec4");
+    ("corpus/program-27",
+     "a916d0b101c2a184b1a22afe774b5474");
+    ("corpus/program-28",
+     "25cd683c0dfb6e90ce4e3efa16086957");
+    ("corpus/program-29",
+     "11e653a20fa181d206629b9b6a8e21eb");
+    ("corpus/program-30",
+     "b50d92569c20c2e39ce5992d8c1d4781");
+    ("corpus/program-31",
+     "63bf5bb568aa42ed472c95611a8fd7de");
+    ("corpus/program-32",
+     "cd0b43a0f0c4000f561fb94b9df0ee8f");
+    ("corpus/program-33",
+     "d412c24513e361142e451530c5618294");
+    ("corpus/program-34",
+     "87f1c0dabb25dd4f68fbb453075fbaab");
+    ("corpus/program-35",
+     "07a807f44db9432eedbb486bce3b062f");
+    ("corpus/program-36",
+     "bf4c0205805f4dd6e739cf11915f41e6");
+    ("corpus/program-37",
+     "adb1a1a0a0458dbc28c4c1655a106106");
+    ("corpus/program-38",
+     "364913bce9fe079c42167667ec023388");
+    ("corpus/program-39",
+     "0fbead3f375946347763c950eedf5477");
+    ("corpus/racy-00",
+     "0064e6c6afdb71b8c478b6004afe10a7");
+    ("corpus/racy-01",
+     "d1dc2cd74b9fbeffa6e30d6d6a57eff6");
+    ("corpus/racy-02",
+     "385891ace3ecf611db0655f5ef89c879");
+    ("corpus/racy-03",
+     "7e4566ee99aa9d9f73507e4318af4e72");
+    ("corpus/racy-04",
+     "61fc2dfa1b39a10a06e262bb4ea8d16c");
+    ("corpus/racy-05",
+     "c4c4d4819132c8d75aa9abc08fe543f4");
+    ("corpus/racy-06",
+     "43e83f65f65ec650e9f6558c8c91a2ab");
+    ("corpus/racy-07",
+     "f30d3b95f5581f6fee5ecf77820c1ad6");
+    ("corpus/racy-08",
+     "8077fbbd55c1293163442d465ba853e8");
+    ("corpus/racy-09",
+     "de9053fbac89f69e4ab04bf60fe9c199");
+    ("corpus/racy-10",
+     "efca21a6cbb3ac713cd8cea1e44e0962");
+    ("corpus/racy-11",
+     "68c5a3abc135095f4a3e66a856798b4b");
+    ("corpus/racy-12",
+     "9223538dd6b9e153f6177ec998509645");
+    ("corpus/racy-13",
+     "14c1fde9f74c860ca85c5920b84cc108");
+    ("corpus/racy-14",
+     "a896fb482800cc608fa9b90eb462309b");
+    ("corpus/racy-15",
+     "8aa4ce417f7ea1d85d669633717dcb15");
+    ("corpus/racy-16",
+     "100c360e9df43617da353b82bf581baf");
+    ("corpus/racy-17",
+     "9e776e0041d0d1b1b03c21b89c36188e");
+    ("corpus/racy-18",
+     "bda4b7458b35e5369b5b8483cde7337a");
+    ("corpus/racy-19",
+     "5e77bf1c7f241ac0a34c571d93bf18ab");
+    ("corpus/racy-20",
+     "a74daadae0282f78326b75154b16c887");
+    ("corpus/racy-21",
+     "8077fbbd55c1293163442d465ba853e8");
+    ("corpus/racy-22",
+     "2ec1b88df091875c222f8a4a1dedf857");
+    ("corpus/racy-23",
+     "1982bf8d01c8b68c4047f29a7e290c01");
+    ("corpus/racy-24",
+     "8b375d6c7e46286447c9c759905006c0");
+    ("farm/0000-0099",
+     "cd19add0d5a821a6b71ef3a0170cfff2");
+    ("farm/0100-0199",
+     "83ac50b83b3f98cb4424c4b6056fcde0");
+    ("farm/0200-0299",
+     "eae51119039fbd66d8c116d8af5c1943");
+    ("farm/0300-0399",
+     "fad87c8a4ceb0b900933c4d2efc7a4f6");
+    ("farm/0400-0499",
+     "83ba7a1aed128b0a824cd7e87bff0ec5");
+    ("farm/0500-0599",
+     "47e405bb12b2c5380bb308576d546da5");
+    ("farm/0600-0699",
+     "2918441069dd7b1ad12af8180fdfe286");
+    ("farm/0700-0799",
+     "63003a2fe9a943221a3b94cf7bf09208");
+    ("farm/0800-0899",
+     "a9610f87cce38b49fd4de841cb42819a");
+    ("farm/0900-0999",
+     "7a55adfe4d51f79e3c154896365b88c9");
+    ("farm/1000-1099",
+     "3cc3b2df40c9ef15a366b531d94be0c8");
+    ("farm/1100-1199",
+     "0cbfa32be6c6a17989fc0856ca4f9c06");
+    ("farm/1200-1299",
+     "0a1df788f7a03e3785db12f90912dfca");
+    ("farm/1300-1399",
+     "1a52b0c7918ade2ef24a6454957b1619");
+    ("farm/1400-1499",
+     "2a562ac11c4d2f9ce5651d262b441421");
+    ("farm/1500-1599",
+     "27f6b1c171c34d189ef351ae4c1c7146");
+    ("farm/1600-1699",
+     "981d92052ca5d8b9bdb9d02087d5c322");
+    ("farm/1700-1799",
+     "24b7c0e81b833cb92dde3dece43d4a52");
+    ("farm/1800-1899",
+     "191e1f25022317bdddab16a6e79b9a50");
+    ("farm/1900-1999",
+     "1a5209a43c2e6cf54316464e9ed02b76");
+    ("farm/2000-2099",
+     "11a2732a1e5bdee8befdf8341c16612a");
+    ("farm/2100-2199",
+     "68b1c5781a85bba4a2ffa8f3783250ba");
+    ("farm/2200-2299",
+     "74465f78a7df3171a595e4111c1691c2");
+    ("farm/2300-2399",
+     "c20d353fb3227d1693c9b9915d05b5b2");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -552,17 +787,6 @@ let sched_lines program shape =
   in
   if shape.fold then [ fold_lines lines ] else lines
 
-(* The fixed-seed generated corpus: the first programs QCheck draws from
-   [Test_qcheck]'s generators under fixed seeds.  [corpus_digest] pins
-   their pretty-printed text, so a change to QCheck or to a generator
-   fails as "corpus changed", not as an interpreter difference. *)
-let draw gen ~seed n =
-  QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n gen
-
-let corpus = lazy (draw Test_qcheck.gen_program ~seed:19 40)
-
-let racy_corpus = lazy (draw Test_qcheck.gen_racy_program ~seed:1312 25)
-
 (* Printing x0..x3 at the end of main makes the final values of the
    shared variables part of the pinned print trace. *)
 let with_final_prints (p : Ast.program) =
@@ -588,9 +812,6 @@ let corpus_text () =
        (Lazy.force corpus @ Lazy.force racy_corpus))
 
 let corpus_digest = "40874a6f355858be318a3966ca258c75"
-
-let numbered prefix l =
-  List.mapi (fun i x -> (Printf.sprintf "%s-%02d" prefix i, x)) l
 
 (* Every scheduled program, as (name, program, shape), in a fixed order;
    the ["+cc"] variant is the selectively instrumented program. *)
@@ -2153,11 +2374,11 @@ let suite =
         Alcotest.test_case "reports match their digests" `Quick (fun () ->
             let mismatches =
               List.filter_map
-                (fun (name, src) ->
+                (fun (name, render) ->
                   match List.assoc_opt name pinned with
                   | None -> None
                   | Some d ->
-                      let d' = digest ~file:name src in
+                      let d' = digest render in
                       if d = d' then None
                       else Some (Printf.sprintf "%s: %s, pinned %s" name d' d))
                 (Lazy.force inputs)
