@@ -97,14 +97,15 @@ let loops =
     (fun t -> Loops.detect ~dom:(dom t) t.graph)
 
 (** Rank-dependence predicate for [Cond] nodes (see
-    {!Dataflow.cond_rank_dependent}).  The cache is keyed by [params]: the
+    {!Dataflow.cond_rank_dependent}), seeded with the cached reverse
+    postorder.  The cache is keyed by [params]: the
     pipeline analyses one function per graph, so this is a hit after the
     first call. *)
 let rank_dependent t ~params =
   match t.rank_dep with
-  | Some (p, f) when p = params -> f
+  | Some (p, f) when List.equal String.equal p params -> f
   | _ ->
-      let f = Dataflow.cond_rank_dependent t.graph ~params in
+      let f = Dataflow.cond_rank_dependent ~rpo:(rpo t) t.graph ~params in
       t.rank_dep <- Some (params, f);
       f
 

@@ -18,13 +18,6 @@ let rec expr_vars acc (e : Minilang.Ast.expr) =
   | Unop (_, e) -> expr_vars acc e
   | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
 
-let rec expr_mentions_rank (e : Minilang.Ast.expr) =
-  match e with
-  | Rank | Tid -> true
-  | Int _ | Bool _ | Var _ | Size | Nthreads -> false
-  | Unop (_, e) -> expr_mentions_rank e
-  | Binop (_, a, b) -> expr_mentions_rank a || expr_mentions_rank b
-
 (* Expressions evaluated by a node, and variables it defines. *)
 let node_uses g id =
   let open Minilang.Ast in
@@ -107,8 +100,10 @@ type direction = Forward | Backward
 (** [solve g dir ~equal ~join ~transfer ~init] computes, for every node,
     the pair (input fact, output fact) of the least fixpoint, where for a
     [Forward] analysis input is joined over predecessors and the root (the
-    entry, or exit when [Backward]) receives [init]. *)
-let solve (type fact) g dir ~(equal : fact -> fact -> bool)
+    entry, or exit when [Backward]) receives [init].  [order], when
+    given, is the worklist's seed order (the reverse postorder in the
+    analysis direction, as a cached {!Actx} holds it). *)
+let solve (type fact) ?order g dir ~(equal : fact -> fact -> bool)
     ~(join : fact -> fact -> fact) ~(transfer : int -> fact -> fact)
     ~(init : fact) ~(bottom : fact) =
   freeze g;
@@ -132,9 +127,10 @@ let solve (type fact) g dir ~(equal : fact -> fact -> bool)
   in
   (* Seed with a deterministic order. *)
   let order =
-    match dir with
-    | Forward -> Traversal.rpo_array g
-    | Backward -> Traversal.rpo_backward_array g
+    match (order, dir) with
+    | Some order, _ -> order
+    | None, Forward -> Traversal.rpo_array g
+    | None, Backward -> Traversal.rpo_backward_array g
   in
   Array.iter enqueue order;
   while not (Queue.is_empty worklist) do
@@ -425,115 +421,17 @@ let copy_propagation g =
   (unwrap in_facts, unwrap out_facts)
 
 (* ------------------------------------------------------------------ *)
-(* Per-node def/use accesses                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** One variable access performed by a node, with the source statement it
-    belongs to.  Unlike {!node_uses}/{!node_defs} this keeps the access
-    kind, the precise statement location, and covers the [for]/[omp for]
-    loop bounds and [recv] targets — the inputs the race detector needs. *)
-type du_access = {
-  du_var : string;
-  du_write : bool;
-  du_decl : bool;
-      (** A write that creates the binding (declarations, loop
-          variables): the storage is fresh, so the write itself cannot
-          race with accesses through any older binding. *)
-  du_loc : Minilang.Loc.t;
-  du_stmt : Minilang.Ast.stmt;  (** Carrying statement, for scope lookup. *)
-}
-
-(** Per-node access lists (reads in evaluation order, then writes),
-    indexed by node id. *)
-let defuse g =
-  let open Minilang.Ast in
-  let reads s e acc =
-    StringSet.fold
-      (fun x acc ->
-        { du_var = x; du_write = false; du_decl = false; du_loc = s.sloc; du_stmt = s }
-        :: acc)
-      (expr_vars StringSet.empty e)
-      acc
-  in
-  let write ?(decl = false) s x acc =
-    { du_var = x; du_write = true; du_decl = decl; du_loc = s.sloc; du_stmt = s }
-    :: acc
-  in
-  let coll_exprs coll =
-    match coll with
-    | Barrier -> []
-    | Bcast { root; value }
-    | Reduce { root; value; _ }
-    | Gather { root; value }
-    | Scatter { root; value } ->
-        [ root; value ]
-    | Allreduce { value; _ }
-    | Allgather { value }
-    | Alltoall { value }
-    | Scan { value; _ }
-    | Reduce_scatter { value; _ } ->
-        [ value ]
-  in
-  let simple_stmt acc s =
-    match s.sdesc with
-    | Decl (x, e) -> write ~decl:true s x (reads s e acc)
-    | Assign (x, e) -> write s x (reads s e acc)
-    | Compute e | Print e -> reads s e acc
-    | Send { value; dest; tag } -> reads s value (reads s dest (reads s tag acc))
-    | Recv { target; src; tag } -> write s target (reads s src (reads s tag acc))
-    (* Split-phase: argument reads happen at the start; the buffer write
-       happens at completion but is attributed here (the start is the
-       only program point naming the buffer).  The dynamic oracle
-       deliberately records only the argument reads, so its accesses
-       stay a subset of these.  Request variables are opaque handles
-       outside the def/use universe. *)
-    | Istart { rop = Ibarrier; _ } -> acc
-    | Istart { rop = Iallreduce { target; value; _ }; _ } ->
-        write s target (reads s value acc)
-    | Istart { rop = Isend { value; dest; tag }; _ } ->
-        reads s value (reads s dest (reads s tag acc))
-    | Istart { rop = Irecv { target; src; tag }; _ } ->
-        write s target (reads s src (reads s tag acc))
-    | Test { target; _ } -> write s target acc
-    | _ -> acc
-  in
-  let node_accesses id =
-    match kind g id with
-    | Entry | Exit | Return_site _ | Barrier_node _ | Check_site _ | Omp_end _
-      ->
-        []
-    | Simple stmts -> List.rev (List.fold_left simple_stmt [] stmts)
-    | Cond { expr; stmt } -> (
-        match stmt.sdesc with
-        (* Desugared counted loops: the init/increment statements the
-           builder manufactures are not part of the source AST, so their
-           accesses are surfaced here instead — the loop bounds read in
-           the enclosing scope, and the loop variable's binding-creating
-           write. *)
-        | For (x, lo, hi, _) ->
-            List.rev (write ~decl:true stmt x (reads stmt hi (reads stmt lo [])))
-        | Omp_for { var; lo; hi; _ } ->
-            List.rev
-              (write ~decl:true stmt var (reads stmt hi (reads stmt lo [])))
-        | _ -> List.rev (reads stmt expr []))
-    | Collective { target; coll; stmt } ->
-        let rds =
-          List.fold_left (fun acc e -> reads stmt e acc) [] (coll_exprs coll)
-        in
-        List.rev
-          (match target with None -> rds | Some x -> write stmt x rds)
-    | Call_site { args; stmt; _ } ->
-        List.rev (List.fold_left (fun acc e -> reads stmt e acc) [] args)
-    | Omp_begin { stmt; _ } -> (
-        match stmt.sdesc with
-        | Omp_parallel { num_threads = Some e; _ } -> List.rev (reads stmt e [])
-        | _ -> [])
-  in
-  Array.init (nb_nodes g) node_accesses
-
-(* ------------------------------------------------------------------ *)
 (* Rank taint                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Does [e] mention [rank()]/[omp_tid()] or a variable of [tainted]? *)
+let rec expr_tainted tainted (e : Minilang.Ast.expr) =
+  match e with
+  | Rank | Tid -> true
+  | Var x -> StringSet.mem x tainted
+  | Int _ | Bool _ | Size | Nthreads -> false
+  | Unop (_, e) -> expr_tainted tainted e
+  | Binop (_, a, b) -> expr_tainted tainted a || expr_tainted tainted b
 
 (** Forward taint analysis: which variables may carry a value that differs
     across MPI processes (or OpenMP threads)?  Sources are [rank()] and
@@ -541,13 +439,10 @@ let defuse g =
     Allreduce, Allgather and Alltoall produce replicated values (untainted);
     Reduce, Gather, Scatter and Scan results legitimately differ per rank
     (tainted).  Function parameters are conservatively tainted, since the
-    analysis is intra-procedural. *)
-let rank_taint g ~params =
+    analysis is intra-procedural.  [rpo], when given, is the graph's
+    reverse postorder. *)
+let rank_taint ?rpo g ~params =
   let open Minilang.Ast in
-  let tainted_expr env e =
-    expr_mentions_rank e
-    || StringSet.exists (fun x -> StringSet.mem x env) (expr_vars StringSet.empty e)
-  in
   let transfer id fact =
     match kind g id with
     | Simple stmts ->
@@ -555,7 +450,7 @@ let rank_taint g ~params =
           (fun env s ->
             match s.sdesc with
             | Decl (x, e) | Assign (x, e) ->
-                if tainted_expr env e then StringSet.add x env
+                if expr_tainted env e then StringSet.add x env
                 else StringSet.remove x env
             | Recv { target; _ } -> StringSet.add target env
             (* MPI_Test's flag depends on message timing, and a received
@@ -581,19 +476,15 @@ let rank_taint g ~params =
     | _ -> fact
   in
   let init = StringSet.of_list params in
-  solve g Forward ~equal:StringSet.equal ~join:StringSet.union ~transfer ~init
-    ~bottom:StringSet.empty
+  solve ?order:rpo g Forward ~equal:StringSet.equal ~join:StringSet.union
+    ~transfer ~init ~bottom:StringSet.empty
 
 (** [cond_rank_dependent g ~params id] tells whether the condition of node
     [id] may evaluate differently on different processes/threads, according
     to the taint analysis.  Non-[Cond] nodes yield [false]. *)
-let cond_rank_dependent g ~params =
-  let in_taint, _ = rank_taint g ~params in
+let cond_rank_dependent ?rpo g ~params =
+  let in_taint, _ = rank_taint ?rpo g ~params in
   fun id ->
     match kind g id with
-    | Cond { expr; _ } ->
-        expr_mentions_rank expr
-        || StringSet.exists
-             (fun x -> StringSet.mem x in_taint.(id))
-             (expr_vars StringSet.empty expr)
+    | Cond { expr; _ } -> expr_tainted in_taint.(id) expr
     | _ -> false

@@ -9,9 +9,6 @@ module StringSet : Set.S with type elt = string
 
 val expr_vars : StringSet.t -> Minilang.Ast.expr -> StringSet.t
 
-(** Does the expression mention [rank()] or [omp_tid()]? *)
-val expr_mentions_rank : Minilang.Ast.expr -> bool
-
 (** Expressions evaluated by a node. *)
 val node_uses : Graph.t -> int -> Minilang.Ast.expr list
 
@@ -26,8 +23,11 @@ type direction = Forward | Backward
 
 (** Worklist fixpoint; returns per-node (input, output) facts.  For a
     [Forward] analysis the input is joined over predecessors and the entry
-    receives [init]; must-analyses pass their top element as [bottom]. *)
+    receives [init]; must-analyses pass their top element as [bottom].
+    [order] seeds the worklist (default: the reverse postorder in the
+    analysis direction). *)
 val solve :
+  ?order:int array ->
   Graph.t ->
   direction ->
   equal:('fact -> 'fact -> bool) ->
@@ -76,30 +76,18 @@ module CopyMap : Map.S with type key = string
     can be replaced by [y].  Returns [(in_maps, out_maps)]. *)
 val copy_propagation : Graph.t -> string CopyMap.t array * string CopyMap.t array
 
-(** One variable access performed by a node, with its access kind, source
-    location and carrying statement.  Richer than {!node_uses}/{!node_defs}:
-    covers [for]/[omp for] loop bounds and [recv] targets, and keeps
-    per-statement granularity — the input of the static race detector. *)
-type du_access = {
-  du_var : string;
-  du_write : bool;
-  du_decl : bool;
-      (** Write that creates the binding (declarations, loop variables). *)
-  du_loc : Minilang.Loc.t;
-  du_stmt : Minilang.Ast.stmt;
-}
-
-(** Per-node def/use accesses (reads in evaluation order, then writes),
-    indexed by node id. *)
-val defuse : Graph.t -> du_access list array
-
 (** Forward taint: which variables may differ across ranks/threads?
     Sources are [rank()]/[omp_tid()]; symmetric collective results
     launder, rank-dependent ones taint; [params] are conservatively
-    tainted.  Returns [(in_sets, out_sets)]. *)
+    tainted.  [rpo], when given, must be the graph's reverse postorder
+    (e.g. {!Actx.rpo}).  Returns [(in_sets, out_sets)]. *)
 val rank_taint :
-  Graph.t -> params:string list -> StringSet.t array * StringSet.t array
+  ?rpo:int array ->
+  Graph.t ->
+  params:string list ->
+  StringSet.t array * StringSet.t array
 
 (** May the condition of node [id] evaluate differently on different
     processes?  [false] for non-[Cond] nodes. *)
-val cond_rank_dependent : Graph.t -> params:string list -> int -> bool
+val cond_rank_dependent :
+  ?rpo:int array -> Graph.t -> params:string list -> int -> bool

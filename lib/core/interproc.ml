@@ -78,7 +78,9 @@ let is_cond g id =
     [actx], when given, must be the analysis context of [g]: the
     post-dominator tree, its frontiers, the reverse postorder and the
     rank-taint predicate are then taken from (and cached in) the context
-    instead of being recomputed here. *)
+    instead of being recomputed here.  A function with no collective and
+    no collecting call site has no class and builds none of them; the
+    taint is computed only once some [PDF+] holds a conditional. *)
 let analyze ?call_collects ?actx g ~taint_filter ~params =
   let actx =
     match actx with
@@ -98,6 +100,9 @@ let analyze ?call_collects ?actx g ~taint_filter ~params =
       []
     |> List.rev
   in
+  let collectives = Graph.collective_nodes g in
+  if collectives = [] && call_sites = [] then { classes = []; flagged = [] }
+  else
   let depths = collective_depths ~is_site:is_call_site ~actx g in
   let by_class = Hashtbl.create 16 in
   let add key id =
@@ -110,7 +115,7 @@ let analyze ?call_collects ?actx g ~taint_filter ~params =
       | Graph.Collective { coll; _ } ->
           add (Minilang.Ast.collective_name coll, depths.(id)) id
       | _ -> ())
-    (Graph.collective_nodes g);
+    collectives;
   List.iter
     (fun id ->
       match Graph.kind g id with
@@ -118,9 +123,10 @@ let analyze ?call_collects ?actx g ~taint_filter ~params =
           add (Callgraph.call_site_name fname, depths.(id)) id
       | _ -> ())
     call_sites;
-  let rank_dependent =
-    if taint_filter then Actx.rank_dependent actx ~params else fun _ -> true
-  in
+  (* Forced by the first conditional some class's PDF+ holds: a
+     function whose frontiers hold none never pays for the taint. *)
+  let taint = lazy (Actx.rank_dependent actx ~params) in
+  let rank_dependent id = (not taint_filter) || Lazy.force taint id in
   (* The post-dominator tree and frontiers live in the context: shared by
      every class here, and with every other phase of the pipeline. *)
   let classes =

@@ -27,7 +27,9 @@ val collective_depths :
     call sites whose callee may execute collectives become
     pseudo-collective sites named ["call:<fname>"].  [actx], when given,
     must be the {!Cfg.Actx} of [g]: the post-dominator tree, frontiers and
-    taint predicate are taken from (and cached in) the context. *)
+    taint predicate are taken from (and cached in) the context.  A
+    function without sites returns no class before building any of them,
+    and the taint is forced only by a conditional in some [PDF+]. *)
 val analyze :
   ?call_collects:(string -> bool) ->
   ?actx:Cfg.Actx.t ->

@@ -41,7 +41,21 @@ let to_string word =
 
 let pp ppf w = Fmt.string ppf (to_string w)
 
-let equal (a : word) (b : word) = a = b
+let token_equal a b =
+  match (a, b) with
+  | P i, P j | S i, S j -> Int.equal i j
+  | B, B -> true
+  | (P _ | S _ | B), _ -> false
+
+(* The fixpoint mostly compares a word with itself or with a physically
+   shared suffix: test identity before walking. *)
+let rec equal (a : word) (b : word) =
+  a == b
+  ||
+  match (a, b) with
+  | x :: a', y :: b' -> token_equal x y && equal a' b'
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
 
 (** Token pushed by entering a region of the given kind, if any. *)
 let token_of_region kind id =
@@ -60,7 +74,8 @@ let simplify_region_end word ~kind ~region =
          unbalanced region (ruled out by construction) — keep the word. *)
       let rec last_index i best = function
         | [] -> best
-        | t :: rest -> last_index (i + 1) (if t = tok then i else best) rest
+        | t :: rest ->
+            last_index (i + 1) (if token_equal t tok then i else best) rest
       in
       let idx = last_index 0 (-1) word in
       if idx < 0 then word else List.filteri (fun i _ -> i < idx) word
@@ -94,17 +109,19 @@ type inconsistency = {
     construct under non-uniform control flow: the merge fails and the
     analysis reports the inconsistency. *)
 let merge w1 w2 =
-  let rec lcp a b =
-    match (a, b) with
-    | x :: a', y :: b' when x = y -> x :: lcp a' b'
-    | _ -> []
-  in
-  let prefix = lcp w1 w2 in
-  let n = List.length prefix in
-  let suffix w = List.filteri (fun i _ -> i >= n) w in
-  let only_barriers w = List.for_all (function B -> true | P _ | S _ -> false) w in
-  if only_barriers (suffix w1) && only_barriers (suffix w2) then Ok prefix
-  else Error (w1, w2)
+  if equal w1 w2 then Ok w1
+  else
+    (* The longest common prefix and the two rests. *)
+    let rec lcp a b =
+      match (a, b) with
+      | x :: a', y :: b' when token_equal x y ->
+          let w, r1, r2 = lcp a' b' in
+          (x :: w, r1, r2)
+      | _ -> ([], a, b)
+    in
+    let prefix, r1, r2 = lcp w1 w2 in
+    let only_barriers = List.for_all (function B -> true | P _ | S _ -> false) in
+    if only_barriers r1 && only_barriers r2 then Ok prefix else Error (w1, w2)
 
 type t = {
   graph : Graph.t;
@@ -151,7 +168,10 @@ let compute ?(initial = []) ?actx g =
     let in_word =
       if id = g.Graph.entry then Some initial
       else
-        List.fold_left
+        (* Predecessors fold in edge-insertion order, as before the
+           packed representation: inconsistency reporting stays
+           byte-identical. *)
+        Graph.fold_preds g id
           (fun acc p ->
             match (acc, out_words.(p)) with
             | None, w -> w
@@ -164,9 +184,7 @@ let compute ?(initial = []) ?actx g =
                       Hashtbl.replace inconsistent id
                         { node = id; word_a = wa; word_b = wb };
                     Some a))
-          None (Graph.preds g id)
-      (* [preds] order is the edge-insertion order, as before the packed
-         representation: inconsistency reporting stays byte-identical. *)
+          None
     in
     match in_word with
     | None -> ()

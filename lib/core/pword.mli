@@ -21,6 +21,8 @@ val to_string : word -> string
 
 val pp : word Fmt.t
 
+(** Token-wise equality, without polymorphic compare; physically equal
+    words are equal at once. *)
 val equal : word -> word -> bool
 
 (** Token pushed when entering a region of the given kind: [P] for
@@ -39,7 +41,7 @@ val node_effect : Cfg.Graph.t -> int -> word -> word
 
 (** Join of two incoming words: keeps the longest common prefix when they
     differ only by trailing barriers (loops crossing barriers), fails on
-    structural conflicts. *)
+    structural conflicts.  Equal words join to the first, uncopied. *)
 val merge : word -> word -> (word, word * word) result
 
 type inconsistency = { node : int; word_a : word; word_b : word }

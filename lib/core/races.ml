@@ -59,12 +59,6 @@ type pair = {
 }
 
 type result = {
-  accesses : int;  (** Variable accesses extracted from the graph. *)
-  shared_accesses : int;  (** Accesses that resolve to shared storage. *)
-  mhp_candidates : int;
-      (** Conflicting shared access pairs at MHP nodes, before the
-          critical refinement. *)
-  critical_filtered : int;  (** Candidates discharged by a common critical. *)
   wait_filtered : int;
       (** Candidates discharged by the request happens-before
           refinement: a completion write cannot race with an access at
@@ -194,40 +188,243 @@ let barrier_loopy (g : Cfg.Graph.t) =
   loopy
 
 (* ------------------------------------------------------------------ *)
+(* Shared accesses: one scoped walk                                    *)
+(* ------------------------------------------------------------------ *)
+
+module SMap = Map.Make (String)
+module SSet = Cfg.Dataflow.StringSet
+
+(* The anonymous critical's reserved name (kept in sync with
+   [Ompsim.Critical.anonymous]; this library does not link ompsim). *)
+let anonymous_critical = "<anonymous>"
+
+(* One visible binding: the unique declaration it resolves to and the
+   parallel depth that declaration was made at. *)
+type binding = { decl : int; depth : int }
+
+(* Scope facts before a statement executes. *)
+type scope = {
+  pdepth : int;  (* Number of enclosing [parallel] constructs. *)
+  criticals : string list;  (* Enclosing critical names, innermost first. *)
+  bindings : binding SMap.t;
+}
+
+let coll_exprs (c : Ast.collective) =
+  match c with
+  | Ast.Barrier -> []
+  | Ast.Bcast { root; value }
+  | Ast.Reduce { root; value; _ }
+  | Ast.Gather { root; value }
+  | Ast.Scatter { root; value } ->
+      [ root; value ]
+  | Ast.Allreduce { value; _ }
+  | Ast.Allgather { value }
+  | Ast.Alltoall { value }
+  | Ast.Scan { value; _ }
+  | Ast.Reduce_scatter { value; _ } ->
+      [ value ]
+
+(* What a statement reads, in evaluation order, and the variable it
+   writes, at the CFG node that carries it: straight-line statements at
+   their [Simple] node; conditions and loop bounds at the [Cond] node;
+   collective and call arguments at their node; [num_threads] at the
+   parallel region's [Omp_begin].  Declarations and loop variables
+   create fresh storage, so their writes cannot race and are left out.
+   A split-phase buffer is written at completion but attributed to the
+   start, the only program point naming it; request variables are
+   opaque handles outside the access universe. *)
+let stmt_uses (s : Ast.stmt) =
+  match s.Ast.sdesc with
+  | Ast.Decl (_, e) | Ast.Compute e | Ast.Print e | Ast.If (e, _, _)
+  | Ast.While (e, _)
+  | Ast.Omp_parallel { num_threads = Some e; _ } ->
+      ([ e ], None)
+  | Ast.Assign (x, e) -> ([ e ], Some x)
+  | Ast.Send { value; dest; tag }
+  | Ast.Istart { rop = Ast.Isend { value; dest; tag }; _ } ->
+      ([ tag; dest; value ], None)
+  | Ast.Recv { target; src; tag }
+  | Ast.Istart { rop = Ast.Irecv { target; src; tag }; _ } ->
+      ([ tag; src ], Some target)
+  | Ast.Istart { rop = Ast.Iallreduce { target; value; _ }; _ } ->
+      ([ value ], Some target)
+  | Ast.Test { target; _ } -> ([], Some target)
+  | Ast.For (_, lo, hi, _) | Ast.Omp_for { lo; hi; _ } -> ([ lo; hi ], None)
+  | Ast.Coll (target, c) -> (coll_exprs c, target)
+  | Ast.Call (_, args) -> (args, None)
+  | Ast.Istart { rop = Ast.Ibarrier; _ }
+  | Ast.Omp_parallel { num_threads = None; _ }
+  | Ast.Return | Ast.Wait _ | Ast.Omp_single _ | Ast.Omp_master _
+  | Ast.Omp_critical _ | Ast.Omp_barrier | Ast.Omp_sections _ | Ast.Check _ ->
+      ([], None)
+
+let rec expr_var_list acc (e : Ast.expr) =
+  match e with
+  | Ast.Var x -> x :: acc
+  | Ast.Unop (_, e) -> expr_var_list acc e
+  | Ast.Binop (_, a, b) -> expr_var_list (expr_var_list acc a) b
+  | Ast.Int _ | Ast.Bool _ | Ast.Rank | Ast.Size | Ast.Tid | Ast.Nthreads ->
+      acc
+
+(* The accesses of [s] that resolve to storage declared outside the
+   innermost enclosing [parallel] — shared by the team — in order: per
+   expression its distinct variables in ascending order, then the
+   write.  [node] is filled in when the statement is placed. *)
+let stmt_shared_accesses env (s : Ast.stmt) =
+  let shared x =
+    match SMap.find_opt x env.bindings with
+    | Some b when b.depth < env.pdepth -> Some b
+    | Some _ | None -> None
+  in
+  let access ~write ~completion_write x b =
+    {
+      node = -1;
+      var = x;
+      decl_id = b.decl;
+      write;
+      loc = s.Ast.sloc;
+      criticals = env.criticals;
+      completion_write;
+    }
+  in
+  let reads, target = stmt_uses s in
+  let write =
+    match target with
+    | None -> []
+    | Some x -> (
+        match shared x with
+        | None -> []
+        | Some b ->
+            let completion_write =
+              match s.Ast.sdesc with Ast.Istart _ -> true | _ -> false
+            in
+            [ access ~write:true ~completion_write x b ])
+  in
+  List.fold_right
+    (fun e acc ->
+      List.fold_right
+        (fun x acc ->
+          match shared x with
+          | None -> acc
+          | Some b -> access ~write:false ~completion_write:false x b :: acc)
+        (List.sort_uniq String.compare (expr_var_list [] e))
+        acc)
+    reads write
+
+(* The shared accesses of [f], in node order and per node in statement
+   order.  One walk over the body replays the storage rules of the
+   compiled interpreter ([lib/interp/compile.ml]): every [parallel] body
+   opens one private frame per team member, so what is declared outside
+   the innermost enclosing [parallel] is shared, and what is declared at
+   or below it (loop variables and reduction copies included) is
+   private.  Only statements under a [parallel] can touch shared storage;
+   their accesses are kept by physical statement identity, then one scan
+   of the graph places them at the reachable nodes that carry the
+   statements.  The init/increment statements the CFG builder
+   manufactures for counted loops are not in the body: the loop bounds
+   are read at the loop's [Cond] node instead. *)
+let shared_accesses ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) =
+  let found = Ast.Stmt_tbl.create 16 in
+  let next = ref 0 in
+  let bind env x =
+    let id = !next in
+    incr next;
+    {
+      env with
+      bindings =
+        SMap.add x { decl = id; depth = env.pdepth } env.bindings;
+    }
+  in
+  let rec stmt env (s : Ast.stmt) =
+    (if env.pdepth > 0 then
+       match stmt_shared_accesses env s with
+       | [] -> Ast.Stmt_tbl.remove found s
+       | accs -> Ast.Stmt_tbl.replace found s accs
+     else if Ast.Stmt_tbl.length found > 0 then
+       (* A statement value the body holds twice keeps the scope of its
+          last occurrence. *)
+       Ast.Stmt_tbl.remove found s);
+    match s.Ast.sdesc with
+    | Ast.Decl (x, _) -> bind env x
+    | Ast.If (_, bt, bf) ->
+        block env bt;
+        block env bf;
+        env
+    | Ast.While (_, body) | Ast.Omp_single { body; _ } | Ast.Omp_master body
+      ->
+        block env body;
+        env
+    | Ast.For (x, _, _, body) ->
+        block (bind env x) body;
+        env
+    | Ast.Omp_parallel { body; _ } ->
+        block { env with pdepth = env.pdepth + 1 } body;
+        env
+    | Ast.Omp_critical (name, body) ->
+        let name = Option.value name ~default:anonymous_critical in
+        block { env with criticals = name :: env.criticals } body;
+        env
+    | Ast.Omp_for { var; reduction; body; _ } ->
+        (* The reduction clause remaps its variable to a per-member
+           private accumulator for the loop body. *)
+        let env_in =
+          match reduction with None -> env | Some (_, x) -> bind env x
+        in
+        block (bind env_in var) body;
+        env
+    | Ast.Omp_sections { sections; _ } ->
+        List.iter (block env) sections;
+        env
+    | Ast.Assign _ | Ast.Return | Ast.Call _ | Ast.Compute _ | Ast.Print _
+    | Ast.Coll _ | Ast.Send _ | Ast.Recv _ | Ast.Istart _ | Ast.Wait _
+    | Ast.Test _ | Ast.Omp_barrier | Ast.Check _ ->
+        env
+  and block env b = ignore (List.fold_left stmt env b) in
+  let env0 = { pdepth = 0; criticals = []; bindings = SMap.empty } in
+  block (List.fold_left bind env0 f.Ast.params) f.Ast.body;
+  if Ast.Stmt_tbl.length found = 0 then [||]
+  else begin
+    let out = ref [] in
+    let place id s =
+      match Ast.Stmt_tbl.find_opt found s with
+      | None -> ()
+      | Some accs ->
+          List.iter (fun a -> out := { a with node = id } :: !out) accs
+    in
+    Cfg.Graph.iter_nodes g (fun { Cfg.Graph.id; kind } ->
+        match Pword.pw_opt pword id with
+        | None -> () (* unreachable *)
+        | Some _ -> (
+            match kind with
+            | Cfg.Graph.Simple stmts -> List.iter (place id) stmts
+            | Cfg.Graph.Cond { stmt; _ }
+            | Cfg.Graph.Collective { stmt; _ }
+            | Cfg.Graph.Call_site { stmt; _ }
+            | Cfg.Graph.Omp_begin
+                { stmt = { Ast.sdesc = Ast.Omp_parallel _; _ } as stmt; _ } ->
+                place id stmt
+            | Cfg.Graph.Entry | Cfg.Graph.Exit | Cfg.Graph.Return_site _
+            | Cfg.Graph.Omp_begin _ | Cfg.Graph.Omp_end _
+            | Cfg.Graph.Barrier_node _ | Cfg.Graph.Check_site _ ->
+                ()));
+    Array.of_list (List.rev !out)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Relevance: does the variable feed a collective or a conditional?    *)
 (* ------------------------------------------------------------------ *)
 
-module SSet = Set.Make (String)
-
-let expr_vars e = Cfg.Dataflow.expr_vars Cfg.Dataflow.StringSet.empty e
-
-let sset_of_expr e =
-  Cfg.Dataflow.StringSet.fold SSet.add (expr_vars e) SSet.empty
+let expr_vars e = Cfg.Dataflow.expr_vars SSet.empty e
 
 (* Name-based backward closure over the function body: seed with the
    variables read by collective arguments and branch conditions, then
    pull in the right-hand sides of assignments to relevant variables
    until fixpoint.  Coarse (flow-insensitive) but only used to annotate
-   warnings and pass counters, never to drop a race. *)
+   warnings, never to drop a race. *)
 let relevant_vars (f : Ast.func) =
   let seeds = ref SSet.empty in
   let assigns = ref [] in
-  let add_seed e = seeds := SSet.union (sset_of_expr e) !seeds in
-  let coll_exprs (c : Ast.collective) =
-    match c with
-    | Ast.Barrier -> []
-    | Ast.Bcast { root; value }
-    | Ast.Reduce { root; value; _ }
-    | Ast.Gather { root; value }
-    | Ast.Scatter { root; value } ->
-        [ root; value ]
-    | Ast.Allreduce { value; _ }
-    | Ast.Allgather { value }
-    | Ast.Alltoall { value }
-    | Ast.Scan { value; _ }
-    | Ast.Reduce_scatter { value; _ } ->
-        [ value ]
-  in
+  let add_seed e = seeds := SSet.union (expr_vars e) !seeds in
   Ast.fold_stmts
     (fun () (s : Ast.stmt) ->
       match s.Ast.sdesc with
@@ -250,7 +447,7 @@ let relevant_vars (f : Ast.func) =
     List.iter
       (fun (x, e) ->
         if SSet.mem x !rel then
-          let vs = sset_of_expr e in
+          let vs = expr_vars e in
           if not (SSet.subset vs !rel) then begin
             rel := SSet.union vs !rel;
             changed := true
@@ -263,7 +460,7 @@ let relevant_vars (f : Ast.func) =
 (* The pass                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let shares_critical a1 a2 =
+let shares_critical (a1 : access) (a2 : access) =
   List.exists (fun c -> List.mem c a2.criticals) a1.criticals
 
 let order_pair v a1 a2 ~feeds =
@@ -273,57 +470,12 @@ let order_pair v a1 a2 ~feeds =
 
 let analyze ?requests ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) :
     result =
-  let sharing = Sharing.analyze f in
-  let du = Cfg.Dataflow.defuse g in
-  let loopy = barrier_loopy g in
-  let total = ref 0 in
-  let shared = ref [] in
-  let nshared = ref 0 in
-  Array.iteri
-    (fun node accs ->
-      match Pword.pw_opt pword node with
-      | None -> () (* unreachable *)
-      | Some _ ->
-          List.iter
-            (fun (a : Cfg.Dataflow.du_access) ->
-              incr total;
-              if not a.Cfg.Dataflow.du_decl then
-                match Sharing.info sharing a.Cfg.Dataflow.du_stmt with
-                | None ->
-                    (* Synthetic for-desugaring statement: its shared
-                       accesses are re-extracted at the loop's Cond
-                       node. *)
-                    ()
-                | Some inf -> (
-                    match Sharing.shared inf a.Cfg.Dataflow.du_var with
-                    | None -> ()
-                    | Some b ->
-                        incr nshared;
-                        let completion_write =
-                          a.Cfg.Dataflow.du_write
-                          &&
-                          match a.Cfg.Dataflow.du_stmt.Ast.sdesc with
-                          | Ast.Istart _ -> true
-                          | _ -> false
-                        in
-                        shared :=
-                          {
-                            node;
-                            var = a.Cfg.Dataflow.du_var;
-                            decl_id = b.Sharing.decl_id;
-                            write = a.Cfg.Dataflow.du_write;
-                            loc = a.Cfg.Dataflow.du_loc;
-                            criticals = inf.Sharing.criticals;
-                            completion_write;
-                          }
-                          :: !shared))
-            accs)
-    du;
-  let accs = Array.of_list (List.rev !shared) in
+  let accs = shared_accesses ~pword g f in
   let n = Array.length accs in
+  if n = 0 then { wait_filtered = 0; pairs = [] }
+  else
+  let loopy = barrier_loopy g in
   let relevant = lazy (relevant_vars f) in
-  let candidates = ref 0 in
-  let filtered = ref 0 in
   let wfiltered = ref 0 in
   (* Happens-before discharge: exactly one side is the completion write
      of a split-phase start, and at the other access's node the request
@@ -353,10 +505,8 @@ let analyze ?requests ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) :
             ~phase_blind:(loopy.(a1.node) || loopy.(a2.node))
             (Pword.pw pword a1.node) (Pword.pw pword a2.node)
       in
-      if concurrent then begin
-        incr candidates;
-        if shares_critical a1 a2 then incr filtered
-        else if wait_ordered a1 a2 then incr wfiltered
+      if concurrent && not (shares_critical a1 a2) then
+        if wait_ordered a1 a2 then incr wfiltered
         else
           let key =
             if Loc.compare a1.loc a2.loc <= 0 then
@@ -368,7 +518,6 @@ let analyze ?requests ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) :
             let feeds = SSet.mem a1.var (Lazy.force relevant) in
             pairs := order_pair a1.var a1 a2 ~feeds :: !pairs
           end
-      end
     end
   in
   for i = 0 to n - 1 do
@@ -380,14 +529,7 @@ let analyze ?requests ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) :
       consider accs.(i) accs.(j)
     done
   done;
-  {
-    accesses = !total;
-    shared_accesses = !nshared;
-    mhp_candidates = !candidates;
-    critical_filtered = !filtered;
-    wait_filtered = !wfiltered;
-    pairs = List.rev !pairs;
-  }
+  { wait_filtered = !wfiltered; pairs = List.rev !pairs }
 
 (* ------------------------------------------------------------------ *)
 (* Warnings                                                            *)

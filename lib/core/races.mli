@@ -1,10 +1,12 @@
 (** Static data-race detection: an MHP (may-happen-in-parallel) relation
     over CFG nodes derived from parallelism words, barrier phases and
     single/master/section structure (generalising {!Concurrency}'s
-    pairwise logic), combined with per-node def/use sets and the
-    shared-variable classifier {!Sharing}.  Over-approximating: the
-    differential tests check that every race the dynamic vector-clock
-    oracle observes is statically reported. *)
+    pairwise logic), over the shared accesses of one scoped walk of the
+    function body: the accesses, under a [parallel], to storage declared
+    outside the innermost region.  A function without such accesses pays
+    for the walk only.  Over-approximating: the differential tests check
+    that every race the dynamic vector-clock oracle observes is
+    statically reported. *)
 
 open Minilang
 
@@ -30,11 +32,6 @@ type pair = {
 }
 
 type result = {
-  accesses : int;
-  shared_accesses : int;
-  mhp_candidates : int;
-      (** Conflicting shared pairs at MHP nodes, before refinements. *)
-  critical_filtered : int;
   wait_filtered : int;
       (** Pairs discharged by the request happens-before refinement
           ({!Requests.completion_ordered}): an [MPI_Wait] orders the
