@@ -60,8 +60,10 @@ let pool =
         ~doc:
           "Handle up to $(docv) requests concurrently on a worker pool of \
            OCaml domains.  Responses are written line-atomically and \
-           correlated by request id; each response is identical whatever \
-           the pool width.")
+           correlated by request id.  Their 'report', 'valid' and \
+           'warnings' are identical whatever the pool width; the 'cache' \
+           counters and the 'stats' totals are not, since concurrent \
+           requests share the summary cache and interleave.")
 
 let jobs =
   Arg.(

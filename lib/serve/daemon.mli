@@ -73,5 +73,8 @@ val handle_line : t -> string -> string
 (** Serve a channel pair until EOF or a [shutdown] request.  [pool] > 1
     dispatches requests onto that many worker domains (responses are
     written line-atomically, correlated by [id]); the pool is drained
-    before returning. *)
+    before returning.  A response's [report], [valid] and [warnings] do
+    not depend on [pool]; its [cache] counters and the [stats] totals do,
+    since concurrent requests share the summary cache and their order of
+    arrival there depends on the interleaving. *)
 val serve : ?pool:int -> t -> in_channel -> out_channel -> unit

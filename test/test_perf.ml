@@ -294,7 +294,58 @@ let test_actx_memoization () =
     (Array.to_list (Actx.pdom actx).Dominance.idom);
   Alcotest.(check (list int)) "pdf_plus = Dominance.pdf_plus"
     (Dominance.pdf_plus g (Graph.collective_nodes g))
-    (Actx.pdf_plus actx (Graph.collective_nodes g))
+    (Actx.pdf_plus actx (Graph.collective_nodes g));
+  (* Phase 3 builds what its sites need, and nothing for a function
+     without any: no traversal, no post-dominator tree, no taint. *)
+  let phase3 ?call_collects src =
+    let g =
+      List.hd
+        (Build.of_program (Minilang.Parser.parse_string ~file:"actx-lazy" src))
+    in
+    let actx = Actx.create g in
+    let r =
+      Parcoach.Interproc.analyze ?call_collects ~actx g ~taint_filter:true
+        ~params:[ "n" ]
+    in
+    (r, Actx.populated actx)
+  in
+  let siteless =
+    {|func main(n) {
+        var x = n;
+        if (x < 3) { compute(x); } else { helper(x); }
+      }|}
+  in
+  List.iter
+    (fun (what, call_collects) ->
+      let r, populated = phase3 ?call_collects siteless in
+      Alcotest.(check int) (what ^ ": no class") 0
+        (List.length r.Parcoach.Interproc.classes);
+      Alcotest.(check (list string)) (what ^ ": nothing built") [] populated)
+    [
+      ("intraprocedural", None);
+      ("non-collecting call", Some (fun _ -> false));
+    ];
+  let r, populated =
+    phase3 {|func main(n) { var x = n; MPI_Barrier(); compute(x); }|}
+  in
+  Alcotest.(check int) "straight-line collective: one class" 1
+    (List.length r.Parcoach.Interproc.classes);
+  Alcotest.(check bool) "straight-line collective: taint not built" false
+    (List.mem "rank_dep" populated);
+  let r, populated =
+    phase3
+      ~call_collects:(String.equal "helper")
+      {|func main(n) {
+          if (rank() == 0) { helper(n); }
+        }|}
+  in
+  Alcotest.(check int) "call-only site flagged" 1
+    (List.length r.Parcoach.Interproc.flagged);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("call-only site: " ^ name ^ " built") true
+        (List.mem name populated))
+    [ "rank_dep"; "pdom" ]
 
 let test_interproc_with_actx () =
   let p =

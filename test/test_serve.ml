@@ -556,6 +556,50 @@ let test_daemon_pool_deterministic () =
             (payload seq_response) (payload pooled_response))
     sequential
 
+(* The smoke session of [parcoachd]'s CLI test at pool widths 1 and 3:
+   per id, every response is identical once the cache counters and
+   timings are dropped.  Those, and the [stats] totals, count the shared
+   summary cache, so they depend on how concurrent requests
+   interleave. *)
+let test_daemon_pool_smoke_session () =
+  let lines =
+    In_channel.with_open_bin "serve_smoke.jsonl" In_channel.input_lines
+  in
+  let stats_ids =
+    List.filter_map
+      (fun line ->
+        let v = response_exn line in
+        match Option.bind (Serve.Json.member "method" v) Serve.Json.to_str with
+        | Some "stats" -> Option.bind (Serve.Json.member "id" v) Serve.Json.to_int
+        | _ -> None)
+      lines
+  in
+  let comparable responses =
+    List.filter_map
+      (fun (id, v) ->
+        if List.mem id stats_ids then None
+        else
+          match v with
+          | Serve.Json.Obj fields ->
+              Some
+                ( id,
+                  Serve.Json.to_string
+                    (Serve.Json.Obj
+                       (List.filter
+                          (fun (k, _) -> k <> "cache" && k <> "timings")
+                          fields)) )
+          | _ -> Alcotest.failf "response %d is not an object" id)
+      responses
+    |> List.sort compare
+  in
+  let sequential = run_serve ~pool:1 lines in
+  let pooled = run_serve ~pool:3 lines in
+  Alcotest.(check int) "every request answered" (List.length lines)
+    (List.length pooled);
+  Alcotest.(check bool) "the session has a stats request" true (stats_ids <> []);
+  Alcotest.(check (list (pair int string)))
+    "responses per id" (comparable sequential) (comparable pooled)
+
 let test_daemon_protocol_errors () =
   let daemon = Serve.Daemon.create () in
   let check_error label line =
@@ -1048,6 +1092,8 @@ let suite =
           test_daemon_invalid_source;
         Alcotest.test_case "daemon pool = sequential responses" `Quick
           test_daemon_pool_deterministic;
+        Alcotest.test_case "daemon pool smoke session = sequential" `Quick
+          test_daemon_pool_smoke_session;
         Alcotest.test_case "daemon warning-class filter" `Quick
           test_daemon_only_filter;
         Alcotest.test_case "daemon protocol errors" `Quick
