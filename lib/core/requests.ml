@@ -255,9 +255,8 @@ let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
   (* Completion placement: the PDF+ of the completion sites of a
      collective request must contain no (rank-dependent) conditional —
      the split-phase transposition of phase 3, anchored at the wait. *)
-  let rank_dependent =
-    if taint_filter then Cfg.Actx.rank_dependent actx ~params else fun _ -> true
-  in
+  let taint = lazy (Cfg.Actx.rank_dependent actx ~params) in
+  let rank_dependent id = (not taint_filter) || Lazy.force taint id in
   SSet.iter
     (fun r ->
       let is_collective =
