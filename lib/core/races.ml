@@ -1,8 +1,9 @@
 (** Static data-race detection: a may-happen-in-parallel (MHP) relation
     over CFG nodes derived from parallelism words, barrier counts and
-    single/master/section structure, combined with per-node def/use sets
-    ({!Cfg.Dataflow.defuse}) and the shared-variable classifier
-    ({!Sharing}).
+    single/master/section structure, over the shared accesses that one
+    scoped walk of the function body finds: the reads and writes, under
+    a [parallel], of storage declared outside the innermost region.  A
+    function without such accesses pays for the walk only.
 
     The MHP relation generalises the pairwise logic of {!Concurrency}
     (which only relates collective nodes in concurrent monothreaded
@@ -336,14 +337,13 @@ let shared_accesses ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) =
     }
   in
   let rec stmt env (s : Ast.stmt) =
+    (* A statement value the body holds twice keeps the accesses of its
+       last occurrence. *)
     (if env.pdepth > 0 then
        match stmt_shared_accesses env s with
        | [] -> Ast.Stmt_tbl.remove found s
        | accs -> Ast.Stmt_tbl.replace found s accs
-     else if Ast.Stmt_tbl.length found > 0 then
-       (* A statement value the body holds twice keeps the scope of its
-          last occurrence. *)
-       Ast.Stmt_tbl.remove found s);
+     else if Ast.Stmt_tbl.length found > 0 then Ast.Stmt_tbl.remove found s);
     match s.Ast.sdesc with
     | Ast.Decl (x, _) -> bind env x
     | Ast.If (_, bt, bf) ->

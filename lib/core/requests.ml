@@ -179,9 +179,9 @@ let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
     ~buffers ~rops : result =
   (* Forward may-analysis to fixpoint. *)
   let input, _output =
-    Cfg.Dataflow.solve g Cfg.Dataflow.Forward ~equal:fact_equal
-      ~join:fact_join ~transfer:(transfer g) ~init:SMap.empty
-      ~bottom:SMap.empty
+    Cfg.Dataflow.solve ~order:(Cfg.Actx.rpo actx) g Cfg.Dataflow.Forward
+      ~equal:fact_equal ~join:fact_join ~transfer:(transfer g)
+      ~init:SMap.empty ~bottom:SMap.empty
   in
   let inflight =
     Array.map
