@@ -195,6 +195,8 @@ let barrier_loopy (g : Cfg.Graph.t) =
 module SMap = Map.Make (String)
 module SSet = Cfg.Dataflow.StringSet
 
+let expr_vars e = Cfg.Dataflow.expr_vars SSet.empty e
+
 (* The anonymous critical's reserved name (kept in sync with
    [Ompsim.Critical.anonymous]; this library does not link ompsim). *)
 let anonymous_critical = "<anonymous>"
@@ -259,14 +261,6 @@ let stmt_uses (s : Ast.stmt) =
   | Ast.Omp_critical _ | Ast.Omp_barrier | Ast.Omp_sections _ | Ast.Check _ ->
       ([], None)
 
-let rec expr_var_list acc (e : Ast.expr) =
-  match e with
-  | Ast.Var x -> x :: acc
-  | Ast.Unop (_, e) -> expr_var_list acc e
-  | Ast.Binop (_, a, b) -> expr_var_list (expr_var_list acc a) b
-  | Ast.Int _ | Ast.Bool _ | Ast.Rank | Ast.Size | Ast.Tid | Ast.Nthreads ->
-      acc
-
 (* The accesses of [s] that resolve to storage declared outside the
    innermost enclosing [parallel] — shared by the team — in order: per
    expression its distinct variables in ascending order, then the
@@ -308,7 +302,7 @@ let stmt_shared_accesses env (s : Ast.stmt) =
           match shared x with
           | None -> acc
           | Some b -> access ~write:false ~completion_write:false x b :: acc)
-        (List.sort_uniq String.compare (expr_var_list [] e))
+        (SSet.elements (expr_vars e))
         acc)
     reads write
 
@@ -413,8 +407,6 @@ let shared_accesses ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) =
 (* ------------------------------------------------------------------ *)
 (* Relevance: does the variable feed a collective or a conditional?    *)
 (* ------------------------------------------------------------------ *)
-
-let expr_vars e = Cfg.Dataflow.expr_vars SSet.empty e
 
 (* Name-based backward closure over the function body: seed with the
    variables read by collective arguments and branch conditions, then
