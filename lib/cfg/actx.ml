@@ -98,9 +98,8 @@ let loops =
 
 (** Rank-dependence predicate for [Cond] nodes (see
     {!Dataflow.cond_rank_dependent}), seeded with the cached reverse
-    postorder.  The cache is keyed by [params]: the
-    pipeline analyses one function per graph, so this is a hit after the
-    first call. *)
+    postorder.  The cache is keyed by [params]: the pipeline analyses one
+    function per graph, so this is a hit after the first call. *)
 let rank_dependent t ~params =
   match t.rank_dep with
   | Some (p, f) when List.equal String.equal p params -> f

@@ -234,8 +234,9 @@ let coll_exprs (c : Ast.collective) =
    parallel region's [Omp_begin].  Declarations and loop variables
    create fresh storage, so their writes cannot race and are left out.
    A split-phase buffer is written at completion but attributed to the
-   start, the only program point naming it; request variables are
-   opaque handles outside the access universe. *)
+   start, the only program point naming it (the dynamic oracle records
+   only the argument reads, so its accesses stay a subset of these);
+   request variables are opaque handles outside the access universe. *)
 let stmt_uses (s : Ast.stmt) =
   match s.Ast.sdesc with
   | Ast.Decl (_, e) | Ast.Compute e | Ast.Print e | Ast.If (e, _, _)
