@@ -2479,3 +2479,95 @@ let suite =
             Alcotest.(check (list string)) "mismatches" [] mismatches);
       ] );
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Printer                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let frontend_lines () =
+  List.map
+    (fun (name, src) ->
+      ( name,
+        Test_frontend.token_digest ~file:name src
+        ^ " "
+        ^ Test_frontend.ast_digest ~file:name src ))
+    (Lazy.force Test_frontend.inputs)
+
+let report_lines () =
+  List.map (fun (name, render) -> (name, digest render)) (Lazy.force inputs)
+
+let schedule_label = function
+  | `Round_robin -> "round-robin"
+  | `Random seed -> Printf.sprintf "random %d" seed
+  | `Scripted l -> "scripted " ^ String.concat "," (List.map string_of_int l)
+
+let schedule_lines () =
+  ("corpus", md5 (corpus_text ()))
+  :: List.concat_map
+       (fun (name, p, shape) ->
+         let lines =
+           List.map (sched_observe ~nranks:shape.ranks p) shape.schedules
+         in
+         if shape.fold then [ (name, fold_lines lines) ]
+         else
+           List.map2
+             (fun s l -> (Printf.sprintf "%s (%s)" name (schedule_label s), l))
+             shape.schedules lines)
+       (Lazy.force sched_inputs)
+
+let explore_lines () =
+  List.concat_map
+    (fun (name, p, nranks, branch_depth, budget) ->
+      let config = explore_config nranks in
+      [
+        ( name ^ " (bfs)",
+          explore_observe
+            (Interp.Explore.outcomes ~branch_depth ~budget ~config p) );
+        ( name ^ " (dpor)",
+          explore_observe
+            (Interp.Explore.outcomes_dpor ~branch_depth ~budget ~config p) );
+      ])
+    (Lazy.force explore_inputs)
+
+let overlay_lines () =
+  List.concat_map
+    (fun (name, fanout, traces) ->
+      let posthoc = overlay_line (Mustlike.Overlay.check ~fanout traces) in
+      let stream =
+        overlay_line (fst (Test_stream.stream_traces ~fanout traces))
+      in
+      (name, posthoc)
+      :: (if stream = posthoc then [] else [ (name ^ " (stream)", stream) ]))
+    (Lazy.force overlay_inputs)
+
+let request_free_lines () =
+  List.map
+    (fun (name, programs) ->
+      let n, d = Test_requests.request_free_digest programs in
+      (name, Printf.sprintf "%d %s" n d))
+    (Lazy.force Test_requests.request_free_corpora)
+
+let sections =
+  [
+    ("frontend", frontend_lines);
+    ("reports", report_lines);
+    ("schedules", schedule_lines);
+    ("explore", explore_lines);
+    ("overlay", overlay_lines);
+    ("request-free", request_free_lines);
+  ]
+
+(* Writes [section]'s lines, each "name<TAB>pin", to [file]. *)
+let print section file =
+  match List.assoc_opt section sections with
+  | None ->
+      Printf.eprintf "unknown golden section '%s' (known: %s)\n" section
+        (String.concat ", " (List.map fst sections));
+      exit 2
+  | Some lines ->
+      Out_channel.with_open_bin file (fun oc ->
+          List.iter
+            (fun (name, pin) -> Printf.fprintf oc "%s\t%s\n" name pin)
+            (lines ()))
