@@ -459,99 +459,8 @@ let qcheck_tests =
 (* Request-free functions                                              *)
 (* ------------------------------------------------------------------ *)
 
-let request_free (f : Minilang.Ast.func) =
-  not
-    (Minilang.Ast.fold_stmts
-       (fun acc (s : Minilang.Ast.stmt) ->
-         acc
-         ||
-         match s.Minilang.Ast.sdesc with
-         | Minilang.Ast.Istart _ | Minilang.Ast.Wait _ | Minilang.Ast.Test _ ->
-             true
-         | _ -> false)
-       false f.Minilang.Ast.body)
-
-(* Every field of a result, as one line. *)
-let render_result (r : Requests.result) =
-  Printf.sprintf "%d %d %d [%s] %s" r.Requests.nrequests r.Requests.nstarts
-    (List.length r.Requests.findings)
-    (String.concat ";"
-       (List.map (fun (q, b) -> q ^ "=" ^ b) r.Requests.buffers))
-    (String.concat ";"
-       (Array.to_list
-          (Array.map
-             (fun s -> String.concat "," (Requests.SSet.elements s))
-             r.Requests.inflight)))
-
-(* (number of request-free functions, digest of their rendered results)
-   over [programs]. *)
-let request_free_digest programs =
-  let lines =
-    List.concat_map
-      (fun (name, (p : Minilang.Ast.program)) ->
-        List.filter_map
-          (fun (f : Minilang.Ast.func) ->
-            if not (request_free f) then None
-            else
-              let g = Cfg.Build.of_func f in
-              let r =
-                Requests.analyze g ~taint_filter:true ~params:f.Minilang.Ast.params
-              in
-              Some (name ^ "/" ^ f.Minilang.Ast.fname ^ ": " ^ render_result r))
-          p.Minilang.Ast.funcs)
-      programs
-  in
-  (List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines)))
-
-let request_free_corpora =
-  lazy
-    (let dir = "../examples/programs" in
-     let examples =
-       Sys.readdir dir |> Array.to_list
-       |> List.filter (fun f -> Filename.check_suffix f ".hml")
-       |> List.sort String.compare
-       |> List.map (fun f ->
-              (f, Minilang.Parser.parse_file (Filename.concat dir f)))
-     in
-     let catalog =
-       List.concat_map
-         (fun (e : Benchsuite.Catalog.entry) ->
-           [
-             (e.name ^ "/small", e.generate_small ());
-             (e.name ^ "/figure1", e.generate ());
-             (e.name ^ "/large", e.generate_large ());
-           ])
-         Benchsuite.Catalog.all
-     in
-     let farm =
-       Farm.Pipeline.corpus
-         { Farm.Pipeline.default_spec with Farm.Pipeline.families = 40 }
-       |> Array.to_list
-       |> List.map (fun (e : Farm.Pipeline.entry) ->
-              (string_of_int e.Farm.Pipeline.id, e.Farm.Pipeline.program))
-     in
-     [ ("examples", examples); ("catalog", catalog); ("farm", farm) ])
-
-(* The full forward solve's results on the request-free functions of each
-   corpus: (corpus, functions, digest). *)
-let request_free_pinned =
-  [
-    ("examples", 10, "cfb7b56dc58dbb09bccaf60470eef6d5");
-    ("catalog", 433, "71737c1ae144a6f6360d19d3ca97c00e");
-    ("farm", 420, "22dcd065fd03b06d2f1627692eca43e3");
-  ]
-
 let shortcut_tests =
   [
-    Alcotest.test_case "request-free functions: results as pinned" `Quick
-      (fun () ->
-        Alcotest.(check (list (triple string int string)))
-          "digests" request_free_pinned
-          (List.map
-             (fun (name, programs) ->
-               let n, d = request_free_digest programs in
-               (name, n, d))
-             (Lazy.force request_free_corpora)));
     Alcotest.test_case "request-free function: empty facts everywhere" `Quick
       (fun () ->
         let f =
