@@ -194,8 +194,8 @@ let number st =
   let text = String.sub st.src start (st.pos - start) in
   if !is_float then
     match float_of_string_opt text with
-    | Some f -> Float f
-    | None -> fail st "bad number"
+    | Some f when Float.is_finite f -> Float f
+    | _ -> fail st "bad number"
   else
     match int_of_string_opt text with
     | Some n -> Int n

@@ -3,7 +3,8 @@
     Self-contained (no external JSON dependency, like
     {!Parcoach.Json_report}): a value type, a recursive-descent parser and
     a printer.  Numbers without a fraction or exponent parse as [Int];
-    everything else numeric parses as [Float].  Object member order is
+    everything else numeric parses as [Float], and one beyond the float
+    range (["1e999"]) is a parse error.  Object member order is
     preserved.  [Raw] lets already-rendered JSON (a
     {!Parcoach.Json_report} string) be spliced into a response without a
     parse/print round trip. *)

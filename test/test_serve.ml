@@ -612,6 +612,10 @@ let test_daemon_protocol_errors () =
   in
   check_error "bad json" "{nope";
   check_error "missing method" {|{"id":1}|};
+  (* JSON has no infinities: an out-of-range number is a bad number,
+     never echoed back as "inf". *)
+  check_error "infinite id" {|{"id":1e999,"method":"ping"}|};
+  check_error "negative infinite id" {|{"id":-1e400,"method":"ping"}|};
   check_error "unknown method" {|{"id":1,"method":"frobnicate"}|};
   check_error "missing source" {|{"id":1,"method":"analyze"}|};
   check_error "bad level"
