@@ -52,10 +52,6 @@ module ConstMap : Map.S with type key = string
 
 type const_value = Const of int | NonConst
 
-val const_join : const_value ConstMap.t -> const_value ConstMap.t -> const_value ConstMap.t
-
-val const_equal : const_value ConstMap.t -> const_value ConstMap.t -> bool
-
 (** Constant-fold an expression under a constant environment. *)
 val eval_const : const_value ConstMap.t -> Minilang.Ast.expr -> int option
 

@@ -5,14 +5,12 @@
 (** Direct callees of a function body, in source order. *)
 val callees : Minilang.Ast.func -> string list
 
-val has_direct_collective : Minilang.Ast.func -> bool
-
 (** Direct callees of a function body, sorted and distinct. *)
 val direct_callees : Minilang.Ast.func -> string list
 
 (** What {!may_collect} needs of one function body. *)
 type summary = {
-  direct_collective : bool;  (** {!has_direct_collective}. *)
+  direct_collective : bool;  (** The body calls a collective itself. *)
   calls : string list;  (** {!direct_callees}. *)
 }
 

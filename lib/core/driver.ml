@@ -57,6 +57,13 @@ type report = {
           mode; empty otherwise). *)
 }
 
+(** Analyse a single function: build (or reuse) its CFG, run the pword
+    computation and the three phases, optionally the race pass, and
+    assemble the sorted warning list.  [call_collects] is the
+    interprocedural may-collect closure from {!Callgraph.may_collect};
+    [timings] accumulates per-phase wall-clock ([cfg], [pword],
+    [phase1..3], [races]).  This is the unit of work the incremental
+    daemon caches per content hash. *)
 let analyze_func ?graph ?call_collects ?timings options (f : Ast.func) =
   let time phase thunk =
     match timings with None -> thunk () | Some t -> Timings.record t phase thunk

@@ -44,21 +44,6 @@ type report = {
           mode; empty otherwise). *)
 }
 
-(** Analyse a single function: build (or reuse) its CFG, run the pword
-    computation and the three phases, optionally the race pass, and
-    assemble the sorted warning list.  [call_collects] is the
-    interprocedural may-collect closure from {!Callgraph.may_collect};
-    [timings] accumulates per-phase wall-clock ([cfg], [pword],
-    [phase1..3], [races]).  This is the unit of work the incremental
-    daemon caches per content hash. *)
-val analyze_func :
-  ?graph:Cfg.Graph.t ->
-  ?call_collects:(string -> bool) ->
-  ?timings:Timings.t ->
-  options ->
-  Minilang.Ast.func ->
-  func_report
-
 (** Run the full static analysis on a validated program.  [graphs], when
     given, must be the CFGs of the program's functions in source order
     (from {!Cfg.Build.of_program}): the analysis then reuses them instead
@@ -76,8 +61,8 @@ val analyze_func :
     analysis entirely, the rest are analysed and everything is merged in
     source order.  [summary] is a memo of {!Callgraph.summary} for the
     interprocedural closure (see {!Callgraph.may_collect}).  [timings]
-    accumulates per-phase wall-clock across all analysed functions (see
-    {!analyze_func}). *)
+    accumulates per-phase wall-clock across all analysed functions
+    ([cfg], [pword], [phase1..3], [races], ...). *)
 val analyze :
   ?options:options ->
   ?graphs:Cfg.Graph.t list ->

@@ -31,8 +31,9 @@ type result = {
 
 (** Longest-path collective depth of every node: number of collective (or
     pseudo-collective) nodes on the longest entry path, computed on the
-    acyclic condensation — loops are cut by ignoring back edges.  [actx],
-    when given, supplies the cached reverse postorder. *)
+    acyclic condensation — loops are cut by ignoring back edges.
+    [is_site] marks the pseudo-collective nodes; [actx], when given,
+    supplies the cached reverse postorder. *)
 let collective_depths ?(is_site = fun _ -> false) ?actx g =
   let n = Graph.nb_nodes g in
   let depth = Array.make n 0 in

@@ -15,12 +15,6 @@ type result = {
   flagged : cls list;  (** Classes with non-empty [conds]. *)
 }
 
-(** Longest-path collective depth of every node (back edges ignored);
-    [is_site] marks additional pseudo-collective nodes.  [actx], when
-    given, supplies the cached reverse postorder. *)
-val collective_depths :
-  ?is_site:(int -> bool) -> ?actx:Cfg.Actx.t -> Cfg.Graph.t -> int array
-
 (** [analyze g ~taint_filter ~params]: with [taint_filter:true], only
     rank-dependent conditionals (per {!Cfg.Dataflow.rank_taint}) are
     retained.  [call_collects] enables the interprocedural extension:

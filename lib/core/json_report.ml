@@ -203,7 +203,7 @@ let func_json (fr : Driver.func_report) =
 
 (** The whole report as a single JSON object: per-function warnings and
     check counts, plus totals by class. *)
-let report_json ?issues ?(func_json = func_json) (report : Driver.report) =
+let to_string ?issues ?(func_json = func_json) (report : Driver.report) =
   let funcs = List.map func_json report.Driver.funcs in
   let by_class =
     List.map
@@ -224,5 +224,3 @@ let report_json ?issues ?(func_json = func_json) (report : Driver.report) =
         ("warnings_by_class", arr by_class);
         ("functions", arr funcs);
       ])
-
-let to_string = report_json

@@ -8,8 +8,6 @@ val escape : string -> string
     nanoseconds, phases in first-recorded order). *)
 val timings_json : Timings.t -> string
 
-val warning_json : Warning.t -> string
-
 (** Validation issues as a JSON array of
     [{"severity","loc","message"}] objects. *)
 val issues_json : Minilang.Validate.issue list -> string
@@ -30,12 +28,6 @@ val func_json : Driver.func_report -> string
     function's entry (default {!func_json}); a caller that memoizes
     fragments passes a lookup that must return exactly {!func_json}'s
     bytes. *)
-val report_json :
-  ?issues:Minilang.Validate.issue list ->
-  ?func_json:(Driver.func_report -> string) ->
-  Driver.report ->
-  string
-
 val to_string :
   ?issues:Minilang.Validate.issue list ->
   ?func_json:(Driver.func_report -> string) ->

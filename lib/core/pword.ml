@@ -57,7 +57,9 @@ let rec equal (a : word) (b : word) =
   | [], [] -> true
   | _ :: _, [] | [], _ :: _ -> false
 
-(** Token pushed by entering a region of the given kind, if any. *)
+(** Token pushed when entering a region of the given kind: [P] for
+    [parallel], [S] for [single]/[master]/[section], none for worksharing
+    [for], [sections] dispatch and [critical]. *)
 let token_of_region kind id =
   match kind with
   | Graph.Rparallel -> Some (P id)

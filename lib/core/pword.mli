@@ -25,19 +25,11 @@ val pp : word Fmt.t
     words are equal at once. *)
 val equal : word -> word -> bool
 
-(** Token pushed when entering a region of the given kind: [P] for
-    [parallel], [S] for [single]/[master]/[section], none for worksharing
-    [for], [sections] dispatch and [critical]. *)
-val token_of_region : Cfg.Graph.region_kind -> int -> token option
-
 (** The paper's "simplification when OpenMP regions end": remove the
     region's token and everything after it (identity for tokenless
     regions). *)
 val simplify_region_end :
   word -> kind:Cfg.Graph.region_kind -> region:int -> word
-
-(** Word seen by the successors of a node, given the word at its entry. *)
-val node_effect : Cfg.Graph.t -> int -> word -> word
 
 (** Join of two incoming words: keeps the longest common prefix when they
     differ only by trailing barriers (loops crossing barriers), fails on
@@ -70,8 +62,6 @@ val in_language : word -> bool
 
 (** A node is in monothreaded context iff its word is in [L]. *)
 val monothreaded : word -> bool
-
-val count_barriers : word -> int
 
 (** Are two nodes in concurrent monothreaded regions? *)
 val concurrent : word -> word -> bool

@@ -26,7 +26,5 @@ val add_ns : t -> string -> float -> unit
 (** Accumulated [(phase, nanoseconds)] rows, in first-recorded order. *)
 val entries : t -> (string * float) list
 
-val total_ns : t -> float
-
 (** Human-readable table, one [phase: time] row per line. *)
 val pp : t Fmt.t

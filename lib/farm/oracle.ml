@@ -79,6 +79,8 @@ let static_race_keys report =
       | _ -> None)
     (Parcoach.Driver.all_warnings report)
 
+(** Simulator configuration for one seeded run of [sim] (trace
+    recording off — the farm keeps nothing per step). *)
 let config_of ~sim seed =
   {
     Interp.Sim.default_config with
@@ -95,6 +97,8 @@ let cli_config_of ~sim seed =
 let class_count classes name =
   match List.assoc_opt name classes with Some n -> n | None -> 0
 
+(** Warning count after applying the handicap (what the judge calls
+    "effectively clean" when 0). *)
 let effective_warnings ?handicap classes =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 classes in
   match handicap with

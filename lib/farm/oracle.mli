@@ -80,18 +80,10 @@ val obs_agree : obs -> obs -> bool
 
 val outcome_tag : Interp.Sim.outcome -> string
 
-(** Simulator configuration for one seeded run of [sim]
-    (trace recording off — the farm keeps nothing per step). *)
-val config_of : sim:sim_spec -> int -> Interp.Sim.config
-
-(** The configuration a [runsim] CLI invocation would use for the same
-    run: identical, except the CLI always records the event trace.  The
-    serial baseline uses this. *)
+(** The configuration a [runsim] CLI invocation uses for one seeded run
+    of [sim]: the farm's own configuration, except that the CLI always
+    records the event trace.  The serial baseline uses this. *)
 val cli_config_of : sim:sim_spec -> int -> Interp.Sim.config
-
-(** Warning count after applying the handicap (what the judge calls
-    "effectively clean" when 0). *)
-val effective_warnings : ?handicap:handicap -> (string * int) list -> int
 
 (** Ordered static race keys [(var, site1, site2)] of a report. *)
 val static_race_keys :

@@ -139,8 +139,6 @@ let make_probe ~depth =
   if depth < 0 then invalid_arg "Sim.make_probe: depth must be >= 0";
   { fp_depth = depth; fingerprints = Array.make (depth + 1) 0; fp_recorded = 0 }
 
-let probe_depth p = p.fp_depth
-
 let probe_recorded p = p.fp_recorded
 
 let probe_fingerprint p k =
@@ -1504,7 +1502,7 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
 
 (** Execute [program] (already validated): [make] + {!run_compiled}.
     [probe], when given, turns on the exploration instrumentation: state
-    fingerprints for the first [probe_depth] steps land in the probe's
+    fingerprints for the probe's first [depth] steps land in its
     preallocated buffer, and the degree record is capped at the same
     depth.
     @raise Invalid_argument if the entry function is missing or takes

@@ -83,8 +83,6 @@ type config = {
 
 val default_config : config
 
-val pp_error : error Fmt.t
-
 val pp_lifecycle : lifecycle Fmt.t
 
 val pp_outcome : outcome Fmt.t
@@ -99,8 +97,6 @@ type probe
 
 (** @raise Invalid_argument if [depth < 0]. *)
 val make_probe : depth:int -> probe
-
-val probe_depth : probe -> int
 
 (** Number of fingerprints the last run recorded (a run that aborts
     mid-step leaves later slots stale). *)
@@ -118,7 +114,7 @@ type compiled = Compile.t
 val make : Minilang.Ast.program -> compiled
 
 (** Execute a compiled program.  [probe], when given, records state
-    fingerprints for the first [probe_depth] steps (construct ids are
+    fingerprints for the probe's first [depth] steps (construct ids are
     the canonical statement uids of {!Compile}, so fingerprints are
     comparable across schedules).  [race], when given, feeds every
     slot access and synchronisation event of the run to the dynamic race
@@ -135,7 +131,7 @@ val run_compiled :
   compiled -> result
 
 (** Execute a validated program: {!make} + {!run_compiled}.  [probe],
-    when given, records state fingerprints for the first [probe_depth]
+    when given, records state fingerprints for the probe's first [depth]
     steps; [race] attaches the dynamic race oracle; [recorder] the DPOR
     step recorder; [on_engine] receives the freshly created MPI engine
     before any rank runs, so online consumers (e.g.

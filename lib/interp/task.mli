@@ -83,6 +83,4 @@ val status_hash : status -> int
     alike. *)
 val encounters_hash : t -> int
 
-val describe_block_reason : block_reason -> string
-
 val describe : t -> string

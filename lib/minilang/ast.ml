@@ -258,9 +258,6 @@ let request_op_name = function
   | Isend _ -> "MPI_Isend"
   | Irecv _ -> "MPI_Irecv"
 
-let all_request_op_names =
-  [ "MPI_Ibarrier"; "MPI_Iallreduce"; "MPI_Isend"; "MPI_Irecv" ]
-
 (** The buffer variable a split-phase operation writes at completion,
     if any ([Irecv]/[Iallreduce]). *)
 let request_buffer = function

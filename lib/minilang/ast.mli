@@ -146,8 +146,6 @@ val cc_return_color : int
 (** MPI name of a split-phase start ("MPI_Ibarrier", ...). *)
 val request_op_name : request_op -> string
 
-val all_request_op_names : string list
-
 (** Completion-time destination buffer ([Irecv]/[Iallreduce]), if any. *)
 val request_buffer : request_op -> string option
 

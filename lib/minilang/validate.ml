@@ -342,14 +342,3 @@ let check_program program =
   let arity = arity_of program in
   List.concat_map (check_func ~arity) program.funcs
   @ duplicate_functions program
-
-(** [validate_exn p] raises [Failure] with all error messages if [p] has
-    validation errors; returns the (possibly warning-carrying) issue list
-    otherwise. *)
-let validate_exn program =
-  let issues = check_program program in
-  match errors issues with
-  | [] -> issues
-  | errs ->
-      failwith
-        (String.concat "\n" (List.map issue_to_string errs))

@@ -8,8 +8,6 @@ type severity = Error | Warning
 
 type issue = { severity : severity; loc : Loc.t; message : string }
 
-val pp_issue : issue Fmt.t
-
 val issue_to_string : issue -> string
 
 val errors : issue list -> issue list
@@ -38,6 +36,3 @@ val duplicate_functions : Ast.program -> issue list
 (** All issues of a program: {!check_func} on each function in order,
     then {!duplicate_functions}. *)
 val check_program : Ast.program -> issue list
-
-(** @raise Failure with all error messages if the program is invalid. *)
-val validate_exn : Ast.program -> issue list

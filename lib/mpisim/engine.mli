@@ -100,7 +100,5 @@ val completed_count : t -> int
 
 val cc_check_count : t -> int
 
-val pp_rank_call : rank_call Fmt.t
-
 (** Human-readable description of a mismatch or CC divergence. *)
 val describe_divergence : rank_call list -> string

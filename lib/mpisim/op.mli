@@ -4,8 +4,6 @@ type t = Sum | Prod | Max | Min | Land | Lor
 
 val to_string : t -> string
 
-val apply2 : t -> int -> int -> int
-
 (** Fold over a non-empty contribution list.
     @raise Invalid_argument on an empty list. *)
 val fold : t -> int list -> int
