@@ -743,7 +743,8 @@ let overlay_inputs =
    post-hoc [Mustlike.Overlay.check], whose report gives the line:
    verdict, rounds, messages and an MD5 of the rendered report.  The
    streaming [Mustlike.Stream] must build the same report; where it
-   does not, a "(stream)" line follows and the diff fails. *)
+   does not, a "(stream)" line follows and the diff fails (CI also
+   refuses such a line in the pin file, so it cannot be promoted). *)
 let overlay_lines () =
   List.concat_map
     (fun (name, fanout, traces) ->
