@@ -829,11 +829,12 @@ let request_free_corpora =
      in
      [ ("examples", examples); ("catalog", catalog); ("farm", farm) ])
 
-(* [request-free]: the full forward solve of the request pass on every
+(* [request-free]: what [Requests.analyze] returns on every
    request-free function of the examples, of the catalog at its three
    sizes and of a 240-program farm corpus, one line per corpus.  The
-   pass skips the solve for such functions, and the pin holds it to
-   what the solve gives. *)
+   pass skips its forward solve on such functions; the pins were
+   recorded from the full solve, so the shortcut must give what the
+   solve gave. *)
 let request_free_lines () =
   List.map
     (fun (name, programs) -> (name, request_free_pin programs))
