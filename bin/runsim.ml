@@ -83,7 +83,7 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
     | Some m -> Some m
     | None -> if must_check then Some `Posthoc else None
   in
-  (* Online checking streams the run's events through the engine hook. *)
+  (* Online checking runs inline in the engine's arrival hook. *)
   let stream_checker =
     match overlay_mode with
     | Some `Stream ->
@@ -131,13 +131,9 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
       let report, stats = Mustlike.Stream.result t in
       Fmt.pr "MUST-like streaming trace check:@.%s@."
         (Mustlike.Overlay.report_to_string report);
-      Fmt.pr
-        "streaming: %d event(s) checked, %d drained, %d batch(es), max batch \
-         fill %d, max in-flight %d, %d interned signature(s)@."
+      Fmt.pr "streaming: %d event(s) checked, %d drained, max in-flight %d@."
         stats.Mustlike.Stream.events stats.Mustlike.Stream.drained
-        stats.Mustlike.Stream.batches stats.Mustlike.Stream.max_batch_fill
-        stats.Mustlike.Stream.max_in_flight
-        stats.Mustlike.Stream.distinct_signatures)
+        stats.Mustlike.Stream.max_in_flight)
     stream_checker;
   match result.Interp.Sim.outcome with
   | Interp.Sim.Finished -> ()
@@ -239,9 +235,10 @@ let overlay =
     & info [ "overlay" ] ~docv:"MODE"
         ~doc:
           "Check collective consistency with the MUST-style overlay: \
-           $(i,stream) checks events online through bounded per-rank \
-           mailboxes as the simulation runs (no full-trace retention); \
-           $(i,posthoc) checks the recorded traces after the run.")
+           $(i,stream) checks each round inline as the ranks' collectives \
+           arrive, holding only the events of rounds still waiting for a \
+           rank (no full-trace retention); $(i,posthoc) checks the recorded \
+           traces after the run.")
 
 let overlay_fanout =
   Arg.(

@@ -2,8 +2,8 @@
 
     The static pipeline used to recompute dominator trees, traversal
     orders and taint results independently in each phase.  [Actx] memoizes
-    every derived structure of a graph — RPO in both directions, forward
-    and backward dominator trees, their frontiers, loop nests, rank-taint
+    every derived structure of a graph — RPO, forward and backward
+    dominator trees, post-dominance frontiers, loop nests, rank-taint
     predicates — so phases 1–3 (and anything after them) compute each at
     most once.  Creating a context freezes the graph: the packed CSR
     adjacency is the representation all cached structures index into.
@@ -16,10 +16,8 @@
 type t = {
   graph : Graph.t;
   mutable rpo : int array option;
-  mutable rpo_backward : int array option;
   mutable dom : Dominance.t option;
   mutable pdom : Dominance.t option;
-  mutable dom_frontiers : int list array option;
   mutable pdom_frontiers : int list array option;
   mutable loops : Loops.loop list option;
   mutable rank_dep : (string list * (int -> bool)) option;
@@ -31,10 +29,8 @@ let create graph =
   {
     graph;
     rpo = None;
-    rpo_backward = None;
     dom = None;
     pdom = None;
-    dom_frontiers = None;
     pdom_frontiers = None;
     loops = None;
     rank_dep = None;
@@ -56,12 +52,6 @@ let rpo =
     (fun t v -> t.rpo <- Some v)
     (fun t -> Traversal.rpo_array t.graph)
 
-let rpo_backward =
-  memo
-    (fun t -> t.rpo_backward)
-    (fun t v -> t.rpo_backward <- Some v)
-    (fun t -> Traversal.rpo_backward_array t.graph)
-
 let dom =
   memo
     (fun t -> t.dom)
@@ -73,12 +63,6 @@ let pdom =
     (fun t -> t.pdom)
     (fun t v -> t.pdom <- Some v)
     (fun t -> Dominance.compute t.graph Dominance.Backward)
-
-let dom_frontiers =
-  memo
-    (fun t -> t.dom_frontiers)
-    (fun t v -> t.dom_frontiers <- Some v)
-    (fun t -> Dominance.frontiers (dom t))
 
 let pdom_frontiers =
   memo
@@ -114,10 +98,8 @@ let populated t =
     (fun (name, filled) -> if filled then Some name else None)
     [
       ("rpo", t.rpo <> None);
-      ("rpo_backward", t.rpo_backward <> None);
       ("dom", t.dom <> None);
       ("pdom", t.pdom <> None);
-      ("dom_frontiers", t.dom_frontiers <> None);
       ("pdom_frontiers", t.pdom_frontiers <> None);
       ("loops", t.loops <> None);
       ("rank_dep", t.rank_dep <> None);

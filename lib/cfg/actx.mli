@@ -16,16 +16,11 @@ val graph : t -> Graph.t
 (** Reverse postorder from the entry, cached. *)
 val rpo : t -> int array
 
-(** Reverse postorder on the edge-reversed graph from the exit, cached. *)
-val rpo_backward : t -> int array
-
 (** Forward dominator tree, cached. *)
 val dom : t -> Dominance.t
 
 (** Post-dominator tree, cached. *)
 val pdom : t -> Dominance.t
-
-val dom_frontiers : t -> int list array
 
 val pdom_frontiers : t -> int list array
 

@@ -9,13 +9,7 @@ module StringSet : Set.S with type elt = string
 
 val expr_vars : StringSet.t -> Minilang.Ast.expr -> StringSet.t
 
-(** Expressions evaluated by a node. *)
-val node_uses : Graph.t -> int -> Minilang.Ast.expr list
-
 val node_used_vars : Graph.t -> int -> StringSet.t
-
-(** Variables assigned by a node. *)
-val node_defs : Graph.t -> int -> StringSet.t
 
 (* Generic solver *)
 
@@ -51,9 +45,6 @@ val reaching_definitions : Graph.t -> DefSet.t array * DefSet.t array
 module ConstMap : Map.S with type key = string
 
 type const_value = Const of int | NonConst
-
-(** Constant-fold an expression under a constant environment. *)
-val eval_const : const_value ConstMap.t -> Minilang.Ast.expr -> int option
 
 (** Forward constant propagation; collective results and calls are
     non-constant.  Returns [(in_maps, out_maps)]. *)

@@ -105,6 +105,11 @@ let effective_warnings ?handicap classes =
   | Some Blind_mismatch -> total - class_count classes "collective mismatch"
   | _ -> total
 
+(** Run the dynamic side: compiles each form once and shares it across
+    seeds; the bare runs carry the race oracle.  [instrumented] is
+    forced — and its program compiled and run — only when
+    [need_cc ~plain] says the judge will consult the CC outcomes.
+    [timings] accumulates the [compile] and [simulate] stages. *)
 let dynamic ?timings ~sim ~bare ~instrumented ~need_cc () =
   (* One lowering per form, shared across every seed. *)
   let bare_c =

@@ -89,20 +89,6 @@ val cli_config_of : sim:sim_spec -> int -> Interp.Sim.config
 val static_race_keys :
   Parcoach.Driver.report -> (string * string * string) list
 
-(** Run the dynamic side: compiles each form once and shares it across
-    seeds; the bare runs carry the race oracle.  [instrumented] is
-    forced — and its program compiled and run — only when
-    [need_cc ~plain] says the judge will consult the CC outcomes.
-    [timings] accumulates the [compile] and [simulate] stages. *)
-val dynamic :
-  ?timings:Parcoach.Timings.t ->
-  sim:sim_spec ->
-  bare:Minilang.Ast.program ->
-  instrumented:(unit -> Minilang.Ast.program) ->
-  need_cc:(plain:string list -> bool) ->
-  unit ->
-  dyn
-
 (** Pure judgement of static summary vs dynamic evidence. *)
 val judge :
   ?handicap:handicap ->

@@ -155,6 +155,4 @@ type t = { funcs : cfunc array; by_name : (string, cfunc) Hashtbl.t }
     [Ast.find_func]. *)
 val find : t -> string -> cfunc option
 
-val op_of_ast : Minilang.Ast.reduce_op -> Mpisim.Op.t
-
 val lower : Minilang.Ast.program -> t

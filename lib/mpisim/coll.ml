@@ -66,71 +66,6 @@ let signature_to_string (kind, op, root) =
       | Some r -> "[root=" ^ string_of_int r ^ "]");
     ]
 
-(** Signature interning for streaming checkers (MUST-style overlay
-    tools).  Comparing collective signatures is the hot operation of an
-    online matcher: interning maps each distinct [(kind, op, root)]
-    triple to a small integer once, so the per-event work downstream is
-    an integer comparison instead of a string build.  The table is
-    mutex-protected — producers (simulated ranks) and the checker's
-    reducer domains share one table. *)
-module Intern = struct
-  type signature = kind * Op.t option * int option
-
-  type t = {
-    mutex : Mutex.t;
-    ids : (signature, int) Hashtbl.t;
-    mutable names : string array;  (** id -> printable signature. *)
-    mutable next : int;
-  }
-
-  (** Reserved id for "this rank's stream ended before this round". *)
-  let no_event = 0
-
-  let no_event_string = "<no event>"
-
-  let create () =
-    let names = Array.make 16 "" in
-    names.(no_event) <- no_event_string;
-    { mutex = Mutex.create (); ids = Hashtbl.create 32; names; next = 1 }
-
-  let id t signature =
-    Mutex.lock t.mutex;
-    let id =
-      match Hashtbl.find_opt t.ids signature with
-      | Some id -> id
-      | None ->
-          let id = t.next in
-          t.next <- id + 1;
-          Hashtbl.add t.ids signature id;
-          if id >= Array.length t.names then begin
-            let names = Array.make (2 * Array.length t.names) "" in
-            Array.blit t.names 0 names 0 (Array.length t.names);
-            t.names <- names
-          end;
-          t.names.(id) <- signature_to_string signature;
-          id
-    in
-    Mutex.unlock t.mutex;
-    id
-
-  let to_string t id =
-    Mutex.lock t.mutex;
-    if id < 0 || id >= t.next then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Coll.Intern.to_string: unknown id"
-    end;
-    let s = t.names.(id) in
-    Mutex.unlock t.mutex;
-    s
-
-  (** Distinct signatures interned so far (excluding [no_event]). *)
-  let size t =
-    Mutex.lock t.mutex;
-    let n = t.next - 1 in
-    Mutex.unlock t.mutex;
-    n
-end
-
 (** Result delivered to [rank] once all [contributions] (indexed by rank)
     are present.  Semantics are synthetic but deterministic:
     - [Barrier]/[Cc_check]: 0;

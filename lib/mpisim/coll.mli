@@ -41,34 +41,6 @@ val signature : call -> kind * Op.t option * int option
 
 val signature_to_string : kind * Op.t option * int option -> string
 
-(** Signature interning for streaming checkers: maps each distinct
-    [(kind, op, root)] triple to a small integer once, so online
-    matchers compare ints instead of building strings.  Thread-safe (one
-    table is shared between producing ranks and reducer domains). *)
-module Intern : sig
-  type signature = kind * Op.t option * int option
-
-  type t
-
-  (** Reserved id meaning "stream ended before this round"; never
-      returned by {!id}. *)
-  val no_event : int
-
-  val no_event_string : string
-
-  val create : unit -> t
-
-  (** Intern a signature; equal signatures always get equal ids. *)
-  val id : t -> signature -> int
-
-  (** Printable form of an interned id (or {!no_event}).
-      @raise Invalid_argument on an id this table never produced. *)
-  val to_string : t -> int -> string
-
-  (** Distinct signatures interned so far (excluding [no_event]). *)
-  val size : t -> int
-end
-
 (** Result delivered to [rank] once all contributions (indexed by rank)
     are present; see the implementation notes for the synthetic semantics
     of each kind. *)

@@ -100,8 +100,9 @@ let nranks t = t.nranks
 let subscribe t f = t.hook <- Some f
 
 (** [set_retention t false] stops accumulating per-rank traces (and
-    drops what was recorded so far): a subscribed streaming checker then
-    bounds the job's checking memory instead of the full trace.
+    drops what was recorded so far): a subscribed streaming checker,
+    which holds only the events of rounds still waiting for a rank,
+    then replaces the full trace.
     Post-hoc {!all_traces} sees only events recorded while retention was
     on. *)
 let set_retention t retain =

@@ -44,15 +44,15 @@ val create : nranks:int -> t
 val nranks : t -> int
 
 (** Subscribe a streaming consumer: [f ~rank event] runs synchronously
-    on every recorded (non-CC) arrival, in each rank's program order —
-    the push half of a MUST-style online checker.  One subscriber at a
-    time; subscribing replaces the previous hook. *)
+    on every recorded (non-CC) arrival, in each rank's program order;
+    a MUST-style online checker checks its rounds here, inline.  One
+    subscriber at a time; subscribing replaces the previous hook. *)
 val subscribe : t -> (rank:int -> trace_event -> unit) -> unit
 
 (** [set_retention t false] stops accumulating the per-rank traces (and
-    drops what was recorded so far), so a subscribed streaming checker
-    bounds the job's checking memory instead of the full trace.  Default
-    [true]. *)
+    drops what was recorded so far): a subscribed streaming checker,
+    which holds only the events of rounds still waiting for a rank,
+    then replaces the full trace.  Default [true]. *)
 val set_retention : t -> bool -> unit
 
 (** Pending arrivals, for deadlock diagnostics. *)

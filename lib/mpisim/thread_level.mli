@@ -9,9 +9,6 @@ val to_string : t -> string
 (** Accepts both the [MPI_THREAD_*] constants and lowercase short names. *)
 val of_string : string -> t option
 
-(** [compare a b < 0] iff [a] permits strictly less threading than [b]. *)
-val compare : t -> t -> int
-
 (** [includes provided required]: does an MPI library initialised at
     [provided] accept a call site requiring [required]? *)
 val includes : t -> t -> bool

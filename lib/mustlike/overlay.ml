@@ -99,6 +99,10 @@ type report = {
   tree_max_fan_in : int;
 }
 
+(** One checking round: [round.(r)] is rank [r]'s event at the round's
+    stream position, [None] once that rank's stream has ended. *)
+type round = event option array
+
 let signature_string = function
   | None -> "<no event>"
   | Some (e : event) ->
@@ -152,41 +156,43 @@ let reduce_round tree ~pos sigs =
 
 (* Structural signature equality.  Signature descriptions are
    injective, so this agrees with comparing them as strings. *)
-let same_signature ((k, o, r) : Mpisim.Coll.Intern.signature) (k', o', r') =
+let same_signature (a : event) (b : event) =
+  let k, o, r = a.Mpisim.Engine.signature
+  and k', o', r' = b.Mpisim.Engine.signature in
   k = k' && Option.equal ( = ) o o' && Option.equal Int.equal r r'
 
-(* Whether every rank holds an event at stream position [pos] and all of
-   them carry rank 0's signature. *)
-let round_agrees (traces : event array array) pos =
-  let t0 = traces.(0) in
-  pos < Array.length t0
-  &&
-  let s = t0.(pos).Mpisim.Engine.signature in
-  let rec from r =
-    r >= Array.length traces
-    ||
-    let tr = traces.(r) in
-    pos < Array.length tr
-    && same_signature s tr.(pos).Mpisim.Engine.signature
-    && from (r + 1)
-  in
-  from 1
+(** Whether every rank holds an event in [round] and all of them carry
+    rank 0's [(kind, op, root)] signature: the one agreement test of
+    both checkers. *)
+let round_agrees (round : round) =
+  match round.(0) with
+  | None -> false
+  | Some e0 ->
+      let rec from r =
+        r >= Array.length round
+        ||
+        match round.(r) with
+        | Some e -> same_signature e0 e && from (r + 1)
+        | None -> false
+      in
+      from 1
 
 (** The report of a run whose first [agreed] rounds agree on every
-    rank, given the per-rank signature descriptions of the first
-    disagreeing round if there is one.  The one report constructor: both
-    checkers find that round cheaply (the post-hoc one structurally,
-    {!Stream} on interned ids) and hand it here, so their reports are
-    identical by construction. *)
+    rank, given the first disagreeing round if there is one.  The one
+    report constructor: both checkers find that round with
+    {!round_agrees} and hand it here, so their reports are identical by
+    construction. *)
 let report_of_rounds tree ~agreed diverging =
   let full = full_round_messages tree in
   let verdict, rounds, messages =
     match diverging with
     | None -> (`Match agreed, agreed, agreed * full)
-    | Some sigs -> (
-        match reduce_round tree ~pos:agreed sigs with
+    | Some round -> (
+        match
+          reduce_round tree ~pos:agreed (Array.map signature_string round)
+        with
         | Some d, msgs -> (`Divergence d, agreed + 1, (agreed * full) + msgs)
-        | None, _ -> invalid_arg "Overlay.report_of_rounds: signatures agree")
+        | None, _ -> invalid_arg "Overlay.report_of_rounds: the round agrees")
   in
   {
     verdict;
@@ -200,24 +206,20 @@ let report_of_rounds tree ~agreed diverging =
 
     All ranks must present the same signature at every stream position;
     the first position where they do not (including streams of different
-    lengths) is reported with the overlay node that detected it.  Rounds
-    are compared structurally; only the first disagreeing one renders
-    its signatures for {!report_of_rounds}. *)
+    lengths) is reported with the overlay node that detected it. *)
 let check ?(fanout = 2) (traces : event list array) =
   let tree = build_tree ~fanout ~nranks:(Array.length traces) in
   let traces = Array.map Array.of_list traces in
   let max_len = Array.fold_left (fun acc t -> max acc (Array.length t)) 0 traces in
+  let round pos =
+    Array.map (fun tr -> if pos < Array.length tr then Some tr.(pos) else None) traces
+  in
   let rec run pos =
     if pos >= max_len then report_of_rounds tree ~agreed:max_len None
-    else if round_agrees traces pos then run (pos + 1)
     else
-      report_of_rounds tree ~agreed:pos
-        (Some
-           (Array.map
-              (fun tr ->
-                signature_string
-                  (if pos < Array.length tr then Some tr.(pos) else None))
-              traces))
+      let r = round pos in
+      if round_agrees r then run (pos + 1)
+      else report_of_rounds tree ~agreed:pos (Some r)
   in
   run 0
 

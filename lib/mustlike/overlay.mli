@@ -3,7 +3,9 @@
     centralized Marmot-like checker is the degenerate overlay with fan-out
     equal to the process count.  {!check} consumes the per-rank traces
     recorded by {!Mpisim.Engine} after the run; {!Stream} checks the same
-    events online.  Both build their report with {!report_of_rounds}. *)
+    events online, inline in the engine's arrival hook.  Both compare a
+    round with {!round_agrees} and build their report with
+    {!report_of_rounds}. *)
 
 type event = Mpisim.Engine.trace_event
 
@@ -41,28 +43,34 @@ type report = {
   tree_max_fan_in : int;
 }
 
+(** One checking round: [round.(r)] is rank [r]'s event at the round's
+    stream position, [None] once that rank's stream has ended. *)
+type round = event option array
+
+(** Whether every rank holds an event in [round] and all of them carry
+    the same [(kind, op, root)] signature: the one agreement test of
+    both checkers. *)
+val round_agrees : round -> bool
+
 (** [report_of_rounds tree ~agreed diverging]: the report of a run whose
     first [agreed] rounds agree on every rank.  [diverging] is [None]
-    when there were no further rounds, otherwise [Some sigs] with
-    [sigs.(r)] rank [r]'s signature description at round [agreed]
-    (["<no event>"] for an ended stream); that round is reduced over
-    the tree to localize the conflict.  Each agreeing round costs one
-    message per node below the root.  The only constructor of
-    {!report}: both checkers find their first disagreeing round
-    cheaply and build the report here, so they agree byte for byte.
-    @raise Invalid_argument if the [sigs] all agree. *)
-val report_of_rounds : tree -> agreed:int -> string array option -> report
+    when there were no further rounds, otherwise [Some round] with the
+    first disagreeing round (an ended stream contributes
+    ["<no event>"]); that round is reduced over the tree to localize
+    the conflict.  Each agreeing round costs one message per node below
+    the root.  The only constructor of {!report}, so both checkers
+    agree byte for byte.
+    @raise Invalid_argument if the round agrees. *)
+val report_of_rounds : tree -> agreed:int -> round option -> report
 
 (** Check that all per-rank streams carry the same ordered signature
-    sequence; the first divergence is localized in the overlay.  Agreeing
-    rounds are compared structurally; only the first disagreeing one is
-    rendered and passed to {!report_of_rounds}. *)
+    sequence; the first divergence is localized in the overlay.  Rounds
+    are compared with {!round_agrees}; the first disagreeing one goes to
+    {!report_of_rounds}. *)
 val check : ?fanout:int -> event list array -> report
 
 (** Post-mortem check of everything a simulated MPI engine recorded. *)
 val check_engine : ?fanout:int -> Mpisim.Engine.t -> report
-
-val pp_report : report Fmt.t
 
 val report_to_string : report -> string
 

@@ -18,8 +18,8 @@ let programs_dir = "../examples/programs"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 (* The compile workload's mutant set: for each bug and each Figure-1
-   catalog program with a site for it, three seeded sites, keeping the
-   mutants that validate. *)
+   catalog program with a site for it, three seeded site draws with
+   repeats dropped, keeping the mutants that validate. *)
 let mutants ~seed =
   let rng = Random.State.make [| 0xc0; seed |] in
   let figure1 =
@@ -37,7 +37,12 @@ let mutants ~seed =
             else Benchsuite.Injector.collective_count p
           in
           let sites =
-            if nsites > 0 then List.init 3 (fun _ -> Random.State.int rng nsites)
+            if nsites > 0 then
+              List.init 3 (fun _ -> Random.State.int rng nsites)
+              |> List.fold_left
+                   (fun seen i -> if List.mem i seen then seen else i :: seen)
+                   []
+              |> List.rev
             else []
           in
           List.filter_map

@@ -1,5 +1,5 @@
 (** Tests for the streaming MUST-style overlay checker: byte-identity
-    with the post-hoc {!Mustlike.Overlay.check}, backpressure, and the
+    with the post-hoc {!Mustlike.Overlay.check}, bounded queues, and the
     engine hook. *)
 
 open Mustlike
@@ -16,9 +16,8 @@ let allreduce site = ev ~op:(Some Mpisim.Op.Sum) Mpisim.Coll.Allreduce site
    producer (round-robin by stream position, each rank closed at its
    last event) and return its report and stats: the streaming
    counterpart of [Overlay.check] on the same traces and fanout. *)
-let stream_traces ?window ?batch ~fanout (traces : Overlay.event list array)
-    =
-  let t = Stream.create ~fanout ?window ?batch ~nranks:(Array.length traces) () in
+let stream_traces ~fanout (traces : Overlay.event list array) =
+  let t = Stream.create ~fanout ~nranks:(Array.length traces) () in
   let traces = Array.map Array.of_list traces in
   let max_len =
     Array.fold_left (fun acc tr -> max acc (Array.length tr)) 0 traces
@@ -39,8 +38,8 @@ let stream_traces ?window ?batch ~fanout (traces : Overlay.event list array)
 
 (* Full-report byte identity: verdict, divergence localization and cost
    metrics all agree. *)
-let check_identity ?window ?batch ~fanout traces =
-  let stream, _ = stream_traces ~fanout ?window ?batch traces in
+let check_identity ~fanout traces =
+  let stream, _ = stream_traces ~fanout traces in
   Alcotest.(check string)
     "streaming report = post-hoc report"
     (Overlay.report_to_string (Overlay.check ~fanout traces))
@@ -89,12 +88,12 @@ let identity_tests =
         check_identity ~fanout:2 (Array.make 5 [ barrier "a" ]);
         check_identity ~fanout:2
           [| [ barrier "a" ]; [ allreduce "a" ]; [ barrier "a" ] |]);
-    Alcotest.test_case "tiny window and batch stress the carry logic" `Quick
+    Alcotest.test_case "long traces: match and a late divergence" `Quick
       (fun () ->
         let trace = List.init 50 (fun i -> barrier (string_of_int i)) in
-        check_identity ~fanout:2 ~window:2 ~batch:1 (Array.make 3 trace);
+        check_identity ~fanout:2 (Array.make 3 trace);
         let t2 = List.mapi (fun i e -> if i = 37 then allreduce "x" else e) trace in
-        check_identity ~fanout:2 ~window:2 ~batch:1 [| trace; t2; trace |]);
+        check_identity ~fanout:2 [| trace; t2; trace |]);
     Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
         let bad f =
           match f () with
@@ -102,44 +101,51 @@ let identity_tests =
           | _ -> Alcotest.fail "expected Invalid_argument"
         in
         bad (fun () -> Stream.create ~fanout:1 ~nranks:4 ());
-        bad (fun () -> Stream.create ~fanout:2 ~window:1 ~nranks:4 ());
-        bad (fun () -> Stream.create ~fanout:2 ~batch:0 ~nranks:4 ());
         bad (fun () -> Stream.create ~fanout:2 ~nranks:0 ()));
   ]
 
-let backpressure_tests =
+let memory_tests =
   [
-    Alcotest.test_case "full mailbox blocks the producer without dropping"
-      `Quick (fun () ->
-        let mb = Ring.create 2 in
-        Ring.push mb 1;
-        Ring.push mb 2;
-        let third_pushed = Atomic.make false in
-        let producer =
-          Domain.spawn (fun () ->
-              Ring.push mb 3;
-              Atomic.set third_pushed true)
+    Alcotest.test_case "long blocking loop: in-flight bounded by nranks" `Quick
+      (fun () ->
+        (* The master thread of each rank runs 500 rounds of two blocking
+           collectives: no rank can run a round ahead, so the checker
+           never holds more than one event per rank. *)
+        let src =
+          {|func main() {
+             var x = 0;
+             pragma omp parallel num_threads(3) {
+               pragma omp master {
+                 for i = 0 to 500 { MPI_Barrier(); x = MPI_Allreduce(i, sum); }
+               }
+             }
+           }|}
         in
-        (* The producer must be blocked on the full mailbox.  A timing
-           check, but generous: it only fails if backpressure is absent
-           entirely. *)
-        Unix.sleepf 0.05;
-        Alcotest.(check bool) "push blocked while full" false
-          (Atomic.get third_pushed);
-        Alcotest.(check (option int)) "fifo" (Some 1) (Ring.pop mb);
-        Domain.join producer;
-        Alcotest.(check bool) "push completed after pop" true
-          (Atomic.get third_pushed);
-        Alcotest.(check (option int)) "nothing dropped" (Some 2)
-          (Ring.pop mb);
-        Alcotest.(check (option int)) "third delivered" (Some 3)
-          (Ring.pop mb));
+        let p = Minilang.Parser.parse_string ~file:"t" src in
+        let nranks = 4 in
+        let config =
+          { Interp.Sim.default_config with nranks; default_nthreads = 3 }
+        in
+        let retained = Interp.Sim.run ~config p in
+        let post = Overlay.check_engine ~fanout:2 retained.Interp.Sim.engine in
+        let t = Stream.create ~fanout:2 ~nranks () in
+        ignore (Interp.Sim.run ~config ~on_engine:(Stream.attach_engine t) p);
+        let report, stats = Stream.result t in
+        Alcotest.(check string)
+          "streaming = post-hoc"
+          (Overlay.report_to_string post)
+          (Overlay.report_to_string report);
+        Alcotest.(check int) "1000 rounds checked" (1000 * nranks)
+          stats.Stream.events;
+        Alcotest.(check bool)
+          (Printf.sprintf "max in-flight %d <= nranks" stats.Stream.max_in_flight)
+          true
+          (stats.Stream.max_in_flight <= nranks));
     Alcotest.test_case "divergence verdict drains late producers" `Quick
       (fun () ->
-        (* Rank 1 diverges at position 0 but keeps pushing far past the
-           window; the checker must discard the excess rather than leave
-           the producer blocked. *)
-        let t = Stream.create ~fanout:2 ~window:4 ~nranks:2 () in
+        (* Rank 1 diverges at position 0 but keeps pushing; the checker
+           counts the excess as drained instead of queueing it. *)
+        let t = Stream.create ~fanout:2 ~nranks:2 () in
         Stream.push t ~rank:0 (barrier "a");
         for i = 0 to 99 do
           Stream.push t ~rank:1 (allreduce (string_of_int i))
@@ -149,7 +155,9 @@ let backpressure_tests =
         let report, stats = Stream.result t in
         Alcotest.(check bool) "divergence" false (Overlay.is_match report);
         Alcotest.(check int) "all events accounted for" 101
-          (stats.Stream.events + stats.Stream.drained));
+          (stats.Stream.events + stats.Stream.drained);
+        Alcotest.(check int) "nothing queued after the verdict" 2
+          stats.Stream.max_in_flight);
   ]
 
 let engine_tests =
@@ -227,7 +235,7 @@ let qcheck_tests =
          ~name:"streaming report is byte-identical to post-hoc" ~count:150 arb
          (fun (traces, fanout) ->
            let post = Overlay.check ~fanout traces in
-           let stream, _ = stream_traces ~fanout ~window:2 ~batch:3 traces in
+           let stream, _ = stream_traces ~fanout traces in
            Overlay.report_to_string post = Overlay.report_to_string stream));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"stats events+drained cover the whole input"
@@ -243,7 +251,7 @@ let qcheck_tests =
 let suite =
   [
     ("stream.identity", identity_tests);
-    ("stream.backpressure", backpressure_tests);
+    ("stream.memory", memory_tests);
     ("stream.engine", engine_tests);
     ("stream.qcheck", qcheck_tests);
   ]
