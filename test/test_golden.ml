@@ -1,6 +1,6 @@
 (** Golden observables: the pinned reports, schedules, explorations and
     overlay reports of the paper's static/dynamic pipeline, and the
-    front end's and the request pass's pins.  [main.exe golden SECTION
+    front end's, the CFG builder's and the request pass's pins.  [main.exe golden SECTION
     FILE] writes one line per input, "name<TAB>pin", to FILE; a
     [runtest] rule per section diffs it against
     [golden/SECTION.expected], and [dune promote] records an intended
@@ -846,6 +846,31 @@ let request_free_lines () =
     (Lazy.force request_free_corpora)
 
 (* ------------------------------------------------------------------ *)
+(* Control-flow graphs                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [cfg]: for every source input of the [reports] section (examples,
+   reproducers, the catalog at its three sizes, the compile workload's
+   mutants and the generated corpus), the MD5 of the DOT rendering of
+   every function's CFG, in source order.  DOT lists each node's kind
+   and each node's successors in order, so a change to the CFG builder
+   or to the graph's adjacency that moves a node id, a node kind, an
+   edge's order or a parallel edge moves a pin. *)
+let cfg_lines () =
+  List.map
+    (fun (name, src) ->
+      match
+        Validate.catch_syntax_error (fun () -> Parser.parse_string ~file:name src)
+      with
+      | Error _ -> (name, "syntax-error")
+      | Ok program ->
+          ( name,
+            md5
+              (String.concat ""
+                 (List.map Cfg.Dot.to_dot (Cfg.Build.of_program program))) ))
+    (Lazy.force sources)
+
+(* ------------------------------------------------------------------ *)
 (* Printer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -857,6 +882,7 @@ let sections =
     ("explore", explore_lines);
     ("overlay", overlay_lines);
     ("request-free", request_free_lines);
+    ("cfg", cfg_lines);
   ]
 
 (* Writes [section]'s lines, each "name<TAB>pin", to [file]. *)
