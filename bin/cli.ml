@@ -35,3 +35,22 @@ let read_program file bench =
   | None, None ->
       Fmt.epr "give a source file or --bench NAME@.";
       exit 2
+
+(* Writes [text] to [path]; an unwritable path (a missing directory, a
+   directory, no permission) is reported as "cannot write PATH: reason"
+   and exits 2, as an unreadable input is. *)
+let write_file path text =
+  match
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+  with
+  | () -> ()
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix)
+            (String.length msg - String.length prefix)
+        else msg
+      in
+      Fmt.epr "cannot write %s: %s@." path reason;
+      exit 2

@@ -45,8 +45,7 @@ let run seed families variants jobs shards batch ranks threads sim_seeds
   | Some path ->
       let text = Farm.Pipeline.manifest ~shards spec corpus in
       if String.equal path "-" then print_string text
-      else Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc text);
+      else Cli.write_file path text;
       Fmt.epr "manifest: %d entries -> %s@." (Array.length corpus)
         (if String.equal path "-" then "<stdout>" else path));
   if dry_run then 0
@@ -91,13 +90,15 @@ let run seed families variants jobs shards batch ranks threads sim_seeds
           match save_repro with
           | None -> ()
           | Some dir ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              (* A directory that cannot be made is reported by the
+                 write below. *)
+              (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+               with Sys_error _ -> ());
               let path =
                 Filename.concat dir
                   (Printf.sprintf "farm_%s.hml" v.Farm.Oracle.vkind)
               in
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc text);
+              Cli.write_file path text;
               Fmt.epr "saved: %s@." path)
         repros
     end;

@@ -82,9 +82,7 @@ let run file bench initial_multi level taint interproc races requests only
             Option.map Parcoach.Pword.to_string (Parcoach.Pword.pw_opt pword id)
           in
           let path = Printf.sprintf "%s.%s.dot" prefix fr.Parcoach.Driver.fname in
-          let oc = open_out path in
-          output_string oc (Cfg.Dot.to_dot ~annot g);
-          close_out oc;
+          Cli.write_file path (Cfg.Dot.to_dot ~annot g);
           Fmt.pr "wrote %s@." path)
         report.Parcoach.Driver.funcs);
   (match instrument_mode with
@@ -95,9 +93,7 @@ let run file bench initial_multi level taint interproc races requests only
       (match output with
       | None -> print_string source
       | Some path ->
-          let oc = open_out path in
-          output_string oc source;
-          close_out oc;
+          Cli.write_file path source;
           Fmt.pr "wrote instrumented program to %s@." path);
       let ccs, counters, returns = Parcoach.Instrument.check_counts report mode in
       Fmt.pr "inserted checks: %d CC, %d counters, %d return checks@." ccs

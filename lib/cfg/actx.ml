@@ -5,13 +5,8 @@
     every derived structure of a graph — RPO, forward and backward
     dominator trees, post-dominance frontiers, loop nests, rank-taint
     predicates — so phases 1–3 (and anything after them) compute each at
-    most once.  Creating a context freezes the graph: the packed CSR
-    adjacency is the representation all cached structures index into.
-
-    A context caches structures of one graph snapshot; mutating the graph
-    after {!create} invalidates the context (callers must create a fresh
-    one — the driver creates one per function per run, so this never
-    arises in the pipeline). *)
+    most once.  A graph is immutable once built, so a context's caches
+    stay valid for as long as the context lives. *)
 
 type t = {
   graph : Graph.t;
@@ -25,7 +20,6 @@ type t = {
 }
 
 let create graph =
-  Graph.freeze graph;
   {
     graph;
     rpo = None;

@@ -1,11 +1,9 @@
 (** Shared per-CFG analysis context: memoizes the derived structures of a
     graph (traversal orders, dominator trees, frontiers, loops, taint) so
-    the pipeline phases compute each at most once.  Creating a context
-    freezes the graph into its packed CSR form.
+    the pipeline phases compute each at most once.
 
     The context is the {e only} entry point the analysis pipeline uses for
-    dominance and traversal work; a context is valid for one graph
-    snapshot (create a fresh one after mutating the graph). *)
+    dominance and traversal work. *)
 
 type t
 

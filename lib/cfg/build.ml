@@ -16,7 +16,7 @@ open Graph
 (* Accumulates straight-line statements until a control-relevant statement
    forces a flush. *)
 type cursor = {
-  g : t;
+  g : builder;
   mutable current : int;  (* node new statements attach after *)
   mutable pending : Ast.stmt list;  (* reversed straight-line statements *)
   mutable alive : bool;  (* false after a return *)
@@ -55,7 +55,7 @@ and build_stmt cur (s : Ast.stmt) =
       cur.pending <- s :: cur.pending
   | Return ->
       let _id = append cur (Return_site { stmt = s }) in
-      add_edge cur.g cur.current cur.g.exit;
+      add_edge cur.g cur.current exit_id;
       cur.alive <- false
   | Call (fname, args) -> ignore (append cur (Call_site { fname; args; stmt = s }))
   | Coll (target, coll) ->
@@ -89,7 +89,7 @@ and build_stmt cur (s : Ast.stmt) =
       if not cur.alive then (
         (* Both branches returned: connect the dead join to exit so every
            node keeps a path to exit (keeps post-dominance total). *)
-        add_edge cur.g join cur.g.exit;
+        add_edge cur.g join exit_id;
         cur.alive <- false)
   | While (expr, body) ->
       flush cur;
@@ -198,7 +198,7 @@ and build_region cur stmt kind body ~implicit_barrier =
 
 (** Build the CFG of one function. *)
 let of_func (f : Ast.func) =
-  let g = create f.Ast.fname in
+  let g = builder f.Ast.fname in
   let entry = add_node g Entry in
   let exit = add_node g Exit in
   assert (entry = entry_id && exit = exit_id);
@@ -206,7 +206,7 @@ let of_func (f : Ast.func) =
   build_block cur f.Ast.body;
   flush cur;
   if cur.alive then add_edge g cur.current exit;
-  g
+  finish g
 
 (** Build the CFG of every function of a program, in source order. *)
 let of_program (p : Ast.program) = List.map of_func p.Ast.funcs

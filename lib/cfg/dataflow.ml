@@ -106,7 +106,6 @@ type direction = Forward | Backward
 let solve (type fact) ?order g dir ~(equal : fact -> fact -> bool)
     ~(join : fact -> fact -> fact) ~(transfer : int -> fact -> fact)
     ~(init : fact) ~(bottom : fact) =
-  freeze g;
   let n = nb_nodes g in
   let input = Array.make n bottom and output = Array.make n bottom in
   let root = match dir with Forward -> g.entry | Backward -> g.exit in

@@ -34,7 +34,6 @@ let prev_accessors g = function
 (** Compute the (post-)dominator tree.  [Forward] computes dominators from
     the entry; [Backward] computes post-dominators from the exit. *)
 let compute g dir =
-  freeze g;
   let root = match dir with Forward -> g.entry | Backward -> g.exit in
   let backward = dir = Backward in
   let po = Traversal.postorder_array g ~root ~backward in

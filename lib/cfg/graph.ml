@@ -9,11 +9,11 @@
     the paper's "[P_i], with [i] the id of the node with the OpenMP
     construct".
 
-    Adjacency is packed: during construction each node carries a dynamic
-    int buffer (O(1) amortised edge append), and the first query after a
-    mutation freezes the graph into immutable CSR int arrays that every
-    traversal and analysis then iterates over.  Edge membership is a
-    hashed set, so [has_edge] is O(1) regardless of out-degree. *)
+    A graph is immutable.  {!Build} records its nodes and edges through a
+    {!builder}, and {!finish} packs the edges once into compressed sparse
+    row (CSR) int arrays: each node's successors, and its predecessors,
+    are one slice of a flat array, in insertion order.  Every traversal
+    and analysis iterates those slices. *)
 
 type region_kind =
   | Rparallel
@@ -60,199 +60,165 @@ type kind =
 
 type node = { id : int; kind : kind }
 
-(* Dynamic append-only int buffer: the construction-time adjacency. *)
-type adj = { mutable tgt : int array; mutable deg : int }
-
-(* Frozen compressed-sparse-row adjacency.  [succ_tgt.(succ_off.(id)) ..
-   succ_tgt.(succ_off.(id + 1) - 1)] are the successors of [id], in
-   insertion order (significant for [Cond] nodes). *)
-type csr = {
+(* A graph is built once and then only read.  Each node's successors are
+   the slice [succ_tgt.(succ_off.(id)) .. succ_tgt.(succ_off.(id + 1) - 1)]
+   of one flat array (compressed sparse row), in insertion order
+   (significant for [Cond] nodes); predecessors likewise. *)
+type t = {
+  fname : string;
+  entry : int;
+  exit : int;
+  nodes : node array;
   succ_off : int array;
   succ_tgt : int array;
   pred_off : int array;
   pred_tgt : int array;
 }
 
-type t = {
-  fname : string;
-  mutable nodes : node array;
-  mutable succ_adj : adj array;
-  mutable pred_adj : adj array;
-  mutable count : int;
-  entry : int;
-  exit : int;
-  mutable csr : csr option;  (** Frozen adjacency; [None] while dirty. *)
-  edges : (int, unit) Hashtbl.t;  (** Packed (src, dst) edge membership. *)
-}
-
 let entry_id = 0
 
 let exit_id = 1
 
-let nb_nodes g = g.count
+let nb_nodes g = Array.length g.nodes
 
 let node g id =
-  if id < 0 || id >= g.count then invalid_arg "Graph.node: bad id";
+  if id < 0 || id >= Array.length g.nodes then invalid_arg "Graph.node: bad id";
   g.nodes.(id)
 
 let kind g id = (node g id).kind
 
-(** Iterate over all node ids in increasing order. *)
-let iter_nodes g f =
-  for id = 0 to g.count - 1 do
-    f g.nodes.(id)
-  done
+(** Iterate over all nodes in increasing id order. *)
+let iter_nodes g f = Array.iter f g.nodes
 
-let fold_nodes g f acc =
-  let acc = ref acc in
-  iter_nodes g (fun n -> acc := f !acc n);
-  !acc
+let fold_nodes g f acc = Array.fold_left f acc g.nodes
 
 (** All node ids whose kind satisfies [p]. *)
 let filter_nodes g p =
   List.rev
     (fold_nodes g (fun acc n -> if p n.kind then n.id :: acc else acc) [])
 
+(* ------------------------------------------------------------------ *)
+(* Building                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Nodes and edges in insertion order; an edge is [src.(i) -> dst.(i)]. *)
+type builder = {
+  bname : string;
+  mutable bnodes : node array;
+  mutable nb : int;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable ne : int;
+}
+
 let dummy_node = { id = -1; kind = Entry }
 
-let empty_adj () = { tgt = [||]; deg = 0 }
-
-let create fname =
+let builder fname =
   {
-    fname;
-    nodes = Array.make 16 dummy_node;
-    succ_adj = Array.init 16 (fun _ -> empty_adj ());
-    pred_adj = Array.init 16 (fun _ -> empty_adj ());
-    count = 0;
-    entry = 0;
-    exit = 1;
-    csr = None;
-    edges = Hashtbl.create 64;
+    bname = fname;
+    bnodes = Array.make 16 dummy_node;
+    nb = 0;
+    src = Array.make 16 0;
+    dst = Array.make 16 0;
+    ne = 0;
   }
 
-let add_node g kind =
-  if g.count = Array.length g.nodes then begin
-    let cap = 2 * g.count in
-    let bigger = Array.make cap dummy_node in
-    Array.blit g.nodes 0 bigger 0 g.count;
-    g.nodes <- bigger;
-    let grow a =
-      let b = Array.init cap (fun i -> if i < g.count then a.(i) else empty_adj ()) in
-      b
-    in
-    g.succ_adj <- grow g.succ_adj;
-    g.pred_adj <- grow g.pred_adj
-  end;
-  let id = g.count in
-  g.nodes.(id) <- { id; kind };
-  g.succ_adj.(id) <- empty_adj ();
-  g.pred_adj.(id) <- empty_adj ();
-  g.count <- g.count + 1;
-  g.csr <- None;
+let grow a len fill =
+  let bigger = Array.make (2 * len) fill in
+  Array.blit a 0 bigger 0 len;
+  bigger
+
+let add_node b kind =
+  if b.nb = Array.length b.bnodes then b.bnodes <- grow b.bnodes b.nb dummy_node;
+  let id = b.nb in
+  b.bnodes.(id) <- { id; kind };
+  b.nb <- id + 1;
   id
-
-let adj_push a v =
-  if a.deg = Array.length a.tgt then begin
-    let bigger = Array.make (max 2 (2 * a.deg)) 0 in
-    Array.blit a.tgt 0 bigger 0 a.deg;
-    a.tgt <- bigger
-  end;
-  a.tgt.(a.deg) <- v;
-  a.deg <- a.deg + 1
-
-(* Node counts stay well below 2^31, so a packed pair fits an OCaml int. *)
-let edge_key a b = (a lsl 31) lor b
 
 (** O(1) amortised; parallel edges are kept (a [Cond] whose branches are
     both empty legitimately has two edges to the join). *)
-let add_edge g a b =
-  if a < 0 || a >= g.count || b < 0 || b >= g.count then
+let add_edge b s d =
+  if s < 0 || s >= b.nb || d < 0 || d >= b.nb then
     invalid_arg "Graph.add_edge: bad id";
-  adj_push g.succ_adj.(a) b;
-  adj_push g.pred_adj.(b) a;
-  Hashtbl.replace g.edges (edge_key a b) ();
-  g.csr <- None
+  if b.ne = Array.length b.src then begin
+    b.src <- grow b.src b.ne 0;
+    b.dst <- grow b.dst b.ne 0
+  end;
+  b.src.(b.ne) <- s;
+  b.dst.(b.ne) <- d;
+  b.ne <- b.ne + 1
 
-let has_edge g a b =
-  ignore (node g a);
-  Hashtbl.mem g.edges (edge_key a b)
+(* Counting sort of the edges by [key]: a stable pass, so each node's
+   slice keeps insertion order. *)
+let pack n ne key value =
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to ne - 1 do
+    off.(key.(i) + 1) <- off.(key.(i) + 1) + 1
+  done;
+  for id = 0 to n - 1 do
+    off.(id + 1) <- off.(id + 1) + off.(id)
+  done;
+  let tgt = Array.make ne 0 in
+  let next = Array.sub off 0 n in
+  for i = 0 to ne - 1 do
+    let k = key.(i) in
+    tgt.(next.(k)) <- value.(i);
+    next.(k) <- next.(k) + 1
+  done;
+  (off, tgt)
+
+let finish b =
+  let n = b.nb in
+  let succ_off, succ_tgt = pack n b.ne b.src b.dst in
+  let pred_off, pred_tgt = pack n b.ne b.dst b.src in
+  {
+    fname = b.bname;
+    entry = entry_id;
+    exit = exit_id;
+    nodes = Array.sub b.bnodes 0 n;
+    succ_off;
+    succ_tgt;
+    pred_off;
+    pred_tgt;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Freezing and packed queries                                         *)
+(* Adjacency queries                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let build_csr g =
-  let n = g.count in
-  let pack adj =
-    let off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      off.(i + 1) <- off.(i) + adj.(i).deg
-    done;
-    let tgt = Array.make off.(n) 0 in
-    for i = 0 to n - 1 do
-      Array.blit adj.(i).tgt 0 tgt off.(i) adj.(i).deg
-    done;
-    (off, tgt)
-  in
-  let succ_off, succ_tgt = pack g.succ_adj in
-  let pred_off, pred_tgt = pack g.pred_adj in
-  { succ_off; succ_tgt; pred_off; pred_tgt }
-
-(** Pack the adjacency into CSR form.  Idempotent; implicitly re-run by
-    the first query after a mutation ([add_node]/[add_edge]). *)
-let freeze g = if g.csr = None then g.csr <- Some (build_csr g)
-
-let is_frozen g = g.csr <> None
-
-let csr g =
-  match g.csr with
-  | Some c -> c
-  | None ->
-      let c = build_csr g in
-      g.csr <- Some c;
-      c
 
 let out_degree g id =
   ignore (node g id);
-  g.succ_adj.(id).deg
+  g.succ_off.(id + 1) - g.succ_off.(id)
 
 let in_degree g id =
   ignore (node g id);
-  g.pred_adj.(id).deg
+  g.pred_off.(id + 1) - g.pred_off.(id)
 
-let nth_succ g id k =
-  let c = csr g in
-  c.succ_tgt.(c.succ_off.(id) + k)
+let nth_succ g id k = g.succ_tgt.(g.succ_off.(id) + k)
 
-let nth_pred g id k =
-  let c = csr g in
-  c.pred_tgt.(c.pred_off.(id) + k)
+let nth_pred g id k = g.pred_tgt.(g.pred_off.(id) + k)
 
 let iter_succs g id f =
-  let c = csr g in
-  for k = c.succ_off.(id) to c.succ_off.(id + 1) - 1 do
-    f c.succ_tgt.(k)
+  for k = g.succ_off.(id) to g.succ_off.(id + 1) - 1 do
+    f g.succ_tgt.(k)
   done
 
 let iter_preds g id f =
-  let c = csr g in
-  for k = c.pred_off.(id) to c.pred_off.(id + 1) - 1 do
-    f c.pred_tgt.(k)
+  for k = g.pred_off.(id) to g.pred_off.(id + 1) - 1 do
+    f g.pred_tgt.(k)
   done
 
 let fold_succs g id f acc =
-  let c = csr g in
   let acc = ref acc in
-  for k = c.succ_off.(id) to c.succ_off.(id + 1) - 1 do
-    acc := f !acc c.succ_tgt.(k)
+  for k = g.succ_off.(id) to g.succ_off.(id + 1) - 1 do
+    acc := f !acc g.succ_tgt.(k)
   done;
   !acc
 
 let fold_preds g id f acc =
-  let c = csr g in
   let acc = ref acc in
-  for k = c.pred_off.(id) to c.pred_off.(id + 1) - 1 do
-    acc := f !acc c.pred_tgt.(k)
+  for k = g.pred_off.(id) to g.pred_off.(id + 1) - 1 do
+    acc := f !acc g.pred_tgt.(k)
   done;
   !acc
 
@@ -261,13 +227,11 @@ let slice off tgt id =
 
 let succs g id =
   ignore (node g id);
-  let c = csr g in
-  slice c.succ_off c.succ_tgt id
+  slice g.succ_off g.succ_tgt id
 
 let preds g id =
   ignore (node g id);
-  let c = csr g in
-  slice c.pred_off c.pred_tgt id
+  slice g.pred_off g.pred_tgt id
 
 (* ------------------------------------------------------------------ *)
 (* Reporting helpers                                                   *)

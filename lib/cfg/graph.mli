@@ -4,11 +4,9 @@
     MPI collectives are isolated in [Collective] nodes.  Region
     identifiers are the node ids of the [Omp_begin] nodes.
 
-    Adjacency is packed: edges append in O(1) to dynamic buffers during
-    construction, and the first query after a mutation {!freeze}s the
-    graph into immutable CSR int arrays consumed by every analysis.
-    Mutating a frozen graph is allowed and simply invalidates the packed
-    form (it is rebuilt on the next query). *)
+    A graph is immutable: it is built once through a {!builder} and then
+    only read.  {!finish} packs the edges into compressed sparse row
+    (CSR) int arrays, which every analysis iterates. *)
 
 type region_kind =
   | Rparallel
@@ -47,22 +45,18 @@ type kind =
 
 type node = { id : int; kind : kind }
 
-(** Construction-time dynamic adjacency buffer (internal). *)
-type adj
-
-(** Frozen CSR adjacency (internal; see {!freeze}). *)
-type csr
-
-type t = {
+(** Each node's successors are the slice [succ_tgt.(succ_off.(id)) ..
+    succ_tgt.(succ_off.(id + 1) - 1)], in insertion order; predecessors
+    likewise in [pred_off]/[pred_tgt]. *)
+type t = private {
   fname : string;
-  mutable nodes : node array;
-  mutable succ_adj : adj array;
-  mutable pred_adj : adj array;
-  mutable count : int;
   entry : int;
   exit : int;
-  mutable csr : csr option;
-  edges : (int, unit) Hashtbl.t;
+  nodes : node array;  (** Indexed by id. *)
+  succ_off : int array;
+  succ_tgt : int array;
+  pred_off : int array;
+  pred_tgt : int array;
 }
 
 val entry_id : int
@@ -108,22 +102,23 @@ val fold_nodes : t -> ('a -> node -> 'a) -> 'a -> 'a
 (** Node ids whose kind satisfies the predicate, in id order. *)
 val filter_nodes : t -> (kind -> bool) -> int list
 
-val create : string -> t
+(** {1 Building} *)
 
-val add_node : t -> kind -> int
+(** A graph under construction: nodes and edges in insertion order.
+    {!Build} is its one user outside the tests. *)
+type builder
 
-(** O(1) amortised append; parallel edges are kept. *)
-val add_edge : t -> int -> int -> unit
+val builder : string -> builder
 
-(** O(1) hashed edge-membership test. *)
-val has_edge : t -> int -> int -> bool
+(** The next id, from 0 ({!entry_id}, then {!exit_id}). *)
+val add_node : builder -> kind -> int
 
-(** Pack the adjacency into immutable CSR arrays.  Idempotent; every
-    adjacency query freezes implicitly, so calling this is only needed to
-    control {e when} the packing cost is paid. *)
-val freeze : t -> unit
+(** O(1) amortised append; parallel edges are kept.
+    @raise Invalid_argument on a bad id. *)
+val add_edge : builder -> int -> int -> unit
 
-val is_frozen : t -> bool
+(** Pack the edges into CSR arrays, keeping each node's edge order. *)
+val finish : builder -> t
 
 (** Source location a node can be reported at. *)
 val node_loc : t -> int -> Minilang.Loc.t

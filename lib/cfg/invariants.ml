@@ -113,4 +113,3 @@ let check g =
       | _ -> ());
   List.rev !violations
 
-let is_well_formed g = check g = []

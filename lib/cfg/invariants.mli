@@ -5,5 +5,3 @@
 
 (** Violated invariants as human-readable strings; empty if well-formed. *)
 val check : Graph.t -> string list
-
-val is_well_formed : Graph.t -> bool

@@ -7,7 +7,6 @@ open Graph
 (** Depth-first postorder of the nodes reachable from [root], following
     successors ([backward:false]) or predecessors ([backward:true]). *)
 let postorder_array g ~root ~backward =
-  freeze g;
   let n = nb_nodes g in
   let deg, nth =
     if backward then (in_degree g, nth_pred g) else (out_degree g, nth_succ g)
@@ -56,7 +55,6 @@ let rpo_backward_array g =
 
 (** Nodes reachable from the entry. *)
 let reachable g =
-  freeze g;
   let n = nb_nodes g in
   let seen = Array.make n false in
   let stack = Array.make n 0 in
@@ -79,7 +77,6 @@ let reachable g =
 (** [path_exists g a b] tests reachability of [b] from [a] along
     successor edges. *)
 let path_exists g a b =
-  freeze g;
   let n = nb_nodes g in
   let seen = Array.make n false in
   let stack = Array.make n 0 in

@@ -309,16 +309,6 @@ let program_size program =
     (fun n f -> fold_stmts (fun n _ -> n + 1) n f.body)
     0 program.funcs
 
-(** Collective call sites of a function: [(target, collective, loc)] list. *)
-let collectives_of_func f =
-  List.rev
-    (fold_stmts
-       (fun acc s ->
-         match s.sdesc with
-         | Coll (tgt, c) -> (tgt, c, s.sloc) :: acc
-         | _ -> acc)
-       [] f.body)
-
 (** [map_blocks f func] rebuilds [func] by applying [f] to every block,
     innermost blocks first.  Used by the instrumentation pass. *)
 let map_blocks f func =

@@ -163,23 +163,10 @@ val stmts_of_func : func -> stmt list
 (** Number of statements (nested included). *)
 val program_size : program -> int
 
-(** Collective call sites of a function: (target, collective, loc). *)
-val collectives_of_func : func -> (string option * collective * Loc.t) list
-
 (** Rebuild a function by mapping every block, innermost first. *)
 val map_blocks : (block -> block) -> func -> func
 
 (* Location-insensitive structural equality. *)
-
-val equal_expr : expr -> expr -> bool
-
-val equal_collective : collective -> collective -> bool
-
-val equal_request_op : request_op -> request_op -> bool
-
-val equal_stmt : stmt -> stmt -> bool
-
-val equal_block : block -> block -> bool
 
 val equal_func : func -> func -> bool
 

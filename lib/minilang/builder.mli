@@ -103,8 +103,6 @@ val recv : target:string -> src:Ast.expr -> ?tag:Ast.expr -> unit -> Ast.stmt
 
 (* Split-phase (nonblocking) operations *)
 
-val istart : string -> Ast.request_op -> Ast.stmt
-
 val ibarrier : string -> Ast.stmt
 
 val iallreduce :

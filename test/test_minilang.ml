@@ -261,15 +261,6 @@ let helper_tests =
             {|func main() { if (true) { compute(1); compute(2); } else { compute(3); } }|}
         in
         Alcotest.(check int) "size" 4 (Ast.program_size p));
-    Alcotest.test_case "collectives_of_func finds nested collectives" `Quick
-      (fun () ->
-        let p =
-          parse
-            {|func main() { pragma omp parallel { pragma omp single { MPI_Barrier(); } }
-               if (rank() == 0) { MPI_Allgather(1); } }|}
-        in
-        let colls = Ast.collectives_of_func (Ast.main_func p) in
-        Alcotest.(check int) "two collectives" 2 (List.length colls));
     Alcotest.test_case "collective colours are distinct and nonzero" `Quick
       (fun () ->
         let open Ast in

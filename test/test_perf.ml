@@ -1,8 +1,8 @@
 (** Tests for the multicore analysis pipeline:
 
-    - the packed CSR adjacency: O(1)-append edge buffers (large chains
-      and high-out-degree fans build fast), freeze/invalidate semantics,
-      hashed [has_edge], parallel-edge preservation;
+    - the packed CSR adjacency: the builder's O(1)-append edge list and
+      one-pass packing (large chains and high-out-degree fans build
+      fast), edge order and parallel edges kept by the packing;
     - the marker-based dominance frontiers against a reference
       reimplementation of the former [List.mem] Cytron loop (qcheck
       property over random programs, both directions);
@@ -19,31 +19,30 @@ open Cfg
 (* Packed adjacency                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [Graph.create] reserves ids 0/1 for entry/exit but the builder adds
-   the nodes; mirror that here. *)
-let new_graph name =
-  let g = Graph.create name in
-  ignore (Graph.add_node g Graph.Entry);
-  ignore (Graph.add_node g Graph.Exit);
-  g
+(* A builder holding the entry and exit nodes (ids 0 and 1), as
+   [Build] starts every graph. *)
+let new_builder name =
+  let b = Graph.builder name in
+  ignore (Graph.add_node b Graph.Entry);
+  ignore (Graph.add_node b Graph.Exit);
+  b
 
 (* A chain entry -> s0 -> s1 -> ... -> exit of [n] simple nodes. *)
 let build_chain n =
-  let g = new_graph "chain" in
-  let prev = ref g.Graph.entry in
+  let b = new_builder "chain" in
+  let prev = ref Graph.entry_id in
   for _ = 1 to n do
-    let id = Graph.add_node g (Graph.Simple []) in
-    Graph.add_edge g !prev id;
+    let id = Graph.add_node b (Graph.Simple []) in
+    Graph.add_edge b !prev id;
     prev := id
   done;
-  Graph.add_edge g !prev g.Graph.exit;
-  g
+  Graph.add_edge b !prev Graph.exit_id;
+  Graph.finish b
 
 let test_chain_fast () =
   let n = 10_000 in
   let t0 = Sys.time () in
   let g = build_chain n in
-  Graph.freeze g;
   (* Traversals and dominance must also survive a 10k-deep chain (the
      DFS and frontier walks are iterative, not recursive). *)
   let rpo = Traversal.rpo_array g in
@@ -55,8 +54,9 @@ let test_chain_fast () =
   Alcotest.(check int) "all nodes reachable" (n + 2) (Array.length rpo);
   Alcotest.(check bool) "entry dominates exit" true
     (Dominance.dominates dom g.Graph.entry g.Graph.exit);
-  (* The former [succs @ [b]] append made this quadratic; packed buffers
-     build it in well under a second even on a loaded machine. *)
+  (* A [succs @ [b]] append would make this quadratic; the builder's
+     flat edge arrays and one packing pass take well under a second even
+     on a loaded machine. *)
   Alcotest.(check bool)
     (Printf.sprintf "10k-node chain in %.3fs" elapsed)
     true (elapsed < 2.0)
@@ -65,15 +65,16 @@ let test_fan_fast () =
   (* One node with 10k out-edges: the adversarial case for the old
      list-append [add_edge] (quadratic in the out-degree). *)
   let n = 10_000 in
-  let g = new_graph "fan" in
-  let hub = Graph.add_node g (Graph.Simple []) in
-  Graph.add_edge g g.Graph.entry hub;
+  let b = new_builder "fan" in
+  let hub = Graph.add_node b (Graph.Simple []) in
+  Graph.add_edge b Graph.entry_id hub;
   let t0 = Sys.time () in
   for _ = 1 to n do
-    let leaf = Graph.add_node g (Graph.Simple []) in
-    Graph.add_edge g hub leaf;
-    Graph.add_edge g leaf g.Graph.exit
+    let leaf = Graph.add_node b (Graph.Simple []) in
+    Graph.add_edge b hub leaf;
+    Graph.add_edge b leaf Graph.exit_id
   done;
+  let g = Graph.finish b in
   let elapsed = Sys.time () -. t0 in
   Alcotest.(check int) "out-degree" n (Graph.out_degree g hub);
   Alcotest.(check int) "exit in-degree" n (Graph.in_degree g g.Graph.exit);
@@ -131,51 +132,45 @@ let test_same_location_fast () =
     (Printf.sprintf "analysed and lowered in %.3fs" elapsed)
     true (elapsed < 1.0)
 
-let test_freeze_invalidation () =
-  let g = new_graph "freeze" in
-  let a = Graph.add_node g (Graph.Simple []) in
-  Graph.add_edge g g.Graph.entry a;
-  Graph.add_edge g a g.Graph.exit;
-  Graph.freeze g;
-  Alcotest.(check bool) "frozen after freeze" true (Graph.is_frozen g);
-  Alcotest.(check (list int)) "succs of entry" [ a ]
-    (Graph.succs g g.Graph.entry);
-  (* Mutation invalidates the packed form; the next query rebuilds it. *)
-  let b = Graph.add_node g (Graph.Simple []) in
-  Alcotest.(check bool) "thawed by add_node" false (Graph.is_frozen g);
-  Graph.add_edge g a b;
-  Graph.add_edge g b g.Graph.exit;
-  Alcotest.(check (list int)) "succs refreshed" [ g.Graph.exit; b ]
-    (Graph.succs g a);
-  Alcotest.(check bool) "re-frozen by the query" true (Graph.is_frozen g);
-  Alcotest.(check (list int)) "preds refreshed" [ a; b ]
-    (Graph.preds g g.Graph.exit)
-
-let test_has_edge_and_parallel_edges () =
-  let g = new_graph "parallel" in
-  let cond =
-    Graph.add_node g
+let test_parallel_edges () =
+  let b = new_builder "parallel" in
+  let cond () =
+    Graph.add_node b
       (Graph.Cond
          {
            expr = Minilang.Ast.Int 1;
            stmt = Minilang.Ast.mk (Minilang.Ast.Compute (Minilang.Ast.Int 0));
          })
   in
-  let join = Graph.add_node g (Graph.Simple []) in
-  Graph.add_edge g g.Graph.entry cond;
+  let c1 = cond () in
+  let join = Graph.add_node b (Graph.Simple []) in
+  let c2 = cond () in
+  (* Edges are added out of source order: the packing must give each
+     node its own edges, in insertion order, not in id order.  [c2]'s
+     true branch is a back edge to [join], its false branch the exit. *)
+  Graph.add_edge b c2 join;
+  Graph.add_edge b c2 Graph.exit_id;
+  Graph.add_edge b Graph.entry_id c1;
   (* A [Cond] with two empty branches: both out-edges reach the same
      join.  The packed adjacency must keep both (branch order is
-     significant), while [has_edge] answers membership. *)
-  Graph.add_edge g cond join;
-  Graph.add_edge g cond join;
-  Graph.add_edge g join g.Graph.exit;
+     significant). *)
+  Graph.add_edge b c1 join;
+  Graph.add_edge b c1 join;
+  Graph.add_edge b join c2;
+  let g = Graph.finish b in
   Alcotest.(check (list int)) "parallel succs kept" [ join; join ]
-    (Graph.succs g cond);
-  Alcotest.(check int) "join in-degree counts both" 2 (Graph.in_degree g join);
-  Alcotest.(check bool) "has_edge present" true (Graph.has_edge g cond join);
-  Alcotest.(check bool) "has_edge absent" false (Graph.has_edge g join cond);
-  Alcotest.(check bool) "has_edge entry->cond" true
-    (Graph.has_edge g g.Graph.entry cond)
+    (Graph.succs g c1);
+  Alcotest.(check int) "join in-degree counts both" 3 (Graph.in_degree g join);
+  Alcotest.(check (list int)) "succs in insertion order"
+    [ join; Graph.exit_id ] (Graph.succs g c2);
+  Alcotest.(check (list int)) "preds in insertion order" [ c2; c1; c1 ]
+    (Graph.preds g join);
+  Alcotest.(check (list int)) "succs of entry" [ c1 ]
+    (Graph.succs g Graph.entry_id);
+  Alcotest.(check (list int)) "preds of exit" [ c2 ]
+    (Graph.preds g Graph.exit_id);
+  Alcotest.(check (list int)) "no succs of exit" []
+    (Graph.succs g Graph.exit_id)
 
 (* ------------------------------------------------------------------ *)
 (* Frontier equivalence with the legacy List.mem implementation        *)
@@ -267,7 +262,6 @@ let test_actx_memoization () =
   in
   let g = List.hd (Build.of_program p) in
   let actx = Actx.create g in
-  Alcotest.(check bool) "create freezes the graph" true (Graph.is_frozen g);
   Alcotest.(check (list string)) "fresh context is empty" []
     (Actx.populated actx);
   (* Every getter computes once and then returns the same structure. *)
@@ -369,7 +363,7 @@ let test_interproc_with_actx () =
   Alcotest.check_raises "foreign context rejected"
     (Invalid_argument "Interproc.analyze: actx belongs to a different graph")
     (fun () ->
-      let other = Actx.create (new_graph "other") in
+      let other = Actx.create (Graph.finish (new_builder "other")) in
       ignore
         (Parcoach.Interproc.analyze ~actx:other g ~taint_filter:false
            ~params:[]))
@@ -481,10 +475,8 @@ let suite =
         Alcotest.test_case "10k-edge fan builds fast" `Quick test_fan_fast;
         Alcotest.test_case "same-location statements analyse fast" `Quick
           test_same_location_fast;
-        Alcotest.test_case "freeze / mutation invalidation" `Quick
-          test_freeze_invalidation;
-        Alcotest.test_case "has_edge and parallel edges" `Quick
-          test_has_edge_and_parallel_edges;
+        Alcotest.test_case "parallel edges and edge order" `Quick
+          test_parallel_edges;
       ] );
     ( "perf.frontiers",
       [

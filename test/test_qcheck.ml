@@ -328,7 +328,9 @@ let properties =
     Test.make ~name:"CFGs of generated programs are well-formed (also after instrumentation)"
       ~count:60 arb_program (fun p ->
         let ok prog =
-          List.for_all Cfg.Invariants.is_well_formed (Cfg.Build.of_program prog)
+          List.for_all
+            (fun g -> Cfg.Invariants.check g = [])
+            (Cfg.Build.of_program prog)
         in
         let report = Parcoach.Driver.analyze p in
         ok p
