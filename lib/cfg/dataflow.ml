@@ -438,9 +438,9 @@ let rec expr_tainted tainted (e : Minilang.Ast.expr) =
     Allreduce, Allgather and Alltoall produce replicated values (untainted);
     Reduce, Gather, Scatter and Scan results legitimately differ per rank
     (tainted).  Function parameters are conservatively tainted, since the
-    analysis is intra-procedural.  [rpo], when given, is the graph's
-    reverse postorder. *)
-let rank_taint ?rpo g ~params =
+    analysis is intra-procedural.  [rpo] is the graph's reverse
+    postorder. *)
+let rank_taint ~rpo g ~params =
   let open Minilang.Ast in
   let transfer id fact =
     match kind g id with
@@ -475,14 +475,14 @@ let rank_taint ?rpo g ~params =
     | _ -> fact
   in
   let init = StringSet.of_list params in
-  solve ?order:rpo g Forward ~equal:StringSet.equal ~join:StringSet.union
+  solve ~order:rpo g Forward ~equal:StringSet.equal ~join:StringSet.union
     ~transfer ~init ~bottom:StringSet.empty
 
 (** [cond_rank_dependent g ~params id] tells whether the condition of node
     [id] may evaluate differently on different processes/threads, according
     to the taint analysis.  Non-[Cond] nodes yield [false]. *)
-let cond_rank_dependent ?rpo g ~params =
-  let in_taint, _ = rank_taint ?rpo g ~params in
+let cond_rank_dependent ~rpo g ~params =
+  let in_taint, _ = rank_taint ~rpo g ~params in
   fun id ->
     match kind g id with
     | Cond { expr; _ } -> expr_tainted in_taint.(id) expr

@@ -63,18 +63,12 @@ module CopyMap : Map.S with type key = string
     can be replaced by [y].  Returns [(in_maps, out_maps)]. *)
 val copy_propagation : Graph.t -> string CopyMap.t array * string CopyMap.t array
 
-(** Forward taint: which variables may differ across ranks/threads?
-    Sources are [rank()]/[omp_tid()]; symmetric collective results
-    launder, rank-dependent ones taint; [params] are conservatively
-    tainted.  [rpo], when given, must be the graph's reverse postorder
-    (e.g. {!Actx.rpo}).  Returns [(in_sets, out_sets)]. *)
-val rank_taint :
-  ?rpo:int array ->
-  Graph.t ->
-  params:string list ->
-  StringSet.t array * StringSet.t array
-
-(** May the condition of node [id] evaluate differently on different
-    processes?  [false] for non-[Cond] nodes. *)
+(** Forward rank taint: may the condition of node [id] evaluate
+    differently on different processes or threads?  Sources are
+    [rank()]/[omp_tid()]; symmetric collective results launder,
+    rank-dependent ones taint; [params] are conservatively tainted.
+    [rpo] is the graph's reverse postorder (the pipeline passes
+    {!Actx.rpo}; {!Actx.rank_dependent} caches the result).  [false] for
+    non-[Cond] nodes. *)
 val cond_rank_dependent :
-  ?rpo:int array -> Graph.t -> params:string list -> int -> bool
+  rpo:int array -> Graph.t -> params:string list -> int -> bool

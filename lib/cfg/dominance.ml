@@ -145,21 +145,3 @@ let iterated_frontier t df set =
         df.(id)
   done;
   List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) result [])
-
-(** Convenience: the iterated post-dominance frontier of [set].  The
-    analysis pipeline shares this work through {!Actx} instead of calling
-    here. *)
-let pdf_plus g set =
-  let t = compute g Backward in
-  let df = frontiers t in
-  iterated_frontier t df set
-
-(** Children lists of the dominator tree. *)
-let children t =
-  let n = nb_nodes t.g in
-  let ch = Array.make n [] in
-  for id = 0 to n - 1 do
-    if id <> t.root && t.idom.(id) >= 0 then
-      ch.(t.idom.(id)) <- id :: ch.(t.idom.(id))
-  done;
-  ch

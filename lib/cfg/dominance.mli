@@ -1,7 +1,9 @@
 (** Dominator trees and dominance frontiers in both directions
     (Cooper–Harvey–Kennedy); post-dominance is dominance on the reversed
     graph rooted at the exit.  PARCOACH's phase 3 uses the iterated
-    post-dominance frontier [PDF+]. *)
+    post-dominance frontier [PDF+]; the static passes read it through
+    {!Actx.pdf_plus}, which builds the post-dominator tree and its
+    frontiers once per function. *)
 
 type direction = Forward | Backward
 
@@ -32,11 +34,3 @@ val frontiers : t -> int list array
 (** Iterated dominance frontier of a node set (with [Backward]: the
     [PDF+] of PARCOACH's Algorithm 1). *)
 val iterated_frontier : t -> int list array -> int list -> int list
-
-(** Convenience: iterated post-dominance frontier of [set].  The analysis
-    pipeline shares the post-dominator tree and frontiers through
-    {!Actx} instead of recomputing here. *)
-val pdf_plus : Graph.t -> int list -> int list
-
-(** Children lists of the dominator tree. *)
-val children : t -> int list array

@@ -11,17 +11,9 @@ type loop = {
 }
 
 (** All natural loops of [g], grouped by header, headers in increasing
-    order.  [dom], when provided, must be the forward dominator tree of
-    [g] (e.g. the one cached in {!Actx}); it is computed otherwise. *)
-let detect ?dom g =
-  let dom =
-    match dom with
-    | Some d ->
-        if d.Dominance.dir <> Dominance.Forward then
-          invalid_arg "Loops.detect: dom must be a Forward tree";
-        d
-    | None -> Dominance.compute g Dominance.Forward
-  in
+    order. *)
+let detect g =
+  let dom = Dominance.compute g Dominance.Forward in
   let back_edges = ref [] in
   iter_nodes g (fun n ->
       iter_succs g n.id (fun s ->

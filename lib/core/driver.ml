@@ -73,25 +73,24 @@ let analyze_func ?graph ?call_collects ?timings options (f : Ast.func) =
     | Some g -> g
     | None -> time "cfg" (fun () -> Cfg.Build.of_func f)
   in
-  (* One analysis context per function per run: every phase shares the
-     packed graph, cached traversal orders, dominator trees and taint. *)
-  let actx = Cfg.Actx.create g in
+  (* The one analysis context of the function: every pass reads the
+     graph, the reverse postorder, PDF+ and the taint from it. *)
+  let actx = Cfg.Actx.create ~params:f.Ast.params g in
   let pword =
-    time "pword" (fun () -> Pword.compute ~initial:options.initial_word ~actx g)
+    time "pword" (fun () -> Pword.compute ~initial:options.initial_word actx)
   in
   let phase1 = time "phase1" (fun () -> Monothread.analyze pword) in
   let phase2 = time "phase2" (fun () -> Concurrency.analyze pword) in
   let phase3 =
     time "phase3" (fun () ->
-        Interproc.analyze ?call_collects ~actx g
-          ~taint_filter:options.taint_filter ~params:f.Ast.params)
+        Interproc.analyze ?call_collects actx
+          ~taint_filter:options.taint_filter)
   in
   let requests =
     if options.requests then
       Some
         (time "requests" (fun () ->
-             Requests.analyze ~actx g ~taint_filter:options.taint_filter
-               ~params:f.Ast.params))
+             Requests.analyze actx ~taint_filter:options.taint_filter))
     else None
   in
   let races =

@@ -13,7 +13,13 @@
     The execution-order refinement groups call sites of the same name by
     their {e collective depth} (the longest-path count of collective nodes
     from the entry), so that two calls to the same collective at different
-    sequence positions are checked independently. *)
+    sequence positions are checked independently.
+
+    Inside GCC, PARCOACH reads post-dominance from the compiler, which
+    computes it once per function.  Here the pass reads [PDF+], the
+    reverse postorder and the rank taint from the function's
+    {!Cfg.Actx.t}, the one context the driver builds per function and
+    shares with pword and the request pass. *)
 
 open Cfg
 
@@ -32,14 +38,12 @@ type result = {
 (** Longest-path collective depth of every node: number of collective (or
     pseudo-collective) nodes on the longest entry path, computed on the
     acyclic condensation — loops are cut by ignoring back edges.
-    [is_site] marks the pseudo-collective nodes; [actx], when given,
-    supplies the cached reverse postorder. *)
-let collective_depths ?(is_site = fun _ -> false) ?actx g =
+    [is_site] marks the pseudo-collective nodes. *)
+let collective_depths ~is_site actx =
+  let g = Actx.graph actx in
   let n = Graph.nb_nodes g in
   let depth = Array.make n 0 in
-  let rpo =
-    match actx with Some a -> Actx.rpo a | None -> Traversal.rpo_array g
-  in
+  let rpo = Actx.rpo actx in
   let index = Array.make n (-1) in
   Array.iteri (fun i id -> index.(id) <- i) rpo;
   Array.iter
@@ -65,31 +69,24 @@ let collective_depths ?(is_site = fun _ -> false) ?actx g =
 let is_cond g id =
   match Graph.kind g id with Graph.Cond _ -> true | _ -> false
 
-(** [analyze g ~taint_filter ~params] runs Algorithm 1 on the CFG [g] of a
-    function with parameter list [params].  With [taint_filter:true], only
-    conditions that may be rank-dependent (per {!Cfg.Dataflow.rank_taint})
-    are retained in [PDF+] — fewer false positives, at the cost of trusting
-    the taint analysis.
+(** [analyze actx ~taint_filter] runs Algorithm 1 on the CFG of the
+    context's function.  With [taint_filter:true], only conditions that
+    may be rank-dependent (per {!Cfg.Actx.rank_dependent}) are retained in
+    [PDF+] — fewer false positives, at the cost of trusting the taint
+    analysis.
 
     [call_collects], when provided, enables the interprocedural extension:
     call sites whose callee may (transitively) execute a collective are
     treated as pseudo-collective sites named ["call:<fname>"], so a
     rank-dependent branch around such a call is flagged too.
 
-    [actx], when given, must be the analysis context of [g]: the
-    post-dominator tree, its frontiers, the reverse postorder and the
-    rank-taint predicate are then taken from (and cached in) the context
-    instead of being recomputed here.  A function with no collective and
-    no collecting call site has no class and builds none of them; the
-    taint is computed only once some [PDF+] holds a conditional. *)
-let analyze ?call_collects ?actx g ~taint_filter ~params =
-  let actx =
-    match actx with
-    | Some a when not (Actx.graph a == g) ->
-        invalid_arg "Interproc.analyze: actx belongs to a different graph"
-    | Some a -> a
-    | None -> Actx.create g
-  in
+    The post-dominator tree, its frontiers, the reverse postorder and the
+    rank-taint predicate come from the context, shared with every other
+    pass.  A function with no collective and no collecting call site has
+    no class and builds none of them; the taint is computed only once
+    some [PDF+] holds a conditional. *)
+let analyze ?call_collects actx ~taint_filter =
+  let g = Actx.graph actx in
   let is_call_site id =
     match (call_collects, Graph.kind g id) with
     | Some collects, Graph.Call_site { fname; _ } -> collects fname
@@ -104,7 +101,7 @@ let analyze ?call_collects ?actx g ~taint_filter ~params =
   let collectives = Graph.collective_nodes g in
   if collectives = [] && call_sites = [] then { classes = []; flagged = [] }
   else
-  let depths = collective_depths ~is_site:is_call_site ~actx g in
+  let depths = collective_depths ~is_site:is_call_site actx in
   let by_class = Hashtbl.create 16 in
   let add key id =
     let existing = Option.value ~default:[] (Hashtbl.find_opt by_class key) in
@@ -124,10 +121,9 @@ let analyze ?call_collects ?actx g ~taint_filter ~params =
           add (Callgraph.call_site_name fname, depths.(id)) id
       | _ -> ())
     call_sites;
-  (* Forced by the first conditional some class's PDF+ holds: a
-     function whose frontiers hold none never pays for the taint. *)
-  let taint = lazy (Actx.rank_dependent actx ~params) in
-  let rank_dependent id = (not taint_filter) || Lazy.force taint id in
+  (* The context builds the taint on the first conditional some class's
+     PDF+ holds: a function whose frontiers hold none never pays for it. *)
+  let rank_dependent id = (not taint_filter) || Actx.rank_dependent actx id in
   (* The post-dominator tree and frontiers live in the context: shared by
      every class here, and with every other phase of the pipeline. *)
   let classes =

@@ -15,22 +15,17 @@ type result = {
   flagged : cls list;  (** Classes with non-empty [conds]. *)
 }
 
-(** [analyze g ~taint_filter ~params]: with [taint_filter:true], only
-    rank-dependent conditionals (per {!Cfg.Dataflow.rank_taint}) are
-    retained.  [call_collects] enables the interprocedural extension:
-    call sites whose callee may execute collectives become
-    pseudo-collective sites named ["call:<fname>"].  [actx], when given,
-    must be the {!Cfg.Actx} of [g]: the post-dominator tree, frontiers and
-    taint predicate are taken from (and cached in) the context.  A
-    function without sites returns no class before building any of them,
-    and the taint is forced only by a conditional in some [PDF+]. *)
+(** [analyze actx ~taint_filter] runs Algorithm 1 on the graph of
+    [actx].  With [taint_filter:true], only rank-dependent conditionals
+    (per {!Cfg.Actx.rank_dependent}) are retained.  [call_collects]
+    enables the interprocedural extension: call sites whose callee may
+    execute collectives become pseudo-collective sites named
+    ["call:<fname>"].  The post-dominator tree, frontiers and taint
+    predicate are read from (and cached in) the context.  A function
+    without sites returns no class before building any of them, and the
+    taint is forced only by a conditional in some [PDF+]. *)
 val analyze :
-  ?call_collects:(string -> bool) ->
-  ?actx:Cfg.Actx.t ->
-  Cfg.Graph.t ->
-  taint_filter:bool ->
-  params:string list ->
-  result
+  ?call_collects:(string -> bool) -> Cfg.Actx.t -> taint_filter:bool -> result
 
 val warnings : Cfg.Graph.t -> fname:string -> result -> Warning.t list
 

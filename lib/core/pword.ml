@@ -132,7 +132,7 @@ type t = {
   inconsistencies : inconsistency list;
 }
 
-(** Compute [pw] for every reachable node of [g], starting from
+(** Compute [pw] for every reachable node of the context's graph, from
     [initial] at the function entrance (the paper's "initial prefix",
     empty by default, selectable to model a multithreaded caller).
 
@@ -141,16 +141,10 @@ type t = {
     barrier-crossing loop bodies converge; genuinely conflicting words are
     reported as inconsistencies (and the first word wins).
 
-    [actx], when given, must be the analysis context of [g]: the worklist
-    is then seeded with its cached reverse postorder instead of
-    retraversing the graph. *)
-let compute ?(initial = []) ?actx g =
-  let rpo =
-    match actx with
-    | Some a when Actx.graph a == g -> Actx.rpo a
-    | Some _ -> invalid_arg "Pword.compute: actx belongs to a different graph"
-    | None -> Traversal.rpo_array g
-  in
+    The worklist is seeded with the context's reverse postorder. *)
+let compute ?(initial = []) actx =
+  let g = Actx.graph actx in
+  let rpo = Actx.rpo actx in
   let n = Graph.nb_nodes g in
   let in_words = Array.make n None in
   let out_words = Array.make n None in

@@ -45,10 +45,9 @@ type t = {
 }
 
 (** Compute [pw] for every reachable node, starting from [initial] (the
-    compile-time "initial level" prefix, empty by default).  [actx], when
-    given, must be the {!Cfg.Actx} of the same graph: its cached reverse
-    postorder seeds the worklist instead of a fresh traversal. *)
-val compute : ?initial:word -> ?actx:Cfg.Actx.t -> Cfg.Graph.t -> t
+    compile-time "initial level" prefix, empty by default) on the graph of
+    [actx]; the context's reverse postorder seeds the worklist. *)
+val compute : ?initial:word -> Cfg.Actx.t -> t
 
 (** Word of a node.  @raise Invalid_argument on unreachable nodes. *)
 val pw : t -> int -> word

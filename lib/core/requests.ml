@@ -175,8 +175,8 @@ let node_read_accesses g id =
 
 (* The forward solve and the post-fixpoint checks, for a function with
    at least one start or completion. *)
-let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
-    ~buffers ~rops : result =
+let solve actx ~taint_filter ~nstarts ~req_names ~buffers ~rops : result =
+  let g = Cfg.Actx.graph actx in
   (* Forward may-analysis to fixpoint. *)
   let input, _output =
     Cfg.Dataflow.solve ~order:(Cfg.Actx.rpo actx) g Cfg.Dataflow.Forward
@@ -255,8 +255,9 @@ let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
   (* Completion placement: the PDF+ of the completion sites of a
      collective request must contain no (rank-dependent) conditional —
      the split-phase transposition of phase 3, anchored at the wait. *)
-  let taint = lazy (Cfg.Actx.rank_dependent actx ~params) in
-  let rank_dependent id = (not taint_filter) || Lazy.force taint id in
+  let rank_dependent id =
+    (not taint_filter) || Cfg.Actx.rank_dependent actx id
+  in
   SSet.iter
     (fun r ->
       let is_collective =
@@ -329,14 +330,8 @@ let solve actx (g : Cfg.Graph.t) ~taint_filter ~params ~nstarts ~req_names
     buffers;
   }
 
-let analyze ?actx (g : Cfg.Graph.t) ~taint_filter ~params : result =
-  let actx =
-    match actx with
-    | Some a when not (Cfg.Actx.graph a == g) ->
-        invalid_arg "Requests.analyze: actx belongs to a different graph"
-    | Some a -> a
-    | None -> Cfg.Actx.create g
-  in
+let analyze actx ~taint_filter : result =
+  let g = Cfg.Actx.graph actx in
   (* Syntactic inventory: request names, buffers, collective starts and
      completion sites. *)
   let nstarts = ref 0 in
@@ -377,8 +372,8 @@ let analyze ?actx (g : Cfg.Graph.t) ~taint_filter ~params : result =
       buffers = [];
     }
   else
-    solve actx g ~taint_filter ~params ~nstarts:!nstarts
-      ~req_names:!req_names ~buffers ~rops
+    solve actx ~taint_filter ~nstarts:!nstarts ~req_names:!req_names ~buffers
+      ~rops
 
 (** [completion_ordered r ~node ~var] tells whether every request whose
     buffer is [var] is definitely completed at [node]'s input — the

@@ -46,19 +46,11 @@ type result = {
       (** [(request, buffer)] pairs of buffer-receiving starts. *)
 }
 
-(** [analyze g ~taint_filter ~params] runs the lifecycle dataflow on the
-    CFG [g] of a function with parameters [params].  With
-    [taint_filter:true] the completion-mismatch check keeps only
-    rank-dependent conditionals (like phase 3).  [actx], when given,
-    must be the analysis context of [g] (shares the post-dominator
-    machinery).
-    @raise Invalid_argument if [actx] belongs to a different graph. *)
-val analyze :
-  ?actx:Cfg.Actx.t ->
-  Cfg.Graph.t ->
-  taint_filter:bool ->
-  params:string list ->
-  result
+(** [analyze actx ~taint_filter] runs the lifecycle dataflow on the
+    graph of [actx].  With [taint_filter:true] the completion-mismatch
+    check keeps only rank-dependent conditionals (like phase 3).  The
+    reverse postorder, [PDF+] and taint come from the context. *)
+val analyze : Cfg.Actx.t -> taint_filter:bool -> result
 
 (** [completion_ordered r ~node ~var] is [true] when every request whose
     buffer is [var] is definitely completed at [node]'s input: the

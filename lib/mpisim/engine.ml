@@ -57,7 +57,6 @@ type trace_event = {
 type t = {
   nranks : int;
   slots : rank_call option array;
-  mutable history : Coll.kind list;  (** Completed collectives, reversed. *)
   mutable traces : trace_event list array;
       (** Per-rank arrival streams, reversed. *)
   stats : stats;
@@ -82,7 +81,6 @@ let create ~nranks =
   {
     nranks;
     slots = Array.make nranks None;
-    history = [];
     traces = Array.make nranks [];
     stats = { completed = 0; cc_checks = 0 };
     hook = None;
@@ -183,7 +181,6 @@ let try_complete t =
               Coll.result_for model ~rank ~contributions)
         in
         t.stats.completed <- t.stats.completed + 1;
-        t.history <- kind :: t.history;
         Some (Completed { calls; results })
       end
   end
@@ -236,9 +233,7 @@ let nb_advance t =
           Array.init t.nranks (fun rank ->
               Coll.result_for model ~rank ~contributions)
         in
-        let kind = model.Coll.kind in
         t.stats.completed <- t.stats.completed + 1;
-        t.history <- kind :: t.history;
         Hashtbl.replace t.nb_results round results;
         loop (Nb_completed { round; calls; results } :: acc)
       end
@@ -262,9 +257,6 @@ let nb_result t ~round ~rank =
 let nb_pending t =
   Array.to_list t.nb_queue
   |> List.concat_map (fun q -> List.of_seq (Queue.to_seq q))
-
-(** Completed (non-CC) collectives in execution order. *)
-let history t = List.rev t.history
 
 (** The recorded arrival stream of [rank], in program order.  CC checks
     are tool-internal and excluded. *)

@@ -87,9 +87,6 @@ val nb_result : t -> round:int -> rank:int -> int
     posting order (deadlock diagnostics, state fingerprints). *)
 val nb_pending : t -> rank_call list
 
-(** Completed (non-CC) collectives in execution order. *)
-val history : t -> Coll.kind list
-
 (** Arrival stream of one rank in program order (CC checks excluded). *)
 val rank_trace : t -> int -> trace_event list
 

@@ -293,28 +293,47 @@ let analyze_source t ?options ?jobs ?file source =
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let ( let* ) = Result.bind
+
+(* A typed parameter: [Ok None] when absent, an error naming the
+   expected JSON type when present with another. *)
+let param params name conv what =
+  match Json.member name params with
+  | None -> Ok None
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "analyze: '%s' must be %s" name what))
+
 let options_of_params params =
   let flag name =
-    Option.value ~default:false (Option.bind (Json.member name params) Json.to_bool)
+    Result.map (Option.value ~default:false)
+      (param params name Json.to_bool "a boolean")
   in
-  match Option.bind (Json.member "level" params) Json.to_str with
-  | Some s when Mpisim.Thread_level.of_string s = None ->
-      Error (Printf.sprintf "unknown thread level '%s'" s)
-  | level ->
-      Ok
-        {
-          Parcoach.Driver.initial_word =
-            (if flag "initial_multithreaded" then [ Parcoach.Pword.P 0 ]
-             else []);
-          provided_level =
-            (match Option.bind level Mpisim.Thread_level.of_string with
-            | Some l -> l
-            | None -> Mpisim.Thread_level.Multiple);
-          taint_filter = flag "taint_filter";
-          interprocedural = flag "interprocedural";
-          races = flag "races";
-          requests = flag "requests";
-        }
+  let* level = param params "level" Json.to_str "a string" in
+  let* provided_level =
+    match level with
+    | None -> Ok Mpisim.Thread_level.Multiple
+    | Some s -> (
+        match Mpisim.Thread_level.of_string s with
+        | Some l -> Ok l
+        | None -> Error (Printf.sprintf "unknown thread level '%s'" s))
+  in
+  let* initial_multithreaded = flag "initial_multithreaded" in
+  let* taint_filter = flag "taint_filter" in
+  let* interprocedural = flag "interprocedural" in
+  let* races = flag "races" in
+  let* requests = flag "requests" in
+  Ok
+    {
+      Parcoach.Driver.initial_word =
+        (if initial_multithreaded then [ Parcoach.Pword.P 0 ] else []);
+      provided_level;
+      taint_filter;
+      interprocedural;
+      races;
+      requests;
+    }
 
 let error_response id msg =
   Json.Obj [ ("id", id); ("ok", Json.Bool false); ("error", Json.Str msg) ]
@@ -344,63 +363,59 @@ let only_of_params params =
   | Some _ -> Error "analyze: 'only' must be a string or a list of strings"
 
 let analyze_response t id params =
-  match Option.bind (Json.member "source" params) Json.to_str with
-  | None -> error_response id "analyze: missing string parameter 'source'"
-  | Some source -> (
-      match
-        match options_of_params params with
-        | Error msg -> Error msg
-        | Ok options -> (
-            match only_of_params params with
-            | Error msg -> Error msg
-            | Ok only -> Ok (options, only))
-      with
-      | Error msg -> error_response id msg
-      | Ok (options, only) -> (
-          let jobs = Option.bind (Json.member "jobs" params) Json.to_int in
-          let file =
-            Option.bind (Json.member "file" params) Json.to_str
+  match
+    let* source =
+      Result.bind
+        (param params "source" Json.to_str "a string")
+        (Option.to_result ~none:"analyze: missing string parameter 'source'")
+    in
+    let* options = options_of_params params in
+    let* only = only_of_params params in
+    let* jobs = param params "jobs" Json.to_int "an integer" in
+    let* () =
+      match jobs with
+      | Some j when j < 1 -> Error "analyze: jobs must be >= 1"
+      | _ -> Ok ()
+    in
+    let* file = param params "file" Json.to_str "a string" in
+    Ok (source, options, only, jobs, file)
+  with
+  | Error msg -> error_response id msg
+  | Ok (source, options, only, jobs, file) -> (
+      match analyze_source' t ~options ?jobs ?file source with
+      | Error issues ->
+          Json.Obj
+            [
+              ("id", id);
+              ("ok", Json.Bool true);
+              ("valid", Json.Bool false);
+              ("issues", Json.Raw (Parcoach.Json_report.issues_json issues));
+            ]
+      | Ok (a, func_json) ->
+          let report = Parcoach.Driver.filter_classes a.report ~only in
+          let report_json =
+            Parcoach.Timings.record a.timings "render" (fun () ->
+                Parcoach.Json_report.to_string ~issues:a.issues ~func_json
+                  report)
           in
-          match jobs with
-          | Some j when j < 1 -> error_response id "analyze: jobs must be >= 1"
-          | _ -> (
-              match analyze_source' t ~options ?jobs ?file source with
-              | Error issues ->
-                  Json.Obj
-                    [
-                      ("id", id);
-                      ("ok", Json.Bool true);
-                      ("valid", Json.Bool false);
-                      ("issues", Json.Raw (Parcoach.Json_report.issues_json issues));
-                    ]
-              | Ok (a, func_json) ->
-                  let report =
-                    Parcoach.Driver.filter_classes a.report ~only
-                  in
-                  let report_json =
-                    Parcoach.Timings.record a.timings "render" (fun () ->
-                        Parcoach.Json_report.to_string ~issues:a.issues
-                          ~func_json report)
-                  in
-                  let stats = Cache.stats t.cache in
-                  Json.Obj
-                    [
-                      ("id", id);
-                      ("ok", Json.Bool true);
-                      ("valid", Json.Bool true);
-                      ("report", Json.Raw report_json);
-                      ( "warnings",
-                        Json.Int (Parcoach.Driver.warning_count report) );
-                      ( "cache",
-                        Json.Obj
-                          [
-                            ("hits", Json.Int a.reused);
-                            ("misses", Json.Int a.analysed);
-                            ("entries", Json.Int stats.Cache.entries);
-                          ] );
-                      ( "timings",
-                        Json.Raw (Parcoach.Json_report.timings_json a.timings) );
-                    ])))
+          let stats = Cache.stats t.cache in
+          Json.Obj
+            [
+              ("id", id);
+              ("ok", Json.Bool true);
+              ("valid", Json.Bool true);
+              ("report", Json.Raw report_json);
+              ("warnings", Json.Int (Parcoach.Driver.warning_count report));
+              ( "cache",
+                Json.Obj
+                  [
+                    ("hits", Json.Int a.reused);
+                    ("misses", Json.Int a.analysed);
+                    ("entries", Json.Int stats.Cache.entries);
+                  ] );
+              ( "timings",
+                Json.Raw (Parcoach.Json_report.timings_json a.timings) );
+            ])
 
 let stats_response t id =
   let s = Cache.stats t.cache in

@@ -19,6 +19,15 @@
     }}
     v}
 
+    [analyze] parameter types: [source] (required), [file] and [level]
+    are strings; [races], [interprocedural], [taint_filter], [requests]
+    and [initial_multithreaded] are booleans (default [false]); [jobs] is
+    an integer [>= 1]; [only] is a comma-separated string or a list of
+    warning-class strings.  An optional parameter may be omitted; one
+    present with another JSON type (["jobs":"2"], ["races":"yes"],
+    [null]) is answered [{"id":1,"ok":false,"error":"analyze: 'jobs' must
+    be an integer"}] (or [a boolean] / [a string]).
+
     Successful analyses answer
     [{"id":1,"ok":true,"valid":true,"report":{...},"warnings":N,
       "cache":{"hits":h,"misses":m,"entries":e},"timings":{...}}]

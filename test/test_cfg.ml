@@ -7,6 +7,9 @@ let parse src = Minilang.Parser.parse_string ~file:"test" src
 
 let cfg_of src = Build.of_func (Minilang.Ast.main_func (parse src))
 
+(* PDF+ of a node set, as the static passes read it. *)
+let pdf_plus g set = Actx.pdf_plus (Actx.create ~params:[] g) set
+
 let count_kind g p = List.length (Graph.filter_nodes g p)
 
 let build_tests =
@@ -142,7 +145,7 @@ let diamond_tests =
             "func main() { if (rank() == 0) { MPI_Barrier(); } compute(1); }"
         in
         let coll = List.hd (Graph.collective_nodes g) in
-        let pdf = Dominance.pdf_plus g [ coll ] in
+        let pdf = pdf_plus g [ coll ] in
         let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
         Alcotest.(check bool) "cond in PDF+" true
           (List.exists (fun c -> List.mem c pdf) conds));
@@ -150,13 +153,13 @@ let diamond_tests =
       (fun () ->
         let g = cfg_of "func main() { MPI_Barrier(); compute(1); }" in
         let coll = List.hd (Graph.collective_nodes g) in
-        Alcotest.(check (list int)) "empty" [] (Dominance.pdf_plus g [ coll ]));
+        Alcotest.(check (list int)) "empty" [] (pdf_plus g [ coll ]));
     Alcotest.test_case "collective in loop: loop cond in PDF+" `Quick (fun () ->
         let g =
           cfg_of "func main() { var i = 0; while (i < 3) { MPI_Barrier(); i = i + 1; } }"
         in
         let coll = List.hd (Graph.collective_nodes g) in
-        let pdf = Dominance.pdf_plus g [ coll ] in
+        let pdf = pdf_plus g [ coll ] in
         Alcotest.(check bool) "nonempty" true (pdf <> []));
     Alcotest.test_case "idom of exit is the join of all returns" `Quick
       (fun () ->
@@ -167,22 +170,6 @@ let diamond_tests =
         let pdom = Dominance.compute g Dominance.Backward in
         Alcotest.(check bool) "entry reachable in reverse" true
           (Dominance.is_reachable pdom Graph.entry_id));
-    Alcotest.test_case "dominator tree children partition nodes" `Quick
-      (fun () ->
-        let g =
-          cfg_of
-            {|func main() { var i = 0; while (i < 4) { if (i == 2) { compute(1); } i = i + 1; } }|}
-        in
-        let dom = Dominance.compute g Dominance.Forward in
-        let ch = Dominance.children dom in
-        let total = Array.fold_left (fun acc l -> acc + List.length l) 0 ch in
-        let reachable =
-          Graph.fold_nodes g
-            (fun acc n -> if Dominance.is_reachable dom n.Graph.id then acc + 1 else acc)
-            0
-        in
-        (* every reachable node except the root has exactly one parent *)
-        Alcotest.(check int) "tree size" (reachable - 1) total);
   ]
 
 let loop_tests =
@@ -265,7 +252,7 @@ let dataflow_tests =
             {|func main() { var r = rank(); var t = r * 2; var c = 5;
                if (t > 0) { MPI_Barrier(); } if (c > 0) { MPI_Barrier(); } }|}
         in
-        let dep = Dataflow.cond_rank_dependent g ~params:[] in
+        let dep = Actx.rank_dependent (Actx.create ~params:[] g) in
         let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
         (match conds with
         | [ c1; c2 ] ->
@@ -280,7 +267,7 @@ let dataflow_tests =
                var s = 0; s = MPI_Scan(r, sum);
                if (a > 0) { MPI_Barrier(); } if (s > 0) { MPI_Barrier(); } }|}
         in
-        let dep = Dataflow.cond_rank_dependent g ~params:[] in
+        let dep = Actx.rank_dependent (Actx.create ~params:[] g) in
         let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
         (match conds with
         | [ c1; c2 ] ->
@@ -292,7 +279,7 @@ let dataflow_tests =
         let p = parse "func f(n) { if (n > 0) { MPI_Barrier(); } } func main() { f(3); }" in
         let f = List.hd (List.filter (fun (fn : Minilang.Ast.func) -> fn.Minilang.Ast.fname = "f") (p.Minilang.Ast.funcs)) in
         let g = Build.of_func f in
-        let dep = Dataflow.cond_rank_dependent g ~params:[ "n" ] in
+        let dep = Actx.rank_dependent (Actx.create ~params:[ "n" ] g) in
         let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
         Alcotest.(check bool) "param-dependent cond flagged" true
           (dep (List.hd conds)));
@@ -302,7 +289,7 @@ let dataflow_tests =
           cfg_of
             {|func main() { var r = rank(); r = 7; if (r > 0) { MPI_Barrier(); } }|}
         in
-        let dep = Dataflow.cond_rank_dependent g ~params:[] in
+        let dep = Actx.rank_dependent (Actx.create ~params:[] g) in
         let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
         Alcotest.(check bool) "untainted after kill" false (dep (List.hd conds)));
   ]

@@ -799,8 +799,9 @@ let request_free_pin programs =
             else
               let g = Cfg.Build.of_func f in
               let r =
-                Parcoach.Requests.analyze g ~taint_filter:true
-                  ~params:f.Ast.params
+                Parcoach.Requests.analyze
+                  (Cfg.Actx.create ~params:f.Ast.params g)
+                  ~taint_filter:true
               in
               Some (name ^ "/" ^ f.Ast.fname ^ ": " ^ render_result r))
           p.Ast.funcs)

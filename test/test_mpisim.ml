@@ -179,19 +179,6 @@ let engine_tests =
         ignore (Engine.arrive e ~rank:0 ~cookie:0 (mk_call ()));
         Alcotest.(check (list int)) "rank 0 waiting again" [ 0 ]
           (List.map (fun rc -> rc.Engine.rank) (Engine.pending e)));
-    Alcotest.test_case "history records completed collectives in order" `Quick
-      (fun () ->
-        let e = Engine.create ~nranks:1 in
-        List.iter
-          (fun kind ->
-            ignore (Engine.arrive e ~rank:0 ~cookie:0 (mk_call ~kind ()));
-            ignore (Engine.try_complete e))
-          [ Coll.Barrier; Coll.Allgather; Coll.Barrier ];
-        Alcotest.(check int) "three completed" 3 (Engine.completed_count e);
-        Alcotest.(check bool) "ordered history" true
-          (Engine.history e = [ Coll.Barrier; Coll.Allgather; Coll.Barrier ]);
-        Alcotest.(check int) "barrier count" 2
-          (List.length (List.filter (( = ) Coll.Barrier) (Engine.history e))));
     Alcotest.test_case "pending lists waiting ranks" `Quick (fun () ->
         let e = Engine.create ~nranks:3 in
         ignore (Engine.arrive e ~rank:1 ~cookie:5 (mk_call ~site:"x" ()));

@@ -264,7 +264,7 @@ let scope_tests =
              if (v > 0) { MPI_Barrier(); } }|}
         in
         let g = Cfg.Build.of_func (Minilang.Ast.main_func (parse src)) in
-        let dep = Cfg.Dataflow.cond_rank_dependent g ~params:[] in
+        let dep = Cfg.Actx.rank_dependent (Cfg.Actx.create ~params:[] g) in
         let conds =
           Cfg.Graph.filter_nodes g (function Cfg.Graph.Cond _ -> true | _ -> false)
         in

@@ -7,8 +7,9 @@
       reimplementation of the former [List.mem] Cytron loop (qcheck
       property over random programs, both directions);
     - the {!Cfg.Actx} memoization contract (physical reuse, cache
-      population, taint keying) and {!Parcoach.Interproc} with a shared
-      context;
+      population, agreement with direct computation) and a qcheck property
+      that the passes give the same results on one shared context as on
+      fresh ones;
     - determinism of the domain-parallel {!Parcoach.Driver.analyze}:
       [jobs:4] and [jobs:1] must produce identical warnings, CC sites and
       JSON reports on every sample and generated program. *)
@@ -261,34 +262,40 @@ let test_actx_memoization () =
         }|}
   in
   let g = List.hd (Build.of_program p) in
-  let actx = Actx.create g in
+  let actx = Actx.create ~params:[ "n" ] g in
   Alcotest.(check (list string)) "fresh context is empty" []
     (Actx.populated actx);
-  (* Every getter computes once and then returns the same structure. *)
+  Alcotest.(check bool) "graph is the one given" true (Actx.graph actx == g);
+  (* Every fact is computed once and then served from the cache. *)
   Alcotest.(check bool) "rpo reused" true (Actx.rpo actx == Actx.rpo actx);
-  Alcotest.(check bool) "dom reused" true (Actx.dom actx == Actx.dom actx);
-  Alcotest.(check bool) "pdom reused" true (Actx.pdom actx == Actx.pdom actx);
-  Alcotest.(check bool) "frontiers reused" true
-    (Actx.pdom_frontiers actx == Actx.pdom_frontiers actx);
-  Alcotest.(check bool) "taint reused for equal params" true
-    (Actx.rank_dependent actx ~params:[ "n" ]
-    == Actx.rank_dependent actx ~params:[ "n" ]);
-  let populated = Actx.populated actx in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " cached") true (List.mem name populated))
-    [ "rpo"; "dom"; "pdom"; "pdom_frontiers"; "rank_dep" ];
-  (* The cached structures agree with direct computation. *)
+  let sites = Graph.collective_nodes g in
+  let pdf = Actx.pdf_plus actx sites in
+  Alcotest.(check (list string)) "PDF+ builds the post-dominator tree"
+    [ "rpo"; "pdom"; "pdom_frontiers" ]
+    (Actx.populated actx);
+  let conds = Graph.filter_nodes g (function Graph.Cond _ -> true | _ -> false) in
+  let taint = List.map (Actx.rank_dependent actx) conds in
+  Alcotest.(check (list string)) "taint cached"
+    [ "rpo"; "pdom"; "pdom_frontiers"; "rank_dep" ]
+    (Actx.populated actx);
+  (* The cached facts agree with direct computation. *)
   Alcotest.(check (list int)) "rpo = Traversal.rpo_array"
     (Array.to_list (Traversal.rpo_array g))
     (Array.to_list (Actx.rpo actx));
-  let direct = Dominance.compute g Dominance.Backward in
-  Alcotest.(check (list int)) "pdom idom = direct"
-    (Array.to_list direct.Dominance.idom)
-    (Array.to_list (Actx.pdom actx).Dominance.idom);
-  Alcotest.(check (list int)) "pdf_plus = Dominance.pdf_plus"
-    (Dominance.pdf_plus g (Graph.collective_nodes g))
-    (Actx.pdf_plus actx (Graph.collective_nodes g));
+  let pdom = Dominance.compute g Dominance.Backward in
+  Alcotest.(check (list int)) "pdf_plus = direct iterated frontier"
+    (Dominance.iterated_frontier pdom (Dominance.frontiers pdom) sites)
+    pdf;
+  Alcotest.(check (list int)) "pdf_plus again, on the cached tree" pdf
+    (Actx.pdf_plus actx sites);
+  Alcotest.(check (list bool)) "taint = Dataflow.cond_rank_dependent"
+    (List.map
+       (Dataflow.cond_rank_dependent ~rpo:(Traversal.rpo_array g) g
+          ~params:[ "n" ])
+       conds)
+    taint;
+  Alcotest.(check (list bool)) "parameter n taints its condition" [ true ]
+    taint;
   (* Phase 3 builds what its sites need, and nothing for a function
      without any: no traversal, no post-dominator tree, no taint. *)
   let phase3 ?call_collects src =
@@ -296,10 +303,9 @@ let test_actx_memoization () =
       List.hd
         (Build.of_program (Minilang.Parser.parse_string ~file:"actx-lazy" src))
     in
-    let actx = Actx.create g in
+    let actx = Actx.create ~params:[ "n" ] g in
     let r =
-      Parcoach.Interproc.analyze ?call_collects ~actx g ~taint_filter:true
-        ~params:[ "n" ]
+      Parcoach.Interproc.analyze ?call_collects actx ~taint_filter:true
     in
     (r, Actx.populated actx)
   in
@@ -341,32 +347,42 @@ let test_actx_memoization () =
         (List.mem name populated))
     [ "rank_dep"; "pdom" ]
 
-let test_interproc_with_actx () =
-  let p =
-    Minilang.Parser.parse_string ~file:"interproc-actx"
-      {|func main(n) {
-          if (rank() == 0) { MPI_Barrier(); }
-          MPI_Allgather(1);
-        }|}
-  in
-  let g = List.hd (Build.of_program p) in
-  let actx = Actx.create g in
-  let with_ctx =
-    Parcoach.Interproc.analyze ~actx g ~taint_filter:true ~params:[ "n" ]
-  in
-  let fresh = Parcoach.Interproc.analyze g ~taint_filter:true ~params:[ "n" ] in
-  Alcotest.(check bool) "same classes" true
-    (with_ctx.Parcoach.Interproc.classes = fresh.Parcoach.Interproc.classes);
-  Alcotest.(check (list int)) "same CC sites"
-    (Parcoach.Interproc.cc_sites fresh)
-    (Parcoach.Interproc.cc_sites with_ctx);
-  Alcotest.check_raises "foreign context rejected"
-    (Invalid_argument "Interproc.analyze: actx belongs to a different graph")
-    (fun () ->
-      let other = Actx.create (Graph.finish (new_builder "other")) in
-      ignore
-        (Parcoach.Interproc.analyze ~actx:other g ~taint_filter:false
-           ~params:[]))
+(* What the driver's three context-reading passes return, in a form
+   that compares structurally. *)
+let context_passes ~(pword : Parcoach.Pword.t) ~phase3
+    ~(requests : Parcoach.Requests.result) =
+  ( (pword.in_words, pword.inconsistencies),
+    phase3,
+    ( requests.nrequests,
+      requests.nstarts,
+      requests.findings,
+      requests.buffers,
+      Array.map Parcoach.Requests.SSet.elements requests.inflight ) )
+
+(* Pword, phase 3 and the request pass run in the driver's order on one
+   shared context give what each gives on a fresh context of its own:
+   no pass depends on which caches an earlier pass filled. *)
+let shared_context_prop =
+  QCheck.Test.make ~count:60
+    ~name:"passes on a shared context = passes on fresh contexts"
+    Test_qcheck.arb_program (fun program ->
+      List.for_all
+        (fun (f : Minilang.Ast.func) ->
+          let g = Build.of_func f in
+          let fresh () = Actx.create ~params:f.Minilang.Ast.params g in
+          let run_all ctx =
+            let pword = Parcoach.Pword.compute (ctx ()) in
+            let phase3 =
+              Parcoach.Interproc.analyze (ctx ()) ~taint_filter:true
+            in
+            let requests =
+              Parcoach.Requests.analyze (ctx ()) ~taint_filter:true
+            in
+            context_passes ~pword ~phase3 ~requests
+          in
+          let shared = fresh () in
+          run_all (fun () -> shared) = run_all fresh)
+        program.Minilang.Ast.funcs)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel driver determinism                                  *)
@@ -487,8 +503,7 @@ let suite =
     ( "perf.actx",
       [
         Alcotest.test_case "memoization contract" `Quick test_actx_memoization;
-        Alcotest.test_case "interproc shares the context" `Quick
-          test_interproc_with_actx;
+        QCheck_alcotest.to_alcotest shared_context_prop;
       ] );
     ( "perf.parallel-driver",
       [

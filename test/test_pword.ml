@@ -8,17 +8,19 @@ let parse src = Minilang.Parser.parse_string ~file:"test" src
 
 let cfg_of src = Cfg.Build.of_func (Minilang.Ast.main_func (parse src))
 
+let pword ?initial g = Pword.compute ?initial (Cfg.Actx.create ~params:[] g)
+
 (* Word of the first collective node of [main]. *)
 let word_of_first_collective ?initial src =
   let g = cfg_of src in
-  let pw = Pword.compute ?initial g in
+  let pw = pword ?initial g in
   match Cfg.Graph.collective_nodes g with
   | [] -> Alcotest.fail "no collective in program"
   | n :: _ -> Pword.pw pw n
 
 let words_of_collectives src =
   let g = cfg_of src in
-  let pw = Pword.compute g in
+  let pw = pword g in
   List.map (fun n -> Pword.pw pw n) (Cfg.Graph.collective_nodes g)
 
 let shape word =
@@ -95,7 +97,7 @@ let computation_tests =
             {|func main() { for it = 0 to 3 { pragma omp parallel { compute(1); } }
                MPI_Barrier(); }|}
         in
-        let pw = Pword.compute g in
+        let pw = pword g in
         Alcotest.(check int) "no inconsistencies" 0
           (List.length pw.Pword.inconsistencies));
     Alcotest.test_case "words are defined for all reachable nodes" `Quick
@@ -105,7 +107,7 @@ let computation_tests =
             {|func main() { pragma omp parallel { pragma omp single { compute(1); } }
                if (rank() == 0) { MPI_Barrier(); } }|}
         in
-        let pw = Pword.compute g in
+        let pw = pword g in
         let reach = Cfg.Traversal.reachable g in
         Cfg.Graph.iter_nodes g (fun n ->
             if reach.(n.Cfg.Graph.id) then

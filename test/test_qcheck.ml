@@ -339,7 +339,9 @@ let properties =
     Test.make ~name:"parallelism words are consistent" ~count:60 arb_program
       (fun p ->
         List.for_all
-          (fun g -> (Parcoach.Pword.compute g).Parcoach.Pword.inconsistencies = [])
+          (fun g ->
+            (Parcoach.Pword.compute (Cfg.Actx.create ~params:[] g))
+              .Parcoach.Pword.inconsistencies = [])
           (Cfg.Build.of_program p));
     Test.make ~name:"pipeline finishes with identical per-rank traces"
       ~count:40 arb_program (fun p ->

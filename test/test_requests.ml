@@ -472,7 +472,7 @@ let shortcut_tests =
                 }|})
         in
         let g = Cfg.Build.of_func f in
-        let r = Requests.analyze g ~taint_filter:true ~params:[] in
+        let r = Requests.analyze (Cfg.Actx.create ~params:[] g) ~taint_filter:true in
         Alcotest.(check int) "requests" 0 r.Requests.nrequests;
         Alcotest.(check int) "findings" 0 (List.length r.Requests.findings);
         Alcotest.(check int) "nodes" (Cfg.Graph.nb_nodes g)

@@ -623,7 +623,36 @@ let test_daemon_protocol_errors () =
   check_error "bad jobs"
     {|{"id":1,"method":"analyze","params":{"source":"func main() { }","jobs":0}}|};
   check_error "unknown warning class in only"
-    {|{"id":1,"method":"analyze","params":{"source":"func main() { }","only":"no-such-class"}}|}
+    {|{"id":1,"method":"analyze","params":{"source":"func main() { }","only":"no-such-class"}}|};
+  (* A parameter present with the wrong JSON type is an error naming the
+     expected type, never silently replaced by its default. *)
+  List.iter
+    (fun (param, expected) ->
+      let line =
+        Printf.sprintf
+          {|{"id":1,"method":"analyze","params":{"source":"func main() { }",%s}}|}
+          param
+      in
+      Alcotest.(check string)
+        param
+        (Printf.sprintf {|{"id":1,"ok":false,"error":"analyze: %s"}|} expected)
+        (Serve.Daemon.handle_line daemon line))
+    [
+      ({|"races":"yes"|}, "'races' must be a boolean");
+      ({|"taint_filter":1|}, "'taint_filter' must be a boolean");
+      ({|"interprocedural":null|}, "'interprocedural' must be a boolean");
+      ({|"requests":"true"|}, "'requests' must be a boolean");
+      ({|"initial_multithreaded":0|}, "'initial_multithreaded' must be a boolean");
+      ({|"jobs":"2"|}, "'jobs' must be an integer");
+      ({|"jobs":1.5|}, "'jobs' must be an integer");
+      ({|"level":5|}, "'level' must be a string");
+      ({|"file":7|}, "'file' must be a string");
+    ];
+  Alcotest.(check string)
+    "source of the wrong type"
+    {|{"id":1,"ok":false,"error":"analyze: 'source' must be a string"}|}
+    (Serve.Daemon.handle_line daemon
+       {|{"id":1,"method":"analyze","params":{"source":["func main() { }"]}}|})
 
 (* A syntax error is a located issue of an invalid program, built by the
    same helper as the CLIs' reports, never an internal error. *)
