@@ -6,7 +6,7 @@
 open Cmdliner
 
 let run file bench ranks threads seed round_robin max_steps instrument jobs
-    inject show_trace must_check overlay overlay_fanout level explore
+    inject show_trace overlay overlay_fanout level explore
     explore_mode branch_depth budget explore_jobs =
   Cli.check_at_least "ranks" ~min:1 ranks;
   Cli.check_at_least "threads" ~min:1 threads;
@@ -76,16 +76,9 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
     else if summary.Interp.Explore.aborted > 0 then exit 4
     else exit 0
   end;
-  (* --must-check is the historical spelling of --overlay posthoc; an
-     explicit --overlay wins when both are given. *)
-  let overlay_mode =
-    match overlay with
-    | Some m -> Some m
-    | None -> if must_check then Some `Posthoc else None
-  in
   (* Online checking runs inline in the engine's arrival hook. *)
   let stream_checker =
-    match overlay_mode with
+    match overlay with
     | Some `Stream ->
         Some (Mustlike.Stream.create ~fanout:overlay_fanout ~nranks:ranks ())
     | Some `Posthoc | None -> None
@@ -117,7 +110,7 @@ let run file bench ranks threads seed round_robin max_steps instrument jobs
       (fun (rank, tid, value) ->
         Fmt.pr "  [rank %d thread %d] print %d@." rank tid value)
       (Interp.Sim.trace result);
-  (match overlay_mode with
+  (match overlay with
   | Some `Posthoc ->
       let report =
         Mustlike.Overlay.check_engine ~fanout:overlay_fanout
@@ -219,15 +212,6 @@ let inject =
 let show_trace =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the trace of print() events.")
 
-let must_check =
-  Arg.(
-    value & flag
-    & info [ "must-check" ]
-        ~doc:
-          "After the run, validate the recorded per-rank collective traces \
-           with the MUST-style tree-overlay checker (same as $(b,--overlay) \
-           $(i,posthoc)).")
-
 let overlay =
   Arg.(
     value
@@ -245,9 +229,8 @@ let overlay_fanout =
     value & opt int 2
     & info [ "overlay-fanout" ] ~docv:"N"
         ~doc:
-          "Fan-out of the overlay tree used by $(b,--overlay) and \
-           $(b,--must-check) (>= 2; the rank count gives a centralized \
-           Marmot-like checker).")
+          "Fan-out of the overlay tree used by $(b,--overlay) (>= 2; the \
+           rank count gives a centralized Marmot-like checker).")
 
 let level =
   let cv =
@@ -316,8 +299,8 @@ let cmd =
     (Cmd.info "runsim" ~version:"0.5.0" ~doc)
     Term.(
       const run $ file $ bench $ ranks $ threads $ seed $ round_robin
-      $ max_steps $ instrument $ jobs $ inject $ show_trace $ must_check
-      $ overlay $ overlay_fanout $ level $ explore $ explore_mode
-      $ branch_depth $ budget $ explore_jobs)
+      $ max_steps $ instrument $ jobs $ inject $ show_trace $ overlay
+      $ overlay_fanout $ level $ explore $ explore_mode $ branch_depth
+      $ budget $ explore_jobs)
 
 let () = exit (Cmd.eval cmd)

@@ -18,49 +18,23 @@ let rec expr_vars acc (e : Minilang.Ast.expr) =
   | Unop (_, e) -> expr_vars acc e
   | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
 
-(* Expressions evaluated by a node, and variables it defines. *)
+(* Expressions evaluated by a node, and variables it defines: the
+   {!Minilang.Ast.stmt_uses} of the statements it carries.  A [Cond]
+   node evaluates its own expression (a counted loop's test is
+   manufactured by the builder); a worksharing loop's [Omp_begin] reads
+   nothing (its bounds are read at the loop's nodes). *)
 let node_uses g id =
   let open Minilang.Ast in
-  let coll_exprs coll =
-    match coll with
-    | Barrier -> []
-    | Bcast { root; value }
-    | Reduce { root; value; _ }
-    | Gather { root; value }
-    | Scatter { root; value } ->
-        [ root; value ]
-    | Allreduce { value; _ }
-    | Allgather { value }
-    | Alltoall { value }
-    | Scan { value; _ }
-    | Reduce_scatter { value; _ } ->
-        [ value ]
-  in
   match kind g id with
-  | Entry | Exit | Return_site _ | Barrier_node _ | Check_site _ -> []
-  | Simple stmts ->
-      List.concat_map
-        (fun s ->
-          match s.sdesc with
-          | Decl (_, e) | Assign (_, e) | Compute e | Print e -> [ e ]
-          | Send { value; dest; tag } -> [ value; dest; tag ]
-          | Recv { src; tag; _ } -> [ src; tag ]
-          | Istart { rop; _ } -> (
-              match rop with
-              | Ibarrier -> []
-              | Iallreduce { value; _ } -> [ value ]
-              | Isend { value; dest; tag } -> [ value; dest; tag ]
-              | Irecv { src; tag; _ } -> [ src; tag ])
-          | _ -> [])
-        stmts
+  | Simple stmts -> List.concat_map (fun s -> fst (stmt_uses s)) stmts
   | Cond { expr; _ } -> [ expr ]
-  | Collective { coll; _ } -> coll_exprs coll
+  | Collective { coll; _ } -> coll_args coll
   | Call_site { args; _ } -> args
-  | Omp_begin { stmt; _ } -> (
-      match stmt.sdesc with
-      | Omp_parallel { num_threads = Some e; _ } -> [ e ]
-      | _ -> [])
-  | Omp_end _ -> []
+  | Omp_begin { stmt = { sdesc = Omp_parallel _; _ } as stmt; _ } ->
+      fst (stmt_uses stmt)
+  | Entry | Exit | Return_site _ | Barrier_node _ | Check_site _ | Omp_begin _
+  | Omp_end _ ->
+      []
 
 let node_used_vars g id =
   List.fold_left expr_vars StringSet.empty (node_uses g id)
@@ -68,25 +42,13 @@ let node_used_vars g id =
 (** Variables assigned by the node, with the defining statement order
     collapsed (a [Simple] block may define several). *)
 let node_defs g id =
-  let open Minilang.Ast in
   match kind g id with
   | Simple stmts ->
       List.fold_left
         (fun acc s ->
-          match s.sdesc with
-          | Decl (x, _) | Assign (x, _) | Recv { target = x; _ }
-          | Test { target = x; _ } ->
-              StringSet.add x acc
-          (* The buffer of a split-phase operation is written by its
-             completion; the definition is attributed to the start, the
-             only program point that names the buffer (sound
-             over-approximation: the value is there no later than the
-             matching [MPI_Wait]). *)
-          | Istart
-              { rop = Iallreduce { target = x; _ } | Irecv { target = x; _ }; _ }
-            ->
-              StringSet.add x acc
-          | _ -> acc)
+          match Minilang.Ast.stmt_uses s with
+          | _, Some x -> StringSet.add x acc
+          | _, None -> acc)
         StringSet.empty stmts
   | Collective { target = Some x; _ } -> StringSet.singleton x
   | _ -> StringSet.empty
@@ -256,20 +218,13 @@ let constant_propagation g =
     | Simple stmts ->
         List.fold_left
           (fun env s ->
-            match s.sdesc with
-            | Decl (x, e) | Assign (x, e) -> (
+            match (s.sdesc, stmt_uses s) with
+            | (Decl (x, e) | Assign (x, e)), _ -> (
                 match eval_const env e with
                 | Some n -> ConstMap.add x (Const n) env
                 | None -> ConstMap.add x NonConst env)
-            | Recv { target; _ } -> ConstMap.add target NonConst env
-            | Test { target; _ } -> ConstMap.add target NonConst env
-            | Istart
-                {
-                  rop = Iallreduce { target; _ } | Irecv { target; _ };
-                  _;
-                } ->
-                ConstMap.add target NonConst env
-            | _ -> env)
+            | _, (_, Some x) -> ConstMap.add x NonConst env
+            | _, (_, None) -> env)
           fact stmts
     | Collective { target = Some x; _ } -> ConstMap.add x NonConst fact
     | _ -> fact
@@ -321,26 +276,10 @@ let available_expressions g =
         (* Statement order matters: [var c = a + b] generates [a + b]
            before killing the expressions that depend on [c]. *)
         List.fold_left
-          (fun fact (s : Minilang.Ast.stmt) ->
-            match s.sdesc with
-            | Decl (x, e) | Assign (x, e) ->
-                kill x (ExprSet.union fact (subexprs ExprSet.empty e))
-            | Compute e | Print e ->
-                ExprSet.union fact (subexprs ExprSet.empty e)
-            | Recv { target; _ } -> kill target fact
-            | Test { target; _ } -> kill target fact
-            | Istart { rop; _ } -> (
-                let gen es =
-                  List.fold_left
-                    (fun f e -> ExprSet.union f (subexprs ExprSet.empty e))
-                    fact es
-                in
-                match rop with
-                | Ibarrier -> fact
-                | Iallreduce { target; value; _ } -> kill target (gen [ value ])
-                | Isend { value; dest; tag } -> gen [ value; dest; tag ]
-                | Irecv { target; src; tag } -> kill target (gen [ src; tag ]))
-            | _ -> fact)
+          (fun fact s ->
+            let reads, target = Minilang.Ast.stmt_uses s in
+            let fact = List.fold_left subexprs fact reads in
+            match target with Some x -> kill x fact | None -> fact)
           fact stmts
     | _ ->
         let gen = node_exprs g id in
@@ -378,19 +317,11 @@ let copy_propagation g =
     | Simple stmts ->
         List.fold_left
           (fun env s ->
-            match s.sdesc with
-            | Decl (x, Var y) | Assign (x, Var y) ->
-                if x = y then kill x env else CopyMap.add x y (kill x env)
-            | Decl (x, _) | Assign (x, _) -> kill x env
-            | Recv { target; _ } -> kill target env
-            | Test { target; _ } -> kill target env
-            | Istart
-                {
-                  rop = Iallreduce { target; _ } | Irecv { target; _ };
-                  _;
-                } ->
-                kill target env
-            | _ -> env)
+            match (s.sdesc, stmt_uses s) with
+            | (Decl (x, Var y) | Assign (x, Var y)), _ when x <> y ->
+                CopyMap.add x y (kill x env)
+            | _, (_, Some x) -> kill x env
+            | _, (_, None) -> env)
           fact stmts
     | Collective { target = Some x; _ } -> kill x fact
     | _ -> fact

@@ -101,12 +101,12 @@ let analyze_func ?graph ?call_collects ?timings options (f : Ast.func) =
   let race_warnings =
     match races with
     | None -> []
-    | Some r -> Races.warnings g ~fname:f.Ast.fname r
+    | Some r -> Races.warnings ~fname:f.Ast.fname r
   in
   let request_warnings =
     match requests with
     | None -> []
-    | Some r -> Requests.warnings g ~fname:f.Ast.fname r
+    | Some r -> Requests.warnings ~fname:f.Ast.fname r
   in
   let inconsistency_warnings =
     List.map

@@ -212,60 +212,12 @@ type scope = {
   bindings : binding SMap.t;
 }
 
-let coll_exprs (c : Ast.collective) =
-  match c with
-  | Ast.Barrier -> []
-  | Ast.Bcast { root; value }
-  | Ast.Reduce { root; value; _ }
-  | Ast.Gather { root; value }
-  | Ast.Scatter { root; value } ->
-      [ root; value ]
-  | Ast.Allreduce { value; _ }
-  | Ast.Allgather { value }
-  | Ast.Alltoall { value }
-  | Ast.Scan { value; _ }
-  | Ast.Reduce_scatter { value; _ } ->
-      [ value ]
-
-(* What a statement reads, in evaluation order, and the variable it
-   writes, at the CFG node that carries it: straight-line statements at
-   their [Simple] node; conditions and loop bounds at the [Cond] node;
-   collective and call arguments at their node; [num_threads] at the
-   parallel region's [Omp_begin].  Declarations and loop variables
-   create fresh storage, so their writes cannot race and are left out.
-   A split-phase buffer is written at completion but attributed to the
-   start, the only program point naming it (the dynamic oracle records
-   only the argument reads, so its accesses stay a subset of these);
-   request variables are opaque handles outside the access universe. *)
-let stmt_uses (s : Ast.stmt) =
-  match s.Ast.sdesc with
-  | Ast.Decl (_, e) | Ast.Compute e | Ast.Print e | Ast.If (e, _, _)
-  | Ast.While (e, _)
-  | Ast.Omp_parallel { num_threads = Some e; _ } ->
-      ([ e ], None)
-  | Ast.Assign (x, e) -> ([ e ], Some x)
-  | Ast.Send { value; dest; tag }
-  | Ast.Istart { rop = Ast.Isend { value; dest; tag }; _ } ->
-      ([ tag; dest; value ], None)
-  | Ast.Recv { target; src; tag }
-  | Ast.Istart { rop = Ast.Irecv { target; src; tag }; _ } ->
-      ([ tag; src ], Some target)
-  | Ast.Istart { rop = Ast.Iallreduce { target; value; _ }; _ } ->
-      ([ value ], Some target)
-  | Ast.Test { target; _ } -> ([], Some target)
-  | Ast.For (_, lo, hi, _) | Ast.Omp_for { lo; hi; _ } -> ([ lo; hi ], None)
-  | Ast.Coll (target, c) -> (coll_exprs c, target)
-  | Ast.Call (_, args) -> (args, None)
-  | Ast.Istart { rop = Ast.Ibarrier; _ }
-  | Ast.Omp_parallel { num_threads = None; _ }
-  | Ast.Return | Ast.Wait _ | Ast.Omp_single _ | Ast.Omp_master _
-  | Ast.Omp_critical _ | Ast.Omp_barrier | Ast.Omp_sections _ | Ast.Check _ ->
-      ([], None)
-
-(* The accesses of [s] that resolve to storage declared outside the
-   innermost enclosing [parallel] — shared by the team — in order: per
-   expression its distinct variables in ascending order, then the
-   write.  [node] is filled in when the statement is placed. *)
+(* The accesses of [s] ({!Ast.stmt_uses}) that resolve to storage
+   declared outside the innermost enclosing [parallel] — shared by the
+   team — in order: per expression its distinct variables in ascending
+   order, then the write.  A declaration creates fresh storage, so its
+   write cannot race and is left out.  [node] is filled in when the
+   statement is placed. *)
 let stmt_shared_accesses env (s : Ast.stmt) =
   let shared x =
     match SMap.find_opt x env.bindings with
@@ -283,11 +235,11 @@ let stmt_shared_accesses env (s : Ast.stmt) =
       completion_write;
     }
   in
-  let reads, target = stmt_uses s in
+  let reads, target = Ast.stmt_uses s in
   let write =
-    match target with
-    | None -> []
-    | Some x -> (
+    match (s.Ast.sdesc, target) with
+    | Ast.Decl _, _ | _, None -> []
+    | _, Some x -> (
         match shared x with
         | None -> []
         | Some b ->
@@ -426,7 +378,7 @@ let relevant_vars (f : Ast.func) =
       | Ast.For (_, lo, hi, _) | Ast.Omp_for { lo; hi; _ } ->
           add_seed lo;
           add_seed hi
-      | Ast.Coll (_, c) -> List.iter add_seed (coll_exprs c)
+      | Ast.Coll (_, c) -> List.iter add_seed (Ast.coll_args c)
       | Ast.Call (_, args) -> List.iter add_seed args
       | Ast.Send { dest; tag; _ } ->
           add_seed dest;
@@ -536,7 +488,7 @@ let advice_of p =
     "protect both accesses with one critical section or order them with a \
      barrier"
 
-let warnings (_ : Cfg.Graph.t) ~fname (r : result) =
+let warnings ~fname (r : result) =
   List.map
     (fun p ->
       {

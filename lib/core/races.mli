@@ -59,4 +59,4 @@ val analyze :
   ?requests:Requests.result -> pword:Pword.t -> Cfg.Graph.t -> Ast.func ->
   result
 
-val warnings : Cfg.Graph.t -> fname:string -> result -> Warning.t list
+val warnings : fname:string -> result -> Warning.t list

@@ -135,36 +135,18 @@ let read_vars es =
   List.fold_left Cfg.Dataflow.expr_vars Cfg.Dataflow.StringSet.empty es
   |> fun s -> Cfg.Dataflow.StringSet.fold SSet.add s SSet.empty
 
-(* Buffer accesses a statement performs, as (var, is_write) — the
-   [Istart] itself is exempt (its argument reads happen before the
-   post). *)
+(* Buffer accesses a statement performs ({!Ast.stmt_uses}), as (var,
+   is_write), the write first — the [Istart] itself is exempt (its
+   argument reads happen before the post). *)
 let stmt_accesses (s : Ast.stmt) =
-  let reads es = SSet.elements (read_vars es) |> List.map (fun x -> (x, false)) in
   match s.Ast.sdesc with
-  | Ast.Decl (x, e) | Ast.Assign (x, e) -> ((x, true) :: reads [ e ])
-  | Ast.Compute e | Ast.Print e -> reads [ e ]
-  | Ast.Send { value; dest; tag } -> reads [ value; dest; tag ]
-  | Ast.Recv { target; src; tag } -> ((target, true) :: reads [ src; tag ])
-  | Ast.Coll (target, coll) ->
-      let es =
-        match coll with
-        | Ast.Barrier -> []
-        | Ast.Bcast { root; value }
-        | Ast.Reduce { root; value; _ }
-        | Ast.Gather { root; value }
-        | Ast.Scatter { root; value } ->
-            [ root; value ]
-        | Ast.Allreduce { value; _ }
-        | Ast.Allgather { value }
-        | Ast.Alltoall { value }
-        | Ast.Scan { value; _ }
-        | Ast.Reduce_scatter { value; _ } ->
-            [ value ]
+  | Ast.Istart _ -> []
+  | _ ->
+      let reads, target = Ast.stmt_uses s in
+      let reads =
+        SSet.elements (read_vars reads) |> List.map (fun x -> (x, false))
       in
-      (match target with Some x -> (x, true) :: reads es | None -> reads es)
-  | Ast.Call (_, args) -> reads args
-  | Ast.Test { target; _ } -> [ (target, true) ]
-  | _ -> []
+      match target with Some x -> (x, true) :: reads | None -> reads
 
 (* Accesses of non-[Simple] nodes (conditions, collective arguments,
    call arguments): reads only, against the node's input fact. *)
@@ -390,8 +372,7 @@ let completion_ordered r ~node ~var =
 (* Warnings                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let warnings (g : Cfg.Graph.t) ~fname (r : result) =
-  ignore g;
+let warnings ~fname (r : result) =
   List.map
     (fun f ->
       match f with

@@ -59,4 +59,4 @@ val analyze : Cfg.Actx.t -> taint_filter:bool -> result
     not a barrier). *)
 val completion_ordered : result -> node:int -> var:string -> bool
 
-val warnings : Cfg.Graph.t -> fname:string -> result -> Warning.t list
+val warnings : fname:string -> result -> Warning.t list

@@ -395,12 +395,7 @@ let compile_coll cenv ~site (c : Ast.collective) : ccoll =
 (* ------------------------------------------------------------------ *)
 
 (* Slot reads of an expression, in evaluation order.  Unbound variables
-   are omitted: evaluation faults before any storage access happens.
-   Accesses the oracle provably cannot race on are omitted at their
-   construction sites instead (declaration writes, loop-variable writes,
-   reduction private/combine writes, callee parameter writes): each
-   targets storage no concurrently-running task can resolve, or is
-   synchronised by the construct itself. *)
+   are omitted: evaluation faults before any storage access happens. *)
 let rec expr_reads cenv acc (e : Ast.expr) =
   match e with
   | Ast.Var x -> (
@@ -422,21 +417,6 @@ let write_of cenv x =
   | Some { v_hops; v_slot } ->
       [ { a_name = x; a_hops = v_hops; a_slot = v_slot; a_write = true } ]
   | None -> []
-
-let coll_access_exprs (c : Ast.collective) =
-  match c with
-  | Ast.Barrier -> []
-  | Ast.Bcast { root; value }
-  | Ast.Reduce { root; value; _ }
-  | Ast.Gather { root; value }
-  | Ast.Scatter { root; value } ->
-      [ value; root ]
-  | Ast.Allreduce { value; _ }
-  | Ast.Allgather { value }
-  | Ast.Alltoall { value }
-  | Ast.Scan { value; _ }
-  | Ast.Reduce_scatter { value; _ } ->
-      [ value ]
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -462,61 +442,72 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
   let uid = new_uid ctx in
   let site = Loc.to_string s.Ast.sloc in
   let ev e = compile_expr cenv ~site e in
-  let racc ?(w = []) es = Array.of_list (reads_of cenv es @ w) in
-  let ret ?(acc = [||]) desc = ({ uid; site; acc; desc }, cenv) in
+  (* The recorded accesses: the statement's {!Ast.stmt_uses}, reads then
+     write, minus two writes.  A declaration targets storage no
+     concurrently-running task can resolve (as do the loop-variable,
+     reduction and parameter writes, which no statement names).  A
+     split-phase buffer is written at completion, not at the start:
+     recording it here would let the dynamic oracle report races that
+     the static pass discharges at the wait, breaking dynamic ⊆ static.
+     A call that cannot resolve faults before evaluating its arguments
+     and records nothing. *)
+  let acc =
+    let reads, target = Ast.stmt_uses s in
+    let w =
+      match (s.Ast.sdesc, target) with
+      | (Ast.Decl _ | Ast.Istart _), _ | _, None -> []
+      | _, Some x -> write_of cenv x
+    in
+    Array.of_list (reads_of cenv reads @ w)
+  in
+  let ret ?(acc = acc) desc = ({ uid; site; acc; desc }, cenv) in
   match s.Ast.sdesc with
   | Ast.Decl (x, e) ->
       let value = ev e in
-      let acc = racc [ e ] in
       let slot = alloc cenv in
       ({ uid; site; acc; desc = CDecl (slot, value) }, declare cenv x slot)
   | Ast.Assign (x, e) -> (
       let value = ev e in
-      let acc = racc ~w:(write_of cenv x) [ e ] in
       match find_var cenv x with
-      | Some vr -> ret ~acc (CAssign (vr, value))
-      | None -> ret ~acc (CAssign_unbound (x, value)))
+      | Some vr -> ret (CAssign (vr, value))
+      | None -> ret (CAssign_unbound (x, value)))
   | Ast.If (c, bt, bf) ->
       let cond = ev c in
       let bt = compile_block ctx cenv bt in
       let bf = compile_block ctx cenv bf in
-      ret ~acc:(racc [ c ]) (CIf (cond, bt, bf))
+      ret (CIf (cond, bt, bf))
   | Ast.While (c, body) ->
       let cond = ev c in
-      let cacc = racc [ c ] in
-      ret ~acc:cacc
+      ret
         (CWhile
            {
              cond;
              scope = cenv.scope;
-             cacc;
+             cacc = acc;
              body = compile_block ctx cenv body;
            })
   | Ast.For (x, lo, hi, body) ->
-      let acc = racc [ lo; hi ] in
       let lo = ev lo in
       let hi = ev hi in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv x slot) body in
-      ret ~acc (CFor { slot; lo; hi; scope = cenv.scope; body })
+      ret (CFor { slot; lo; hi; scope = cenv.scope; body })
   | Ast.Return -> ret CReturn
   | Ast.Call (fname, args) -> (
       match ctx.resolve fname with
       | None ->
-          ret (CCall_error (Printf.sprintf "undefined function '%s'" fname))
+          ret ~acc:[||]
+            (CCall_error (Printf.sprintf "undefined function '%s'" fname))
       | Some target ->
           if target.f_nparams <> List.length args then
-            ret
+            ret ~acc:[||]
               (CCall_error (Printf.sprintf "arity mismatch calling '%s'" fname))
           else
-            ret ~acc:(racc args)
-              (CCall { target; args = Array.of_list (List.map ev args) }))
-  | Ast.Compute e -> ret ~acc:(racc [ e ]) (CCompute (ev e))
-  | Ast.Print e -> ret ~acc:(racc [ e ]) (CPrint (ev e))
+            ret (CCall { target; args = Array.of_list (List.map ev args) }))
+  | Ast.Compute e -> ret (CCompute (ev e))
+  | Ast.Print e -> ret (CPrint (ev e))
   | Ast.Coll (target, c) ->
-      let w = match target with None -> [] | Some x -> write_of cenv x in
       ret
-        ~acc:(racc ~w (coll_access_exprs c))
         (CColl
            {
              target = Option.map (cell_of cenv) target;
@@ -538,55 +529,39 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
            | Ast.Count_enter { region } -> KCount_enter region
            | Ast.Count_exit { region } -> KCount_exit region))
   | Ast.Send { value; dest; tag } ->
-      ret
-        ~acc:(racc [ value; dest; tag ])
-        (CSend { value = ev value; dest = ev dest; tag = ev tag })
+      ret (CSend { value = ev value; dest = ev dest; tag = ev tag })
   | Ast.Recv { target; src; tag } ->
       ret
-        ~acc:(racc ~w:(write_of cenv target) [ src; tag ])
         (CRecv { target = cell_of cenv target; src = ev src; tag = ev tag })
   | Ast.Istart { req; rop } ->
-      (* Accesses: argument reads only.  The request slot is opaque to
-         the race oracle, and the completion-time buffer write is not a
-         start-time access — recording it here would let the dynamic
-         oracle report races the static pass (which places the write at
-         the completion point) cannot, breaking dynamic ⊆ static. *)
-      let rop, acc =
+      let rop =
         match rop with
-        | Ast.Ibarrier -> (KIbarrier, [||])
+        | Ast.Ibarrier -> KIbarrier
         | Ast.Iallreduce { op; target; value } ->
-            ( KIallreduce
-                {
-                  op = op_of_ast op;
-                  target = cell_of cenv target;
-                  value = ev value;
-                },
-              racc [ value ] )
+            KIallreduce
+              {
+                op = op_of_ast op;
+                target = cell_of cenv target;
+                value = ev value;
+              }
         | Ast.Isend { value; dest; tag } ->
-            ( KIsend { value = ev value; dest = ev dest; tag = ev tag },
-              racc [ value; dest; tag ] )
+            KIsend { value = ev value; dest = ev dest; tag = ev tag }
         | Ast.Irecv { target; src; tag } ->
-            ( KIrecv { target = cell_of cenv target; src = ev src; tag = ev tag },
-              racc [ src; tag ] )
+            KIrecv { target = cell_of cenv target; src = ev src; tag = ev tag }
       in
       let slot = alloc cenv in
       ({ uid; site; acc; desc = CIstart { rslot = slot; rop } },
        declare cenv req slot)
   | Ast.Wait { req } -> ret (CWait { req = cell_of cenv req })
   | Ast.Test { target; req } ->
-      ret
-        ~acc:(racc ~w:(write_of cenv target) [])
-        (CTest { target = cell_of cenv target; req = cell_of cenv req })
+      ret (CTest { target = cell_of cenv target; req = cell_of cenv req })
   | Ast.Omp_parallel { num_threads; body } ->
-      let acc =
-        match num_threads with None -> [||] | Some e -> racc [ e ]
-      in
       let num_threads = Option.map ev num_threads in
       (* Team members get a private child frame: outer bindings stay
          visible (shared) one hop up; body declarations are private. *)
       let team = enter_team cenv in
       let body = compile_block ctx team body in
-      ret ~acc (CPar { num_threads; nslots = !(team.counter); body })
+      ret (CPar { num_threads; nslots = !(team.counter); body })
   | Ast.Omp_single { nowait; body } ->
       ret (CSingle { nowait; body = compile_block ctx cenv body })
   | Ast.Omp_master body -> ret (CMaster (compile_block ctx cenv body))
@@ -595,7 +570,6 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       ret (CCritical { name; body = compile_block ctx cenv body })
   | Ast.Omp_barrier -> ret CBarrier
   | Ast.Omp_for { var; lo; hi; nowait; reduction; body } ->
-      let acc = racc [ lo; hi ] in
       let lo = ev lo in
       let hi = ev hi in
       let reduction, cenv_in =
@@ -609,7 +583,7 @@ let rec compile_stmt ctx cenv (s : Ast.stmt) : cstmt * cenv =
       in
       let slot = alloc cenv in
       let body = compile_block ctx (declare cenv_in var slot) body in
-      ret ~acc
+      ret
         (CWsfor
            { slot; lo; hi; nowait; reduction; kscope = cenv_in.scope; body })
   | Ast.Omp_sections { nowait; sections } ->

@@ -51,12 +51,11 @@ type cell_ref = CRef of vref | CUnbound of string
 (** The variables visible at a program point, in a fixed order. *)
 type scope = vref array
 
-(** A resolved variable access a statement performs (reads in evaluation
-    order, then writes), recorded for the dynamic race oracle:
-    [a_hops]/[a_slot] locate the storage relative to the frame the
-    statement executes against.  Accesses that provably cannot race are
-    omitted at lowering time (declaration writes, loop-variable writes,
-    reduction private/combine writes, callee parameter writes). *)
+(** A resolved variable access a statement performs, recorded for the
+    dynamic race oracle: the statement's {!Minilang.Ast.stmt_uses} (reads
+    in evaluation order, then the write) without the write of a
+    declaration or of a split-phase start.  [a_hops]/[a_slot] locate the
+    storage relative to the frame the statement executes against. *)
 type access = { a_name : string; a_hops : int; a_slot : int; a_write : bool }
 
 type cstmt = { uid : int; site : string; acc : access array; desc : cdesc }

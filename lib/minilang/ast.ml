@@ -273,6 +273,51 @@ let request_collective = function
   | Isend _ | Irecv _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Reads and writes                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** A collective's argument expressions, in evaluation order. *)
+let coll_args = function
+  | Barrier -> []
+  | Bcast { root; value }
+  | Reduce { root; value; _ }
+  | Gather { root; value }
+  | Scatter { root; value } ->
+      [ value; root ]
+  | Allreduce { value; _ }
+  | Allgather { value }
+  | Alltoall { value }
+  | Scan { value; _ }
+  | Reduce_scatter { value; _ } ->
+      [ value ]
+
+(** What a statement evaluates at its own program point, in evaluation
+    order, and the variable it assigns there (see the interface). *)
+let stmt_uses s =
+  match s.sdesc with
+  | Decl (x, e) | Assign (x, e) -> ([ e ], Some x)
+  | Compute e | Print e | If (e, _, _) | While (e, _)
+  | Omp_parallel { num_threads = Some e; _ } ->
+      ([ e ], None)
+  | For (_, lo, hi, _) | Omp_for { lo; hi; _ } -> ([ lo; hi ], None)
+  | Call (_, args) -> (args, None)
+  | Coll (target, c) -> (coll_args c, target)
+  | Send { value; dest; tag } | Istart { rop = Isend { value; dest; tag }; _ }
+    ->
+      ([ value; dest; tag ], None)
+  | Recv { target; src; tag } | Istart { rop = Irecv { target; src; tag }; _ }
+    ->
+      ([ src; tag ], Some target)
+  | Istart { rop = Iallreduce { target; value; _ }; _ } ->
+      ([ value ], Some target)
+  | Test { target; _ } -> ([], Some target)
+  | Istart { rop = Ibarrier; _ }
+  | Omp_parallel { num_threads = None; _ }
+  | Return | Wait _ | Omp_single _ | Omp_master _ | Omp_critical _
+  | Omp_barrier | Omp_sections _ | Check _ ->
+      ([], None)
+
+(* ------------------------------------------------------------------ *)
 (* Traversals                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -153,6 +153,26 @@ val request_buffer : request_op -> string option
     operation is collective ([Ibarrier]/[Iallreduce]). *)
 val request_collective : request_op -> collective option
 
+(** A collective's argument expressions, in evaluation order:
+    [[value; root]] for the rooted ones, [[value]] for the others. *)
+val coll_args : collective -> expr list
+
+(** [stmt_uses s] is what [s] evaluates at its own program point, in
+    evaluation order, and the variable it assigns there (sub-blocks
+    excluded).  The reads: a declaration's, assignment's, [compute]'s or
+    [print]'s expression; a condition; loop bounds ([lo; hi]); call
+    arguments; {!coll_args}; [value; dest; tag] of a send and [src; tag]
+    of a receive, blocking or split-phase; an [Iallreduce]'s value; a
+    [parallel]'s [num_threads].  The write: the variable of a [Decl] or
+    [Assign], a receive or [MPI_Test] target, a collective's result, and
+    the buffer of an [Irecv]/[Iallreduce] start (written at completion,
+    attributed to the start, the only point that names it).  Loop
+    variables and request variables are neither read nor written.  This
+    is the one read/write table of the language: the dataflow analyses,
+    the race and request passes, the validator and the interpreter's
+    recorded accesses all derive from it. *)
+val stmt_uses : stmt -> expr list * string option
+
 (** Fold over every statement of a block in source order, nested blocks
     included. *)
 val fold_stmts : ('a -> stmt -> 'a) -> 'a -> block -> 'a

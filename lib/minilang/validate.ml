@@ -99,22 +99,6 @@ let check_func ~arity f =
         check_expr ctx loc a;
         check_expr ctx loc b
   in
-  let check_collective ctx loc c =
-    match c with
-    | Barrier -> ()
-    | Bcast { root; value }
-    | Reduce { root; value; _ }
-    | Gather { root; value }
-    | Scatter { root; value } ->
-        check_expr ctx loc root;
-        check_expr ctx loc value
-    | Allreduce { value; _ }
-    | Allgather { value }
-    | Alltoall { value }
-    | Scan { value; _ }
-    | Reduce_scatter { value; _ } ->
-        check_expr ctx loc value
-  in
   let check_buffer ctx loc target =
     if not (SSet.mem target ctx.vars) then
       add Error loc
@@ -230,7 +214,7 @@ let check_func ~arity f =
             add Error loc
               (Printf.sprintf "collective result assigned to undeclared variable '%s'" x)
         | Some _ | None -> ());
-        check_collective ctx loc c
+        List.iter (check_expr ctx loc) (coll_args c)
     | Omp_parallel { num_threads; body } ->
         Option.iter (check_expr ctx loc) num_threads;
         check_block

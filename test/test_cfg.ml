@@ -353,6 +353,25 @@ let dataflow2_tests =
             avail_in.(coll)
         in
         Alcotest.(check bool) "not available (one branch only)" false has_sum);
+    Alcotest.test_case "available expressions: send and receive arguments"
+      `Quick (fun () ->
+        (* Blocking point-to-point calls compute their arguments like
+           their split-phase forms; a receive then kills what depends on
+           its target. *)
+        let g =
+          cfg_of
+            {|func main() { var a = 1; var b = 2; var x = 0;
+               MPI_Send(a + b, 1, 0); x = MPI_Recv(a * b, x + 1);
+               MPI_Barrier(); print(x); }|}
+        in
+        let avail_in, _ = Dataflow.available_expressions g in
+        let coll = List.hd (Graph.collective_nodes g) in
+        let open Minilang.Ast in
+        let avail e = Dataflow.ExprSet.mem e avail_in.(coll) in
+        Alcotest.(check bool) "a+b" true (avail (Binop (Add, Var "a", Var "b")));
+        Alcotest.(check bool) "a*b" true (avail (Binop (Mul, Var "a", Var "b")));
+        Alcotest.(check bool) "x+1 killed" false
+          (avail (Binop (Add, Var "x", Int 1))));
     Alcotest.test_case "copy propagation tracks x := y" `Quick (fun () ->
         let g =
           cfg_of

@@ -285,6 +285,99 @@ let helper_tests =
         Alcotest.(check bool)
           "cc_return colour reserved" true
           (not (List.mem cc_return_color colors)));
+    Alcotest.test_case "coll_args: arguments in evaluation order" `Quick
+      (fun () ->
+        let open Ast in
+        let value = Var "v" and root = Var "r" in
+        List.iter
+          (fun (c, expected) ->
+            Alcotest.(check (list string))
+              (collective_name c) expected
+              (List.map Pretty.expr_to_string (coll_args c)))
+          [
+            (Barrier, []);
+            (Bcast { root; value }, [ "v"; "r" ]);
+            (Reduce { op = Rsum; root; value }, [ "v"; "r" ]);
+            (Allreduce { op = Rsum; value }, [ "v" ]);
+            (Gather { root; value }, [ "v"; "r" ]);
+            (Scatter { root; value }, [ "v"; "r" ]);
+            (Allgather { value }, [ "v" ]);
+            (Alltoall { value }, [ "v" ]);
+            (Scan { op = Rsum; value }, [ "v" ]);
+            (Reduce_scatter { op = Rsum; value }, [ "v" ]);
+          ]);
+    Alcotest.test_case "stmt_uses: reads in order, then the write" `Quick
+      (fun () ->
+        let open Ast in
+        let v x = Var x and body = [ mk Return ] in
+        let show (reads, write) =
+          Printf.sprintf "[%s] %s"
+            (String.concat "; " (List.map Pretty.expr_to_string reads))
+            (Option.value write ~default:"-")
+        in
+        List.iter
+          (fun (name, sdesc, expected) ->
+            Alcotest.(check string) name expected (show (stmt_uses (mk sdesc))))
+          [
+            ("decl", Decl ("x", v "e"), "[e] x");
+            ("assign", Assign ("x", v "e"), "[e] x");
+            ("if", If (v "c", body, body), "[c] -");
+            ("while", While (v "c", body), "[c] -");
+            ("for", For ("i", v "lo", v "hi", body), "[lo; hi] -");
+            ("return", Return, "[] -");
+            ("call", Call ("f", [ v "a"; v "b" ]), "[a; b] -");
+            ("compute", Compute (v "e"), "[e] -");
+            ("print", Print (v "e"), "[e] -");
+            ( "collective",
+              Coll (Some "x", Reduce { op = Rsum; root = v "r"; value = v "v" }),
+              "[v; r] x" );
+            ("collective without result", Coll (None, Barrier), "[] -");
+            ( "send",
+              Send { value = v "v"; dest = v "d"; tag = v "t" },
+              "[v; d; t] -" );
+            ("recv", Recv { target = "x"; src = v "s"; tag = v "t" }, "[s; t] x");
+            ("ibarrier", Istart { req = "q"; rop = Ibarrier }, "[] -");
+            ( "iallreduce",
+              Istart
+                {
+                  req = "q";
+                  rop = Iallreduce { op = Rsum; target = "x"; value = v "v" };
+                },
+              "[v] x" );
+            ( "isend",
+              Istart
+                { req = "q"; rop = Isend { value = v "v"; dest = v "d"; tag = v "t" } },
+              "[v; d; t] -" );
+            ( "irecv",
+              Istart
+                { req = "q"; rop = Irecv { target = "x"; src = v "s"; tag = v "t" } },
+              "[s; t] x" );
+            ("wait", Wait { req = "q" }, "[] -");
+            ("test", Test { target = "x"; req = "q" }, "[] x");
+            ( "parallel num_threads",
+              Omp_parallel { num_threads = Some (v "n"); body },
+              "[n] -" );
+            ("parallel", Omp_parallel { num_threads = None; body }, "[] -");
+            ("single", Omp_single { nowait = false; body }, "[] -");
+            ("master", Omp_master body, "[] -");
+            ("critical", Omp_critical (Some "c", body), "[] -");
+            ("barrier", Omp_barrier, "[] -");
+            ( "omp for",
+              Omp_for
+                {
+                  var = "i";
+                  lo = v "lo";
+                  hi = v "hi";
+                  nowait = false;
+                  reduction = Some (Rsum, "s");
+                  body;
+                },
+              "[lo; hi] -" );
+            ( "sections",
+              Omp_sections { nowait = false; sections = [ body; body ] },
+              "[] -" );
+            ("check", Check Cc_return, "[] -");
+          ]);
     Alcotest.test_case "builder number_lines gives distinct lines" `Quick
       (fun () ->
         let p = Benchsuite.Npb_mz.bt_mz ~clazz:Benchsuite.Npb_mz.S () in
