@@ -61,13 +61,8 @@ let obs_agree a b =
   && a.dyn_races = b.dyn_races
   && a.violations = b.violations
 
-let outcome_tag = function
-  | Interp.Sim.Finished -> "finished"
-  | Interp.Sim.Aborted _ -> "aborted"
-  | Interp.Sim.Fault _ -> "fault"
-  | Interp.Sim.Deadlock _ -> "deadlock"
-  | Interp.Sim.Step_limit -> "step-limit"
-
+(* A race key names its two sites in string order, as [Interp.Raceck]
+   orders the sites of an observed race. *)
 let static_race_keys report =
   List.filter_map
     (fun (w : Parcoach.Warning.t) ->
@@ -78,6 +73,11 @@ let static_race_keys report =
           Some (if s1 <= s2 then (var, s1, s2) else (var, s2, s1))
       | _ -> None)
     (Parcoach.Driver.all_warnings report)
+
+let dynamic_race_keys oracle =
+  List.map
+    (fun (r : Interp.Raceck.race) -> (r.rc_var, r.rc_site1, r.rc_site2))
+    (Interp.Raceck.races oracle)
 
 (** Simulator configuration for one seeded run of [sim] (trace
     recording off — the farm keeps nothing per step). *)
@@ -126,16 +126,8 @@ let dynamic ?timings ~sim ~bare ~instrumented ~need_cc () =
           Interp.Sim.run_compiled ~config:(config_of ~sim seed) ~race:oracle
             bare_c
         in
-        List.iter
-          (fun (r : Interp.Raceck.race) ->
-            let k =
-              if r.rc_site1 <= r.rc_site2 then
-                (r.rc_var, r.rc_site1, r.rc_site2)
-              else (r.rc_var, r.rc_site2, r.rc_site1)
-            in
-            races := k :: !races)
-          (Interp.Raceck.races oracle);
-        outcome_tag r.Interp.Sim.outcome)
+        races := List.rev_append (dynamic_race_keys oracle) !races;
+        Interp.Explore.class_name r.Interp.Sim.outcome)
       sim.seeds
   in
   (* Demand-driven CC: instrument, compile and run the checked form only
@@ -155,7 +147,7 @@ let dynamic ?timings ~sim ~bare ~instrumented ~need_cc () =
               let r =
                 Interp.Sim.run_compiled ~config:(config_of ~sim seed) instr_c
               in
-              outcome_tag r.Interp.Sim.outcome)
+              Interp.Explore.class_name r.Interp.Sim.outcome)
             sim.seeds )
     end
   in
@@ -204,9 +196,23 @@ let judge ?handicap ~classes ~race_keys (dyn : dyn) =
     dyn.plain;
   List.rev !violations
 
-let observe ?handicap ?timings ~sim ~report program =
+let judged ?handicap ~report (dyn : dyn) =
   let classes = Parcoach.Driver.warnings_by_class report in
-  let clean = effective_warnings ?handicap classes = 0 in
+  let race_keys = static_race_keys report in
+  {
+    static_warnings = Parcoach.Driver.warning_count report;
+    static_classes = classes;
+    static_races = List.length race_keys;
+    plain = dyn.plain;
+    cc = dyn.cc;
+    dyn_races = List.length dyn.races;
+    violations = judge ?handicap ~classes ~race_keys dyn;
+  }
+
+let observe ?handicap ?timings ~sim ~report program =
+  let clean =
+    effective_warnings ?handicap (Parcoach.Driver.warnings_by_class report) = 0
+  in
   let instrumented () =
     Parcoach.Timings.record_opt timings "instrument" (fun () ->
         Parcoach.Instrument.instrument report Parcoach.Instrument.Exhaustive)
@@ -219,18 +225,8 @@ let observe ?handicap ?timings ~sim ~report program =
   let need_cc ~plain =
     clean || List.exists (String.equal "deadlock") plain
   in
-  let dyn = dynamic ?timings ~sim ~bare:program ~instrumented ~need_cc () in
-  let race_keys = static_race_keys report in
-  let violations = judge ?handicap ~classes ~race_keys dyn in
-  {
-    static_warnings = Parcoach.Driver.warning_count report;
-    static_classes = classes;
-    static_races = List.length race_keys;
-    plain = dyn.plain;
-    cc = dyn.cc;
-    dyn_races = List.length dyn.races;
-    violations;
-  }
+  judged ?handicap ~report
+    (dynamic ?timings ~sim ~bare:program ~instrumented ~need_cc ())
 
 let violation_to_string v =
   Printf.sprintf "%s (seed %d): %s" v.vkind v.seed v.detail

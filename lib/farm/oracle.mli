@@ -48,7 +48,8 @@ val handicap_of_name : string -> handicap option
     which aggregates seeds). *)
 type violation = { vkind : string; seed : int; detail : string }
 
-(** Dynamic evidence: outcome tags per seed for the bare and the
+(** Dynamic evidence: outcome classes per seed
+    ({!Interp.Explore.class_name}) for the bare and the
     exhaustively CC-instrumented program, plus the union of observed
     race keys.  [cc = None] means the instrumented runs were elided
     because the judge would never consult them (static warnings present
@@ -78,27 +79,25 @@ type obs = {
     it. *)
 val obs_agree : obs -> obs -> bool
 
-val outcome_tag : Interp.Sim.outcome -> string
-
 (** The configuration a [runsim] CLI invocation uses for one seeded run
     of [sim]: the farm's own configuration, except that the CLI always
     records the event trace.  The serial baseline uses this. *)
 val cli_config_of : sim:sim_spec -> int -> Interp.Sim.config
 
-(** Ordered static race keys [(var, site1, site2)] of a report. *)
-val static_race_keys :
-  Parcoach.Driver.report -> (string * string * string) list
+(** The races a race oracle observed, as keys [(var, site1, site2)];
+    {!Interp.Raceck} orders the two sites by string, and the static
+    race keys the judge compares them with are ordered the same way. *)
+val dynamic_race_keys :
+  Interp.Raceck.t -> (string * string * string) list
 
-(** Pure judgement of static summary vs dynamic evidence. *)
-val judge :
-  ?handicap:handicap ->
-  classes:(string * int) list ->
-  race_keys:(string * string * string) list ->
-  dyn ->
-  violation list
+(** [judged ?handicap ~report dyn]: the observation of a program whose
+    static report is [report] and whose runs gave [dyn] ([dyn.races]
+    sorted and without duplicates) — the judgement of the static
+    summary against the dynamic evidence. *)
+val judged : ?handicap:handicap -> report:Parcoach.Driver.report -> dyn -> obs
 
 (** [observe ?handicap ~sim ~report program]: run bare, instrument on
-    demand, judge.  [timings] accumulates
+    demand, {!judged}.  [timings] accumulates
     [instrument]/[compile]/[simulate]. *)
 val observe :
   ?handicap:handicap ->

@@ -102,41 +102,8 @@ let manifest ?(shards = 8) spec (entries : entry array) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Analysis with per-shard summary reuse (the daemon's cache idiom)    *)
+(* Validation and judgement of one entry                               *)
 (* ------------------------------------------------------------------ *)
-
-let analyze_cached ?timings ~cache program =
-  let keys =
-    Parcoach.Timings.record_opt timings "hash" (fun () ->
-        Serve.Hash.keys ~options:Oracle.options program)
-  in
-  (* A hit must be structurally equal (digest-collision guard) and is
-     relocated onto this mutant's line numbering, so reused summaries
-     are byte-identical to fresh analysis. *)
-  let cached = Hashtbl.create (List.length keys) in
-  List.iter
-    (fun ((f : Ast.func), key) ->
-      match Serve.Cache.find cache key with
-      | Some e -> (
-          match
-            Serve.Relocate.func_report ~cached:e.Serve.Cache.func ~fresh:f
-              e.Serve.Cache.report
-          with
-          | Some fr -> Hashtbl.replace cached f.Ast.fname fr
-          | None -> ())
-      | None -> ())
-    keys;
-  let reuse (f : Ast.func) = Hashtbl.find_opt cached f.Ast.fname in
-  let report =
-    Parcoach.Driver.analyze ~options:Oracle.options ~jobs:1 ~reuse ?timings
-      program
-  in
-  List.iter2
-    (fun ((f : Ast.func), key) (fr : Parcoach.Driver.func_report) ->
-      if not (Hashtbl.mem cached f.Ast.fname) then
-        Serve.Cache.add cache key (Serve.Cache.entry f fr))
-    keys report.Parcoach.Driver.funcs;
-  report
 
 let check_valid program =
   let issues = Validate.check_program program in
@@ -148,13 +115,23 @@ let check_valid program =
 let observe_entry ?timings ~cache ~spec entry =
   Parcoach.Timings.record_opt timings "validate" (fun () ->
       check_valid entry.program);
-  let report = analyze_cached ?timings ~cache entry.program in
+  (* Per-shard summary reuse: mutants of one skeleton share every
+     untouched function, relocated onto the mutant's line numbering. *)
+  let report, _, _ =
+    Serve.Cache.analyze cache ~options:Oracle.options ~jobs:1 ?timings
+      entry.program
+  in
   Oracle.observe ?handicap:spec.handicap ?timings ~sim:spec.sim ~report
     entry.program
 
 (* ------------------------------------------------------------------ *)
 (* The farm fast path                                                  *)
 (* ------------------------------------------------------------------ *)
+
+let violations_of verdicts =
+  List.concat_map
+    (fun v -> List.map (fun viol -> (v.entry_id, viol)) v.obs.Oracle.violations)
+    (Array.to_list verdicts)
 
 let assemble ~shards ~batches ~stolen ~caches ~programs ~unique entries obs_of =
   let verdicts =
@@ -165,12 +142,6 @@ let assemble ~shards ~batches ~stolen ~caches ~programs ~unique entries obs_of =
         | None -> Fmt.failwith "farm: entry %d has no verdict" e.id)
       entries
   in
-  let violations =
-    List.concat_map
-      (fun v ->
-        List.map (fun viol -> (v.entry_id, viol)) v.obs.Oracle.violations)
-      (Array.to_list verdicts)
-  in
   let hits, misses =
     Array.fold_left
       (fun (h, m) cache ->
@@ -180,7 +151,7 @@ let assemble ~shards ~batches ~stolen ~caches ~programs ~unique entries obs_of =
   in
   {
     verdicts;
-    violations;
+    violations = violations_of verdicts;
     stats =
       {
         programs;
@@ -318,17 +289,10 @@ let run_serial_entries ?timings spec (entries : entry array) =
                       ~config:(Oracle.cli_config_of ~sim:spec.sim seed)
                       ~race:oracle p)
               in
-              List.iter
-                (fun (rc : Interp.Raceck.race) ->
-                  let k =
-                    if rc.rc_site1 <= rc.rc_site2 then
-                      (rc.rc_var, rc.rc_site1, rc.rc_site2)
-                    else (rc.rc_var, rc.rc_site2, rc.rc_site1)
-                  in
-                  races := k :: !races)
-                (Interp.Raceck.races oracle);
+              races :=
+                List.rev_append (Oracle.dynamic_race_keys oracle) !races;
               render_run r;
-              Oracle.outcome_tag r.Interp.Sim.outcome)
+              Interp.Explore.class_name r.Interp.Sim.outcome)
             spec.sim.Oracle.seeds
         in
         (* runsim --instrument exhaustive, one invocation per seed:
@@ -353,42 +317,25 @@ let run_serial_entries ?timings spec (entries : entry array) =
                       instr)
               in
               render_run r;
-              Oracle.outcome_tag r.Interp.Sim.outcome)
+              Interp.Explore.class_name r.Interp.Sim.outcome)
             spec.sim.Oracle.seeds
-        in
-        let dyn =
-          { Oracle.plain; cc = Some cc; races = List.sort_uniq compare !races }
-        in
-        let classes = Parcoach.Driver.warnings_by_class report in
-        let race_keys = Oracle.static_race_keys report in
-        let violations =
-          Oracle.judge ?handicap:spec.handicap ~classes ~race_keys dyn
         in
         {
           entry_id = e.id;
           fp = e.fp;
           obs =
-            {
-              Oracle.static_warnings = Parcoach.Driver.warning_count report;
-              static_classes = classes;
-              static_races = List.length race_keys;
-              plain = dyn.Oracle.plain;
-              cc = dyn.Oracle.cc;
-              dyn_races = List.length dyn.Oracle.races;
-              violations;
-            };
+            Oracle.judged ?handicap:spec.handicap ~report
+              {
+                Oracle.plain;
+                cc = Some cc;
+                races = List.sort_uniq compare !races;
+              };
         })
       entries
   in
-  let violations =
-    List.concat_map
-      (fun v ->
-        List.map (fun viol -> (v.entry_id, viol)) v.obs.Oracle.violations)
-      (Array.to_list verdicts)
-  in
   {
     verdicts;
-    violations;
+    violations = violations_of verdicts;
     stats =
       {
         programs = Array.length entries;

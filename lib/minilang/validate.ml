@@ -130,35 +130,54 @@ let check_func ~arity f =
          ctx block)
   and check_stmt ctx s =
     let loc = s.sloc in
-    match s.sdesc with
-    | Decl (_, e) -> check_expr ctx loc e
-    | Assign (x, e) ->
+    (* Checks that precede the statement's reads. *)
+    (match s.sdesc with
+    | Istart { req; _ } ->
+        if SSet.mem req ctx.vars || SSet.mem req ctx.reqs then
+          add Error loc
+            (Printf.sprintf
+               "request variable '%s' redeclares a name already in scope" req)
+    | Omp_for { nowait; _ } ->
+        check_worksharing_nesting ctx loc "for";
+        if (not nowait) && ctx.in_divergent then
+          add Warning loc
+            "implicit barrier of worksharing 'for' under non-uniform control flow"
+    | _ -> ());
+    (* The assigned variable, then the reads, in [Ast.stmt_uses] order. *)
+    let reads, target = stmt_uses s in
+    (match (s.sdesc, target) with
+    | Decl _, _ | _, None -> ()
+    | Assign _, Some x ->
         if not (SSet.mem x ctx.vars) then
           add Error loc
             (if SSet.mem x ctx.reqs then
                Printf.sprintf "request variable '%s' may not be assigned" x
-             else
-               Printf.sprintf "assignment to undeclared variable '%s'" x);
-        check_expr ctx loc e
-    | If (c, bt, bf) ->
-        check_expr ctx loc c;
-        let ctx' =
-          if ctx.in_parallel > 0 then { ctx with in_divergent = true } else ctx
-        in
+             else Printf.sprintf "assignment to undeclared variable '%s'" x)
+    | Coll _, Some x ->
+        if not (SSet.mem x ctx.vars) then
+          add Error loc
+            (Printf.sprintf
+               "collective result assigned to undeclared variable '%s'" x)
+    | Test _, Some x ->
+        if not (SSet.mem x ctx.vars) then
+          add Error loc
+            (Printf.sprintf "test result assigned to undeclared variable '%s'"
+               x)
+    | _, Some x ->
+        (* The buffer of a receive or of an [Irecv]/[Iallreduce] start. *)
+        check_buffer ctx loc x);
+    List.iter (check_expr ctx loc) reads;
+    let divergent () =
+      if ctx.in_parallel > 0 then { ctx with in_divergent = true } else ctx
+    in
+    match s.sdesc with
+    | If (_, bt, bf) ->
+        let ctx' = divergent () in
         check_block ctx' bt;
         check_block ctx' bf
-    | While (c, b) ->
-        check_expr ctx loc c;
-        let ctx' =
-          if ctx.in_parallel > 0 then { ctx with in_divergent = true } else ctx
-        in
-        check_block ctx' b
-    | For (x, lo, hi, b) ->
-        check_expr ctx loc lo;
-        check_expr ctx loc hi;
-        let ctx' =
-          if ctx.in_parallel > 0 then { ctx with in_divergent = true } else ctx
-        in
+    | While (_, b) -> check_block (divergent ()) b
+    | For (x, _, _, b) ->
+        let ctx' = divergent () in
         check_block
           { ctx' with vars = SSet.add x ctx'.vars; reqs = SSet.remove x ctx'.reqs }
           b
@@ -166,7 +185,6 @@ let check_func ~arity f =
         if ctx.in_parallel > 0 || ctx.in_worksharing || ctx.in_single_like then
           add Error loc "'return' may not appear inside an OpenMP construct"
     | Call (f, args) -> (
-        List.iter (check_expr ctx loc) args;
         match arity f with
         | None -> add Error loc (Printf.sprintf "call to undefined function '%s'" f)
         | Some n ->
@@ -174,49 +192,8 @@ let check_func ~arity f =
               add Error loc
                 (Printf.sprintf "'%s' expects %d argument(s), got %d" f n
                    (List.length args)))
-    | Compute e | Print e -> check_expr ctx loc e
-    | Send { value; dest; tag } ->
-        check_expr ctx loc value;
-        check_expr ctx loc dest;
-        check_expr ctx loc tag
-    | Recv { target; src; tag } ->
-        check_buffer ctx loc target;
-        check_expr ctx loc src;
-        check_expr ctx loc tag
-    | Istart { req; rop } ->
-        if SSet.mem req ctx.vars || SSet.mem req ctx.reqs then
-          add Error loc
-            (Printf.sprintf
-               "request variable '%s' redeclares a name already in scope" req);
-        (match rop with
-        | Ibarrier -> ()
-        | Iallreduce { target; value; _ } ->
-            check_buffer ctx loc target;
-            check_expr ctx loc value
-        | Isend { value; dest; tag } ->
-            check_expr ctx loc value;
-            check_expr ctx loc dest;
-            check_expr ctx loc tag
-        | Irecv { target; src; tag } ->
-            check_buffer ctx loc target;
-            check_expr ctx loc src;
-            check_expr ctx loc tag)
-    | Wait { req } -> check_request ctx loc req
-    | Test { target; req } ->
-        if not (SSet.mem target ctx.vars) then
-          add Error loc
-            (Printf.sprintf "test result assigned to undeclared variable '%s'"
-               target);
-        check_request ctx loc req
-    | Coll (target, c) ->
-        (match target with
-        | Some x when not (SSet.mem x ctx.vars) ->
-            add Error loc
-              (Printf.sprintf "collective result assigned to undeclared variable '%s'" x)
-        | Some _ | None -> ());
-        List.iter (check_expr ctx loc) (coll_args c)
-    | Omp_parallel { num_threads; body } ->
-        Option.iter (check_expr ctx loc) num_threads;
+    | Wait { req } | Test { req; _ } -> check_request ctx loc req
+    | Omp_parallel { body; _ } ->
         check_block
           {
             ctx with
@@ -245,13 +222,7 @@ let check_func ~arity f =
              'single', 'master' or 'critical' region";
         if ctx.in_divergent then
           add Warning loc "'barrier' under non-uniform control flow"
-    | Omp_for { var; lo; hi; nowait; reduction; body } ->
-        check_worksharing_nesting ctx loc "for";
-        if (not nowait) && ctx.in_divergent then
-          add Warning loc
-            "implicit barrier of worksharing 'for' under non-uniform control flow";
-        check_expr ctx loc lo;
-        check_expr ctx loc hi;
+    | Omp_for { var; reduction; body; _ } ->
         (match reduction with
         | Some (_, x) when not (SSet.mem x ctx.vars) ->
             add Error loc
@@ -272,7 +243,9 @@ let check_func ~arity f =
           add Warning loc
             "implicit barrier of 'sections' under non-uniform control flow";
         List.iter (check_block { ctx with in_worksharing = true }) sections
-    | Check _ -> ()
+    | Decl _ | Assign _ | Compute _ | Print _ | Send _ | Recv _ | Istart _
+    | Coll _ | Check _ ->
+        ()
   and check_worksharing_nesting ctx loc name =
     if ctx.in_worksharing then
       add Error loc

@@ -58,6 +58,7 @@ let cache t = t.cache
 type analysis = {
   report : Parcoach.Driver.report;
   issues : Validate.issue list;
+  entries : Cache.entry list;
   reused : int;
   analysed : int;
   timings : Parcoach.Timings.t;
@@ -154,10 +155,7 @@ let validate t program parts =
       List.concat_map (fun (e, p) -> func_issues t ~arity e p) parts
       @ Validate.duplicate_functions program
 
-(* [analyze_source], also returning the report's fragment renderer:
-   [Json_report.func_json] served from the summary cache's fragment
-   memos. *)
-let analyze_source' t ?(options = Parcoach.Driver.default_options) ?jobs
+let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
     ?(file = "<request>") source =
   let tm = Parcoach.Timings.create () in
   match
@@ -199,95 +197,45 @@ let analyze_source' t ?(options = Parcoach.Driver.default_options) ?jobs
                 | _ -> None)
               chunk_of
           in
-          let summary = memo (fun e -> e.summary) in
-          let keys =
-            Parcoach.Timings.record tm "hash" (fun () ->
-                Hash.keys
-                  ?digest:(memo (fun e -> e.fdigest))
-                  ?summary ~options program)
-          in
-          (* Summary-cache lookups.  The common hit is the very AST the
-             entry was stored with (the chunk cache hands back the same
-             value at a stable position): it needs neither the
-             structural-equality guard against digest collisions nor
-             relocation.  Any other hit must be structurally equal and is
-             relocated onto the fresh function's source layout, so the
-             merged report is byte-identical to a cold run, then written
-             back so repeated requests at this layout hit physically.  The
-             fragment memo stays with an unchanged report and is dropped
-             with a relocated one. *)
-          let cached = Strtbl.create (List.length keys) in
-          List.iter
-            (fun (f, key) ->
-              match Cache.find t.cache key with
-              | Some e when e.Cache.func == f ->
-                  Strtbl.replace cached f.Ast.fname e
-              | Some e -> (
-                  match
-                    Relocate.func_report ~cached:e.Cache.func ~fresh:f
-                      e.Cache.report
-                  with
-                  | None -> ()
-                  | Some fr ->
-                      let e =
-                        if fr == e.Cache.report then { e with Cache.func = f }
-                        else Cache.entry f fr
-                      in
-                      Cache.replace t.cache key e;
-                      Strtbl.replace cached f.Ast.fname e)
-              | None -> ())
-            keys;
-          let reuse f =
-            Option.map
-              (fun e -> e.Cache.report)
-              (Strtbl.find_opt cached f.Ast.fname)
-          in
           let jobs =
             match jobs with Some _ as j -> j | None -> t.default_jobs
           in
-          let report =
-            Parcoach.Driver.analyze ~options ?jobs ~reuse ?summary
+          let report, entries, reused =
+            Cache.analyze t.cache ~options ?jobs
+              ?digest:(memo (fun e -> e.fdigest))
+              ?summary:(memo (fun e -> e.summary))
               ~timings:tm program
           in
-          let reused = Strtbl.length cached in
-          (* Populate the cache with this request's fresh results; from
-             here on [cached] holds every function's entry, whose
-             fragment memo serves the rendering. *)
-          List.iter2
-            (fun (f, key) (fr : Parcoach.Driver.func_report) ->
-              if not (Strtbl.mem cached f.Ast.fname) then begin
-                let e = Cache.entry f fr in
-                Cache.add t.cache key e;
-                Strtbl.replace cached f.Ast.fname e
-              end)
-            keys report.Parcoach.Driver.funcs;
-          (* A report filtered with [only] holds new function reports,
-             which the physical check sends to a fresh rendering. *)
-          let func_json (fr : Parcoach.Driver.func_report) =
-            match Strtbl.find_opt cached fr.Parcoach.Driver.fname with
-            | Some e when e.Cache.report == fr -> (
-                match e.Cache.json with
-                | Some j ->
-                    Atomic.incr t.fragment_hits;
-                    j
-                | None ->
-                    let j = Parcoach.Json_report.func_json fr in
-                    e.Cache.json <- Some j;
-                    j)
-            | _ -> Parcoach.Json_report.func_json fr
-          in
           Ok
-            ( {
-                report;
-                issues;
-                reused;
-                analysed = List.length keys - reused;
-                timings = tm;
-              },
-              func_json ))
+            {
+              report;
+              issues;
+              entries;
+              reused;
+              analysed = List.length entries - reused;
+              timings = tm;
+            })
 
-let analyze_source t ?options ?jobs ?file source =
-  Result.map fst (analyze_source' t ?options ?jobs ?file source)
+(* [Json_report.func_json] served from the fragment memos of [entries].
+   A report filtered with [only] holds new function reports, which the
+   physical check sends to a fresh rendering. *)
+let fragments t entries =
+  let by_name = Strtbl.create (List.length entries) in
+  List.iter
+    (fun (e : Cache.entry) -> Strtbl.replace by_name e.func.Ast.fname e)
+    entries;
+  fun (fr : Parcoach.Driver.func_report) ->
+    match Strtbl.find_opt by_name fr.Parcoach.Driver.fname with
+    | Some e when e.Cache.report == fr -> (
+        match e.Cache.json with
+        | Some j ->
+            Atomic.incr t.fragment_hits;
+            j
+        | None ->
+            let j = Parcoach.Json_report.func_json fr in
+            e.Cache.json <- Some j;
+            j)
+    | _ -> Parcoach.Json_report.func_json fr
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -382,7 +330,7 @@ let analyze_response t id params =
   with
   | Error msg -> error_response id msg
   | Ok (source, options, only, jobs, file) -> (
-      match analyze_source' t ~options ?jobs ?file source with
+      match analyze_source t ~options ?jobs ?file source with
       | Error issues ->
           Json.Obj
             [
@@ -391,7 +339,8 @@ let analyze_response t id params =
               ("valid", Json.Bool false);
               ("issues", Json.Raw (Parcoach.Json_report.issues_json issues));
             ]
-      | Ok (a, func_json) ->
+      | Ok a ->
+          let func_json = fragments t a.entries in
           let report = Parcoach.Driver.filter_classes a.report ~only in
           let report_json =
             Parcoach.Timings.record a.timings "render" (fun () ->

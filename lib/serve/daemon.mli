@@ -56,6 +56,9 @@ val cache : t -> Cache.t
 type analysis = {
   report : Parcoach.Driver.report;
   issues : Minilang.Validate.issue list;  (** Non-fatal validation issues. *)
+  entries : Cache.entry list;
+      (** Each function's summary-cache entry, in source order (see
+          {!Cache.analyze}); the fragment memos render the response. *)
   reused : int;  (** Functions served from the summary cache. *)
   analysed : int;  (** Functions (re-)analysed this request. *)
   timings : Parcoach.Timings.t;

@@ -7,9 +7,10 @@
     what lets the delta debugger shrink traces freely).
 
     Pipeline: verdicts are deterministic across domain counts, the farm
-    agrees with the CLI-equivalent serial baseline, the manifest is
-    byte-stable, and a deliberately weakened checker is caught and
-    minimized to a small reproducer. *)
+    agrees with the CLI-equivalent serial baseline, summaries reused
+    through the shared cache give the reports of cold analyses, the
+    manifest is byte-stable, and a deliberately weakened checker is
+    caught and minimized to a small reproducer. *)
 
 let sim_small =
   { Farm.Oracle.default_sim with Farm.Oracle.seeds = [ 1; 2 ] }
@@ -117,6 +118,49 @@ let tests =
             Alcotest.(check int) "clean corpus, no violations" 0
               (List.length farm.Farm.Pipeline.violations))
           [ spec_small; spec_default ]);
+    Alcotest.test_case "reused summaries give cold reports" `Quick
+      (fun () ->
+        (* The first families of the default corpus, in corpus order,
+           through one shared cache: every report must render as a cold
+           analysis does.  Each key's layouts are tracked so the test
+           also sees hits relocated from the first layout and from a
+           written-back one. *)
+        let options = Farm.Oracle.options in
+        let cache = Serve.Cache.create () in
+        let layouts = Hashtbl.create 256 in
+        let relocated = ref 0 and from_written_back = ref 0 in
+        Array.iter
+          (fun (e : Farm.Pipeline.entry) ->
+            let p = e.Farm.Pipeline.program in
+            let report, _, _ = Serve.Cache.analyze cache ~options ~jobs:1 p in
+            Alcotest.(check string)
+              (Printf.sprintf "entry %d" e.Farm.Pipeline.id)
+              (Parcoach.Json_report.to_string
+                 (Parcoach.Driver.analyze ~options ~jobs:1 p))
+              (Parcoach.Json_report.to_string report);
+            List.iter2
+              (fun ((f : Minilang.Ast.func), key)
+                   (fr : Parcoach.Driver.func_report) ->
+                let locs =
+                  List.map
+                    (fun (s : Minilang.Ast.stmt) -> s.Minilang.Ast.sloc)
+                    (Minilang.Ast.stmts_of_func f)
+                in
+                match Hashtbl.find_opt layouts key with
+                | None -> Hashtbl.replace layouts key (locs, locs)
+                | Some (first, last) ->
+                    if locs <> last && fr.Parcoach.Driver.warnings <> [] then begin
+                      incr relocated;
+                      if last <> first then incr from_written_back
+                    end;
+                    Hashtbl.replace layouts key (first, locs))
+              (Serve.Hash.keys ~options p)
+              report.Parcoach.Driver.funcs)
+          (Farm.Pipeline.corpus
+             { Farm.Pipeline.default_spec with Farm.Pipeline.families = 40 });
+        Alcotest.(check bool) "some hits relocated" true (!relocated > 0);
+        Alcotest.(check bool) "some relocated from a written-back layout" true
+          (!from_written_back > 0));
     Alcotest.test_case "manifest is byte-stable" `Quick (fun () ->
         let m () =
           Farm.Pipeline.manifest ~shards:8 spec_small

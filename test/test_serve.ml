@@ -390,6 +390,13 @@ let test_daemon_warm_identity () =
     "replayed report identical"
     (cold_json edited)
     (Parcoach.Json_report.to_string again.Serve.Daemon.report);
+  (* The warm request wrote its relocated summaries back, so the replay
+     hits every entry physically: the very entries the warm request
+     returned, in source order. *)
+  Alcotest.(check int) "replay reuses every summary" 4 again.Serve.Daemon.reused;
+  Alcotest.(check bool)
+    "replay returns the written-back entries" true
+    (List.for_all2 ( == ) warm.Serve.Daemon.entries again.Serve.Daemon.entries);
   (* Service-scale programs: appending a statement to [main] (which
      nothing calls) changes one summary key. *)
   List.iter
