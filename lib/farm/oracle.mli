@@ -84,6 +84,12 @@ val obs_agree : obs -> obs -> bool
     records the event trace.  The serial baseline uses this. *)
 val cli_config_of : sim:sim_spec -> int -> Interp.Sim.config
 
+(** The static report's data races, as keys [(var, site1, site2)] with
+    the two sites (rendered by {!Minilang.Loc.to_string}) in string
+    order, as {!Interp.Raceck} orders the sites of an observed race. *)
+val static_race_keys :
+  Parcoach.Driver.report -> (string * string * string) list
+
 (** The races a race oracle observed, as keys [(var, site1, site2)];
     {!Interp.Raceck} orders the two sites by string, and the static
     race keys the judge compares them with are ordered the same way. *)

@@ -31,9 +31,52 @@ type split = {
 
 val split : string -> split
 
-(** [shift_func ~file ~line ~col f] rebases the chunk-relative locations
-    of [f] (parsed at line 1, column 1) onto the absolute position
-    [(line, col)] of [file]; columns shift only on the chunk's first
-    line. *)
+(** {2 Incremental re-split}
+
+    A daemon sees one file many times, each version an edit of the last.
+    {!resplit} compares a source with the previous version's clean split
+    and scans again only the bytes between the chunks it can carry over:
+    those before the common prefix and those after the common suffix. *)
+
+(** A chunk of a clean split, at byte offset [off], with a caller's
+    payload. *)
+type 'a span = { off : int; line : int; col : int; data : 'a }
+
+(** A source and its clean split, in source order. *)
+type 'a layout = { source : string; spans : 'a span array }
+
+(** [resplit ?prev ~fresh ~moved source] is the clean split of [source]
+    ([None] when {!split} reports it unclean): the same chunks, lines
+    and columns as [split source].
+
+    With [prev], the split of an earlier source, the two texts are
+    compared first ([String.equal], then the common prefix and suffix).
+    A chunk of [prev] is carried over, with its payload, when its end
+    boundary plus 5 bytes lies inside the common prefix (it is
+    unchanged), or when it starts on a line whose preceding newline lies
+    inside the common suffix (it keeps its column; its line moves by the
+    change in newline count, and [moved] makes the payload of the span
+    at its new line when that count is not 0).  Only the bytes between
+    the carried front and back chunks are scanned again; [fresh] makes
+    the payload of each chunk found there, in source order.  When that
+    middle does not resync cleanly with the carried back chunks (an
+    unterminated comment or an unbalanced brace in it), the whole source
+    is split again.  An unchanged source returns [prev] itself. *)
+val resplit :
+  ?prev:'a layout ->
+  fresh:(chunk -> 'a) ->
+  moved:('a span -> 'a) ->
+  string ->
+  'a layout option
+
+(** [shift_loc ~file ~line ~col l] rebases a chunk-relative location
+    (the chunk parsed at line 1, column 1) onto the chunk's absolute
+    position [(line, col)] in [file]; columns shift only on the chunk's
+    first line, and an unknown location stays unknown. *)
+val shift_loc :
+  file:string -> line:int -> col:int -> Minilang.Loc.t -> Minilang.Loc.t
+
+(** [shift_func ~file ~line ~col f] rebases every location of [f] with
+    {!shift_loc}. *)
 val shift_func :
   file:string -> line:int -> col:int -> Minilang.Ast.func -> Minilang.Ast.func

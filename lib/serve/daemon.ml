@@ -2,30 +2,33 @@
 
 open Minilang
 
-(* A chunk's function placed at one file position, with the memo of its
-   validation issues.  The issues depend only on [func] and on the arity
-   of each of its direct callees, so they are memoized under those
-   arities ([-1]: undefined), in the order of the entry's summary [calls]. *)
-type placed = {
-  file : string;
-  line : int;
-  col : int;
-  func : Ast.func;
-  mutable issue_memo : (int list * Validate.issue list) option;
-}
-
 (* One cached function chunk: the chunk-relative parse, its structural
    digest and call-graph summary (memos for the summary keys, the
-   interprocedural closure and the validation memo's key), and the
-   last absolute form, so a chunk that keeps its file position across
-   requests is reused physically, with no location shifting at all.
-   Memo fields are only ever overwritten with complete immutable values,
-   so pool workers racing on one entry each see a consistent memo. *)
+   interprocedural closure and the validation memo's key), the memo of
+   its chunk-relative validation issues and the last absolute form, so a
+   chunk that keeps its file position across requests is reused
+   physically, with no location shifting at all.  The issues depend only
+   on [rel] and on the arity of each of its direct callees, so they are
+   memoized under those arities ([-1]: undefined), in the order of the
+   summary's [calls]; placing them shifts their locations like the
+   function's.  Memo fields are only ever overwritten with complete
+   immutable values, so pool workers racing on one entry each see a
+   consistent memo. *)
 type chunk_entry = {
   rel : Ast.func;
   fdigest : string;
   summary : Parcoach.Callgraph.summary;
+  mutable issue_memo : (int list * Validate.issue list) option;
   mutable placed : placed option;
+}
+
+(* A chunk's function placed at one file position. *)
+and placed = {
+  entry : chunk_entry;
+  file : string;
+  line : int;
+  col : int;
+  func : Ast.func;
 }
 
 module Strtbl = Hashtbl.Make (String)
@@ -35,18 +38,24 @@ type t = {
   chunks : chunk_entry Strtbl.t;
       (** Per-function parse cache, keyed by the exact chunk text.  An
           edited source re-parses only its changed chunks. *)
-  chunk_lock : Mutex.t;
+  files : placed Chunker.layout Strtbl.t;
+      (** Per file name, the last source whose split was clean and its
+          placed chunks: the next request for that file scans and looks
+          up only the bytes it changed. *)
+  chunk_lock : Mutex.t;  (** Guards [chunks] and [files]. *)
   validation_hits : int Atomic.t;
   fragment_hits : int Atomic.t;
   default_jobs : int option;
 }
 
 let chunk_cache_capacity = 2048
+let file_capacity = 64
 
 let create ?capacity ?jobs () =
   {
     cache = Cache.create ?capacity ();
     chunks = Strtbl.create 256;
+    files = Strtbl.create 16;
     chunk_lock = Mutex.create ();
     validation_hits = Atomic.make 0;
     fragment_hits = Atomic.make 0;
@@ -70,6 +79,12 @@ type analysis = {
 
 exception Chunk_fallback
 
+(* Both tables are bounded: when the chunk table is full, it is reset
+   with the per-file table, whose layouts hold chunk entries too. *)
+let reset_chunks t =
+  Strtbl.reset t.chunks;
+  Strtbl.reset t.files
+
 let chunk_entry t text =
   Mutex.lock t.chunk_lock;
   let hit = Strtbl.find_opt t.chunks text in
@@ -92,67 +107,94 @@ let chunk_entry t text =
               rel = f;
               fdigest = Hash.func_digest f;
               summary = Parcoach.Callgraph.summary f;
+              issue_memo = None;
               placed = None;
             }
           in
           Mutex.lock t.chunk_lock;
-          if Strtbl.length t.chunks >= chunk_cache_capacity then
-            Strtbl.reset t.chunks;
+          if Strtbl.length t.chunks >= chunk_cache_capacity then reset_chunks t;
           Strtbl.replace t.chunks text e;
           Mutex.unlock t.chunk_lock;
           e
       | _ -> raise Chunk_fallback)
 
-let place ~file (c : Chunker.chunk) e =
-  let line = c.Chunker.line and col = c.Chunker.col in
+let place ~file ~line ~col e =
   match e.placed with
   | Some p when p.line = line && p.col = col && String.equal p.file file -> p
   | _ ->
       let func = Chunker.shift_func ~file ~line ~col e.rel in
-      let p = { file; line; col; func; issue_memo = None } in
+      let p = { entry = e; file; line; col; func } in
       e.placed <- Some p;
       p
 
-(* Parse via the per-function chunk cache: split the source, re-parse
-   only chunks whose text is new, place each chunk at its current file
-   position.  Returns the program's chunks in source order.  Raises
-   [Chunk_fallback] whenever the chunked result could differ from a
-   whole-file parse (unclean split, a chunk that does not parse to
-   exactly one function) — the caller then runs the one-shot parser so
-   results and errors are exactly its own. *)
+(* Parse via the per-function chunk cache: re-split the source against
+   the file's last clean split, re-parse only chunks whose text is new,
+   place each chunk at its current file position.  Returns the
+   program's chunks in source order.  Raises [Chunk_fallback] whenever
+   the chunked result could differ from a whole-file parse (unclean
+   split, a chunk that does not parse to exactly one function) — the
+   caller then runs the one-shot parser so results and errors are
+   exactly its own.  The file's layout is then left as it was: the next
+   request compares with the last clean one. *)
 let parse_chunked t ~file source =
-  match Chunker.split source with
-  | { Chunker.clean = false; _ } -> raise Chunk_fallback
-  | { Chunker.chunks; _ } ->
-      List.map
-        (fun (c : Chunker.chunk) ->
-          let e = chunk_entry t c.Chunker.text in
-          (e, place ~file c e))
-        chunks
+  Mutex.lock t.chunk_lock;
+  let prev = Strtbl.find_opt t.files file in
+  Mutex.unlock t.chunk_lock;
+  match
+    Chunker.resplit ?prev source
+      ~fresh:(fun (c : Chunker.chunk) ->
+        place ~file ~line:c.line ~col:c.col (chunk_entry t c.text))
+      ~moved:(fun (sp : placed Chunker.span) ->
+        place ~file ~line:sp.line ~col:sp.col sp.data.entry)
+  with
+  | None -> raise Chunk_fallback
+  | Some layout ->
+      Mutex.lock t.chunk_lock;
+      if
+        (not (Strtbl.mem t.files file))
+        && Strtbl.length t.files >= file_capacity
+      then Strtbl.reset t.files;
+      Strtbl.replace t.files file layout;
+      Mutex.unlock t.chunk_lock;
+      layout.spans
 
-let func_issues t ~arity e p =
+(* A placed function's issues: the entry's chunk-relative memo, shifted
+   to the placement. *)
+let func_issues t ~arity p =
+  let e = p.entry in
   let key =
     List.map
       (fun g -> Option.value ~default:(-1) (arity g))
       e.summary.Parcoach.Callgraph.calls
   in
-  match p.issue_memo with
-  | Some (k, issues) when k = key ->
-      Atomic.incr t.validation_hits;
-      issues
-  | _ ->
-      let issues = Validate.check_func ~arity p.func in
-      p.issue_memo <- Some (key, issues);
-      issues
+  let issues =
+    match e.issue_memo with
+    | Some (k, issues) when k = key ->
+        Atomic.incr t.validation_hits;
+        issues
+    | _ ->
+        let issues = Validate.check_func ~arity e.rel in
+        e.issue_memo <- Some (key, issues);
+        issues
+  in
+  List.map
+    (fun (i : Validate.issue) ->
+      {
+        i with
+        loc = Chunker.shift_loc ~file:p.file ~line:p.line ~col:p.col i.loc;
+      })
+    issues
 
 (* [Validate.check_program], with each chunk's issues served from its
    memo. *)
-let validate t program parts =
-  match parts with
+let validate t program spans =
+  match spans with
   | None -> Validate.check_program program
-  | Some parts ->
+  | Some spans ->
       let arity = Validate.arity_of program in
-      List.concat_map (fun (e, p) -> func_issues t ~arity e p) parts
+      List.concat_map
+        (fun (sp : placed Chunker.span) -> func_issues t ~arity sp.data)
+        (Array.to_list spans)
       @ Validate.duplicate_functions program
 
 let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
@@ -162,17 +204,22 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
     Validate.catch_syntax_error (fun () ->
         Parcoach.Timings.record tm "parse" (fun () ->
             match parse_chunked t ~file source with
-            | parts ->
-                ( { Ast.funcs = List.map (fun (_, p) -> p.func) parts },
-                  Some parts )
+            | spans ->
+                ( {
+                    Ast.funcs =
+                      Array.fold_right
+                        (fun (sp : placed Chunker.span) fs -> sp.data.func :: fs)
+                        spans [];
+                  },
+                  Some spans )
             | exception Chunk_fallback ->
                 (Parser.parse_string ~file source, None)))
   with
   | Error issue -> Error [ issue ]
-  | Ok (program, parts) -> (
+  | Ok (program, spans) -> (
       let issues =
         Parcoach.Timings.record tm "validate" (fun () ->
-            validate t program parts)
+            validate t program spans)
       in
       match Validate.is_valid issues with
       | false -> Error issues
@@ -181,19 +228,20 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
              each memo to the very function it was built for. *)
           let chunk_of =
             Option.map
-              (fun parts ->
-                let tbl = Strtbl.create (List.length parts) in
-                List.iter
-                  (fun (e, p) -> Strtbl.replace tbl p.func.Ast.fname (p.func, e))
-                  parts;
+              (fun spans ->
+                let tbl = Strtbl.create (Array.length spans) in
+                Array.iter
+                  (fun (sp : placed Chunker.span) ->
+                    Strtbl.replace tbl sp.data.func.Ast.fname sp.data)
+                  spans;
                 tbl)
-              parts
+              spans
           in
           let memo field =
             Option.map
               (fun tbl (f : Ast.func) ->
                 match Strtbl.find_opt tbl f.Ast.fname with
-                | Some (g, e) when g == f -> Some (field e)
+                | Some p when p.func == f -> Some (field p.entry)
                 | _ -> None)
               chunk_of
           in
@@ -392,19 +440,21 @@ let stats_response t id =
           ] );
     ]
 
+let method_of request = Option.bind (Json.member "method" request) Json.to_str
+
 let handle_request t request =
   let id = Option.value ~default:Json.Null (Json.member "id" request) in
   let params =
     Option.value ~default:request (Json.member "params" request)
   in
-  match Option.bind (Json.member "method" request) Json.to_str with
+  match method_of request with
   | Some "analyze" -> analyze_response t id params
   | Some "ping" -> Json.Obj [ ("id", id); ("ok", Json.Bool true) ]
   | Some "stats" -> stats_response t id
   | Some "clear" ->
       Cache.clear t.cache;
       Mutex.lock t.chunk_lock;
-      Strtbl.reset t.chunks;
+      reset_chunks t;
       Mutex.unlock t.chunk_lock;
       Atomic.set t.validation_hits 0;
       Atomic.set t.fragment_hits 0;
@@ -415,8 +465,8 @@ let handle_request t request =
   | Some m -> error_response id (Printf.sprintf "unknown method '%s'" m)
   | None -> error_response id "missing string field 'method'"
 
-let handle_line t line =
-  match Json.parse line with
+(* The response to one decoded protocol line. *)
+let respond t = function
   | Error msg -> Json.to_string (error_response Json.Null ("bad request: " ^ msg))
   | Ok request -> (
       match handle_request t request with
@@ -426,12 +476,7 @@ let handle_line t line =
           Json.to_string
             (error_response id ("internal error: " ^ Printexc.to_string exn)))
 
-let is_shutdown line =
-  match Json.parse line with
-  | Ok request ->
-      Option.bind (Json.member "method" request) Json.to_str
-      = Some "shutdown"
-  | Error _ -> false
+let handle_line t line = respond t (Json.parse line)
 
 let serve ?(pool = 1) t ic oc =
   let out_lock = Mutex.create () in
@@ -443,21 +488,23 @@ let serve ?(pool = 1) t ic oc =
     Mutex.unlock out_lock
   in
   let workers = if pool > 1 then Some (Pool.create ~jobs:pool ()) else None in
+  (* Each line is decoded once, here: a shutdown request stops the loop,
+     any other one is answered from its decoded value. *)
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> None
     | line when String.length (String.trim line) = 0 -> loop ()
-    | line ->
-        if is_shutdown line then Some line
-        else begin
-          (match workers with
-          | None -> emit (handle_line t line)
-          | Some p -> Pool.submit p (fun () -> emit (handle_line t line)));
-          loop ()
-        end
+    | line -> (
+        match Json.parse line with
+        | Ok r as request when method_of r = Some "shutdown" -> Some request
+        | request ->
+            (match workers with
+            | None -> emit (respond t request)
+            | Some p -> Pool.submit p (fun () -> emit (respond t request)));
+            loop ())
   in
-  let shutdown_line = loop () in
+  let shutdown = loop () in
   (* Drain in-flight requests before answering the shutdown (or before
      returning on EOF), so every accepted request gets its response. *)
   Option.iter Pool.shutdown workers;
-  Option.iter (fun line -> emit (handle_line t line)) shutdown_line
+  Option.iter (fun request -> emit (respond t request)) shutdown

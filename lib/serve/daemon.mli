@@ -1,6 +1,21 @@
 (** The [parcoachd] analysis daemon: long-lived state (per-function
-    chunk cache with validation memos, per-function summary cache with
-    rendered-fragment memos) plus the line-delimited JSON protocol.
+    chunk cache with validation memos, per-file layouts, per-function
+    summary cache with rendered-fragment memos) plus the line-delimited
+    JSON protocol.
+
+    {2 Per-file state}
+
+    For each [file] name ([analyze]'s [file] parameter, ["<request>"]
+    when absent) the daemon keeps one source: the last one whose chunk
+    split was clean, with its chunk offsets, lines, columns and placed
+    chunks.  The next request for that name is compared with it
+    ({!Chunker.resplit}): chunks before the common prefix and after the
+    common suffix are carried over without being copied, hashed or
+    looked up, and only the bytes between them are split again.  A
+    request that falls back to the whole-file parse leaves the file's
+    source as it was.  At most 64 file names are kept (the table is
+    reset when a new one would exceed that); the table is also reset
+    with the chunk cache, when that fills up, and by ["clear"].
 
     {2 Protocol}
 
@@ -40,7 +55,10 @@
     ["stats"], ["clear"], ["shutdown"].  ["stats"] answers the summary
     cache's lifetime counters, the number of cached function [chunks],
     and [memo_hits]: how many function validations and JSON fragments
-    were served from their memos. *)
+    were served from their memos.  A chunk's validation memo holds its
+    chunk-relative issues and is shifted to wherever the chunk is
+    placed, so [memo_hits.validation] also counts hits on chunks that
+    moved (a layout-only edit validates nothing again). *)
 
 type t
 
@@ -79,7 +97,8 @@ val analyze_source :
 (** Handle one already-parsed request object. *)
 val handle_request : t -> Json.t -> Json.t
 
-(** Handle one protocol line (parse + dispatch + render). *)
+(** Handle one protocol line (parse + dispatch + render).  {!serve}
+    decodes each line once and answers from the decoded value. *)
 val handle_line : t -> string -> string
 
 (** Serve a channel pair until EOF or a [shutdown] request.  [pool] > 1

@@ -88,45 +88,75 @@ let literal st word value =
     value)
   else fail st (Printf.sprintf "expected '%s'" word)
 
-(* Encode a Unicode code point as UTF-8 bytes. *)
-let add_utf8 buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then (
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
-  else (
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
-let hex4 st =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> fail st "bad \\u escape"
-  in
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    match peek st with
-    | Some c ->
-        v := (!v * 16) + digit c;
-        advance st
-    | None -> fail st "truncated \\u escape"
-  done;
-  !v
+(* The code point of the four hex digits at [i], known to be valid. *)
+let hex4 src i =
+  (hex_digit src.[i] lsl 12)
+  lor (hex_digit src.[i + 1] lsl 8)
+  lor (hex_digit src.[i + 2] lsl 4)
+  lor hex_digit src.[i + 3]
+
+(* A code point's length in UTF-8 (no surrogate pairing: [\uD83D] is
+   three bytes, as it always was here). *)
+let utf8_length cp = if cp < 0x80 then 1 else if cp < 0x800 then 2 else 3
+
+(* Encode a Unicode code point as UTF-8 bytes at [o]. *)
+let set_utf8 b o cp =
+  if cp < 0x80 then Bytes.unsafe_set b o (Char.unsafe_chr cp)
+  else if cp < 0x800 then (
+    Bytes.unsafe_set b o (Char.unsafe_chr (0xC0 lor (cp lsr 6)));
+    Bytes.unsafe_set b (o + 1) (Char.unsafe_chr (0x80 lor (cp land 0x3F))))
+  else (
+    Bytes.unsafe_set b o (Char.unsafe_chr (0xE0 lor (cp lsr 12)));
+    Bytes.unsafe_set b (o + 1)
+      (Char.unsafe_chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Bytes.unsafe_set b (o + 2) (Char.unsafe_chr (0x80 lor (cp land 0x3F))))
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* The offsets of the escapes of the string being decoded: scratch space
+   kept per domain, so decoding a source with thousands of [\n] escapes
+   allocates nothing but the result. *)
+let escapes = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
 
 (* Analysis requests carry whole source files as string values, so this
-   is the parser's hot path: plain characters are bulk-copied up to the
-   next quote or backslash instead of being inspected one at a time. *)
+   is the parser's hot path.  One scan finds the closing quote, checks
+   every escape, records where each one is and adds up the decoded
+   length; the result is then one exact-size string, filled by blitting
+   the plain runs between the recorded escapes.  Errors are raised as
+   the scan meets them, at the offset of the offending byte. *)
 let string_body st =
   let src = st.src in
   let n = String.length src in
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    let start = st.pos in
-    let i = ref start in
+  let start = st.pos in
+  let esc = Domain.DLS.get escapes in
+  let nesc = ref 0 and len = ref 0 in
+  let i = ref start and stop = ref (-1) in
+  while !stop < 0 do
+    let run = !i in
+    (* Eight bytes at a time while none is a quote or a backslash: a
+       byte of [w] equals [c] when [w lxor c...c] has a zero byte. *)
+    while
+      !i + 8 <= n
+      &&
+      let w = get64u src !i in
+      let q = Int64.logxor w 0x2222222222222222L
+      and b = Int64.logxor w 0x5C5C5C5C5C5C5C5CL in
+      Int64.logand
+        (Int64.logor
+           (Int64.logand (Int64.sub q 0x0101010101010101L) (Int64.lognot q))
+           (Int64.logand (Int64.sub b 0x0101010101010101L) (Int64.lognot b)))
+        0x8080808080808080L
+      = 0L
+    do
+      i := !i + 8
+    done;
     while
       !i < n
       &&
@@ -135,46 +165,70 @@ let string_body st =
     do
       incr i
     done;
-    if !i > start then Buffer.add_substring buf src start (!i - start);
-    st.pos <- !i;
-    if !i >= n then fail st "unterminated string"
-    else if src.[!i] = '"' then advance st
+    len := !len + (!i - run);
+    if !i >= n then (
+      st.pos <- n;
+      fail st "unterminated string")
+    else if String.unsafe_get src !i = '"' then stop := !i
     else begin
-      advance st;
-      (match peek st with
-      | Some '"' ->
-          advance st;
-          Buffer.add_char buf '"'
-      | Some '\\' ->
-          advance st;
-          Buffer.add_char buf '\\'
-      | Some '/' ->
-          advance st;
-          Buffer.add_char buf '/'
-      | Some 'n' ->
-          advance st;
-          Buffer.add_char buf '\n'
-      | Some 't' ->
-          advance st;
-          Buffer.add_char buf '\t'
-      | Some 'r' ->
-          advance st;
-          Buffer.add_char buf '\r'
-      | Some 'b' ->
-          advance st;
-          Buffer.add_char buf '\b'
-      | Some 'f' ->
-          advance st;
-          Buffer.add_char buf '\012'
-      | Some 'u' ->
-          advance st;
-          add_utf8 buf (hex4 st)
-      | _ -> fail st "bad escape");
-      loop ()
+      if !nesc = Array.length !esc then begin
+        let grown = Array.make (2 * !nesc) 0 in
+        Array.blit !esc 0 grown 0 !nesc;
+        esc := grown
+      end;
+      Array.unsafe_set !esc !nesc !i;
+      incr nesc;
+      let j = !i + 1 in
+      if j >= n then (
+        st.pos <- j;
+        fail st "bad escape");
+      match String.unsafe_get src j with
+      | '"' | '\\' | '/' | 'n' | 't' | 'r' | 'b' | 'f' ->
+          incr len;
+          i := j + 1
+      | 'u' ->
+          for d = j + 1 to j + 4 do
+            if d >= n then (
+              st.pos <- d;
+              fail st "truncated \\u escape")
+            else if hex_digit (String.unsafe_get src d) < 0 then (
+              st.pos <- d;
+              fail st "bad \\u escape")
+          done;
+          len := !len + utf8_length (hex4 src (j + 1));
+          i := j + 5
+      | _ ->
+          st.pos <- j;
+          fail st "bad escape"
     end
-  in
-  loop ();
-  Buffer.contents buf
+  done;
+  let b = Bytes.create !len in
+  let o = ref 0 and from = ref start in
+  for e = 0 to !nesc - 1 do
+    let p = Array.unsafe_get !esc e in
+    Bytes.unsafe_blit_string src !from b !o (p - !from);
+    o := !o + (p - !from);
+    match String.unsafe_get src (p + 1) with
+    | 'u' ->
+        let cp = hex4 src (p + 2) in
+        set_utf8 b !o cp;
+        o := !o + utf8_length cp;
+        from := p + 6
+    | c ->
+        Bytes.unsafe_set b !o
+          (match c with
+          | 'n' -> '\n'
+          | 't' -> '\t'
+          | 'r' -> '\r'
+          | 'b' -> '\b'
+          | 'f' -> '\012'
+          | c -> c);
+        incr o;
+        from := p + 2
+  done;
+  Bytes.unsafe_blit_string src !from b !o (!stop - !from);
+  st.pos <- !stop + 1;
+  Bytes.unsafe_to_string b
 
 let number st =
   let start = st.pos in

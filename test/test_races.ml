@@ -16,20 +16,7 @@ let race_options = { Driver.default_options with Driver.races = true }
 
 let analyze_races program = Driver.analyze ~options:race_options program
 
-(* (var, site, site) with the sites in lexicographic order, matching the
-   dynamic oracle's normalisation. *)
-let static_race_keys report =
-  List.filter_map
-    (fun (w : Warning.t) ->
-      match w.Warning.kind with
-      | Warning.Data_race { var; loc1; loc2; _ } ->
-          let s1 = Minilang.Loc.to_string loc1 in
-          let s2 = Minilang.Loc.to_string loc2 in
-          Some (if s1 <= s2 then (var, s1, s2) else (var, s2, s1))
-      | _ -> None)
-    (Driver.all_warnings report)
-
-let race_warning_count report = List.length (static_race_keys report)
+let race_warning_count report = List.length (Farm.Oracle.static_race_keys report)
 
 let config ~nranks ~nthreads seed =
   {
@@ -62,7 +49,7 @@ let dynamic_race_keys ?(nranks = 2) ?(nthreads = 2) ?(seeds = 5) program =
 let key_str (v, s1, s2) = Printf.sprintf "%s@{%s,%s}" v s1 s2
 
 let check_dynamic_covered program =
-  let static = static_race_keys (analyze_races program) in
+  let static = Farm.Oracle.static_race_keys (analyze_races program) in
   List.iter
     (fun key ->
       Alcotest.(check bool)
@@ -132,7 +119,7 @@ let static_tests =
       `Quick (fun () ->
         let program = Minilang.Parser.parse_file racy_flag in
         let report = analyze_races program in
-        let keys = static_race_keys report in
+        let keys = Farm.Oracle.static_race_keys report in
         Alcotest.(check bool) "write/read race on flag" true
           (List.exists (fun (v, _, _) -> v = "flag") keys);
         (* The read after the explicit barrier (line 18) is ordered. *)
@@ -317,7 +304,7 @@ let qcheck_tests =
             generator)"
          ~count:40 Test_qcheck.arb_racy_program
          (fun p ->
-           let static = static_race_keys (analyze_races p) in
+           let static = Farm.Oracle.static_race_keys (analyze_races p) in
            List.for_all
              (fun key -> List.mem key static)
              (dynamic_race_keys ~seeds:3 p)));

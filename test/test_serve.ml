@@ -118,7 +118,66 @@ let test_json_errors () =
   bad "\"unterminated";
   bad "[1,]";
   bad "{\"a\" 1}";
-  bad "nul"
+  bad "nul";
+  (* The string decoder's messages, each at the offset of the byte that
+     ends the scan. *)
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (result reject string))
+        input (Error expected) (Serve.Json.parse input))
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|{"k":"abc|}, "unterminated string at offset 9");
+      ({|"a\qb"|}, "bad escape at offset 3");
+      ({|"a\|}, "bad escape at offset 3");
+      ({|"a\u12|}, "truncated \\u escape at offset 6");
+      ({|"a\u12G4"|}, "bad \\u escape at offset 6");
+      ({|"\uZ"|}, "bad \\u escape at offset 3");
+      ({|"\u004"|}, "bad \\u escape at offset 6");
+    ]
+
+(* The decoded bytes of every escape: [\u] is UTF-8 of one, two or
+   three bytes (a surrogate half is three bytes of its own). *)
+let test_json_escapes () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (result string string))
+        input (Ok expected)
+        (Result.map
+           (fun v ->
+             Option.value ~default:"<not a string>" (Serve.Json.to_str v))
+           (Serve.Json.parse input)))
+    [
+      ({|"\"\\\/\n\t\r\b\f"|}, "\"\\/\n\t\r\b\012");
+      ({|"x\u0000y"|}, "x\000y");
+      ({|"\u0041\u007f"|}, "A\127");
+      ({|"\u0080\u00e9\u07FF"|}, "\xc2\x80\xc3\xa9\xdf\xbf");
+      ( {|"\u0800\u2713\uffff\uD83D"|},
+        "\xe0\xa0\x80\xe2\x9c\x93\xef\xbf\xbf\xed\xa0\xbd" );
+      ({|"plain run, then \n, then a longer plain run\\"|},
+        "plain run, then \n, then a longer plain run\\");
+      ({|""|}, "");
+    ]
+
+(* Any byte string survives [to_string] and [parse], whatever the
+   alignment of its quotes and backslashes in the eight-byte scan. *)
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~name:"json strings round trip" ~count:300
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size (int_bound 40)
+            ~gen:
+              (frequency
+                 [
+                   (6, printable);
+                   (1, oneofl [ '"'; '\\'; '\n'; '\001' ]);
+                   (1, char);
+                 ])))
+    (fun s ->
+      match Serve.Json.parse (Serve.Json.to_string (Serve.Json.Str s)) with
+      | Ok (Serve.Json.Str s') -> String.equal s s'
+      | _ -> false)
 
 let test_json_raw_splice () =
   let v =
@@ -248,6 +307,243 @@ let prop_chunker_roundtrip =
           Ast.equal_program direct via_chunks
           && List.for_all2 Loc.equal (locs_of_program direct)
                (locs_of_program via_chunks))
+
+(* ------------------------------------------------------------------ *)
+(* Incremental re-split                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Chunker.resplit] with each chunk's text as its payload; [fresh] and
+   [moved] count their calls. *)
+let resplit ?(fresh = ref 0) ?(moved = ref 0) ?prev source =
+  Serve.Chunker.resplit ?prev source
+    ~fresh:(fun (c : Serve.Chunker.chunk) ->
+      incr fresh;
+      c.text)
+    ~moved:(fun (sp : string Serve.Chunker.span) ->
+      incr moved;
+      sp.data)
+
+let resplit_exn ?fresh ?moved ?prev source =
+  match resplit ?fresh ?moved ?prev source with
+  | Some l -> l
+  | None -> Alcotest.fail "resplit rejected a clean source"
+
+(* [resplit ?prev source] agrees with [split source]: [None] exactly
+   when the split is unclean, else the same texts, lines and columns,
+   each text at its span's offset.  Returns the layout too. *)
+let resplit_agrees ?prev source =
+  let expected = Serve.Chunker.split source in
+  match resplit ?prev source with
+  | None -> (not expected.clean, None)
+  | Some l ->
+      let spans = Array.to_list l.spans in
+      let at_offset (sp : string Serve.Chunker.span) =
+        let len = String.length sp.data in
+        sp.off + len <= String.length source
+        && String.equal sp.data (String.sub source sp.off len)
+      in
+      ( expected.clean
+        && String.equal l.source source
+        && List.equal ( = )
+             (List.map
+                (fun (c : Serve.Chunker.chunk) -> (c.text, c.line, c.col))
+                expected.chunks)
+             (List.map
+                (fun (sp : string Serve.Chunker.span) ->
+                  (sp.data, sp.line, sp.col))
+                spans)
+        && List.for_all at_offset spans,
+        Some l )
+
+let insert_at s pos text =
+  String.sub s 0 pos ^ text ^ String.sub s pos (String.length s - pos)
+
+(* The offset of the closing brace of chunk [sp]. *)
+let closing_brace source (sp : string Serve.Chunker.span) =
+  String.rindex_from source (sp.off + String.length sp.data - 1) '}'
+
+(* The catalog, the catalog with a block comment opening every function
+   body (so an inserted [/*] can close in a later function), and the
+   examples as written. *)
+let resplit_bases =
+  lazy
+    (let catalog =
+       List.map
+         (fun (e : Benchsuite.Catalog.entry) ->
+           Pretty.program_to_string (e.Benchsuite.Catalog.generate ()))
+         Benchsuite.Catalog.all
+     in
+     let commented source =
+       String.concat "\n"
+         (List.map
+            (fun l ->
+              if String.starts_with ~prefix:"func " l then l ^ " /* note */"
+              else l)
+            (String.split_on_char '\n' source))
+     in
+     Array.of_list
+       (catalog @ List.map commented catalog
+       @ List.filter_map
+           (fun name ->
+             if Filename.check_suffix name ".hml" then
+               Some
+                 (In_channel.with_open_bin
+                    (Filename.concat "../examples/programs" name)
+                    In_channel.input_all)
+             else None)
+           (List.sort String.compare
+              (Array.to_list (Sys.readdir "../examples/programs")))))
+
+(* Only the edited chunk is scanned again; chunks after it move by the
+   newline count without being re-made. *)
+let test_resplit_incremental () =
+  let source = (Lazy.force resplit_bases).(0) in
+  let base = resplit_exn source in
+  let n = Array.length base.spans in
+  Alcotest.(check bool) "several chunks" true (n >= 4);
+  let fresh = ref 0 and moved = ref 0 in
+  let counted ?(prev = base) text =
+    fresh := 0;
+    moved := 0;
+    ignore (resplit_exn ~fresh ~moved ~prev text);
+    (!fresh, !moved)
+  in
+  Alcotest.(check bool)
+    "an unchanged source returns the previous layout" true
+    (resplit_exn ~prev:base (String.sub source 0 (String.length source))
+    == base);
+  Alcotest.(check (pair int int))
+    "an unchanged source scans nothing" (0, 0)
+    (counted (String.sub source 0 (String.length source)));
+  (* A blank line before the closing brace of a mid-file function. *)
+  let mid = n / 2 in
+  let close = closing_brace source base.spans.(mid) in
+  let edited = insert_at source close "\n" in
+  Alcotest.(check (pair int int))
+    "a mid-file edit makes one chunk and moves the ones after it"
+    (1, n - mid - 1) (counted edited);
+  let l = resplit_exn ~prev:base edited in
+  Alcotest.(check bool)
+    "the chunks before it are carried physically" true
+    (Array.for_all2 ( == ) (Array.sub base.spans 0 mid)
+       (Array.sub l.spans 0 mid));
+  Alcotest.(check bool) "= split" true (fst (resplit_agrees ~prev:base edited));
+  (* A leading blank line: the first chunk is scanned again (the bytes
+     before it changed), every other chunk moves down a line. *)
+  Alcotest.(check (pair int int))
+    "leading shift" (1, n - 1) (counted ("\n" ^ source));
+  Alcotest.(check (pair int int))
+    "an edit that keeps the newline count moves nothing" (1, 0)
+    (counted (insert_at source close " "));
+  (* Unclean middles fall back to the whole split, which says so. *)
+  List.iter
+    (fun broken ->
+      let text = insert_at source close broken in
+      Alcotest.(check bool)
+        broken true
+        (resplit ~prev:base text = None
+        && not (Serve.Chunker.split text).clean))
+    [ "/* open\n"; "{\n"; "}}\n" ];
+  (* A comment opened in the middle that closes past the next boundary,
+     in the next function's header comment: the two functions are one
+     chunk now. *)
+  let commented =
+    (Lazy.force resplit_bases).(List.length Benchsuite.Catalog.all)
+  in
+  let base = resplit_exn commented in
+  let close = closing_brace commented base.spans.(Array.length base.spans / 2) in
+  let swallowed = insert_at commented close "/* " in
+  Alcotest.(check int)
+    "the comment swallows a boundary"
+    (Array.length base.spans - 1)
+    (List.length (Serve.Chunker.split swallowed).chunks);
+  Alcotest.(check bool)
+    "= split" true
+    (fst (resplit_agrees ~prev:base swallowed));
+  (* The same comment opened at depth 0, after the closing brace: it
+     hides the next function's header, so the split is unclean. *)
+  let hidden = insert_at commented (close + 1) "/*" in
+  Alcotest.(check bool)
+    "a header hidden at depth 0" true
+    (resplit ~prev:base hidden = None
+    && not (Serve.Chunker.split hidden).clean)
+
+(* The bytes an edit inserts: the scan's alphabet. *)
+let resplit_tokens =
+  [| "func"; "{"; "}"; "//"; "/*"; "*/"; "\n"; "x"; "f1"; "_"; " "; "  " |]
+
+(* One byte edit, resolved against the source it applies to.  [kind]
+   picks where: anywhere, in the first chunk, in the last chunk, across
+   a chunk boundary, inside a boundary's [func], or on the leading
+   blanks; [a] and [b] pick the exact offset and how much to delete;
+   [ins] lists the tokens to insert. *)
+type byte_edit = { kind : int; a : int; b : int; ins : int list }
+
+let apply_edit source { kind; a; b; ins } =
+  let n = String.length source in
+  let clamp x = max 0 (min n x) in
+  let offsets =
+    match resplit source with
+    | Some l ->
+        Array.map (fun (sp : string Serve.Chunker.span) -> sp.off) l.spans
+    | None -> [||]
+  in
+  let boundary () = offsets.(a mod Array.length offsets) in
+  let pos, del =
+    match kind with
+    | 1 -> (clamp (a mod 60), b mod 6)
+    | 2 -> (clamp (n - (a mod 60)), b mod 6)
+    | 3 when offsets <> [||] ->
+        let back = 1 + (b mod 6) in
+        (clamp (boundary () - back), back + 1 + (a mod 5))
+    | 4 when offsets <> [||] -> (boundary () + (b mod 5), a mod 2)
+    | 5 when n > 0 && b mod 2 = 0 && (source.[0] = '\n' || source.[0] = ' ') ->
+        (0, 1)
+    | 5 -> (0, 0)
+    | _ -> (a mod (n + 1), b mod 8)
+  in
+  let ins =
+    if kind = 5 then
+      if del > 0 then ""
+      else String.make (1 + (a mod 3)) (if b mod 3 = 0 then ' ' else '\n')
+    else String.concat "" (List.map (fun t -> resplit_tokens.(t)) ins)
+  in
+  let del = min del (n - pos) in
+  String.sub source 0 pos ^ ins ^ String.sub source (pos + del) (n - pos - del)
+
+let byte_edit_to_string e =
+  Printf.sprintf "kind %d a %d b %d ins [%s]" e.kind e.a e.b
+    (String.concat ","
+       (List.map (fun t -> Printf.sprintf "%S" resplit_tokens.(t)) e.ins))
+
+(* A chain of edits, each re-split against the last clean layout (as
+   the daemon keeps it), must give [split] of the whole source. *)
+let prop_resplit_equals_split =
+  QCheck.Test.make ~name:"incremental re-split = split of the whole source"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (base, edits) ->
+         Printf.sprintf "base %d: %s" base
+           (String.concat "; " (List.map byte_edit_to_string edits)))
+       Gen.(
+         pair
+           (int_bound (Array.length (Lazy.force resplit_bases) - 1))
+           (list_size (int_range 1 6)
+              (map
+                 (fun (kind, a, b, ins) -> { kind; a; b; ins })
+                 (quad (int_bound 5) nat nat
+                    (list_size (int_bound 4)
+                       (int_bound (Array.length resplit_tokens - 1))))))))
+    (fun (base, edits) ->
+      let source = ref (Lazy.force resplit_bases).(base) in
+      let prev = ref (resplit !source) in
+      List.for_all
+        (fun e ->
+          source := apply_edit !source e;
+          let ok, l = resplit_agrees ?prev:!prev !source in
+          if Option.is_some l then prev := l;
+          ok || QCheck.Test.fail_reportf "disagrees on %S" !source)
+        edits)
 
 (* ------------------------------------------------------------------ *)
 (* Summary-cache keys                                                  *)
@@ -848,6 +1144,9 @@ type step =
   | Arity of int  (** Toggle an extra parameter on a called function. *)
   | Dup of int  (** Toggle a trailing copy of function [i]. *)
   | Layout of int  (** Leading comment and blank lines. *)
+  | Raw of int * int
+      (** One request with raw text inserted mid-line in the second line
+          of a mid-file function. *)
   | Syntax of bool  (** One request with a broken function appended. *)
   | Only of string  (** One request filtered to a warning class. *)
   | Requests  (** Toggle the requests pass. *)
@@ -858,6 +1157,7 @@ let step_to_string = function
   | Arity i -> Printf.sprintf "arity %d" i
   | Dup i -> Printf.sprintf "dup %d" i
   | Layout n -> Printf.sprintf "layout %d" n
+  | Raw (i, m) -> Printf.sprintf "raw %d %d" i m
   | Syntax b -> Printf.sprintf "syntax %b" b
   | Only c -> Printf.sprintf "only %s" c
   | Requests -> "requests"
@@ -891,13 +1191,52 @@ let run_session base steps =
   let funcs = ref (Lazy.force session_bases).(base).Ast.funcs in
   let dup = ref None and lead = ref 0 and requests = ref false in
   let daemon = Serve.Daemon.create () in
-  let render () =
+  let render ?raw () =
+    let texts =
+      List.map
+        (fun f -> Pretty.program_to_string { Ast.funcs = [ f ] })
+        (!funcs @ Option.to_list !dup)
+    in
+    let texts =
+      match raw with
+      | None -> texts
+      | Some (i, m) ->
+          (* A function away from both ends when there are three or
+             more; the text goes mid-line into its second line: before
+             the statement there (moving its column), a comment before
+             the line's last byte, or a second statement. *)
+          let n = List.length texts in
+          let target = if n >= 3 then 1 + (i mod (n - 2)) else i mod n in
+          List.mapi
+            (fun j text ->
+              if j <> target then text
+              else
+                match String.index_opt text '\n' with
+                | None -> text
+                | Some nl ->
+                    let stop =
+                      Option.value ~default:(String.length text)
+                        (String.index_from_opt text (nl + 1) '\n')
+                    in
+                    let indent = ref (nl + 1) in
+                    while !indent < stop && text.[!indent] = ' ' do
+                      incr indent
+                    done;
+                    let pos, ins =
+                      match m mod 3 with
+                      | 0 -> (!indent, Printf.sprintf "/* %d */ " m)
+                      | 1 ->
+                          (max !indent (stop - 1), Printf.sprintf " /* %d */" m)
+                      | _ -> (!indent, Printf.sprintf "compute(%d); " m)
+                    in
+                    String.sub text 0 pos ^ ins
+                    ^ String.sub text pos (String.length text - pos))
+            texts
+    in
     String.concat "\n"
       ((if !lead = 0 then []
         else [ "// layout" ^ String.make !lead '\n' ])
-      @ List.map
-          (fun f -> Pretty.program_to_string { Ast.funcs = [ f ] })
-          (!funcs @ Option.to_list !dup))
+      @ texts)
   in
   let nth i = List.nth !funcs (i mod List.length !funcs) in
   let update (g : Ast.func) =
@@ -913,7 +1252,7 @@ let run_session base steps =
   in
   List.for_all
     (fun step ->
-      let only = ref None and extra = ref "" in
+      let only = ref None and extra = ref "" and raw = ref None in
       (match step with
       | Body (i, m) ->
           let f = nth i in
@@ -934,6 +1273,7 @@ let run_session base steps =
                 })
       | Dup i -> dup := (match !dup with Some _ -> None | None -> Some (nth i))
       | Layout n -> lead := n
+      | Raw (i, m) -> raw := Some (i, m)
       | Syntax unbalanced ->
           extra :=
             if unbalanced then "\nfunc broken( {\n"
@@ -955,7 +1295,7 @@ let run_session base steps =
                   ("races", true);
                   ("requests", !requests);
                 ]
-              (render () ^ !extra)
+              (render ?raw:!raw () ^ !extra)
           in
           let warm = response_exn (Serve.Daemon.handle_line daemon line) in
           let cold =
@@ -968,9 +1308,9 @@ let run_session base steps =
     steps
 
 (* Every step kind, on every base: a callee's arity edited and restored,
-   a duplicate added and removed, layout shifts around a filtered
-   request, both kinds of syntax error, the requests pass switched on,
-   and a clear. *)
+   a duplicate added and removed, layout shifts and raw mid-line edits
+   around a filtered request, both kinds of syntax error, the requests
+   pass switched on, and a clear. *)
 let scripted_steps =
   [
     Body (3, 1);
@@ -979,7 +1319,10 @@ let scripted_steps =
     Arity 0;
     Dup 1;
     Layout 3;
+    Raw (0, 3);
+    Raw (1, 4);
     Dup 1;
+    Raw (2, 5);
     Only "collective mismatch";
     Syntax true;
     Layout 0;
@@ -1007,6 +1350,7 @@ let gen_step =
       (2, map (fun i -> Arity i) nat);
       (1, map (fun i -> Dup i) nat);
       (2, map (fun n -> Layout n) (int_bound 3));
+      (2, map2 (fun i m -> Raw (i, m)) nat (int_bound 1000));
       (1, map (fun b -> Syntax b) bool);
       (1, map (fun c -> Only c) (oneofl Parcoach.Warning.all_classes));
       (1, return Requests);
@@ -1101,7 +1445,9 @@ let test_pool_runs_everything () =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_json_string_roundtrip;
       prop_chunker_roundtrip;
+      prop_resplit_equals_split;
       prop_keys_location_insensitive;
       prop_daemon_sessions;
     ]
@@ -1113,6 +1459,7 @@ let suite =
         Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "json unicode escapes" `Quick test_json_unicode;
         Alcotest.test_case "json parse errors" `Quick test_json_errors;
+        Alcotest.test_case "json escapes decode" `Quick test_json_escapes;
         Alcotest.test_case "json raw splice" `Quick test_json_raw_splice;
         Alcotest.test_case "chunker = direct parse" `Quick
           test_chunker_equals_direct;
@@ -1120,6 +1467,8 @@ let suite =
           test_chunker_fallback;
         Alcotest.test_case "chunker edge cases are pinned" `Quick
           test_chunker_edge_cases;
+        Alcotest.test_case "incremental re-split scans only the edit" `Quick
+          test_resplit_incremental;
         Alcotest.test_case "keys ignore comments and blank lines" `Quick
           test_keys_ignore_layout;
         Alcotest.test_case "keys ignore unrelated functions" `Quick
