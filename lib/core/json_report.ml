@@ -4,38 +4,107 @@
 
 open Minilang
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+external get64u : string -> int -> int64 = "%caml_string_get64u"
 
-(* Bulk-copy runs of plain characters; string values as large as whole
-   source files (the daemon's requests) pass through here. *)
-let escape s =
+(* The offset of the first byte at or after [i] that needs escaping, or
+   the length of [s].  Eight bytes at a time while none does: a byte of
+   [w] equals [c] when [w lxor c...c] has a zero byte, and is below 0x20
+   when [w - 0x20...20] borrows into its high bit while [w]'s is clear. *)
+let next_escape s i =
   let n = String.length s in
-  let buf = Buffer.create (n + 8) in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    while !i < n && not (needs_escape (String.unsafe_get s !i)) do
-      incr i
-    done;
-    if !i > start then Buffer.add_substring buf s start (!i - start);
-    if !i < n then begin
-      (match s.[!i] with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
-      incr i
-    end
+  let i = ref i in
+  while
+    !i + 8 <= n
+    &&
+    let w = get64u s !i in
+    let q = Int64.logxor w 0x2222222222222222L
+    and b = Int64.logxor w 0x5C5C5C5C5C5C5C5CL in
+    Int64.logand
+      (Int64.logor
+         (Int64.logor
+            (Int64.logand (Int64.sub q 0x0101010101010101L) (Int64.lognot q))
+            (Int64.logand (Int64.sub b 0x0101010101010101L) (Int64.lognot b)))
+         (Int64.logand (Int64.sub w 0x2020202020202020L) (Int64.lognot w)))
+      0x8080808080808080L
+    = 0L
+  do
+    i := !i + 8
   done;
-  Buffer.contents buf
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get s !i in
+    c <> '"' && c <> '\\' && c >= ' '
+  do
+    incr i
+  done;
+  !i
 
-let str s = Printf.sprintf "\"%s\"" (escape s)
+(* The offsets of the bytes to escape in the string being encoded:
+   scratch space kept per domain, like the decoder's in [Serve.Json]. *)
+let escapes = Domain.DLS.new_key (fun () -> ref (Array.make 256 0))
 
-(* [obj] and [arr] make one concatenation of all their pieces: a
-   report's ["functions"] member is copied once per nesting level, not
-   three times. *)
+let hex = "0123456789abcdef"
+
+(* [s] escaped from its first escape at [first], between quotes when
+   [quotes] is 1: one scan records every escape and adds up the length,
+   then one exact-size string is filled by blitting the plain runs
+   between them. *)
+let escaped ~quotes s first =
+  let n = String.length s in
+  let esc = Domain.DLS.get escapes in
+  let nesc = ref 0 and len = ref (n + (2 * quotes)) in
+  let i = ref first in
+  while !i < n do
+    if !nesc = Array.length !esc then begin
+      let grown = Array.make (2 * !nesc) 0 in
+      Array.blit !esc 0 grown 0 !nesc;
+      esc := grown
+    end;
+    Array.unsafe_set !esc !nesc !i;
+    incr nesc;
+    (len :=
+       !len
+       +
+       match String.unsafe_get s !i with
+       | '"' | '\\' | '\n' | '\t' | '\r' -> 1
+       | _ -> 5);
+    i := next_escape s (!i + 1)
+  done;
+  let b = Bytes.create !len in
+  let o = ref quotes and from = ref 0 in
+  for e = 0 to !nesc - 1 do
+    let p = Array.unsafe_get !esc e in
+    Bytes.unsafe_blit_string s !from b !o (p - !from);
+    o := !o + (p - !from);
+    Bytes.unsafe_set b !o '\\';
+    (match String.unsafe_get s p with
+    | ('"' | '\\') as c -> Bytes.unsafe_set b (!o + 1) c
+    | '\n' -> Bytes.unsafe_set b (!o + 1) 'n'
+    | '\t' -> Bytes.unsafe_set b (!o + 1) 't'
+    | '\r' -> Bytes.unsafe_set b (!o + 1) 'r'
+    | c ->
+        Bytes.blit_string "u00" 0 b (!o + 1) 3;
+        Bytes.unsafe_set b (!o + 4) hex.[Char.code c lsr 4];
+        Bytes.unsafe_set b (!o + 5) hex.[Char.code c land 15];
+        o := !o + 4);
+    o := !o + 2;
+    from := p + 1
+  done;
+  Bytes.unsafe_blit_string s !from b !o (n - !from);
+  if quotes = 1 then begin
+    Bytes.unsafe_set b 0 '"';
+    Bytes.unsafe_set b (!len - 1) '"'
+  end;
+  Bytes.unsafe_to_string b
+
+let escape s =
+  let first = next_escape s 0 in
+  if first = String.length s then s else escaped ~quotes:0 s first
+
+let str s = escaped ~quotes:1 s (next_escape s 0)
+
+(* [obj] and [arr] make one concatenation of all their pieces. *)
 let obj fields =
   let rec pieces = function
     | [] -> [ "}" ]
@@ -44,13 +113,16 @@ let obj fields =
   in
   String.concat "" ("{" :: pieces fields)
 
-let arr items =
+(* An array's pieces, then [tail]. *)
+let arr_pieces items tail =
   let rec pieces = function
-    | [] -> [ "]" ]
-    | [ v ] -> [ v; "]" ]
+    | [] -> "]" :: tail
+    | [ v ] -> v :: "]" :: tail
     | v :: rest -> v :: "," :: pieces rest
   in
-  String.concat "" ("[" :: pieces items)
+  "[" :: pieces items
+
+let arr items = String.concat "" (arr_pieces items [])
 
 let timings_json t =
   obj
@@ -217,10 +289,15 @@ let to_string ?issues ?(func_json = func_json) (report : Driver.report) =
     | None -> []
     | Some issues -> [ ("valid", "true"); ("issues", issues_json issues) ]
   in
-  obj
-    (validity
-    @ [
-        ("total_warnings", string_of_int (Driver.warning_count report));
-        ("warnings_by_class", arr by_class);
-        ("functions", arr funcs);
-      ])
+  (* The ["functions"] array, the bulk of a report, goes in as pieces:
+     the whole report is one concatenation. *)
+  String.concat ""
+    ("{"
+     :: List.concat_map
+          (fun (k, v) -> [ str k; ":"; v; "," ])
+          (validity
+          @ [
+              ("total_warnings", string_of_int (Driver.warning_count report));
+              ("warnings_by_class", arr by_class);
+            ])
+    @ str "functions" :: ":" :: arr_pieces funcs [ "}" ])

@@ -1,8 +1,18 @@
 (** Machine-readable (JSON) rendering of analysis reports, for CI
     integration of the [parcoachc] tool and the [parcoachd] daemon. *)
 
-(** JSON string escaping (exposed for tests). *)
+(** The body of a JSON string literal for [s]: a backslash goes before
+    each double quote and each backslash; newline, tab and carriage
+    return become [\n], [\t] and [\r]; every other byte below 0x20
+    becomes [\u00xx] (lowercase hex); every other byte, 0x7f and
+    0x80-0xff included, is copied verbatim.  When no byte needs escaping
+    the result is [s] itself; otherwise it is one exact-size string.
+    This is the one JSON escaper: reports and the daemon's codec both go
+    through it. *)
 val escape : string -> string
+
+(** [str s] is [escape s] between double quotes, built as one string. *)
+val str : string -> string
 
 (** Per-phase timings as one object, [{"phase": ns, ...}] (integer
     nanoseconds, phases in first-recorded order). *)

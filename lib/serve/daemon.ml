@@ -79,11 +79,33 @@ type analysis = {
 
 exception Chunk_fallback
 
-(* Both tables are bounded: when the chunk table is full, it is reset
-   with the per-file table, whose layouts hold chunk entries too. *)
 let reset_chunks t =
   Strtbl.reset t.chunks;
   Strtbl.reset t.files
+
+module Entries = Hashtbl.Make (struct
+  type t = chunk_entry
+
+  let equal = ( == )
+  let hash e = Hashtbl.hash e.fdigest
+end)
+
+(* Both tables are bounded.  A full chunk table drops the texts that no
+   file's layout holds (an edited function's old versions); only when
+   the layouts' chunks alone fill it is it reset with the per-file
+   table. *)
+let evict_chunks t =
+  let live = Entries.create 256 in
+  Strtbl.iter
+    (fun _ (layout : placed Chunker.layout) ->
+      Array.iter
+        (fun (sp : placed Chunker.span) -> Entries.replace live sp.data.entry ())
+        layout.spans)
+    t.files;
+  Strtbl.filter_map_inplace
+    (fun _ e -> if Entries.mem live e then Some e else None)
+    t.chunks;
+  if Strtbl.length t.chunks >= chunk_cache_capacity then reset_chunks t
 
 let chunk_entry t text =
   Mutex.lock t.chunk_lock;
@@ -112,7 +134,7 @@ let chunk_entry t text =
             }
           in
           Mutex.lock t.chunk_lock;
-          if Strtbl.length t.chunks >= chunk_cache_capacity then reset_chunks t;
+          if Strtbl.length t.chunks >= chunk_cache_capacity then evict_chunks t;
           Strtbl.replace t.chunks text e;
           Mutex.unlock t.chunk_lock;
           e

@@ -14,8 +14,10 @@
     looked up, and only the bytes between them are split again.  A
     request that falls back to the whole-file parse leaves the file's
     source as it was.  At most 64 file names are kept (the table is
-    reset when a new one would exceed that); the table is also reset
-    with the chunk cache, when that fills up, and by ["clear"].
+    reset when a new one would exceed that).  When the chunk cache fills
+    up (2048 texts) it drops the texts no kept layout holds; only when
+    the layouts' chunks alone fill it are both tables reset.  ["clear"]
+    resets both.
 
     {2 Protocol}
 

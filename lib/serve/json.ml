@@ -47,10 +47,24 @@ let rec write buf = function
       Buffer.add_char buf '}'
   | Raw s -> Buffer.add_string buf s
 
-let to_string v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
+(* [v]'s encoded length, numbers counted at their longest, when none of
+   its strings needs escaping: a response splices a whole report as
+   [Raw] into a buffer that then never grows. *)
+let rec size = function
+  | Null | Bool _ -> 5
+  | Int _ | Float _ -> 24
+  | Str s -> String.length s + 2
+  | Raw s -> String.length s
+  | List items -> List.fold_left (fun acc v -> acc + 1 + size v) 2 items
+  | Obj fields ->
+      List.fold_left (fun acc (k, v) -> acc + String.length k + 4 + size v) 2 fields
+
+let to_string = function
+  | Str s -> Parcoach.Json_report.str s
+  | v ->
+      let buf = Buffer.create (size v) in
+      write buf v;
+      Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)

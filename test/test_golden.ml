@@ -1,6 +1,7 @@
 (** Golden observables: the pinned reports, schedules, explorations and
     overlay reports of the paper's static/dynamic pipeline, and the
-    front end's, the CFG builder's and the request pass's pins.  [main.exe golden SECTION
+    front end's, the CFG builder's, the request pass's and the daemon's
+    pins.  [main.exe golden SECTION
     FILE] writes one line per input, "name<TAB>pin", to FILE; a
     [runtest] rule per section diffs it against
     [golden/SECTION.expected], and [dune promote] records an intended
@@ -872,6 +873,105 @@ let cfg_lines () =
     (Lazy.force sources)
 
 (* ------------------------------------------------------------------ *)
+(* Daemon responses                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let index_of ~sub s =
+  let n = String.length s and k = String.length sub in
+  let rec find i =
+    if i + k > n then None
+    else if String.sub s i k = sub then Some i
+    else find (i + 1)
+  in
+  find 0
+
+(* A response without its [timings] member, the one part that differs
+   from run to run: a flat object the daemon writes last. *)
+let drop_timings response =
+  match index_of ~sub:",\"timings\":{" response with
+  | None -> response
+  | Some i ->
+      let j = String.index_from response i '}' + 1 in
+      String.sub response 0 i
+      ^ String.sub response j (String.length response - j)
+
+(* An edit/layout/repeat session on two large catalog programs, the
+   second under a file name that needs escaping: cold requests, an edit
+   of [main], a layout-only edit, an identical repeat, a syntax error,
+   a return to the first file and the daemon's stats. *)
+let serve_session () =
+  let source name =
+    match Benchsuite.Catalog.find name with
+    | Some e -> Pretty.program_to_string (e.generate_large ())
+    | None -> failwith ("serve: no catalog entry " ^ name)
+  in
+  let edit n src =
+    match index_of ~sub:"func main() {\n" src with
+    | Some i ->
+        let j = i + String.length "func main() {\n" in
+        String.sub src 0 j
+        ^ Printf.sprintf "  compute(%d);\n" n
+        ^ String.sub src j (String.length src - j)
+    | None -> failwith "serve: no main"
+  in
+  let bt = source "BT-MZ" and hera = source "HERA" in
+  let requests =
+    [
+      ("bt/cold", "bt.hml", bt);
+      ("bt/edit", "bt.hml", edit 1 bt);
+      ("bt/layout", "bt.hml", "\n\n" ^ edit 1 bt);
+      ("bt/repeat", "bt.hml", "\n\n" ^ edit 1 bt);
+      ("hera/cold", "he\"ra\\\001\t.hml", hera);
+      ("hera/edit", "he\"ra\\\001\t.hml", edit 2 hera);
+      ("hera/syntax-error", "he\"ra\\\001\t.hml", edit 2 hera ^ "{");
+      ("hera/layout", "he\"ra\\\001\t.hml", "\n" ^ edit 2 hera);
+      ("bt/return", "bt.hml", edit 3 bt);
+    ]
+  in
+  List.mapi
+    (fun id (name, file, src) ->
+      ( name,
+        Serve.Json.to_string
+          (Serve.Json.Obj
+             [
+               ("id", Serve.Json.Int id);
+               ("method", Serve.Json.Str "analyze");
+               ( "params",
+                 Serve.Json.Obj
+                   [
+                     ("source", Serve.Json.Str src);
+                     ("file", Serve.Json.Str file);
+                     ("taint_filter", Serve.Json.Bool true);
+                     ("interprocedural", Serve.Json.Bool true);
+                     ("races", Serve.Json.Bool true);
+                     ("requests", Serve.Json.Bool true);
+                     ("jobs", Serve.Json.Int 1);
+                   ] );
+             ]) ))
+    requests
+  @ [ ("stats", {|{"id":99,"method":"stats"}|}) ]
+
+(* [serve]: the MD5 of every response line, [timings] removed, of
+   [test/serve_smoke.jsonl] and of the session above, each answered by
+   a fresh daemon in process.  An encoder, decoder or daemon change
+   that moves a response byte moves a pin. *)
+let serve_lines () =
+  let answer prefix lines =
+    let daemon = Serve.Daemon.create () in
+    List.map
+      (fun (name, line) ->
+        ( prefix ^ name,
+          md5 (drop_timings (Serve.Daemon.handle_line daemon line)) ))
+      lines
+  in
+  let smoke =
+    String.split_on_char '\n' (read "serve_smoke.jsonl")
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.mapi (fun i l -> (string_of_int (i + 1), l))
+  in
+  answer "smoke/" smoke @ answer "session/" (serve_session ())
+
+(* ------------------------------------------------------------------ *)
 (* Printer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -884,6 +984,7 @@ let sections =
     ("overlay", overlay_lines);
     ("request-free", request_free_lines);
     ("cfg", cfg_lines);
+    ("serve", serve_lines);
   ]
 
 (* Writes [section]'s lines, each "name<TAB>pin", to [file]. *)

@@ -159,21 +159,69 @@ let test_json_escapes () =
       ({|""|}, "");
     ]
 
+(* Byte strings up to 200 bytes, mostly printable, with quotes,
+   backslashes, control bytes and bytes from 0x7f up mixed in, so an
+   escape falls at every offset of the eight-byte scans. *)
+let arb_json_bytes =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    Gen.(
+      string_size (int_bound 200)
+        ~gen:
+          (frequency
+             [
+               (6, printable);
+               (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\x1f'; '\x7f'; '\x80' ]);
+               (1, char);
+             ]))
+
+(* The escaping rules, one byte at a time. *)
+let escape_spec s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf {|\"|}
+      | '\\' -> Buffer.add_string buf {|\\|}
+      | '\n' -> Buffer.add_string buf {|\n|}
+      | '\t' -> Buffer.add_string buf {|\t|}
+      | '\r' -> Buffer.add_string buf {|\r|}
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf {|\u%04x|} (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Every byte value at every offset of a 17-byte string, plain bytes
+   around it: the word-at-a-time escaper agrees with the spec, and hands
+   a string with nothing to escape back unchanged. *)
+let test_json_escape_every_byte () =
+  for c = 0 to 255 do
+    for at = 0 to 16 do
+      let s = String.init 17 (fun i -> if i = at then Char.chr c else 'a') in
+      Alcotest.(check string)
+        (Printf.sprintf "byte %d at %d" c at)
+        (escape_spec s)
+        (Parcoach.Json_report.escape s);
+      if String.equal (escape_spec s) s then
+        Alcotest.(check bool)
+          (Printf.sprintf "byte %d at %d returned as is" c at)
+          true
+          (Parcoach.Json_report.escape s == s)
+    done
+  done
+
+let prop_json_escape_spec =
+  QCheck.Test.make ~name:"json escape = byte-at-a-time spec" ~count:500
+    arb_json_bytes (fun s ->
+      let e = Parcoach.Json_report.escape s in
+      String.equal e (escape_spec s)
+      && String.equal
+           (Serve.Json.to_string (Serve.Json.Str s))
+           ("\"" ^ e ^ "\""))
+
 (* Any byte string survives [to_string] and [parse], whatever the
    alignment of its quotes and backslashes in the eight-byte scan. *)
 let prop_json_string_roundtrip =
-  QCheck.Test.make ~name:"json strings round trip" ~count:300
-    QCheck.(
-      make ~print:(Printf.sprintf "%S")
-        Gen.(
-          string_size (int_bound 40)
-            ~gen:
-              (frequency
-                 [
-                   (6, printable);
-                   (1, oneofl [ '"'; '\\'; '\n'; '\001' ]);
-                   (1, char);
-                 ])))
+  QCheck.Test.make ~name:"json strings round trip" ~count:300 arb_json_bytes
     (fun s ->
       match Serve.Json.parse (Serve.Json.to_string (Serve.Json.Str s)) with
       | Ok (Serve.Json.Str s') -> String.equal s s'
@@ -1393,6 +1441,40 @@ let test_daemon_memo_stats () =
     "fragment memo hits" (Some 4)
     (get [ "memo_hits"; "fragments" ])
 
+(* A full chunk table keeps the chunks of every file's layout: after one
+   file's edits overflow it, an identical request for another file is
+   answered from that file's layout and parses no chunk (the table's
+   size does not move). *)
+let test_daemon_chunk_eviction () =
+  let daemon = Serve.Daemon.create () in
+  let handle line = ignore (Serve.Daemon.handle_line daemon line) in
+  let chunks () =
+    let stats =
+      response_exn
+        (Serve.Daemon.handle_line daemon {|{"id":0,"method":"stats"}|})
+    in
+    match Option.bind (Serve.Json.member "chunks" stats) Serve.Json.to_int with
+    | Some n -> n
+    | None -> Alcotest.fail "stats without chunks"
+  in
+  let other = request_line ~id:1 ~file:"other.hml" base_source in
+  handle other;
+  (* Each edit of [main] adds a text nothing reuses, until the table
+     overflows and its size falls. *)
+  let rec edit k prev =
+    if k > 10_000 then Alcotest.fail "the chunk table never overflowed";
+    handle
+      (request_line ~id:k ~file:"edited.hml"
+         (replace ~sub:"  helper();\n"
+            ~by:(Printf.sprintf "  helper();\n  compute(%d);\n" k)
+            base_source));
+    let n = chunks () in
+    if n < prev then n else edit (k + 1) n
+  in
+  let after = edit 2 (chunks ()) in
+  handle other;
+  Alcotest.(check int) "no chunk parsed again" after (chunks ())
+
 (* ------------------------------------------------------------------ *)
 (* Driver.analyze ?reuse                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1446,6 +1528,7 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_json_string_roundtrip;
+      prop_json_escape_spec;
       prop_chunker_roundtrip;
       prop_resplit_equals_split;
       prop_keys_location_insensitive;
@@ -1461,6 +1544,8 @@ let suite =
         Alcotest.test_case "json parse errors" `Quick test_json_errors;
         Alcotest.test_case "json escapes decode" `Quick test_json_escapes;
         Alcotest.test_case "json raw splice" `Quick test_json_raw_splice;
+        Alcotest.test_case "json escape: every byte at every offset" `Quick
+          test_json_escape_every_byte;
         Alcotest.test_case "chunker = direct parse" `Quick
           test_chunker_equals_direct;
         Alcotest.test_case "chunker falls back on unclean input" `Quick
@@ -1499,6 +1584,8 @@ let suite =
           test_daemon_session;
         Alcotest.test_case "daemon stats count memo hits" `Quick
           test_daemon_memo_stats;
+        Alcotest.test_case "daemon eviction keeps every file's layout" `Quick
+          test_daemon_chunk_eviction;
         Alcotest.test_case "Driver.analyze reuse identity" `Quick
           test_driver_reuse_identity;
         Alcotest.test_case "pool runs every job" `Quick
