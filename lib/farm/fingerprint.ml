@@ -5,10 +5,11 @@
     the differential verdict copy is insensitive to: structurally equal
     programs get byte-identical verdicts anyway). *)
 
+let of_digests digests =
+  Digest.to_hex (Digest.string (String.concat "\x00" digests))
+
 let program (p : Minilang.Ast.program) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" (List.map Serve.Hash.func_digest p.Minilang.Ast.funcs)))
+  of_digests (List.map Serve.Hash.func_digest p.Minilang.Ast.funcs)
 
 (** Shard assignment: a stable hash of a fingerprint.  The pipeline
     shards by the *family* fingerprint (the skeleton without its injected

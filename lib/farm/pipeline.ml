@@ -21,6 +21,7 @@ type entry = {
   program : Ast.program;
   fp : string;
   family_fp : string;
+  digests : (Ast.func * string) list;
 }
 
 type verdict = { entry_id : int; fp : string; obs : Oracle.obs }
@@ -68,7 +69,16 @@ let corpus ?timings spec =
       in
       let program = if variant = 0 then base else Gen.program case in
       entries :=
-        { id = !id; family; variant; case; program; fp = ""; family_fp }
+        {
+          id = !id;
+          family;
+          variant;
+          case;
+          program;
+          fp = "";
+          family_fp;
+          digests = [];
+        }
         :: !entries;
       incr id
     done
@@ -78,7 +88,11 @@ let corpus ?timings spec =
 let fingerprinted ?timings entries =
   Parcoach.Timings.record_opt timings "fingerprint" @@ fun () ->
   Array.map
-    (fun (e : entry) -> { e with fp = Fingerprint.program e.program })
+    (fun (e : entry) ->
+      let digests =
+        List.map (fun f -> (f, Serve.Hash.func_digest f)) e.program.Ast.funcs
+      in
+      { e with fp = Fingerprint.of_digests (List.map snd digests); digests })
     entries
 
 let manifest ?(shards = 8) spec (entries : entry array) =
@@ -119,6 +133,7 @@ let observe_entry ?timings ~cache ~spec entry =
      untouched function, relocated onto the mutant's line numbering. *)
   let report, _, _ =
     Serve.Cache.analyze cache ~options:Oracle.options ~jobs:1 ?timings
+      ~digest:(fun f -> List.assq_opt f entry.digests)
       entry.program
   in
   Oracle.observe ?handicap:spec.handicap ?timings ~sim:spec.sim ~report

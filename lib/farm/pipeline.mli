@@ -42,6 +42,10 @@ type entry = {
   program : Minilang.Ast.program;
   fp : string;  (** Structural fingerprint of [program]. *)
   family_fp : string;  (** Fingerprint of the family's clean base (shard key). *)
+  digests : (Minilang.Ast.func * string) list;
+      (** Each function of [program] with its {!Serve.Hash.func_digest},
+          the ingredients of [fp]; the summary cache keys with them
+          instead of hashing every function again. *)
 }
 
 type verdict = { entry_id : int; fp : string; obs : Oracle.obs }
@@ -70,8 +74,9 @@ val corpus : ?timings:Parcoach.Timings.t -> spec -> entry array
     line per entry with family/variant/shard/fingerprint/case. *)
 val manifest : ?shards:int -> spec -> entry array -> string
 
-(** Fingerprint every entry (idempotent); {!run} and the [-entries]
-    runners expect fingerprinted input. *)
+(** Fingerprint every entry, keeping each function's digest in
+    [digests] (idempotent); {!run} and the [-entries] runners expect
+    fingerprinted input. *)
 val fingerprinted :
   ?timings:Parcoach.Timings.t -> entry array -> entry array
 

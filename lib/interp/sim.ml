@@ -183,6 +183,8 @@ type state = {
   mailbox : Mpisim.Mailbox.t;
   criticals : Ompsim.Critical.t array;  (** Per-rank named locks. *)
   counters : (int * int, int) Hashtbl.t;  (** (rank, region) → live count. *)
+  mutable counters_digest : int;
+      (** Order-insensitive digest of [counters], kept by {!set_counter}. *)
   requests : (int * int, request) Hashtbl.t;  (** (rank, rid) → request. *)
   req_counts : int array;  (** Next request id, per rank. *)
   mutable lifecycle : lifecycle list;  (** Violations, newest first. *)
@@ -418,13 +420,24 @@ let check_assert_mono task ~site =
     raise
       (Abort_exn (Aborted (Multithreaded_region { rank = task.Task.rank; site })))
 
+(* The fingerprint term of a live count: the wrapping sum of these over
+   [counters] is [counters_digest].  A zero count contributes nothing, so
+   a region exited to zero hashes like one never entered. *)
+let counter_term key n = if n = 0 then 0 else Hashtbl.hash (key, n) lor 1
+
+(* Moves [key]'s live count from [old] to [n], swapping its digest term. *)
+let set_counter st key ~old n =
+  Hashtbl.replace st.counters key n;
+  st.counters_digest <-
+    st.counters_digest - counter_term key old + counter_term key n
+
 let check_count_enter st task ~region ~site =
   emit_event st (Dpor.ECounter { rank = task.Task.rank; region });
   st.stats.counter_checks <- st.stats.counter_checks + 1;
   let key = (task.Task.rank, region) in
-  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt st.counters key) in
-  Hashtbl.replace st.counters key n;
-  if n > 1 then
+  let old = Option.value ~default:0 (Hashtbl.find_opt st.counters key) in
+  set_counter st key ~old (old + 1);
+  if old > 0 then
     raise
       (Abort_exn
          (Aborted (Concurrent_region { rank = task.Task.rank; region; site })))
@@ -432,8 +445,8 @@ let check_count_enter st task ~region ~site =
 let check_count_exit st task ~region =
   emit_event st (Dpor.ECounter { rank = task.Task.rank; region });
   let key = (task.Task.rank, region) in
-  let n = Option.value ~default:0 (Hashtbl.find_opt st.counters key) in
-  Hashtbl.replace st.counters key (Int.max 0 (n - 1))
+  let old = Option.value ~default:0 (Hashtbl.find_opt st.counters key) in
+  set_counter st key ~old (Int.max 0 (old - 1))
 
 (* Dynamic thread-level requirement of the calling context: no team means
    the single initial thread; inside a [single]/[master]/[section] body one
@@ -711,12 +724,9 @@ let mix h x = (((h lsl 5) + h) lxor x) land max_int
 let team_opt_hash = function
   | None -> 0x5bd1e995
   | Some (tm : Ompsim.Team.t) ->
-      let singles =
-        (* Claim-table iteration order varies; combine commutatively. *)
-        Hashtbl.fold
-          (fun key () acc -> acc + (Hashtbl.hash key lor 1))
-          tm.Ompsim.Team.singles 0
-      in
+      (* Claim-table iteration order varies, so claims combine by the
+         commutative sum the team keeps as it grants them. *)
+      let singles = tm.Ompsim.Team.singles_digest in
       (* The forker cookie depends on the schedule that spawned the team;
          identify it by its logical coordinates instead. *)
       let coords =
@@ -782,10 +792,11 @@ let task_hash h (t : Task.t) =
 
 (* The non-continuation half of the state: collective rendezvous (rank
    order), mailboxes (FIFO order is semantic), criticals (sorted by name)
-   and live concurrency counters (order-insensitive, zero entries elided —
-   a region exited to zero must equal one never entered).  Task ids
-   (engine cookies, lock holders) enter as they are: an id is the task's
-   position in the task list the fingerprint folds in order. *)
+   and live concurrency counters (their running digest: order-insensitive,
+   zero entries elided — a region exited to zero must equal one never
+   entered).  Task ids (engine cookies, lock holders) enter as they are:
+   an id is the task's position in the task list the fingerprint folds in
+   order. *)
 let plumbing_hash st h =
   let h =
     List.fold_left
@@ -845,13 +856,7 @@ let plumbing_hash st h =
         h := mix !h (Hashtbl.hash (name, holder, waiters)))
       (Ompsim.Critical.state st.criticals.(rank))
   done;
-  let counters =
-    Hashtbl.fold
-      (fun key n acc ->
-        if n = 0 then acc else acc + (Hashtbl.hash (key, n) lor 1))
-      st.counters 0
-  in
-  mix !h counters
+  mix !h st.counters_digest
 
 let state_hash st =
   let h = ref 0x811c9dc5 in
@@ -1373,6 +1378,7 @@ let run_compiled ?(config = default_config) ?probe ?race ?recorder ?on_engine
       mailbox = Mpisim.Mailbox.create ~nranks:config.nranks;
       criticals = Array.init config.nranks (fun _ -> Ompsim.Critical.create ());
       counters = Hashtbl.create 16;
+      counters_digest = 0;
       requests = Hashtbl.create 16;
       req_counts = Array.make config.nranks 0;
       lifecycle = [];

@@ -81,12 +81,14 @@ type t = {
   mutable encounters : (int, int) Hashtbl.t;
       (** Per-construct dynamic instance counters (for [single]
           arbitration); {!no_encounters} until the first [single]. *)
+  mutable encounters_digest : int;
+      (** Order-insensitive digest of [encounters], kept by
+          {!next_instance}: see {!encounters_hash}. *)
 }
 
 (* Shared by every task that has not yet met a [single], so a fresh task
-   allocates no table.  Nothing may write to it, not even a fold (which
-   marks the table as being traversed): {!next_instance} replaces it
-   before the first insertion and {!encounters_hash} does not fold it. *)
+   allocates no table.  Nothing may write to it: {!next_instance}
+   replaces it before the first insertion. *)
 let no_encounters : (int, int) Hashtbl.t = Hashtbl.create 1
 
 let make ~id ~rank ~tid ~team ~konts =
@@ -100,13 +102,20 @@ let make ~id ~rank ~tid ~team ~konts =
     single_depth = 0;
     wait_cell = None;
     encounters = no_encounters;
+    encounters_digest = 0;
   }
+
+(* The digest term of the entry [uid -> n]; an absent entry ([n = 0])
+   contributes nothing. *)
+let encounter_term uid n = if n = 0 then 0 else Hashtbl.hash (uid, n) lor 1
 
 (** Next dynamic instance index of construct [uid] for this task. *)
 let next_instance t uid =
   if t.encounters == no_encounters then t.encounters <- Hashtbl.create 8;
   let n = Option.value ~default:0 (Hashtbl.find_opt t.encounters uid) in
   Hashtbl.replace t.encounters uid (n + 1);
+  t.encounters_digest <-
+    t.encounters_digest - encounter_term uid n + encounter_term uid (n + 1);
   n
 
 let team_size t = Ompsim.Team.size_of t.team
@@ -129,14 +138,11 @@ let status_hash = function
 (** Order-insensitive hash of the per-construct instance counters: the
     table's iteration order depends on insertion history (which varies
     between schedules reaching the same state), so entries combine by
-    commutative sum. *)
-let encounters_hash t =
-  (* Skip the sentinel: even a fold over an empty table writes to it. *)
-  if t.encounters == no_encounters then 0
-  else
-    Hashtbl.fold
-      (fun uid n acc -> acc + (Hashtbl.hash (uid, n) lor 1))
-      t.encounters 0
+    commutative (wrapping) sum of [Hashtbl.hash (uid, n) lor 1].
+    {!next_instance} swaps an entry's term as it counts, so this reads
+    the running sum instead of folding the table: the same int, whatever
+    the order the entries were made in. *)
+let encounters_hash t = t.encounters_digest
 
 let describe_block_reason = function
   | At_collective { site; coll } -> Printf.sprintf "in %s at %s" coll site

@@ -57,6 +57,7 @@ type t = {
   mutable wait_cell : Compile.loc option;
   mutable encounters : (int, int) Hashtbl.t;
       (** Shared empty sentinel until the task's first [single]. *)
+  mutable encounters_digest : int;  (** See {!encounters_hash}. *)
 }
 
 val make :
@@ -78,9 +79,10 @@ val is_runnable : t -> bool
 val status_hash : status -> int
 
 (** Order-insensitive hash of the per-construct instance counters
-    (fingerprint ingredient): commutative over entries, so schedules that
-    filled the table in different orders but reached the same counts hash
-    alike. *)
+    (fingerprint ingredient): the wrapping sum over entries [(uid, n)] of
+    [Hashtbl.hash (uid, n) lor 1], so schedules that filled the table in
+    different orders but reached the same counts hash alike.  Kept as a
+    running sum by {!next_instance}; reading it costs nothing. *)
 val encounters_hash : t -> int
 
 val describe : t -> string

@@ -255,8 +255,10 @@ let nb_result t ~round ~rank =
 (** Split-phase posts not yet part of a completed round, by rank then
     posting order — deadlock diagnostics and state fingerprints. *)
 let nb_pending t =
-  Array.to_list t.nb_queue
-  |> List.concat_map (fun q -> List.of_seq (Queue.to_seq q))
+  if Array.for_all Queue.is_empty t.nb_queue then []
+  else
+    Array.to_list t.nb_queue
+    |> List.concat_map (fun q -> List.of_seq (Queue.to_seq q))
 
 (** The recorded arrival stream of [rank], in program order.  CC checks
     are tool-internal and excluded. *)

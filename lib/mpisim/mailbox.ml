@@ -67,5 +67,6 @@ let pending t rank = Queue.length t.queues.(rank)
     channel — so state fingerprints fold over this list. *)
 let inbox t rank =
   check_rank t "inbox" rank;
-  List.of_seq (Queue.to_seq t.queues.(rank))
+  let q = t.queues.(rank) in
+  if Queue.is_empty q then [] else List.of_seq (Queue.to_seq q)
 

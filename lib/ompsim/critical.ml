@@ -57,12 +57,14 @@ let release t ~name ~cookie =
     semantic state (it decides who acquires next), so state fingerprints
     fold over this snapshot. *)
 let state t =
-  Hashtbl.fold
-    (fun name l acc ->
-      if l.holder = None && Queue.is_empty l.waiters then acc
-      else (name, l.holder, List.of_seq (Queue.to_seq l.waiters)) :: acc)
-    t []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  if Hashtbl.length t = 0 then []
+  else
+    Hashtbl.fold
+      (fun name l acc ->
+        if l.holder = None && Queue.is_empty l.waiters then acc
+        else (name, l.holder, List.of_seq (Queue.to_seq l.waiters)) :: acc)
+      t []
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 (** Cookies blocked on any lock, for deadlock diagnostics. *)
 let blocked t =

@@ -14,6 +14,10 @@ type t = {
   barrier : Barrier.t;
   singles : (int * int, unit) Hashtbl.t;
       (** Keys [(construct_uid, instance)] already claimed by some thread. *)
+  mutable singles_digest : int;
+      (** Sum of [Hashtbl.hash key lor 1] over the claimed keys: an
+          order-insensitive digest of [singles], kept as claims are made
+          so a state fingerprint reads it instead of folding the table. *)
   mutable finished : int;  (** Members that ran to completion. *)
   forker : int;  (** Cookie of the task blocked on the join. *)
 }
@@ -26,6 +30,7 @@ let create ~rank ~size ~parent ~forker =
     depth = (match parent with None -> 1 | Some p -> p.depth + 1);
     barrier = Barrier.create ~size;
     singles = Hashtbl.create 8;
+    singles_digest = 0;
     finished = 0;
     forker;
   }
@@ -38,6 +43,7 @@ let claim_single team ~construct ~instance =
   if Hashtbl.mem team.singles key then false
   else begin
     Hashtbl.replace team.singles key ();
+    team.singles_digest <- team.singles_digest + (Hashtbl.hash key lor 1);
     true
   end
 

@@ -9,6 +9,9 @@ type t = {
   depth : int;  (** 1 for an outermost parallel region. *)
   barrier : Barrier.t;
   singles : (int * int, unit) Hashtbl.t;
+  mutable singles_digest : int;
+      (** Sum of [Hashtbl.hash key lor 1] over the keys of [singles]
+          (wrapping): order-insensitive, updated by {!claim_single}. *)
   mutable finished : int;
   forker : int;  (** Cookie of the task blocked on the join. *)
 }

@@ -14,57 +14,38 @@ type t =
 (* Printer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+(* [f] over [items] with a comma between consecutive pieces, in front
+   of [tail]. *)
+let rec commas f items tail =
+  match items with
+  | [] -> tail
+  | [ x ] -> f x tail
+  | x :: rest -> f x ("," :: commas f rest tail)
+
+(* [v]'s encoding as pieces in front of [tail]; each string is escaped
+   once, and a [Raw] member is a piece as it is. *)
+let rec pieces v tail =
+  match v with
+  | Null -> "null" :: tail
+  | Bool b -> (if b then "true" else "false") :: tail
+  | Int n -> string_of_int n :: tail
   | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (Parcoach.Json_report.escape s);
-      Buffer.add_char buf '"'
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf v)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (Parcoach.Json_report.escape k);
-          Buffer.add_string buf "\":";
-          write buf v)
-        fields;
-      Buffer.add_char buf '}'
-  | Raw s -> Buffer.add_string buf s
+      (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+       else Printf.sprintf "%.17g" f)
+      :: tail
+  | Str s -> "\"" :: Parcoach.Json_report.escape s :: "\"" :: tail
+  | Raw s -> s :: tail
+  | List items -> "[" :: commas pieces items ("]" :: tail)
+  | Obj fields -> "{" :: commas member_pieces fields ("}" :: tail)
 
-(* [v]'s encoded length, numbers counted at their longest, when none of
-   its strings needs escaping: a response splices a whole report as
-   [Raw] into a buffer that then never grows. *)
-let rec size = function
-  | Null | Bool _ -> 5
-  | Int _ | Float _ -> 24
-  | Str s -> String.length s + 2
-  | Raw s -> String.length s
-  | List items -> List.fold_left (fun acc v -> acc + 1 + size v) 2 items
-  | Obj fields ->
-      List.fold_left (fun acc (k, v) -> acc + String.length k + 4 + size v) 2 fields
+and member_pieces (k, v) tail =
+  "\"" :: Parcoach.Json_report.escape k :: "\":" :: pieces v tail
 
+(* [String.concat] adds up the pieces' lengths and fills one string of
+   exactly that size: a report spliced in as [Raw] is copied once. *)
 let to_string = function
   | Str s -> Parcoach.Json_report.str s
-  | v ->
-      let buf = Buffer.create (size v) in
-      write buf v;
-      Buffer.contents buf
+  | v -> String.concat "" (pieces v [])
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)

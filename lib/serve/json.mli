@@ -21,10 +21,10 @@ type t =
 
 val parse : string -> (t, string) result
 
-(** The compact encoding.  Strings are escaped by
-    {!Parcoach.Json_report.escape}; a top-level [Str] is encoded as one
-    string, and any other value is written into a buffer sized from its
-    strings' and [Raw] members' lengths. *)
+(** The compact encoding.  Strings are escaped once, by
+    {!Parcoach.Json_report.escape}; the result is one string of exactly
+    the encoded length, filled from the value's pieces ([Raw] members
+    are copied once, straight into it). *)
 val to_string : t -> string
 
 (** Object member lookup ([None] on absent member or non-object). *)

@@ -173,6 +173,27 @@ let tests =
            * spec_small.Farm.Pipeline.variants
           + 1)
           (nonblank_lines a));
+    Alcotest.test_case "entry digests give the same fingerprints and keys"
+      `Quick (fun () ->
+        (* The farm hashes each function once, when it fingerprints the
+           corpus, and keys the summary cache with those digests. *)
+        let options = Farm.Oracle.options in
+        Array.iter
+          (fun (e : Farm.Pipeline.entry) ->
+            let p = e.Farm.Pipeline.program in
+            let name = Printf.sprintf "entry %d" e.Farm.Pipeline.id in
+            Alcotest.(check string) (name ^ " fingerprint")
+              (Farm.Fingerprint.program p) e.Farm.Pipeline.fp;
+            Alcotest.(check bool) (name ^ " digests every function") true
+              (List.for_all2 ( == ) p.Minilang.Ast.funcs
+                 (List.map fst e.Farm.Pipeline.digests));
+            Alcotest.(check (list string)) (name ^ " keys")
+              (List.map snd (Serve.Hash.keys ~options p))
+              (List.map snd
+                 (Serve.Hash.keys ~options
+                    ~digest:(fun f -> List.assq_opt f e.Farm.Pipeline.digests)
+                    p)))
+          (Farm.Pipeline.fingerprinted (Farm.Pipeline.corpus spec_small)));
     Alcotest.test_case "work queue: take own shards, then steal" `Quick
       (fun () ->
         (* One item spawns no helper, so worker 0 runs it whoever owns

@@ -362,12 +362,25 @@ let sched_line (r : Interp.Sim.result) =
     s.Interp.Sim.steps s.Interp.Sim.tasks_spawned
     (md5 (Buffer.contents b))
 
-let sched_observe ~nranks program schedule =
+(* One run under a [sched_depth] probe: its result and the probe holding
+   its per-step state fingerprints. *)
+let sched_run ~nranks program schedule =
   let probe = Interp.Sim.make_probe ~depth:sched_depth in
-  sched_line
-    (Interp.Sim.run ~config:(sched_config nranks schedule) ~probe program)
+  (Interp.Sim.run ~config:(sched_config nranks schedule) ~probe program, probe)
 
-(* A folded corpus line: the run classes, then the MD5 of the run lines. *)
+(* "recorded md5": how many steps were fingerprinted, and the MD5 of the
+   fingerprint sequence. *)
+let fingerprint_line probe =
+  let n = Interp.Sim.probe_recorded probe in
+  let b = Buffer.create (n * 20) in
+  for k = 0 to n - 1 do
+    Buffer.add_string b (string_of_int (Interp.Sim.probe_fingerprint probe k));
+    Buffer.add_char b '\n'
+  done;
+  Printf.sprintf "%d %s" n (md5 (Buffer.contents b))
+
+(* A folded corpus line: the first word of each run line (the run class,
+   or the recorded fingerprint count), then the MD5 of the run lines. *)
 let fold_lines lines =
   let class_of line = List.hd (String.split_on_char ' ' line) in
   Printf.sprintf "%s %s"
@@ -479,6 +492,23 @@ let schedule_label = function
   | `Random seed -> Printf.sprintf "random %d" seed
   | `Scripted l -> "scripted " ^ String.concat "," (List.map string_of_int l)
 
+(* One pinned line per run of each input, or one folded line for all
+   the runs of a [fold] input, each observed by [observe]. *)
+let sched_lines observe inputs =
+  List.concat_map
+    (fun (name, p, shape) ->
+      let lines =
+        List.map
+          (fun s -> observe (sched_run ~nranks:shape.ranks p s))
+          shape.schedules
+      in
+      if shape.fold then [ (name, fold_lines lines) ]
+      else
+        List.map2
+          (fun s l -> (Printf.sprintf "%s (%s)" name (schedule_label s), l))
+          shape.schedules lines)
+    inputs
+
 (* [schedules]: every example, small catalog program and reproducer —
    plain and after selective instrumentation — plus small programs that
    drive each task-status transition of the simulator (collective
@@ -496,17 +526,69 @@ let schedule_label = function
    [corpus] line pinning the MD5 of its text. *)
 let schedule_lines () =
   ("corpus", md5 (corpus_text ()))
-  :: List.concat_map
-       (fun (name, p, shape) ->
-         let lines =
-           List.map (sched_observe ~nranks:shape.ranks p) shape.schedules
-         in
-         if shape.fold then [ (name, fold_lines lines) ]
-         else
-           List.map2
-             (fun s l -> (Printf.sprintf "%s (%s)" name (schedule_label s), l))
-             shape.schedules lines)
-       (Lazy.force sched_inputs)
+  :: sched_lines (fun (r, _) -> sched_line r) (Lazy.force sched_inputs)
+
+(* Scheduled only for their fingerprints: each thread of a team meets
+   one [single] construct again and again, so its per-construct instance
+   counters climb past 1 and the team's claim table keeps growing. *)
+let fingerprint_sources =
+  [
+    ( "fingerprints/single-loop",
+      {|func main() {
+  var s = 0;
+  pragma omp parallel num_threads(2) {
+    for i = 0 to 4 {
+      pragma omp single nowait { s = s + 1; }
+      pragma omp single { s = s + i; }
+    }
+  }
+  print(s);
+}|} );
+  ]
+
+(* [fingerprints]: the runs of [schedules], and those of
+   [fingerprint_sources], each pinned by the state fingerprints its probe
+   recorded (one per step, up to [sched_depth]).  A change to how the
+   state is hashed that moves any fingerprint of any step moves a line,
+   even where exploration's [replays]/[pruned] counts happen not to
+   move. *)
+let fingerprint_lines () =
+  sched_lines
+    (fun (_, probe) -> fingerprint_line probe)
+    (Lazy.force sched_inputs
+    @ List.map
+        (fun (name, src) -> (name, Parser.parse_string ~file:name src, standard))
+        fingerprint_sources)
+
+(* Runnable counts an unprobed run records (a probe records its depth
+   plus one instead). *)
+let unprobed_degrees = 64
+
+(* A probe may observe a run but never steer it: every example and
+   reproducer, plain and [+cc], under round-robin and seeds 1-3, has the
+   same [sched_line] with and without a [sched_depth] probe, which keeps
+   more runnable counts: only the first [unprobed_degrees] are
+   compared. *)
+let probe_neutrality () =
+  List.iter
+    (fun (name, p, shape) ->
+      if
+        String.starts_with ~prefix:"examples/" name
+        || String.starts_with ~prefix:"reproducers/" name
+      then
+        List.iter
+          (fun schedule ->
+            let config = sched_config shape.ranks schedule in
+            let plain = sched_line (Interp.Sim.run ~config p) in
+            let r, _ = sched_run ~nranks:shape.ranks p schedule in
+            let s = r.Interp.Sim.stats in
+            s.Interp.Sim.ndegrees <-
+              Int.min s.Interp.Sim.ndegrees unprobed_degrees;
+            Alcotest.(check string)
+              (Printf.sprintf "%s (%s)" name (schedule_label schedule))
+              plain (sched_line r))
+          [ `Round_robin; `Random 1; `Random 2; `Random 3 ])
+    (Lazy.force sched_inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Exploration observables                                              *)
@@ -971,6 +1053,15 @@ let serve_lines () =
   in
   answer "smoke/" smoke @ answer "session/" (serve_session ())
 
+let suite =
+  [
+    ( "golden.probe",
+      [
+        Alcotest.test_case "a probe never steers a run" `Quick
+          probe_neutrality;
+      ] );
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Printer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -980,6 +1071,7 @@ let sections =
     ("frontend", frontend_lines);
     ("reports", report_lines);
     ("schedules", schedule_lines);
+    ("fingerprints", fingerprint_lines);
     ("explore", explore_lines);
     ("overlay", overlay_lines);
     ("request-free", request_free_lines);
