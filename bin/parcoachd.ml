@@ -10,7 +10,7 @@
 
 open Cmdliner
 
-let serve_socket daemon ~pool path =
+let serve_socket daemon path =
   (match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
   | _ -> ()
@@ -18,31 +18,38 @@ let serve_socket daemon ~pool path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;
+  let remove () = try Unix.unlink path with Unix.Unix_error _ -> () in
+  List.iter
+    (fun (signal, code) ->
+      Sys.set_signal signal (Sys.Signal_handle (fun _ -> remove (); exit code)))
+    [ (Sys.sigint, 130); (Sys.sigterm, 143) ];
+  (* A client that hangs up makes the next write to it fail with
+     [Sys_error], which drops only that connection. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Fmt.epr "parcoachd: listening on %s@." path;
   (* Connections are served one after another against the shared warm
-     state; each connection streams requests until EOF or shutdown. *)
+     state; each connection streams requests until EOF or shutdown, and
+     a shutdown ends the daemon. *)
   let rec accept_loop () =
     let client, _ = Unix.accept sock in
     let ic = Unix.in_channel_of_descr client in
     let oc = Unix.out_channel_of_descr client in
-    (try Serve.Daemon.serve ~pool daemon ic oc
-     with Sys_error _ | End_of_file -> ());
-    (try Unix.close client with Unix.Unix_error _ -> ());
-    accept_loop ()
+    let stop = try Serve.Daemon.serve daemon ic oc with Sys_error _ -> `Eof in
+    (* Closing the channel also drops what a failed write left buffered. *)
+    close_out_noerr oc;
+    match stop with `Shutdown -> () | `Eof -> accept_loop ()
   in
-  try accept_loop ()
-  with Sys.Break ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    ()
+  accept_loop ();
+  Unix.close sock;
+  remove ()
 
-let run socket pool jobs cache_size =
-  Cli.check_at_least "pool" ~min:1 pool;
+let run socket jobs cache_size =
   Option.iter (Cli.check_at_least "jobs" ~min:1) jobs;
   Cli.check_at_least "cache-size" ~min:1 cache_size;
   let daemon = Serve.Daemon.create ~capacity:cache_size ?jobs () in
   match socket with
-  | Some path -> serve_socket daemon ~pool path
-  | None -> Serve.Daemon.serve ~pool daemon stdin stdout
+  | Some path -> serve_socket daemon path
+  | None -> ignore (Serve.Daemon.serve daemon stdin stdout)
 
 let socket =
   Arg.(
@@ -52,18 +59,6 @@ let socket =
         ~doc:
           "Listen on a Unix-domain socket instead of serving stdin/stdout. \
            An existing socket file at $(docv) is replaced.")
-
-let pool =
-  Arg.(
-    value & opt int 1
-    & info [ "pool" ] ~docv:"N"
-        ~doc:
-          "Handle up to $(docv) requests concurrently on a worker pool of \
-           OCaml domains.  Responses are written line-atomically and \
-           correlated by request id.  Their 'report', 'valid' and \
-           'warnings' are identical whatever the pool width; the 'cache' \
-           counters and the 'stats' totals are not, since concurrent \
-           requests share the summary cache and interleave.")
 
 let jobs =
   Arg.(
@@ -89,6 +84,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "parcoachd" ~version:"0.6.0" ~doc)
-    Term.(const run $ socket $ pool $ jobs $ cache_size)
+    Term.(const run $ socket $ jobs $ cache_size)
 
 let () = exit (Cmd.eval cmd)

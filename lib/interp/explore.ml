@@ -149,8 +149,8 @@ let outcomes ?(branch_depth = 8) ?(budget = 2000) ?(jobs = 1)
   if budget < 0 then invalid_arg "Explore.outcomes: budget must be >= 0";
   if jobs < 1 then invalid_arg "Explore.outcomes: jobs must be >= 1";
   (* Compile once, before the worker domains exist: the compiled form is
-     immutable and Domain.spawn gives the happens-before edge, so sharing
-     it is race-free. *)
+     immutable and spawning a domain gives the happens-before edge, so
+     sharing it is race-free. *)
   let cp = Sim.make program in
   (* One reusable probe per worker: the fingerprint buffer is allocated
      once and amortised over every replay the worker performs. *)

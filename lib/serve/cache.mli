@@ -3,10 +3,12 @@
     Maps a {!Hash} key to an {!entry}: the function the summary was
     computed from (kept for the collision guard and location relocation),
     its {!Parcoach.Driver.func_report}, and a memo of that report's
-    rendered JSON fragment.  Thread-safe: daemon pool workers share one
-    cache.  Eviction is FIFO over insertion order once [capacity] entries
-    are exceeded.  {!analyze} is the only way in: the daemon and the
-    farm both look summaries up, relocate and populate through it. *)
+    rendered JSON fragment.  Thread-safe: the farm's [Par.iter_shards]
+    workers steal batches across shard caches, so several domains can
+    use one cache.  Eviction is FIFO over insertion order once
+    [capacity] entries are exceeded.  {!analyze} is the only way in: the
+    daemon and the farm both look summaries up, relocate and populate
+    through it. *)
 
 type entry = {
   func : Minilang.Ast.func;

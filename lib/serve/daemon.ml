@@ -11,9 +11,7 @@ open Minilang
    on [rel] and on the arity of each of its direct callees, so they are
    memoized under those arities ([-1]: undefined), in the order of the
    summary's [calls]; placing them shifts their locations like the
-   function's.  Memo fields are only ever overwritten with complete
-   immutable values, so pool workers racing on one entry each see a
-   consistent memo. *)
+   function's. *)
 type chunk_entry = {
   rel : Ast.func;
   fdigest : string;
@@ -42,9 +40,8 @@ type t = {
       (** Per file name, the last source whose split was clean and its
           placed chunks: the next request for that file scans and looks
           up only the bytes it changed. *)
-  chunk_lock : Mutex.t;  (** Guards [chunks] and [files]. *)
-  validation_hits : int Atomic.t;
-  fragment_hits : int Atomic.t;
+  mutable validation_hits : int;
+  mutable fragment_hits : int;
   default_jobs : int option;
 }
 
@@ -56,9 +53,8 @@ let create ?capacity ?jobs () =
     cache = Cache.create ?capacity ();
     chunks = Strtbl.create 256;
     files = Strtbl.create 16;
-    chunk_lock = Mutex.create ();
-    validation_hits = Atomic.make 0;
-    fragment_hits = Atomic.make 0;
+    validation_hits = 0;
+    fragment_hits = 0;
     default_jobs = jobs;
   }
 
@@ -108,10 +104,7 @@ let evict_chunks t =
   if Strtbl.length t.chunks >= chunk_cache_capacity then reset_chunks t
 
 let chunk_entry t text =
-  Mutex.lock t.chunk_lock;
-  let hit = Strtbl.find_opt t.chunks text in
-  Mutex.unlock t.chunk_lock;
-  match hit with
+  match Strtbl.find_opt t.chunks text with
   | Some e -> e
   | None -> (
       let p =
@@ -133,10 +126,8 @@ let chunk_entry t text =
               placed = None;
             }
           in
-          Mutex.lock t.chunk_lock;
           if Strtbl.length t.chunks >= chunk_cache_capacity then evict_chunks t;
           Strtbl.replace t.chunks text e;
-          Mutex.unlock t.chunk_lock;
           e
       | _ -> raise Chunk_fallback)
 
@@ -159,11 +150,8 @@ let place ~file ~line ~col e =
    exactly its own.  The file's layout is then left as it was: the next
    request compares with the last clean one. *)
 let parse_chunked t ~file source =
-  Mutex.lock t.chunk_lock;
-  let prev = Strtbl.find_opt t.files file in
-  Mutex.unlock t.chunk_lock;
   match
-    Chunker.resplit ?prev source
+    Chunker.resplit ?prev:(Strtbl.find_opt t.files file) source
       ~fresh:(fun (c : Chunker.chunk) ->
         place ~file ~line:c.line ~col:c.col (chunk_entry t c.text))
       ~moved:(fun (sp : placed Chunker.span) ->
@@ -171,13 +159,11 @@ let parse_chunked t ~file source =
   with
   | None -> raise Chunk_fallback
   | Some layout ->
-      Mutex.lock t.chunk_lock;
       if
         (not (Strtbl.mem t.files file))
         && Strtbl.length t.files >= file_capacity
       then Strtbl.reset t.files;
       Strtbl.replace t.files file layout;
-      Mutex.unlock t.chunk_lock;
       layout.spans
 
 (* A placed function's issues: the entry's chunk-relative memo, shifted
@@ -192,7 +178,7 @@ let func_issues t ~arity p =
   let issues =
     match e.issue_memo with
     | Some (k, issues) when k = key ->
-        Atomic.incr t.validation_hits;
+        t.validation_hits <- t.validation_hits + 1;
         issues
     | _ ->
         let issues = Validate.check_func ~arity e.rel in
@@ -299,7 +285,7 @@ let fragments t entries =
     | Some e when e.Cache.report == fr -> (
         match e.Cache.json with
         | Some j ->
-            Atomic.incr t.fragment_hits;
+            t.fragment_hits <- t.fragment_hits + 1;
             j
         | None ->
             let j = Parcoach.Json_report.func_json fr in
@@ -438,9 +424,6 @@ let analyze_response t id params =
 
 let stats_response t id =
   let s = Cache.stats t.cache in
-  Mutex.lock t.chunk_lock;
-  let chunks = Strtbl.length t.chunks in
-  Mutex.unlock t.chunk_lock;
   Json.Obj
     [
       ("id", id);
@@ -453,12 +436,12 @@ let stats_response t id =
             ("entries", Json.Int s.Cache.entries);
             ("evictions", Json.Int s.Cache.evictions);
           ] );
-      ("chunks", Json.Int chunks);
+      ("chunks", Json.Int (Strtbl.length t.chunks));
       ( "memo_hits",
         Json.Obj
           [
-            ("validation", Json.Int (Atomic.get t.validation_hits));
-            ("fragments", Json.Int (Atomic.get t.fragment_hits));
+            ("validation", Json.Int t.validation_hits);
+            ("fragments", Json.Int t.fragment_hits);
           ] );
     ]
 
@@ -475,11 +458,9 @@ let handle_request t request =
   | Some "stats" -> stats_response t id
   | Some "clear" ->
       Cache.clear t.cache;
-      Mutex.lock t.chunk_lock;
       reset_chunks t;
-      Mutex.unlock t.chunk_lock;
-      Atomic.set t.validation_hits 0;
-      Atomic.set t.fragment_hits 0;
+      t.validation_hits <- 0;
+      t.fragment_hits <- 0;
       Json.Obj [ ("id", id); ("ok", Json.Bool true); ("cleared", Json.Bool true) ]
   | Some "shutdown" ->
       Json.Obj
@@ -500,33 +481,20 @@ let respond t = function
 
 let handle_line t line = respond t (Json.parse line)
 
-let serve ?(pool = 1) t ic oc =
-  let out_lock = Mutex.create () in
-  let emit line =
-    Mutex.lock out_lock;
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_lock
-  in
-  let workers = if pool > 1 then Some (Pool.create ~jobs:pool ()) else None in
-  (* Each line is decoded once, here: a shutdown request stops the loop,
-     any other one is answered from its decoded value. *)
+(* Each line is decoded once, answered from its decoded value, and the
+   loop stops after answering a shutdown request. *)
+let serve t ic oc =
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> None
+    | exception End_of_file -> `Eof
     | line when String.length (String.trim line) = 0 -> loop ()
     | line -> (
-        match Json.parse line with
-        | Ok r as request when method_of r = Some "shutdown" -> Some request
-        | request ->
-            (match workers with
-            | None -> emit (respond t request)
-            | Some p -> Pool.submit p (fun () -> emit (respond t request)));
-            loop ())
+        let request = Json.parse line in
+        output_string oc (respond t request);
+        output_char oc '\n';
+        flush oc;
+        match request with
+        | Ok r when method_of r = Some "shutdown" -> `Shutdown
+        | _ -> loop ())
   in
-  let shutdown = loop () in
-  (* Drain in-flight requests before answering the shutdown (or before
-     returning on EOF), so every accepted request gets its response. *)
-  Option.iter Pool.shutdown workers;
-  Option.iter (fun request -> emit (respond t request)) shutdown
+  loop ()

@@ -22,9 +22,10 @@
     {2 Protocol}
 
     One JSON object per line on stdin (or a Unix-socket connection), one
-    JSON object per line back.  Requests carry an [id] that is echoed
-    verbatim in the response (responses may arrive out of order when the
-    daemon runs a worker pool).
+    JSON object per line back, in request order: each request is
+    answered before the next line is read.  Requests carry an [id] that
+    is echoed verbatim in the response.  A response depends only on the
+    requests before it, [cache] counts and [stats] totals included.
 
     {v
     {"id":1,"method":"analyze","params":{
@@ -103,11 +104,14 @@ val handle_request : t -> Json.t -> Json.t
     decodes each line once and answers from the decoded value. *)
 val handle_line : t -> string -> string
 
-(** Serve a channel pair until EOF or a [shutdown] request.  [pool] > 1
-    dispatches requests onto that many worker domains (responses are
-    written line-atomically, correlated by [id]); the pool is drained
-    before returning.  A response's [report], [valid] and [warnings] do
-    not depend on [pool]; its [cache] counters and the [stats] totals do,
-    since concurrent requests share the summary cache and their order of
-    arrival there depends on the interleaving. *)
-val serve : ?pool:int -> t -> in_channel -> out_channel -> unit
+(** Serve a channel pair: answer each non-blank line with
+    {!handle_line}'s response, flushed before the next line is read,
+    until a [shutdown] request ([`Shutdown], after answering it) or EOF
+    ([`Eof]).  Lines after a [shutdown] are not read.  [parcoachd]
+    serves stdin/stdout this way, or one socket connection after
+    another: a connection that ends at EOF or fails to read or write
+    (the client hung up; SIGPIPE is ignored in socket mode) is dropped
+    and the next one is accepted, while a [shutdown] ends the daemon,
+    which removes its socket file and exits 0.  SIGINT and SIGTERM also
+    remove the socket file before the daemon exits (130, 143). *)
+val serve : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]

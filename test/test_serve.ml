@@ -1,6 +1,6 @@
 (** Tests for the [parcoachd] serve layer: the JSON codec, the source
     chunker, the content-hashed summary keys, warm/cold report identity
-    through the daemon, the worker pool, and [Driver.analyze ?reuse]. *)
+    through the daemon, its serve loop, and [Driver.analyze ?reuse]. *)
 
 open Minilang
 module Gen = QCheck.Gen
@@ -793,9 +793,9 @@ let test_daemon_invalid_source () =
   | Error issues ->
       Alcotest.(check int) "one parse issue" 1 (List.length issues)
 
-(* Drive [Daemon.serve] through temp files and collect responses keyed by
-   request id (responses may arrive out of order with a pool). *)
-let run_serve ~pool lines =
+(* Drive [Daemon.serve] over [lines] through temp files: its result and
+   the lines it wrote. *)
+let run_serve lines =
   let in_path = Filename.temp_file "parcoachd_test" ".in" in
   let out_path = Filename.temp_file "parcoachd_test" ".out" in
   Fun.protect
@@ -803,38 +803,14 @@ let run_serve ~pool lines =
       Sys.remove in_path;
       Sys.remove out_path)
     (fun () ->
-      let oc = open_out in_path in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines;
-      close_out oc;
-      let ic = open_in in_path in
-      let oc = open_out out_path in
-      let daemon = Serve.Daemon.create () in
-      Serve.Daemon.serve ~pool daemon ic oc;
-      close_in ic;
-      close_out oc;
-      let ic = open_in out_path in
-      let rec read acc =
-        match input_line ic with
-        | line -> read (line :: acc)
-        | exception End_of_file -> List.rev acc
+      Out_channel.with_open_bin in_path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      let stop =
+        In_channel.with_open_bin in_path (fun ic ->
+            Out_channel.with_open_bin out_path (fun oc ->
+                Serve.Daemon.serve (Serve.Daemon.create ()) ic oc))
       in
-      let lines = read [] in
-      close_in ic;
-      List.map
-        (fun line ->
-          match Serve.Json.parse line with
-          | Error msg -> Alcotest.failf "bad response %s: %s" line msg
-          | Ok v -> (
-              match
-                Option.bind (Serve.Json.member "id" v) Serve.Json.to_int
-              with
-              | Some id -> (id, v)
-              | None -> Alcotest.failf "response without id: %s" line))
-        lines)
+      (stop, In_channel.with_open_bin out_path In_channel.input_lines))
 
 let request_line ?(options = []) ?only ~id ~file source =
   Serve.Json.to_string
@@ -868,14 +844,8 @@ let warnings_of response =
   | Some n -> n
   | None -> Alcotest.failf "response without warning count"
 
-let analyze_request id source =
-  request_line ~id ~file:"pool.hml"
-    ~options:
-      [ ("taint_filter", true); ("interprocedural", true); ("races", true) ]
-    source
-
 (* The analysis payload of a response: everything except the cache
-   counters and timings, which legitimately depend on scheduling. *)
+   counters and timings, which depend on the warm state and the clock. *)
 let payload response =
   let part name =
     match Serve.Json.member name response with
@@ -886,70 +856,35 @@ let payload response =
     [ part "ok"; part "valid"; part "report"; part "warnings"; part "issues";
       part "error" ]
 
-let test_daemon_pool_deterministic () =
-  let edit n =
-    replace ~sub:"func main() {"
-      ~by:(Printf.sprintf "func main() {\n  var round = %d;\n  compute(round);" n)
-      base_source
-  in
-  let requests = List.init 6 (fun i -> analyze_request i (edit (i mod 3))) in
-  let sequential = run_serve ~pool:1 requests in
-  let pooled = run_serve ~pool:4 requests in
-  Alcotest.(check int) "all requests answered" (List.length requests)
-    (List.length pooled);
-  List.iter
-    (fun (id, seq_response) ->
-      match List.assoc_opt id pooled with
-      | None -> Alcotest.failf "pooled run lost response %d" id
-      | Some pooled_response ->
-          Alcotest.(check string)
-            (Printf.sprintf "response %d identical under pool" id)
-            (payload seq_response) (payload pooled_response))
-    sequential
-
-(* The smoke session of [parcoachd]'s CLI test at pool widths 1 and 3:
-   per id, every response is identical once the cache counters and
-   timings are dropped.  Those, and the [stats] totals, count the shared
-   summary cache, so they depend on how concurrent requests
-   interleave. *)
-let test_daemon_pool_smoke_session () =
+(* [serve] is a loop over [handle_line]: on the smoke session it writes
+   a fresh daemon's [handle_line] answers, [cache] counts included, line
+   for line, and reads nothing after the [shutdown]; without that line
+   it answers every line up to EOF. *)
+let test_serve_loop () =
   let lines =
     In_channel.with_open_bin "serve_smoke.jsonl" In_channel.input_lines
   in
-  let stats_ids =
-    List.filter_map
-      (fun line ->
-        let v = response_exn line in
-        match Option.bind (Serve.Json.member "method" v) Serve.Json.to_str with
-        | Some "stats" -> Option.bind (Serve.Json.member "id" v) Serve.Json.to_int
-        | _ -> None)
+  let expected =
+    let daemon = Serve.Daemon.create () in
+    List.map
+      (fun l -> Test_golden.drop_timings (Serve.Daemon.handle_line daemon l))
       lines
   in
-  let comparable responses =
-    List.filter_map
-      (fun (id, v) ->
-        if List.mem id stats_ids then None
-        else
-          match v with
-          | Serve.Json.Obj fields ->
-              Some
-                ( id,
-                  Serve.Json.to_string
-                    (Serve.Json.Obj
-                       (List.filter
-                          (fun (k, _) -> k <> "cache" && k <> "timings")
-                          fields)) )
-          | _ -> Alcotest.failf "response %d is not an object" id)
-      responses
-    |> List.sort compare
+  let check label input stop answered =
+    let stopped, out = run_serve input in
+    Alcotest.(check bool) (label ^ ": stop") true (stopped = stop);
+    Alcotest.(check (list string))
+      (label ^ ": answers") answered
+      (List.map Test_golden.drop_timings out)
   in
-  let sequential = run_serve ~pool:1 lines in
-  let pooled = run_serve ~pool:3 lines in
-  Alcotest.(check int) "every request answered" (List.length lines)
-    (List.length pooled);
-  Alcotest.(check bool) "the session has a stats request" true (stats_ids <> []);
-  Alcotest.(check (list (pair int string)))
-    "responses per id" (comparable sequential) (comparable pooled)
+  let shutdown = List.length lines - 1 in
+  Alcotest.(check bool) "the session ends with a shutdown" true
+    (String.ends_with ~suffix:{|"shutdown"}|} (List.nth lines shutdown));
+  check "to shutdown"
+    (lines @ [ {|{"id":8,"method":"ping"}|} ])
+    `Shutdown expected;
+  check "to EOF" (List.filteri (fun i _ -> i <> shutdown) lines) `Eof
+    (List.filteri (fun i _ -> i <> shutdown) expected)
 
 let test_daemon_protocol_errors () =
   let daemon = Serve.Daemon.create () in
@@ -1051,15 +986,15 @@ let test_daemon_only_filter () =
       ~options:[ ("taint_filter", true); ("requests", true) ]
       source
   in
-  let responses =
-    run_serve ~pool:1
+  let _, responses =
+    run_serve
       [
         request 1 None;
         request 2 (Some "request leak");
         request 3 (Some "data race");
       ]
   in
-  let get id = List.assoc id responses in
+  let get id = response_exn (List.nth responses (id - 1)) in
   (* Unfiltered: the leak and the completion mismatch. *)
   Alcotest.(check int) "both warnings unfiltered" 2 (warnings_of (get 1));
   Alcotest.(check int) "leak only" 1 (warnings_of (get 2));
@@ -1502,27 +1437,6 @@ let test_driver_reuse_identity () =
     [ ("full reuse", full_reuse); ("partial reuse", partial_reuse) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool primitives                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_runs_everything () =
-  let pool = Serve.Pool.create ~jobs:4 () in
-  let counter = Atomic.make 0 in
-  for i = 1 to 32 do
-    Serve.Pool.submit pool (fun () ->
-        Atomic.incr counter;
-        (* A failing job must not take its worker down. *)
-        if i mod 8 = 0 then failwith "job failed")
-  done;
-  Serve.Pool.shutdown pool;
-  Alcotest.(check int) "shutdown ran every accepted job" 32
-    (Atomic.get counter);
-  Serve.Pool.shutdown pool;
-  match Serve.Pool.submit pool ignore with
-  | () -> Alcotest.fail "submit after shutdown should fail"
-  | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -1564,10 +1478,8 @@ let suite =
           test_daemon_warm_identity;
         Alcotest.test_case "daemon rejects invalid sources" `Quick
           test_daemon_invalid_source;
-        Alcotest.test_case "daemon pool = sequential responses" `Quick
-          test_daemon_pool_deterministic;
-        Alcotest.test_case "daemon pool smoke session = sequential" `Quick
-          test_daemon_pool_smoke_session;
+        Alcotest.test_case "serve = a handle_line loop to shutdown or EOF"
+          `Quick test_serve_loop;
         Alcotest.test_case "daemon warning-class filter" `Quick
           test_daemon_only_filter;
         Alcotest.test_case "daemon protocol errors" `Quick
@@ -1588,8 +1500,6 @@ let suite =
           test_daemon_chunk_eviction;
         Alcotest.test_case "Driver.analyze reuse identity" `Quick
           test_driver_reuse_identity;
-        Alcotest.test_case "pool runs every job" `Quick
-          test_pool_runs_everything;
       ]
       @ qcheck_tests );
   ]
