@@ -58,7 +58,11 @@ let socket =
     & info [ "socket" ] ~docv:"PATH"
         ~doc:
           "Listen on a Unix-domain socket instead of serving stdin/stdout. \
-           An existing socket file at $(docv) is replaced.")
+           An existing socket file at $(docv) is replaced.  Connections \
+           are served one at a time, each until its client closes it or \
+           sends $(b,shutdown): a client that stays connected without \
+           closing (idle, or not reading its answers) blocks every other \
+           client.")
 
 let jobs =
   Arg.(

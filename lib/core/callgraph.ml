@@ -85,5 +85,11 @@ let call_colors ~collects (program : Ast.program) =
   in
   List.mapi (fun i name -> (name, call_color_base + i)) names
 
+type closure = { collects : string -> bool; colors : (string * int) list }
+
+let closure ?summary program =
+  let collects = may_collect ?summary program in
+  { collects; colors = call_colors ~collects program }
+
 (** Printable pseudo-collective name of a call site. *)
 let call_site_name fname = "call:" ^ fname

@@ -35,5 +35,16 @@ val call_color_base : int
 val call_colors :
   collects:(string -> bool) -> Minilang.Ast.program -> (string * int) list
 
+(** A program's interprocedural closure: {!may_collect} and the
+    {!call_colors} it gives. *)
+type closure = {
+  collects : string -> bool;
+  colors : (string * int) list;
+}
+
+(** [closure program] — [summary] is {!may_collect}'s memo. *)
+val closure :
+  ?summary:(Minilang.Ast.func -> summary option) -> Minilang.Ast.program -> closure
+
 (** Pseudo-collective name of a call site: ["call:<fname>"]. *)
 val call_site_name : string -> string

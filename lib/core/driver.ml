@@ -162,17 +162,19 @@ let analyze_func ?graph ?call_collects ?timings options (f : Ast.func) =
     functions are analysed; the merge stays in source order, so mixing
     cached and fresh reports is byte-identical to a cold run as long as
     the cached reports are what the cold run would have produced. *)
-let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?summary
+let analyze ?(options = default_options) ?graphs ?jobs ?reuse ?closure
     ?timings (program : Ast.program) =
-  let call_collects =
+  let closure =
     if options.interprocedural then
-      Some (Callgraph.may_collect ?summary program)
+      Some
+        (match closure with
+        | Some c -> c
+        | None -> Callgraph.closure program)
     else None
   in
+  let call_collects = Option.map (fun c -> c.Callgraph.collects) closure in
   let call_colors =
-    match call_collects with
-    | Some collects -> Callgraph.call_colors ~collects program
-    | None -> []
+    match closure with Some c -> c.Callgraph.colors | None -> []
   in
   let items =
     match graphs with

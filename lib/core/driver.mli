@@ -59,8 +59,9 @@ type report = {
     [reuse] injects pre-computed per-function reports (the daemon's
     summary-cache hits): functions for which it returns [Some] skip
     analysis entirely, the rest are analysed and everything is merged in
-    source order.  [summary] is a memo of {!Callgraph.summary} for the
-    interprocedural closure (see {!Callgraph.may_collect}).  [timings]
+    source order.  [closure], in interprocedural mode, stands in for
+    {!Callgraph.closure}[ program] (a caller that keeps it from an
+    earlier analysis of the same call graph skips the fixpoint).  [timings]
     accumulates per-phase wall-clock across all analysed functions
     ([cfg], [pword], [phase1..3], [races], ...). *)
 val analyze :
@@ -68,7 +69,7 @@ val analyze :
   ?graphs:Cfg.Graph.t list ->
   ?jobs:int ->
   ?reuse:(Minilang.Ast.func -> func_report option) ->
-  ?summary:(Minilang.Ast.func -> Callgraph.summary option) ->
+  ?closure:Callgraph.closure ->
   ?timings:Timings.t ->
   Minilang.Ast.program ->
   report

@@ -127,7 +127,7 @@ let arr items = String.concat "" (arr_pieces items [])
 let timings_json t =
   obj
     (List.map
-       (fun (phase, ns) -> (phase, Printf.sprintf "%.0f" ns))
+       (fun (phase, ns) -> (phase, string_of_int (Float.to_int (Float.round ns))))
        (Timings.entries t))
 
 let loc_json (l : Loc.t) =
@@ -275,8 +275,12 @@ let func_json (fr : Driver.func_report) =
 
 (** The whole report as a single JSON object: per-function warnings and
     check counts, plus totals by class. *)
-let to_string ?issues ?(func_json = func_json) (report : Driver.report) =
-  let funcs = List.map func_json report.Driver.funcs in
+let to_string ?issues ?fragments (report : Driver.report) =
+  let funcs =
+    match fragments with
+    | Some fragments -> fragments
+    | None -> List.map func_json report.Driver.funcs
+  in
   let by_class =
     List.map
       (fun (cls, n) -> obj [ ("class", str cls); ("count", string_of_int n) ])

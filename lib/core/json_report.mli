@@ -34,12 +34,12 @@ val func_json : Driver.func_report -> string
     warnings and check statistics.  [issues], when given, prepends
     ["valid":true] and the ["issues"] array so machine consumers see one
     format whether or not validation succeeded; omitted, the output is
-    byte-compatible with the pre-daemon format.  [func_json] renders each
-    function's entry (default {!func_json}); a caller that memoizes
-    fragments passes a lookup that must return exactly {!func_json}'s
-    bytes. *)
+    byte-compatible with the pre-daemon format.  [fragments], when
+    given, are the function entries in report order (default: {!func_json}
+    of each); a caller that memoizes fragments must pass exactly
+    {!func_json}'s bytes. *)
 val to_string :
   ?issues:Minilang.Validate.issue list ->
-  ?func_json:(Driver.func_report -> string) ->
+  ?fragments:string list ->
   Driver.report ->
   string

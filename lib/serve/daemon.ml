@@ -31,15 +31,35 @@ and placed = {
 
 module Strtbl = Hashtbl.Make (String)
 
+(* What validating one layout derived, by position: each function's
+   validation memo as it was read ([None]: none yet) and its placed
+   issues, then the arity table and the duplicate-name issues (both
+   depend only on each position's name and parameter count). *)
+type checked = {
+  spans : placed Chunker.span array;
+  arity : string -> int option;
+  memos : (int list * Validate.issue list) option array;
+  placed_issues : Validate.issue list array;
+  duplicates : Validate.issue list;
+}
+
+(* Per file name: the last source whose split was clean and its placed
+   chunks, and what the last request on it derived. *)
+type file = {
+  mutable layout : placed Chunker.layout;
+  mutable checked : checked option;
+  carry : Cache.carry;
+}
+
 type t = {
   cache : Cache.t;
   chunks : chunk_entry Strtbl.t;
       (** Per-function parse cache, keyed by the exact chunk text.  An
           edited source re-parses only its changed chunks. *)
-  files : placed Chunker.layout Strtbl.t;
-      (** Per file name, the last source whose split was clean and its
-          placed chunks: the next request for that file scans and looks
-          up only the bytes it changed. *)
+  files : file Strtbl.t;
+      (** Per file name: the next request for that file scans and looks
+          up only the bytes it changed, and reuses what the last one
+          derived from its unchanged functions. *)
   mutable validation_hits : int;
   mutable fragment_hits : int;
   default_jobs : int option;
@@ -93,10 +113,10 @@ end)
 let evict_chunks t =
   let live = Entries.create 256 in
   Strtbl.iter
-    (fun _ (layout : placed Chunker.layout) ->
+    (fun _ file ->
       Array.iter
         (fun (sp : placed Chunker.span) -> Entries.replace live sp.data.entry ())
-        layout.spans)
+        file.layout.spans)
     t.files;
   Strtbl.filter_map_inplace
     (fun _ e -> if Entries.mem live e then Some e else None)
@@ -142,29 +162,45 @@ let place ~file ~line ~col e =
 
 (* Parse via the per-function chunk cache: re-split the source against
    the file's last clean split, re-parse only chunks whose text is new,
-   place each chunk at its current file position.  Returns the
-   program's chunks in source order.  Raises [Chunk_fallback] whenever
-   the chunked result could differ from a whole-file parse (unclean
-   split, a chunk that does not parse to exactly one function) — the
-   caller then runs the one-shot parser so results and errors are
-   exactly its own.  The file's layout is then left as it was: the next
-   request compares with the last clean one. *)
+   place each chunk at its current file position.  Returns the file's
+   state and its program's chunks in source order.  Raises
+   [Chunk_fallback] whenever the chunked result could differ from a
+   whole-file parse (unclean split, a chunk that does not parse to
+   exactly one function) — the caller then runs the one-shot parser so
+   results and errors are exactly its own.  The file's layout is then
+   left as it was: the next request compares with the last clean one. *)
 let parse_chunked t ~file source =
+  let known = Strtbl.find_opt t.files file in
   match
-    Chunker.resplit ?prev:(Strtbl.find_opt t.files file) source
+    Chunker.resplit
+      ?prev:(Option.map (fun f -> f.layout) known)
+      source
       ~fresh:(fun (c : Chunker.chunk) ->
         place ~file ~line:c.line ~col:c.col (chunk_entry t c.text))
       ~moved:(fun (sp : placed Chunker.span) ->
         place ~file ~line:sp.line ~col:sp.col sp.data.entry)
   with
   | None -> raise Chunk_fallback
-  | Some layout ->
-      if
-        (not (Strtbl.mem t.files file))
-        && Strtbl.length t.files >= file_capacity
-      then Strtbl.reset t.files;
-      Strtbl.replace t.files file layout;
-      layout.spans
+  | Some layout -> (
+      match known with
+      | Some f when Strtbl.mem t.files file ->
+          f.layout <- layout;
+          f
+      | _ ->
+          if Strtbl.length t.files >= file_capacity then Strtbl.reset t.files;
+          let f = { layout; checked = None; carry = Cache.carry () } in
+          Strtbl.replace t.files file f;
+          f)
+
+(* Chunk-relative issues placed where [p] is. *)
+let shift_issues p issues =
+  List.map
+    (fun (i : Validate.issue) ->
+      {
+        i with
+        loc = Chunker.shift_loc ~file:p.file ~line:p.line ~col:p.col i.loc;
+      })
+    issues
 
 (* A placed function's issues: the entry's chunk-relative memo, shifted
    to the placement. *)
@@ -185,73 +221,119 @@ let func_issues t ~arity p =
         e.issue_memo <- Some (key, issues);
         issues
   in
-  List.map
-    (fun (i : Validate.issue) ->
-      {
-        i with
-        loc = Chunker.shift_loc ~file:p.file ~line:p.line ~col:p.col i.loc;
-      })
-    issues
+  shift_issues p issues
 
-(* [Validate.check_program], with each chunk's issues served from its
-   memo. *)
-let validate t program spans =
-  match spans with
-  | None -> Validate.check_program program
-  | Some spans ->
-      let arity = Validate.arity_of program in
-      List.concat_map
-        (fun (sp : placed Chunker.span) -> func_issues t ~arity sp.data)
-        (Array.to_list spans)
-      @ Validate.duplicate_functions program
+(* Whether two layouts hold, position by position, functions of the same
+   name and parameter count: then they have the same arity table and
+   duplicate names. *)
+let same_signature (a : placed Chunker.span array) b =
+  a == b
+  || Array.length a = Array.length b
+     && Array.for_all2
+          (fun (x : placed Chunker.span) (y : placed Chunker.span) ->
+            let x = x.data.entry.rel and y = y.data.entry.rel in
+            x == y
+            || String.equal x.Ast.fname y.Ast.fname
+               && List.compare_lengths x.Ast.params y.Ast.params = 0)
+          a b
 
-let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
+(* [Validate.check_program] of a file's chunked program, each chunk's
+   issues served from its memo.  Against the file's last validation,
+   while names and parameter counts are unchanged, a position whose
+   entry still holds the memo read then keeps its issues (shifted again
+   if it moved) without computing the memo's key; every other position
+   asks its memo, which re-checks the function when its text or a
+   callee's arity changed. *)
+let validate t file spans =
+  let prev =
+    match file.checked with
+    | Some c when same_signature c.spans spans -> Some c
+    | _ -> None
+  in
+  let program =
+    {
+      Ast.funcs =
+        Array.fold_right
+          (fun (sp : placed Chunker.span) fs -> sp.data.func :: fs)
+          spans [];
+    }
+  in
+  let arity =
+    match prev with Some c -> c.arity | None -> Validate.arity_of program
+  in
+  let n = Array.length spans in
+  let memos = Array.make n None and placed_issues = Array.make n [] in
+  Array.iteri
+    (fun i (sp : placed Chunker.span) ->
+      let p = sp.data in
+      match (prev, p.entry.issue_memo) with
+      | Some c, (Some (_, issues) as memo) when memo == c.memos.(i) ->
+          t.validation_hits <- t.validation_hits + 1;
+          memos.(i) <- memo;
+          placed_issues.(i) <-
+            (if p == c.spans.(i).data then c.placed_issues.(i)
+             else shift_issues p issues)
+      | _ ->
+          placed_issues.(i) <- func_issues t ~arity p;
+          memos.(i) <- p.entry.issue_memo)
+    spans;
+  (* Duplicate-name issues are located, but none stay none while the
+     names are the same. *)
+  let duplicates =
+    match prev with
+    | Some { duplicates = []; _ } -> []
+    | _ -> Validate.duplicate_functions program
+  in
+  file.checked <- Some { spans; arity; memos; placed_issues; duplicates };
+  (program, Array.fold_right ( @ ) placed_issues duplicates)
+
+(* Analysis against the warm state, its phases recorded in [tm]. *)
+let analyze t tm ?(options = Parcoach.Driver.default_options) ?jobs
     ?(file = "<request>") source =
-  let tm = Parcoach.Timings.create () in
+  let record phase f = Parcoach.Timings.record tm phase f in
   match
     Validate.catch_syntax_error (fun () ->
-        Parcoach.Timings.record tm "parse" (fun () ->
+        record "parse" (fun () ->
             match parse_chunked t ~file source with
-            | spans ->
-                ( {
-                    Ast.funcs =
-                      Array.fold_right
-                        (fun (sp : placed Chunker.span) fs -> sp.data.func :: fs)
-                        spans [];
-                  },
-                  Some spans )
+            | f -> `Chunked f
             | exception Chunk_fallback ->
-                (Parser.parse_string ~file source, None)))
+                `Whole (Parser.parse_string ~file source)))
   with
   | Error issue -> Error [ issue ]
-  | Ok (program, spans) -> (
-      let issues =
-        Parcoach.Timings.record tm "validate" (fun () ->
-            validate t program spans)
+  | Ok parsed -> (
+      let file, program, issues =
+        record "validate" (fun () ->
+            match parsed with
+            | `Chunked f ->
+                let program, issues = validate t f f.layout.spans in
+                (Some f, program, issues)
+            | `Whole program -> (None, program, Validate.check_program program))
       in
       match Validate.is_valid issues with
       | false -> Error issues
       | true ->
-          (* Names are unique in a valid program; the physical check ties
-             each memo to the very function it was built for. *)
-          let chunk_of =
-            Option.map
-              (fun spans ->
-                let tbl = Strtbl.create (Array.length spans) in
-                Array.iter
-                  (fun (sp : placed Chunker.span) ->
-                    Strtbl.replace tbl sp.data.func.Ast.fname sp.data)
-                  spans;
-                tbl)
-              spans
-          in
+          (* The entry [f] was placed from, found by a physical scan of
+             the layout that starts where the last one ended: the cache
+             asks in source order. *)
           let memo field =
             Option.map
-              (fun tbl (f : Ast.func) ->
-                match Strtbl.find_opt tbl f.Ast.fname with
-                | Some p when p.func == f -> Some (field p.entry)
-                | _ -> None)
-              chunk_of
+              (fun file ->
+                let spans = file.layout.spans in
+                let n = Array.length spans and at = ref 0 in
+                fun (f : Ast.func) ->
+                  let rec scan k =
+                    if k = n then None
+                    else
+                      let i = (!at + k) mod n in
+                      let p = spans.(i).Chunker.data in
+                      if p.func == f then begin
+                        at := i;
+                        Some (field p.entry)
+                      end
+                      else scan (k + 1)
+                  in
+                  scan 0)
+              file
           in
           let jobs =
             match jobs with Some _ as j -> j | None -> t.default_jobs
@@ -260,6 +342,7 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
             Cache.analyze t.cache ~options ?jobs
               ?digest:(memo (fun e -> e.fdigest))
               ?summary:(memo (fun e -> e.summary))
+              ?carry:(Option.map (fun f -> f.carry) file)
               ~timings:tm program
           in
           Ok
@@ -272,26 +355,35 @@ let analyze_source t ?(options = Parcoach.Driver.default_options) ?jobs
               timings = tm;
             })
 
-(* [Json_report.func_json] served from the fragment memos of [entries].
-   A report filtered with [only] holds new function reports, which the
-   physical check sends to a fresh rendering. *)
-let fragments t entries =
-  let by_name = Strtbl.create (List.length entries) in
-  List.iter
-    (fun (e : Cache.entry) -> Strtbl.replace by_name e.func.Ast.fname e)
-    entries;
-  fun (fr : Parcoach.Driver.func_report) ->
-    match Strtbl.find_opt by_name fr.Parcoach.Driver.fname with
-    | Some e when e.Cache.report == fr -> (
-        match e.Cache.json with
-        | Some j ->
-            t.fragment_hits <- t.fragment_hits + 1;
-            j
-        | None ->
-            let j = Parcoach.Json_report.func_json fr in
-            e.Cache.json <- Some j;
-            j)
-    | _ -> Parcoach.Json_report.func_json fr
+let analyze_source t ?options ?jobs ?file source =
+  analyze t (Parcoach.Timings.create ()) ?options ?jobs ?file source
+
+(* The report's JSON and warning count.  An unfiltered report renders
+   each function from its entry's fragment memo (entries and report
+   functions are in the same order).  A report filtered with [only]
+   holds new function reports and is rendered afresh. *)
+let render t (a : analysis) ~only =
+  match only with
+  | Some _ ->
+      let report = Parcoach.Driver.filter_classes a.report ~only in
+      ( Parcoach.Json_report.to_string ~issues:a.issues report,
+        Parcoach.Driver.warning_count report )
+  | None ->
+      let fragments =
+        List.map
+          (fun (e : Cache.entry) ->
+            match e.json with
+            | Some j ->
+                t.fragment_hits <- t.fragment_hits + 1;
+                j
+            | None ->
+                let j = Parcoach.Json_report.func_json e.report in
+                e.json <- Some j;
+                j)
+          a.entries
+      in
+      ( Parcoach.Json_report.to_string ~issues:a.issues ~fragments a.report,
+        Parcoach.Driver.warning_count a.report )
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -367,26 +459,29 @@ let only_of_params params =
   | Some _ -> Error "analyze: 'only' must be a string or a list of strings"
 
 let analyze_response t id params =
+  let tm = Parcoach.Timings.create () in
+  let respond f = Parcoach.Timings.record tm "respond" f in
   match
-    let* source =
-      Result.bind
-        (param params "source" Json.to_str "a string")
-        (Option.to_result ~none:"analyze: missing string parameter 'source'")
-    in
-    let* options = options_of_params params in
-    let* only = only_of_params params in
-    let* jobs = param params "jobs" Json.to_int "an integer" in
-    let* () =
-      match jobs with
-      | Some j when j < 1 -> Error "analyze: jobs must be >= 1"
-      | _ -> Ok ()
-    in
-    let* file = param params "file" Json.to_str "a string" in
-    Ok (source, options, only, jobs, file)
+    respond (fun () ->
+        let* source =
+          Result.bind
+            (param params "source" Json.to_str "a string")
+            (Option.to_result ~none:"analyze: missing string parameter 'source'")
+        in
+        let* options = options_of_params params in
+        let* only = only_of_params params in
+        let* jobs = param params "jobs" Json.to_int "an integer" in
+        let* () =
+          match jobs with
+          | Some j when j < 1 -> Error "analyze: jobs must be >= 1"
+          | _ -> Ok ()
+        in
+        let* file = param params "file" Json.to_str "a string" in
+        Ok (source, options, only, jobs, file))
   with
   | Error msg -> error_response id msg
   | Ok (source, options, only, jobs, file) -> (
-      match analyze_source t ~options ?jobs ?file source with
+      match analyze t tm ~options ?jobs ?file source with
       | Error issues ->
           Json.Obj
             [
@@ -396,31 +491,33 @@ let analyze_response t id params =
               ("issues", Json.Raw (Parcoach.Json_report.issues_json issues));
             ]
       | Ok a ->
-          let func_json = fragments t a.entries in
-          let report = Parcoach.Driver.filter_classes a.report ~only in
-          let report_json =
-            Parcoach.Timings.record a.timings "render" (fun () ->
-                Parcoach.Json_report.to_string ~issues:a.issues ~func_json
-                  report)
+          let report_json, warnings =
+            Parcoach.Timings.record tm "render" (fun () -> render t a ~only)
           in
-          let stats = Cache.stats t.cache in
+          let fields =
+            respond (fun () ->
+                let stats = Cache.stats t.cache in
+                [
+                  ("id", id);
+                  ("ok", Json.Bool true);
+                  ("valid", Json.Bool true);
+                  ("report", Json.Raw report_json);
+                  ("warnings", Json.Int warnings);
+                  ( "cache",
+                    Json.Obj
+                      [
+                        ("hits", Json.Int a.reused);
+                        ("misses", Json.Int a.analysed);
+                        ("entries", Json.Int stats.Cache.entries);
+                      ] );
+                ])
+          in
           Json.Obj
-            [
-              ("id", id);
-              ("ok", Json.Bool true);
-              ("valid", Json.Bool true);
-              ("report", Json.Raw report_json);
-              ("warnings", Json.Int (Parcoach.Driver.warning_count report));
-              ( "cache",
-                Json.Obj
-                  [
-                    ("hits", Json.Int a.reused);
-                    ("misses", Json.Int a.analysed);
-                    ("entries", Json.Int stats.Cache.entries);
-                  ] );
-              ( "timings",
-                Json.Raw (Parcoach.Json_report.timings_json a.timings) );
-            ])
+            (fields
+            @ [
+                ( "timings",
+                  Json.Raw (Parcoach.Json_report.timings_json a.timings) );
+              ]))
 
 let stats_response t id =
   let s = Cache.stats t.cache in

@@ -13,8 +13,22 @@
     common suffix are carried over without being copied, hashed or
     looked up, and only the bytes between them are split again.  A
     request that falls back to the whole-file parse leaves the file's
-    source as it was.  At most 64 file names are kept (the table is
-    reset when a new one would exceed that).  When the chunk cache fills
+    source as it was.
+
+    The file also keeps what its last request derived, by the physical
+    identity of the placed functions its layout carries: each function's
+    validation memo and placed issues, the arity table and duplicate
+    names, and each function's summary key and cache entry with the
+    interprocedural closure ({!Cache.carry}).  A request validates again
+    only the functions whose chunk changed (and, when a parameter count
+    changed, asks every memo), keys again only the functions whose own
+    digest or call list changed and their transitive callers, still
+    looks up every key, and renders each function from its entry's
+    fragment memo.  A byte-identical re-request, or a return to an
+    unchanged file, costs the decode, one equality scan of the source,
+    one lookup per function, the report's concatenation and the
+    encode.  At most 64 file names are kept (the table is reset
+    when a new one would exceed that).  When the chunk cache fills
     up (2048 texts) it drops the texts no kept layout holds; only when
     the layouts' chunks alone fill it are both tables reset.  ["clear"]
     resets both.
@@ -51,8 +65,18 @@
       "cache":{"hits":h,"misses":m,"entries":e},"timings":{...}}]
     where [report] is exactly {!Parcoach.Json_report} output, [cache]
     counts this request's summary reuse, and [timings] is
-    {!Parcoach.Timings} output (ns per phase: [parse], [hash], [cfg],
-    [pword], [phase1..3], [races], [render]).  Invalid programs answer
+    {!Parcoach.Timings} output: nanoseconds per phase, in the order they
+    first ran, a phase that did not run left out.  The phases:
+    [respond] (reading the parameters, and assembling the response
+    around the report), [parse] (the re-split and the parse of new
+    chunks), [validate], [hash] (summary keys), [lookup] (summary-cache
+    lookups, relocation of moved hits and insertion of the misses),
+    [closure] (the interprocedural may-collect closure and call colours,
+    when a call edge, a collective call or a name changed), the analysis
+    of the misses ([cfg], [pword], [phase1], [phase2], [phase3],
+    [requests], [races]) and [render] (the report's JSON).  Only the
+    decode of the request line, the dispatch and the rendering of
+    [timings] itself fall outside them.  Invalid programs answer
     [{"id":1,"ok":true,"valid":false,"issues":[...]}] — the same issue
     format [parcoachc --json] prints.  Other methods: ["ping"],
     ["stats"], ["clear"], ["shutdown"].  ["stats"] answers the summary

@@ -278,37 +278,34 @@ let reachable callees_of fname =
    reachable name with its digest.  Digests have a fixed width and names
    never contain NUL, so the NUL-terminated names keep the encoding
    prefix-free. *)
-let keys ?digest ?summary ~options (program : Ast.program) =
-  let memo m fallback f =
-    match m with
-    | Some m -> ( match m f with Some x -> x | None -> fallback f)
-    | None -> fallback f
-  in
+let key ~options_digest ~digest_of ~callees_of fname =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (digest_of fname);
+  Buffer.add_string buf options_digest;
+  List.iter
+    (fun g ->
+      Buffer.add_string buf g;
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf (digest_of g))
+    (reachable callees_of fname);
+  Digest.string (Buffer.contents buf)
+
+let keys ?(digest = fun _ -> None) ~options (program : Ast.program) =
   let digests = Strtbl.create 64 in
   List.iter
-    (fun f -> Strtbl.replace digests f.Ast.fname (memo digest func_digest f))
+    (fun f ->
+      Strtbl.replace digests f.Ast.fname
+        (match digest f with Some d -> d | None -> func_digest f))
     program.Ast.funcs;
   let calls = Strtbl.create 64 in
   List.iter
     (fun f ->
       Strtbl.replace calls f.Ast.fname
-        (List.filter (Strtbl.mem digests)
-           (match Option.bind summary (fun m -> m f) with
-           | Some s -> s.Parcoach.Callgraph.calls
-           | None -> Parcoach.Callgraph.direct_callees f)))
+        (List.filter (Strtbl.mem digests) (Parcoach.Callgraph.direct_callees f)))
     program.Ast.funcs;
+  let options_digest = options_digest options in
+  let digest_of = Strtbl.find digests in
   let callees_of g = Option.value ~default:[] (Strtbl.find_opt calls g) in
-  let odig = options_digest options in
   List.map
-    (fun f ->
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf (Strtbl.find digests f.Ast.fname);
-      Buffer.add_string buf odig;
-      List.iter
-        (fun g ->
-          Buffer.add_string buf g;
-          Buffer.add_char buf '\000';
-          Buffer.add_string buf (Strtbl.find digests g))
-        (reachable callees_of f.Ast.fname);
-      (f, Digest.string (Buffer.contents buf)))
+    (fun f -> (f, key ~options_digest ~digest_of ~callees_of f.Ast.fname))
     program.Ast.funcs

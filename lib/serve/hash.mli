@@ -19,15 +19,25 @@ val func_digest : Minilang.Ast.func -> string
 val options_digest : Parcoach.Driver.options -> string
 
 (** [keys ~options program] returns each function of [program], in source
-    order, paired with its summary-cache key.  [?digest] and [?summary]
-    are memos: when one returns [Some x] for a function, [x] stands in
-    for [func_digest f] or {!Parcoach.Callgraph.summary}[ f] (whose
-    [calls] give the key's call edges).  The daemon's parse cache
-    carries both for every unchanged function, so warm requests neither
-    re-serialise nor re-walk bodies. *)
+    order, paired with its summary-cache key.  [?digest] is a memo: when
+    it returns [Some d] for a function, [d] stands in for [func_digest f].
+    It is the definition of the key bytes: {!Cache.analyze} gives the
+    same bytes through {!key}, which it calls only for the functions
+    whose key can have moved. *)
 val keys :
   ?digest:(Minilang.Ast.func -> string option) ->
-  ?summary:(Minilang.Ast.func -> Parcoach.Callgraph.summary option) ->
   options:Parcoach.Driver.options ->
   Minilang.Ast.program ->
   (Minilang.Ast.func * string) list
+
+(** [key ~options_digest ~digest_of ~callees_of fname] is the key {!keys}
+    gives the function [fname] of a program whose functions have the
+    digests [digest_of] and the defined direct callees [callees_of]
+    (sorted, as {!Parcoach.Callgraph.summary} lists them), under options
+    of digest [options_digest]. *)
+val key :
+  options_digest:string ->
+  digest_of:(string -> string) ->
+  callees_of:(string -> string list) ->
+  string ->
+  string

@@ -977,39 +977,9 @@ let drop_timings response =
       String.sub response 0 i
       ^ String.sub response j (String.length response - j)
 
-(* An edit/layout/repeat session on two large catalog programs, the
-   second under a file name that needs escaping: cold requests, an edit
-   of [main], a layout-only edit, an identical repeat, a syntax error,
-   a return to the first file and the daemon's stats. *)
-let serve_session () =
-  let source name =
-    match Benchsuite.Catalog.find name with
-    | Some e -> Pretty.program_to_string (e.generate_large ())
-    | None -> failwith ("serve: no catalog entry " ^ name)
-  in
-  let edit n src =
-    match index_of ~sub:"func main() {\n" src with
-    | Some i ->
-        let j = i + String.length "func main() {\n" in
-        String.sub src 0 j
-        ^ Printf.sprintf "  compute(%d);\n" n
-        ^ String.sub src j (String.length src - j)
-    | None -> failwith "serve: no main"
-  in
-  let bt = source "BT-MZ" and hera = source "HERA" in
-  let requests =
-    [
-      ("bt/cold", "bt.hml", bt);
-      ("bt/edit", "bt.hml", edit 1 bt);
-      ("bt/layout", "bt.hml", "\n\n" ^ edit 1 bt);
-      ("bt/repeat", "bt.hml", "\n\n" ^ edit 1 bt);
-      ("hera/cold", "he\"ra\\\001\t.hml", hera);
-      ("hera/edit", "he\"ra\\\001\t.hml", edit 2 hera);
-      ("hera/syntax-error", "he\"ra\\\001\t.hml", edit 2 hera ^ "{");
-      ("hera/layout", "he\"ra\\\001\t.hml", "\n" ^ edit 2 hera);
-      ("bt/return", "bt.hml", edit 3 bt);
-    ]
-  in
+(* One [analyze] request line per (name, file, source), ids from 0, with
+   the options perfbench's [serve] workload sends. *)
+let analyze_lines requests =
   List.mapi
     (fun id (name, file, src) ->
       ( name,
@@ -1031,10 +1001,152 @@ let serve_session () =
                    ] );
              ]) ))
     requests
+
+(* An edit/layout/repeat session on two large catalog programs, the
+   second under a file name that needs escaping: cold requests, an edit
+   of [main], a layout-only edit, an identical repeat, a syntax error,
+   a return to the first file and the daemon's stats. *)
+let serve_session () =
+  let source name =
+    match Benchsuite.Catalog.find name with
+    | Some e -> Pretty.program_to_string (e.generate_large ())
+    | None -> failwith ("serve: no catalog entry " ^ name)
+  in
+  let edit n src =
+    match index_of ~sub:"func main() {\n" src with
+    | Some i ->
+        let j = i + String.length "func main() {\n" in
+        String.sub src 0 j
+        ^ Printf.sprintf "  compute(%d);\n" n
+        ^ String.sub src j (String.length src - j)
+    | None -> failwith "serve: no main"
+  in
+  let bt = source "BT-MZ" and hera = source "HERA" in
+  analyze_lines
+    [
+      ("bt/cold", "bt.hml", bt);
+      ("bt/edit", "bt.hml", edit 1 bt);
+      ("bt/layout", "bt.hml", "\n\n" ^ edit 1 bt);
+      ("bt/repeat", "bt.hml", "\n\n" ^ edit 1 bt);
+      ("hera/cold", "he\"ra\\\001\t.hml", hera);
+      ("hera/edit", "he\"ra\\\001\t.hml", edit 2 hera);
+      ("hera/syntax-error", "he\"ra\\\001\t.hml", edit 2 hera ^ "{");
+      ("hera/layout", "he\"ra\\\001\t.hml", "\n" ^ edit 2 hera);
+      ("bt/return", "bt.hml", edit 3 bt);
+    ]
+  @ [ ("stats", {|{"id":99,"method":"stats"}|}) ]
+
+(* A call-graph session on the HERA and EPCC large programs, one file
+   each: a body edit of a leaf callee (every transitive caller's summary
+   key moves), a call added to another callee and removed again, the
+   leaf renamed (call sites follow) and then deleted (call sites
+   dropped), then HERA's last source again unchanged after EPCC's
+   requests, and the daemon's stats. *)
+let callgraph_session () =
+  let program name =
+    match Benchsuite.Catalog.find name with
+    | Some e -> e.generate_large ()
+    | None -> failwith ("serve: no catalog entry " ^ name)
+  in
+  let text p = Pretty.program_to_string p in
+  let map_func name f (p : Ast.program) =
+    {
+      Ast.funcs =
+        List.map
+          (fun (g : Ast.func) -> if String.equal g.Ast.fname name then f g else g)
+          p.Ast.funcs;
+    }
+  in
+  (* Rewrites or drops every call to [name]. *)
+  let map_calls name on_call (p : Ast.program) =
+    {
+      Ast.funcs =
+        List.map
+          (Ast.map_blocks
+             (List.filter_map (fun (s : Ast.stmt) ->
+                  match s.Ast.sdesc with
+                  | Ast.Call (g, args) when String.equal g name ->
+                      Option.map
+                        (fun g -> { s with Ast.sdesc = Ast.Call (g, args) })
+                        (on_call g)
+                  | _ -> Some s)))
+          p.Ast.funcs;
+    }
+  in
+  let steps key file p =
+    let callees = Parcoach.Callgraph.direct_callees in
+    let called g =
+      List.exists (fun f -> List.mem g.Ast.fname (callees f)) p.Ast.funcs
+    in
+    let leaves =
+      List.filter (fun f -> callees f = [] && called f) p.Ast.funcs
+    in
+    (* A leaf whose caller is itself called, when there is one. *)
+    let leaf =
+      match
+        List.find_opt
+          (fun leaf ->
+            List.exists
+              (fun f -> List.mem leaf.Ast.fname (callees f) && called f)
+              p.Ast.funcs)
+          leaves
+      with
+      | Some f -> f
+      | None -> List.hd leaves
+    in
+    let name = leaf.Ast.fname in
+    let other =
+      List.find (fun f -> called f && f.Ast.fname <> name) p.Ast.funcs
+    in
+    let edited =
+      map_func name
+        (fun f -> { f with Ast.body = Ast.mk (Ast.Coll (None, Ast.Barrier)) :: f.Ast.body })
+        p
+    in
+    let call =
+      Ast.mk
+        (Ast.Call (name, List.map (fun _ -> Ast.Int 0) leaf.Ast.params))
+    in
+    let with_call =
+      map_func other.Ast.fname
+        (fun f -> { f with Ast.body = f.Ast.body @ [ call ] })
+        edited
+    in
+    let renamed_name = name ^ "_renamed" in
+    let renamed =
+      map_calls name
+        (fun _ -> Some renamed_name)
+        (map_func name (fun f -> { f with Ast.fname = renamed_name }) edited)
+    in
+    let deleted =
+      map_calls renamed_name
+        (fun _ -> None)
+        {
+          Ast.funcs =
+            List.filter
+              (fun f -> f.Ast.fname <> renamed_name)
+              renamed.Ast.funcs;
+        }
+    in
+    ( List.map
+        (fun (step, p) -> (key ^ "/" ^ step, file, text p))
+        [
+          ("cold", p);
+          ("leaf-edit", edited);
+          ("call-added", with_call);
+          ("call-removed", edited);
+          ("renamed", renamed);
+          ("deleted", deleted);
+        ],
+      text deleted )
+  in
+  let hera, hera_last = steps "hera" "hera.hml" (program "HERA") in
+  let epcc, _ = steps "epcc" "epcc.hml" (program "EPCC suite") in
+  analyze_lines (hera @ epcc @ [ ("hera/again", "hera.hml", hera_last) ])
   @ [ ("stats", {|{"id":99,"method":"stats"}|}) ]
 
 (* [serve]: the MD5 of every response line, [timings] removed, of
-   [test/serve_smoke.jsonl] and of the session above, each answered by
+   [test/serve_smoke.jsonl] and of the two sessions above, each answered by
    a fresh daemon in process.  An encoder, decoder or daemon change
    that moves a response byte moves a pin. *)
 let serve_lines () =
@@ -1051,7 +1163,9 @@ let serve_lines () =
     |> List.filter (fun l -> String.trim l <> "")
     |> List.mapi (fun i l -> (string_of_int (i + 1), l))
   in
-  answer "smoke/" smoke @ answer "session/" (serve_session ())
+  answer "smoke/" smoke
+  @ answer "session/" (serve_session ())
+  @ answer "callgraph/" (callgraph_session ())
 
 let suite =
   [

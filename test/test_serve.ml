@@ -1134,6 +1134,14 @@ type step =
   | Only of string  (** One request filtered to a warning class. *)
   | Requests  (** Toggle the requests pass. *)
   | Clear
+  | Callee of int
+      (** Toggle a leading [MPI_Barrier()] in a called function that calls
+          none (any called one when there is no such leaf): every
+          transitive caller's summary key moves. *)
+  | Edge of int * int
+      (** Toggle calls from function [i] to function [j]: append one
+          (zero arguments) at the end of [i]'s body, or drop those there. *)
+  | Delete of int  (** Delete function [i] and every call to it. *)
 
 let step_to_string = function
   | Body (i, m) -> Printf.sprintf "body %d %d" i m
@@ -1145,6 +1153,25 @@ let step_to_string = function
   | Only c -> Printf.sprintf "only %s" c
   | Requests -> "requests"
   | Clear -> "clear"
+  | Callee i -> Printf.sprintf "callee %d" i
+  | Edge (i, j) -> Printf.sprintf "edge %d %d" i j
+  | Delete i -> Printf.sprintf "delete %d" i
+
+(* A call chain under a rank-dependent branch: whether [main]'s call to
+   [helper] is a mismatch warning depends on [leaf] two calls down. *)
+let chain_source =
+  "func leaf() {\n\
+  \  MPI_Barrier();\n\
+   }\n\
+   func helper() {\n\
+  \  leaf();\n\
+   }\n\
+   func main() {\n\
+  \  if (rank() == 0) {\n\
+  \    helper();\n\
+  \  }\n\
+  \  MPI_Barrier();\n\
+   }\n"
 
 let session_bases =
   lazy
@@ -1164,7 +1191,7 @@ let session_bases =
              (fun (e : Benchsuite.Catalog.entry) ->
                e.Benchsuite.Catalog.generate ())
              Benchsuite.Catalog.all)
-       @ examples))
+       @ examples @ [ parse chain_source ]))
 
 let extra_param = "zz_extra"
 
@@ -1263,7 +1290,65 @@ let run_session base steps =
             else "\nfunc broken() { var = ; }\n"
       | Only c -> only := Some c
       | Requests -> requests := not !requests
-      | Clear -> ());
+      | Clear -> ()
+      | Callee i -> (
+          let leaves =
+            List.filter
+              (fun f -> Parcoach.Callgraph.callees f = [])
+              (called ())
+          in
+          match if leaves = [] then called () else leaves with
+          | [] -> ()
+          | fs ->
+              let f = List.nth fs (i mod List.length fs) in
+              update
+                {
+                  f with
+                  Ast.body =
+                    (match f.Ast.body with
+                    | { Ast.sdesc = Ast.Coll (None, Ast.Barrier); _ } :: rest ->
+                        rest
+                    | body -> Ast.mk (Ast.Coll (None, Ast.Barrier)) :: body);
+                })
+      | Edge (i, j) ->
+          let f = nth i and g = (nth j).Ast.fname in
+          let calls_g (s : Ast.stmt) =
+            match s.Ast.sdesc with
+            | Ast.Call (h, _) -> String.equal h g
+            | _ -> false
+          in
+          update
+            {
+              f with
+              Ast.body =
+                (if List.exists calls_g f.Ast.body then
+                   List.filter (fun s -> not (calls_g s)) f.Ast.body
+                 else
+                   f.Ast.body
+                   @ [
+                       Ast.mk
+                         (Ast.Call
+                            ( g,
+                              List.map (fun _ -> Ast.Int 0) (nth j).Ast.params ));
+                     ]);
+            }
+      | Delete i ->
+          if List.length !funcs > 1 then begin
+            let g = (nth i).Ast.fname in
+            funcs :=
+              List.filter_map
+                (fun (f : Ast.func) ->
+                  if String.equal f.Ast.fname g then None
+                  else
+                    Some
+                      (Ast.map_blocks
+                         (List.filter (fun (s : Ast.stmt) ->
+                              match s.Ast.sdesc with
+                              | Ast.Call (h, _) -> not (String.equal h g)
+                              | _ -> true))
+                         f))
+                !funcs
+          end);
       match step with
       | Clear ->
           Serve.Daemon.handle_line daemon {|{"id":0,"method":"clear"}|}
@@ -1293,9 +1378,15 @@ let run_session base steps =
 (* Every step kind, on every base: a callee's arity edited and restored,
    a duplicate added and removed, layout shifts and raw mid-line edits
    around a filtered request, both kinds of syntax error, the requests
-   pass switched on, and a clear. *)
+   pass switched on, a clear, a callee's collective toggled (before and
+   after the clear), call edges added and dropped, and deletions. *)
 let scripted_steps =
   [
+    Callee 0;
+    Callee 0;
+    Edge (0, 1);
+    Callee 1;
+    Edge (0, 1);
     Body (3, 1);
     Arity 0;
     Body (0, 2);
@@ -1314,6 +1405,10 @@ let scripted_steps =
     Body (2, 3);
     Clear;
     Body (2, 4);
+    Callee 0;
+    Delete 1;
+    Edge (2, 0);
+    Delete 0;
   ]
 
 let test_daemon_session () =
@@ -1338,18 +1433,24 @@ let gen_step =
       (1, map (fun c -> Only c) (oneofl Parcoach.Warning.all_classes));
       (1, return Requests);
       (1, return Clear);
+      (5, map (fun i -> Callee i) nat);
+      (2, map2 (fun i j -> Edge (i, j)) nat nat);
+      (1, map (fun i -> Delete i) nat);
     ]
 
+(* Half the sessions run on the call chain (the last base), where a
+   stale key two calls up shows in the report. *)
 let prop_daemon_sessions =
   QCheck.Test.make ~name:"warm memos = fresh daemon over edit sessions"
-    ~count:25
+    ~count:40
     (QCheck.make
        ~print:(fun (base, steps) ->
          Printf.sprintf "base %d: %s" base
            (String.concat "; " (List.map step_to_string steps)))
        Gen.(
+         let last = Array.length (Lazy.force session_bases) - 1 in
          pair
-           (int_bound (Array.length (Lazy.force session_bases) - 1))
+           (frequency [ (1, return last); (1, int_bound last) ])
            (list_size (int_range 4 12) gen_step)))
     (fun (base, steps) -> run_session base steps)
 
