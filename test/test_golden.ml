@@ -129,14 +129,21 @@ let ast_digest ~file src =
   let p = Parser.parse_string ~file src in
   md5 (Marshal.to_string p [ Marshal.No_sharing ])
 
-(* [frontend]: for every shipped program, a digest of the
-   [(token, Loc.t)] stream and of the parsed AST.  A lexer or parser
-   change that moves a token, a location or an AST node moves a pin. *)
+(* A test-only source of lexer edge cases: words one letter off a
+   keyword, [section] next to [sections], CRLF line ends and tabs,
+   multi-line block comments, ['#   pragma'], [max_int] as a literal and
+   a line comment at the end of the file, with no final newline. *)
+let lexer_edges = "lexer_edges.hml"
+
+(* [frontend]: for every shipped program and for [lexer_edges], a digest
+   of the [(token, Loc.t)] stream and of the parsed AST.  A lexer or
+   parser change that moves a token, a location or an AST node moves a
+   pin. *)
 let frontend_lines () =
   List.map
     (fun (name, src) ->
       (name, token_digest ~file:name src ^ " " ^ ast_digest ~file:name src))
-    (Lazy.force shipped)
+    (Lazy.force shipped @ [ ("test/" ^ lexer_edges, read lexer_edges) ])
 
 (* ------------------------------------------------------------------ *)
 (* Static reports                                                       *)
@@ -211,6 +218,120 @@ let farm_slices =
                 (fun (e : Farm.Pipeline.entry) -> e.Farm.Pipeline.program)
                 (Array.sub corpus (k * farm_slice) farm_slice)) )))
 
+(* Block-scope edge cases, inline.  The first three are valid, and their
+   reports pin the race warnings: names shadowed inside [parallel],
+   [for], [omp for] and a [reduction] and used again after the block
+   ends; statements of nested teams that read the same names once
+   shared and once private, several per expression (['B'], ['_z'],
+   ['a'], ['p'] sort in that order); the same names declared again in
+   another function.  The last one is invalid, and its report pins the
+   validator's issues: uses after block exit, a request that shadows a
+   variable and a variable that shadows it again, and a name declared
+   only in another function. *)
+let scope_sources =
+  [
+    ( "scope/shadow-blocks",
+      {|func main() {
+  var x = 0;
+  var s = 0;
+  pragma omp parallel num_threads(2) {
+    x = x + 1;
+    var x = 5;
+    x = x + 1;
+    pragma omp for i = 0 to 4 reduction(sum: s) nowait {
+      var s = i;
+      s = s + x;
+    }
+    s = s + 1;
+    for x = 0 to 2 {
+      s = s + x;
+    }
+    x = s;
+  }
+  print(x + s);
+}|} );
+    ( "scope/depths",
+      {|func main() {
+  var a = 0;
+  var B = 0;
+  var _z = 0;
+  pragma omp parallel num_threads(2) {
+    var p = a;
+    pragma omp parallel num_threads(2) {
+      _z = p + a + B + p + _z;
+      var a = p;
+      p = a + B;
+    }
+    a = p + _z;
+  }
+  print(a + B + _z);
+}|} );
+    ( "scope/functions",
+      {|func helper(x, n) {
+  var y = x;
+  pragma omp parallel num_threads(2) {
+    y = y + n;
+    var x = y;
+    n = x;
+  }
+  print(y + n);
+}
+func main() {
+  var y = 1;
+  var x = 2;
+  var n = 3;
+  pragma omp parallel num_threads(2) {
+    n = x + y;
+    var y = n;
+    x = y;
+  }
+  helper(x, n);
+}|} );
+    ( "scope/validator",
+      {|func other(q) {
+  var t = q;
+  print(t);
+}
+func main() {
+  var a = 0;
+  var r = 1;
+  var r2 = 5;
+  pragma omp parallel {
+    var b = a;
+    var a = b;
+  }
+  print(b);
+  for i = 0 to 2 { var c = i; }
+  print(c + i);
+  pragma omp parallel {
+    pragma omp for j = 0 to 4 reduction(sum: a) { var d = j; a = a + d; }
+    print(j);
+    print(d);
+    pragma omp for k = 0 to 2 reduction(sum: k) { compute(k); }
+  }
+  if (rank() == 0) {
+    r = MPI_Ibarrier();
+    print(r);
+    MPI_Wait(r);
+    var r = 2;
+    MPI_Wait(r);
+    print(r);
+    r2 = MPI_Ibarrier();
+  }
+  MPI_Wait(r);
+  MPI_Wait(r2);
+  r = 3;
+  print(r2);
+  q = MPI_Ibarrier();
+  if (rank() == 1) { var q = 4; print(q); }
+  for q = 0 to 1 { print(q); }
+  MPI_Wait(q);
+  print(q);
+  print(t);
+  other(r);
+}|} );
+  ]
+
 (* [reports]: for every shipped program, the injector mutants of the
    [compile] benchmark workload at seed 1 and the text of the
    fixed-seed generated corpus (whose programs exercise criticals,
@@ -220,16 +341,18 @@ let farm_slices =
 
    prints: the JSON report, the instrumented program and the check
    counts.  Then one MD5 per 100-entry slice of the 2,400-program
-   default farm corpus, analysed as builder ASTs.  A change to any
-   static pass that moves a warning, a location, a CC site or a byte of
-   the rendering moves a pin. *)
+   default farm corpus, analysed as builder ASTs, and the same MD5 for
+   each of [scope_sources].  A change to any static pass that moves a
+   warning, a location, a CC site or a byte of the rendering moves a
+   pin. *)
 let report_lines () =
-  List.map (fun (name, src) -> (name, md5 (report ~file:name src)))
-    (Lazy.force sources)
+  let reports = List.map (fun (name, src) -> (name, md5 (report ~file:name src))) in
+  reports (Lazy.force sources)
   @ List.map
       (fun (name, programs) ->
         (name, md5 (String.concat "" (List.map program_report programs))))
       (Lazy.force farm_slices)
+  @ reports scope_sources
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler observables                                                *)
