@@ -192,7 +192,6 @@ let barrier_loopy (g : Cfg.Graph.t) =
 (* Shared accesses: one scoped walk                                    *)
 (* ------------------------------------------------------------------ *)
 
-module SMap = Map.Make (String)
 module SSet = Cfg.Dataflow.StringSet
 
 let expr_vars e = Cfg.Dataflow.expr_vars SSet.empty e
@@ -205,12 +204,54 @@ let anonymous_critical = "<anonymous>"
    parallel depth that declaration was made at. *)
 type binding = { decl : int; depth : int }
 
-(* Scope facts before a statement executes. *)
-type scope = {
-  pdepth : int;  (* Number of enclosing [parallel] constructs. *)
-  criticals : string list;  (* Enclosing critical names, innermost first. *)
-  bindings : binding SMap.t;
-}
+(* [x]'s binding, when it is storage declared outside the innermost of
+   [pdepth] enclosing [parallel] constructs: shared by the team. *)
+let shared scope pdepth x =
+  match Scope.find_opt scope x with
+  | Some b as found when b.depth < pdepth -> found
+  | Some _ | None -> None
+
+(* The shared variables [e] reads, each with its binding, consed onto
+   [acc] in no particular order and possibly repeated. *)
+let rec shared_reads scope pdepth acc (e : Ast.expr) =
+  match e with
+  | Ast.Var x -> (
+      match shared scope pdepth x with Some b -> (x, b) :: acc | None -> acc)
+  | Ast.Unop (_, e) -> shared_reads scope pdepth acc e
+  | Ast.Binop (_, a, b) ->
+      shared_reads scope pdepth (shared_reads scope pdepth acc a) b
+  | Ast.Int _ | Ast.Bool _ | Ast.Rank | Ast.Size | Ast.Tid | Ast.Nthreads -> acc
+
+let access (s : Ast.stmt) criticals ~write ~completion_write (x, b) =
+  {
+    node = -1;
+    var = x;
+    decl_id = b.decl;
+    write;
+    loc = s.Ast.sloc;
+    criticals;
+    completion_write;
+  }
+
+let read_access s criticals v =
+  access s criticals ~write:false ~completion_write:false v
+
+let by_name (x, _) (y, _) = String.compare x y
+
+(* The read accesses of the expressions [es], then [tail]: per
+   expression its distinct shared variables in ascending order. *)
+let rec read_accesses scope pdepth criticals s es tail =
+  match es with
+  | [] -> tail
+  | e :: es -> (
+      let tail = read_accesses scope pdepth criticals s es tail in
+      match shared_reads scope pdepth [] e with
+      | [] -> tail
+      | [ v ] -> read_access s criticals v :: tail
+      | vs ->
+          List.fold_right
+            (fun v tail -> read_access s criticals v :: tail)
+            (List.sort_uniq by_name vs) tail)
 
 (* The accesses of [s] ({!Ast.stmt_uses}) that resolve to storage
    declared outside the innermost enclosing [parallel] — shared by the
@@ -218,46 +259,21 @@ type scope = {
    order, then the write.  A declaration creates fresh storage, so its
    write cannot race and is left out.  [node] is filled in when the
    statement is placed. *)
-let stmt_shared_accesses env (s : Ast.stmt) =
-  let shared x =
-    match SMap.find_opt x env.bindings with
-    | Some b when b.depth < env.pdepth -> Some b
-    | Some _ | None -> None
-  in
-  let access ~write ~completion_write x b =
-    {
-      node = -1;
-      var = x;
-      decl_id = b.decl;
-      write;
-      loc = s.Ast.sloc;
-      criticals = env.criticals;
-      completion_write;
-    }
-  in
+let stmt_shared_accesses scope pdepth criticals (s : Ast.stmt) =
   let reads, target = Ast.stmt_uses s in
   let write =
     match (s.Ast.sdesc, target) with
     | Ast.Decl _, _ | _, None -> []
     | _, Some x -> (
-        match shared x with
+        match shared scope pdepth x with
         | None -> []
         | Some b ->
             let completion_write =
               match s.Ast.sdesc with Ast.Istart _ -> true | _ -> false
             in
-            [ access ~write:true ~completion_write x b ])
+            [ access s criticals ~write:true ~completion_write (x, b) ])
   in
-  List.fold_right
-    (fun e acc ->
-      List.fold_right
-        (fun x acc ->
-          match shared x with
-          | None -> acc
-          | Some b -> access ~write:false ~completion_write:false x b :: acc)
-        (SSet.elements (expr_vars e))
-        acc)
-    reads write
+  read_accesses scope pdepth criticals s reads write
 
 (* The shared accesses of [f], in node order and per node in statement
    order.  One walk over the body replays the storage rules of the
@@ -273,62 +289,63 @@ let stmt_shared_accesses env (s : Ast.stmt) =
    are read at the loop's [Cond] node instead. *)
 let shared_accesses ~(pword : Pword.t) (g : Cfg.Graph.t) (f : Ast.func) =
   let found = Ast.Stmt_tbl.create 16 in
+  let scope = Scope.create () in
   let next = ref 0 in
-  let bind env x =
-    let id = !next in
-    incr next;
-    {
-      env with
-      bindings =
-        SMap.add x { decl = id; depth = env.pdepth } env.bindings;
-    }
+  let bind pdepth x =
+    Scope.bind scope x { decl = !next; depth = pdepth };
+    incr next
   in
-  let rec stmt env (s : Ast.stmt) =
+  let rec stmt pdepth criticals (s : Ast.stmt) =
     (* A statement value the body holds twice keeps the accesses of its
        last occurrence. *)
-    (if env.pdepth > 0 then
-       match stmt_shared_accesses env s with
-       | [] -> Ast.Stmt_tbl.remove found s
-       | accs -> Ast.Stmt_tbl.replace found s accs
-     else if Ast.Stmt_tbl.length found > 0 then Ast.Stmt_tbl.remove found s);
+    (match
+       if pdepth > 0 then stmt_shared_accesses scope pdepth criticals s else []
+     with
+    | [] -> if Ast.Stmt_tbl.length found > 0 then Ast.Stmt_tbl.remove found s
+    | accs -> Ast.Stmt_tbl.replace found s accs);
     match s.Ast.sdesc with
-    | Ast.Decl (x, _) -> bind env x
+    | Ast.Decl (x, _) -> bind pdepth x
     | Ast.If (_, bt, bf) ->
-        block env bt;
-        block env bf;
-        env
+        block pdepth criticals bt;
+        block pdepth criticals bf
     | Ast.While (_, body) | Ast.Omp_single { body; _ } | Ast.Omp_master body
       ->
-        block env body;
-        env
+        block pdepth criticals body
     | Ast.For (x, _, _, body) ->
-        block (bind env x) body;
-        env
-    | Ast.Omp_parallel { body; _ } ->
-        block { env with pdepth = env.pdepth + 1 } body;
-        env
+        let m = Scope.mark scope in
+        bind pdepth x;
+        block pdepth criticals body;
+        Scope.release scope m
+    | Ast.Omp_parallel { body; _ } -> block (pdepth + 1) criticals body
     | Ast.Omp_critical (name, body) ->
         let name = Option.value name ~default:anonymous_critical in
-        block { env with criticals = name :: env.criticals } body;
-        env
+        block pdepth (name :: criticals) body
     | Ast.Omp_for { var; reduction; body; _ } ->
         (* The reduction clause remaps its variable to a per-member
            private accumulator for the loop body. *)
-        let env_in =
-          match reduction with None -> env | Some (_, x) -> bind env x
-        in
-        block (bind env_in var) body;
-        env
+        let m = Scope.mark scope in
+        (match reduction with None -> () | Some (_, x) -> bind pdepth x);
+        bind pdepth var;
+        block pdepth criticals body;
+        Scope.release scope m
     | Ast.Omp_sections { sections; _ } ->
-        List.iter (block env) sections;
-        env
+        List.iter (block pdepth criticals) sections
     | Ast.Assign _ | Ast.Return | Ast.Call _ | Ast.Compute _ | Ast.Print _
     | Ast.Coll _ | Ast.Send _ | Ast.Recv _ | Ast.Istart _ | Ast.Wait _
     | Ast.Test _ | Ast.Omp_barrier | Ast.Check _ ->
-        env
-  and block env b = ignore (List.fold_left stmt env b) in
-  let env0 = { pdepth = 0; criticals = []; bindings = SMap.empty } in
-  block (List.fold_left bind env0 f.Ast.params) f.Ast.body;
+        ()
+  and block pdepth criticals b =
+    let m = Scope.mark scope in
+    stmts pdepth criticals b;
+    Scope.release scope m
+  and stmts pdepth criticals = function
+    | [] -> ()
+    | s :: rest ->
+        stmt pdepth criticals s;
+        stmts pdepth criticals rest
+  in
+  List.iter (bind 0) f.Ast.params;
+  block 0 [] f.Ast.body;
   if Ast.Stmt_tbl.length found = 0 then [||]
   else begin
     let out = ref [] in

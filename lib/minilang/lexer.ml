@@ -106,31 +106,6 @@ let token_to_string = function
 
 exception Lex_error of Loc.t * string
 
-let keyword = function
-  | "func" -> FUNC
-  | "var" -> VAR
-  | "if" -> IF
-  | "else" -> ELSE
-  | "while" -> WHILE
-  | "for" -> FOR
-  | "to" -> TO
-  | "return" -> RETURN
-  | "pragma" -> PRAGMA
-  | "omp" -> OMP
-  | "parallel" -> PARALLEL
-  | "single" -> SINGLE
-  | "master" -> MASTER
-  | "critical" -> CRITICAL
-  | "barrier" -> BARRIER
-  | "sections" -> SECTIONS
-  | "section" -> SECTION
-  | "num_threads" -> NUM_THREADS
-  | "nowait" -> NOWAIT
-  | "reduction" -> REDUCTION
-  | "true" -> TRUE
-  | "false" -> FALSE
-  | word -> IDENT word
-
 (* The scanner works on byte offsets.  [bol] is the offset where the
    current line begins, so a column is [pos - bol + 1]: every byte,
    tabs and ['\r'] included, counts one column.  [tok_line]/[tok_col]
@@ -155,61 +130,127 @@ let error lx msg = raise (Lex_error (loc lx, msg))
 let char_at lx i =
   if i < String.length lx.src then String.unsafe_get lx.src i else '\000'
 
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
-  | _ -> false
+(* The end of the identifier that continues at [i]. *)
+let ident_end src i =
+  let n = String.length src in
+  let i = ref i in
+  while
+    !i < n
+    &&
+    match String.unsafe_get src !i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+    | _ -> false
+  do
+    incr i
+  done;
+  !i
 
-let rec ident_end lx i = if is_ident_char (char_at lx i) then ident_end lx (i + 1) else i
+(* Does [src] spell [kw] from [pos] on?  [src] holds at least
+   [String.length kw] bytes from [pos]. *)
+let spells src pos kw =
+  let len = String.length kw in
+  let i = ref 0 in
+  while
+    !i < len && String.unsafe_get src (pos + !i) = String.unsafe_get kw !i
+  do
+    incr i
+  done;
+  !i = len
+
+(* The token of the word [src.[pos..pos+len-1]]: the keyword its length
+   and first byte allow, if the word spells it, else an identifier.
+   Only an identifier allocates. *)
+let word src pos len =
+  let keyword =
+    match (len, String.unsafe_get src pos) with
+    | 2, 'i' -> IF
+    | 2, 't' -> TO
+    | 3, 'v' -> VAR
+    | 3, 'f' -> FOR
+    | 3, 'o' -> OMP
+    | 4, 'f' -> FUNC
+    | 4, 'e' -> ELSE
+    | 4, 't' -> TRUE
+    | 5, 'w' -> WHILE
+    | 5, 'f' -> FALSE
+    | 6, 'r' -> RETURN
+    | 6, 'p' -> PRAGMA
+    | 6, 's' -> SINGLE
+    | 6, 'm' -> MASTER
+    | 6, 'n' -> NOWAIT
+    | 7, 'b' -> BARRIER
+    | 7, 's' -> SECTION
+    | 8, 'p' -> PARALLEL
+    | 8, 'c' -> CRITICAL
+    | 8, 's' -> SECTIONS
+    | 9, 'r' -> REDUCTION
+    | 11, 'n' -> NUM_THREADS
+    | _ -> EOF
+  in
+  if keyword != EOF && spells src pos (token_to_string keyword) then keyword
+  else IDENT (String.sub src pos len)
 
 (* Counts the newlines in [src.[lo..hi-1]], which the scanner has consumed. *)
 let newlines lx lo hi =
   for i = lo to hi - 1 do
-    if lx.src.[i] = '\n' then (
+    if String.unsafe_get lx.src i = '\n' then (
       lx.line <- lx.line + 1;
       lx.bol <- i + 1)
   done
 
-let rec skip lx =
-  match char_at lx lx.pos with
-  | ' ' | '\t' | '\r' ->
-      lx.pos <- lx.pos + 1;
-      skip lx
-  | '\n' ->
-      lx.pos <- lx.pos + 1;
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.pos;
-      skip lx
-  | '/' when char_at lx (lx.pos + 1) = '/' ->
-      lx.pos <-
-        (match String.index_from_opt lx.src lx.pos '\n' with
-        | Some i -> i
-        | None -> String.length lx.src);
-      skip lx
-  | '/' when char_at lx (lx.pos + 1) = '*' ->
-      let rec close i =
-        if i + 1 >= String.length lx.src then (
+(* Skips blanks, newlines and comments. *)
+let skip lx =
+  let src = lx.src in
+  let n = String.length src in
+  let pos = ref lx.pos in
+  let scanning = ref true in
+  while !scanning && !pos < n do
+    match String.unsafe_get src !pos with
+    | ' ' | '\t' | '\r' -> incr pos
+    | '\n' ->
+        incr pos;
+        lx.line <- lx.line + 1;
+        lx.bol <- !pos
+    | '/' when !pos + 1 < n && String.unsafe_get src (!pos + 1) = '/' -> (
+        match String.index_from_opt src !pos '\n' with
+        | Some i -> pos := i
+        | None -> pos := n)
+    | '/' when !pos + 1 < n && String.unsafe_get src (!pos + 1) = '*' ->
+        let i = ref (!pos + 2) in
+        while
+          !i + 1 < n
+          && not
+               (String.unsafe_get src !i = '*'
+               && String.unsafe_get src (!i + 1) = '/')
+        do
+          incr i
+        done;
+        if !i + 1 >= n then (
           lx.tok_line <- lx.line;
-          lx.tok_col <- lx.pos - lx.bol + 1;
-          error lx "unterminated block comment")
-        else if lx.src.[i] = '*' && lx.src.[i + 1] = '/' then i + 2
-        else close (i + 1)
-      in
-      let stop = close (lx.pos + 2) in
-      newlines lx lx.pos stop;
-      lx.pos <- stop;
-      skip lx
-  | _ -> ()
+          lx.tok_col <- !pos - lx.bol + 1;
+          error lx "unterminated block comment");
+        newlines lx !pos (!i + 2);
+        pos := !i + 2
+    | _ -> scanning := false
+  done;
+  lx.pos <- !pos
 
 (* Accumulates the digits of an integer literal, rejecting any literal
    above [max_int]. *)
-let rec number lx n =
-  match char_at lx lx.pos with
-  | '0' .. '9' as c ->
-      let d = Char.code c - Char.code '0' in
-      if n > (max_int - d) / 10 then error lx "integer literal out of range";
-      lx.pos <- lx.pos + 1;
-      number lx ((n * 10) + d)
-  | _ -> INT n
+let number lx =
+  let src = lx.src in
+  let n = String.length src in
+  let v = ref 0 in
+  while
+    lx.pos < n
+    && match String.unsafe_get src lx.pos with '0' .. '9' -> true | _ -> false
+  do
+    let d = Char.code (String.unsafe_get src lx.pos) - Char.code '0' in
+    if !v > (max_int - d) / 10 then error lx "integer literal out of range";
+    lx.pos <- lx.pos + 1;
+    v := (!v * 10) + d
+  done;
+  INT !v
 
 (** Scans the next token; {!loc} then gives its starting location.  At
     the end of the source it returns [EOF], as often as it is called. *)
@@ -220,11 +261,11 @@ let rec next lx =
   lx.tok_col <- pos - lx.bol + 1;
   if pos >= String.length lx.src then EOF
   else
-    match lx.src.[pos] with
-    | '0' .. '9' -> number lx 0
+    match String.unsafe_get lx.src pos with
+    | '0' .. '9' -> number lx
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
-        lx.pos <- ident_end lx pos;
-        keyword (String.sub lx.src pos (lx.pos - pos))
+        lx.pos <- ident_end lx.src (pos + 1);
+        word lx.src pos (lx.pos - pos)
     | '"' -> (
         match String.index_from_opt lx.src (pos + 1) '"' with
         | None -> error lx "unterminated string literal"
@@ -238,8 +279,7 @@ let rec next lx =
           match char_at lx i with ' ' | '\t' -> blanks (i + 1) | _ -> i
         in
         let p = blanks (pos + 1) in
-        if ident_end lx p - p = 6 && String.equal (String.sub lx.src p 6) "pragma"
-        then (
+        if ident_end lx.src p - p = 6 && spells lx.src p "pragma" then (
           lx.pos <- p;
           next lx)
         else error lx "stray '#' (only '#pragma' is allowed)"

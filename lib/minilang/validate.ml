@@ -23,7 +23,6 @@
       team must encounter it. *)
 
 open Ast
-module SSet = Set.Make (String)
 module STbl = Hashtbl.Make (String)
 
 type severity = Error | Warning
@@ -48,25 +47,26 @@ let catch_syntax_error parse =
   | exception Parser.Parse_error (loc, msg) -> error loc ("parse error: " ^ msg)
   | exception Lexer.Lex_error (loc, msg) -> error loc ("lex error: " ^ msg)
 
-(* Context tracked while walking a function body. *)
+(* Context tracked while walking a function body; the names in scope
+   are in the walk's {!Scope}. *)
 type ctx = {
   in_parallel : int;  (* nesting depth of parallel regions *)
   in_worksharing : bool;  (* closely nested in single/for/sections *)
   in_single_like : bool;  (* closely nested in single/master/critical *)
   in_divergent : bool;  (* under if/while/for since innermost parallel *)
-  vars : SSet.t;  (* variables in scope *)
-  reqs : SSet.t;  (* request variables in scope (disjoint from vars) *)
 }
 
-let initial_ctx params =
+let initial_ctx =
   {
     in_parallel = 0;
     in_worksharing = false;
     in_single_like = false;
     in_divergent = false;
-    vars = SSet.of_list params;
-    reqs = SSet.empty;
   }
+
+(* What a name in scope denotes: a variable, or a request variable bound
+   by a split-phase start. *)
+type binding = Variable | Request
 
 (* Call-site checks resolve callees against this table rather than
    scanning the function list per call; mirror [find_func]'s
@@ -80,60 +80,76 @@ let arity_of program =
     program.funcs;
   STbl.find_opt tbl
 
-let check_func ~arity f =
+let check_func_in scope ~arity f =
   let issues = ref [] in
   let add severity loc message = issues := { severity; loc; message } :: !issues in
-  let rec check_expr ctx loc e =
+  let is_variable x =
+    match Scope.find_opt scope x with Some Variable -> true | _ -> false
+  in
+  let rec check_expr loc e =
     match e with
     | Int _ | Bool _ | Rank | Size | Tid | Nthreads -> ()
-    | Var x ->
-        if not (SSet.mem x ctx.vars) then
-          add Error loc
-            (if SSet.mem x ctx.reqs then
-               Printf.sprintf
+    | Var x -> (
+        match Scope.find_opt scope x with
+        | Some Variable -> ()
+        | Some Request ->
+            add Error loc
+              (Printf.sprintf
                  "request variable '%s' may only be named by \
-                  MPI_Wait/MPI_Test" x
-             else Printf.sprintf "use of undeclared variable '%s'" x)
-    | Unop (_, e) -> check_expr ctx loc e
+                  MPI_Wait/MPI_Test" x)
+        | None ->
+            add Error loc (Printf.sprintf "use of undeclared variable '%s'" x))
+    | Unop (_, e) -> check_expr loc e
     | Binop (_, a, b) ->
-        check_expr ctx loc a;
-        check_expr ctx loc b
+        check_expr loc a;
+        check_expr loc b
   in
-  let check_buffer ctx loc target =
-    if not (SSet.mem target ctx.vars) then
-      add Error loc
-        (if SSet.mem target ctx.reqs then
-           Printf.sprintf "request variable '%s' may not be a receive buffer"
-             target
-         else Printf.sprintf "receive into undeclared variable '%s'" target)
+  let check_buffer loc target =
+    match Scope.find_opt scope target with
+    | Some Variable -> ()
+    | Some Request ->
+        add Error loc
+          (Printf.sprintf "request variable '%s' may not be a receive buffer"
+             target)
+    | None ->
+        add Error loc
+          (Printf.sprintf "receive into undeclared variable '%s'" target)
   in
-  let check_request ctx loc req =
-    if not (SSet.mem req ctx.reqs) then
-      add Error loc
-        (if SSet.mem req ctx.vars then
-           Printf.sprintf "'%s' is not a request variable" req
-         else Printf.sprintf "use of undeclared request '%s'" req)
+  let check_request loc req =
+    match Scope.find_opt scope req with
+    | Some Request -> ()
+    | Some Variable ->
+        add Error loc (Printf.sprintf "'%s' is not a request variable" req)
+    | None ->
+        add Error loc (Printf.sprintf "use of undeclared request '%s'" req)
   in
-  (* Walks a block; returns the context with declared variables added, so a
-     declaration is visible to the rest of its block (but not outside). *)
+  (* Walks a block in its own scope level, so a declaration is visible to
+     the rest of its block (but not outside). *)
   let rec check_block ctx block =
-    ignore
-      (List.fold_left
-         (fun ctx s ->
-           check_stmt ctx s;
-           match s.sdesc with
-           | Decl (x, _) ->
-               { ctx with vars = SSet.add x ctx.vars; reqs = SSet.remove x ctx.reqs }
-           | Istart { req; _ } ->
-               { ctx with reqs = SSet.add req ctx.reqs; vars = SSet.remove req ctx.vars }
-           | _ -> ctx)
-         ctx block)
+    let m = Scope.mark scope in
+    check_stmts ctx block;
+    Scope.release scope m
+  (* [check_block] with the loop variable [x] bound over the body. *)
+  and check_loop_body ctx x block =
+    let m = Scope.mark scope in
+    Scope.bind scope x Variable;
+    check_stmts ctx block;
+    Scope.release scope m
+  and check_stmts ctx = function
+    | [] -> ()
+    | s :: rest ->
+        check_stmt ctx s;
+        (match s.sdesc with
+        | Decl (x, _) -> Scope.bind scope x Variable
+        | Istart { req; _ } -> Scope.bind scope req Request
+        | _ -> ());
+        check_stmts ctx rest
   and check_stmt ctx s =
     let loc = s.sloc in
     (* Checks that precede the statement's reads. *)
     (match s.sdesc with
     | Istart { req; _ } ->
-        if SSet.mem req ctx.vars || SSet.mem req ctx.reqs then
+        if Scope.mem scope req then
           add Error loc
             (Printf.sprintf
                "request variable '%s' redeclares a name already in scope" req)
@@ -147,26 +163,29 @@ let check_func ~arity f =
     let reads, target = stmt_uses s in
     (match (s.sdesc, target) with
     | Decl _, _ | _, None -> ()
-    | Assign _, Some x ->
-        if not (SSet.mem x ctx.vars) then
-          add Error loc
-            (if SSet.mem x ctx.reqs then
-               Printf.sprintf "request variable '%s' may not be assigned" x
-             else Printf.sprintf "assignment to undeclared variable '%s'" x)
+    | Assign _, Some x -> (
+        match Scope.find_opt scope x with
+        | Some Variable -> ()
+        | Some Request ->
+            add Error loc
+              (Printf.sprintf "request variable '%s' may not be assigned" x)
+        | None ->
+            add Error loc
+              (Printf.sprintf "assignment to undeclared variable '%s'" x))
     | Coll _, Some x ->
-        if not (SSet.mem x ctx.vars) then
+        if not (is_variable x) then
           add Error loc
             (Printf.sprintf
                "collective result assigned to undeclared variable '%s'" x)
     | Test _, Some x ->
-        if not (SSet.mem x ctx.vars) then
+        if not (is_variable x) then
           add Error loc
             (Printf.sprintf "test result assigned to undeclared variable '%s'"
                x)
     | _, Some x ->
         (* The buffer of a receive or of an [Irecv]/[Iallreduce] start. *)
-        check_buffer ctx loc x);
-    List.iter (check_expr ctx loc) reads;
+        check_buffer loc x);
+    List.iter (check_expr loc) reads;
     let divergent () =
       if ctx.in_parallel > 0 then { ctx with in_divergent = true } else ctx
     in
@@ -176,11 +195,7 @@ let check_func ~arity f =
         check_block ctx' bt;
         check_block ctx' bf
     | While (_, b) -> check_block (divergent ()) b
-    | For (x, _, _, b) ->
-        let ctx' = divergent () in
-        check_block
-          { ctx' with vars = SSet.add x ctx'.vars; reqs = SSet.remove x ctx'.reqs }
-          b
+    | For (x, _, _, b) -> check_loop_body (divergent ()) x b
     | Return ->
         if ctx.in_parallel > 0 || ctx.in_worksharing || ctx.in_single_like then
           add Error loc "'return' may not appear inside an OpenMP construct"
@@ -192,17 +207,9 @@ let check_func ~arity f =
               add Error loc
                 (Printf.sprintf "'%s' expects %d argument(s), got %d" f n
                    (List.length args)))
-    | Wait { req } | Test { req; _ } -> check_request ctx loc req
+    | Wait { req } | Test { req; _ } -> check_request loc req
     | Omp_parallel { body; _ } ->
-        check_block
-          {
-            ctx with
-            in_parallel = ctx.in_parallel + 1;
-            in_worksharing = false;
-            in_single_like = false;
-            in_divergent = false;
-          }
-          body
+        check_block { initial_ctx with in_parallel = ctx.in_parallel + 1 } body
     | Omp_single { nowait; body } ->
         check_worksharing_nesting ctx loc "single";
         if (not nowait) && ctx.in_divergent then
@@ -224,19 +231,12 @@ let check_func ~arity f =
           add Warning loc "'barrier' under non-uniform control flow"
     | Omp_for { var; reduction; body; _ } ->
         (match reduction with
-        | Some (_, x) when not (SSet.mem x ctx.vars) ->
+        | Some (_, x) when not (is_variable x) ->
             add Error loc
               (Printf.sprintf
                  "reduction variable '%s' is not declared in the enclosing scope" x)
         | Some _ | None -> ());
-        check_block
-          {
-            ctx with
-            in_worksharing = true;
-            vars = SSet.add var ctx.vars;
-            reqs = SSet.remove var ctx.reqs;
-          }
-          body
+        check_loop_body { ctx with in_worksharing = true } var body
     | Omp_sections { nowait; sections } ->
         check_worksharing_nesting ctx loc "sections";
         if (not nowait) && ctx.in_divergent then
@@ -269,8 +269,13 @@ let check_func ~arity f =
         dup rest
   in
   dup f.params;
-  check_block (initial_ctx f.params) f.body;
+  let m = Scope.mark scope in
+  List.iter (fun x -> Scope.bind scope x Variable) f.params;
+  check_block initial_ctx f.body;
+  Scope.release scope m;
   List.rev !issues
+
+let check_func ~arity f = check_func_in (Scope.create ()) ~arity f
 
 (* Every definition but the last of a name is reported, in program
    order: count the definitions, then count down while walking. *)
@@ -297,5 +302,6 @@ let duplicate_functions program =
 
 let check_program program =
   let arity = arity_of program in
-  List.concat_map (check_func ~arity) program.funcs
+  let scope = Scope.create () in
+  List.concat_map (check_func_in scope ~arity) program.funcs
   @ duplicate_functions program

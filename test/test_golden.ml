@@ -332,6 +332,22 @@ func main() {
 }|} );
   ]
 
+(* A race only the barrier-cycle rule of the race pass reports: a thread
+   that has passed the barrier reads [x] while another, a loop iteration
+   ahead, writes it, although the two accesses sit in different barrier
+   phases of one iteration. *)
+let barrier_loop_source =
+  {|func main() {
+  var x = 0;
+  pragma omp parallel num_threads(2) {
+    for k = 0 to 3 {
+      x = x + k;
+      pragma omp barrier;
+      print(x);
+    }
+  }
+}|}
+
 (* [reports]: for every shipped program, the injector mutants of the
    [compile] benchmark workload at seed 1 and the text of the
    fixed-seed generated corpus (whose programs exercise criticals,
@@ -342,7 +358,7 @@ func main() {
    prints: the JSON report, the instrumented program and the check
    counts.  Then one MD5 per 100-entry slice of the 2,400-program
    default farm corpus, analysed as builder ASTs, and the same MD5 for
-   each of [scope_sources].  A change to any static pass that moves a
+   each of [scope_sources] and for [barrier_loop_source].  A change to any static pass that moves a
    warning, a location, a CC site or a byte of the rendering moves a
    pin. *)
 let report_lines () =
@@ -352,7 +368,7 @@ let report_lines () =
       (fun (name, programs) ->
         (name, md5 (String.concat "" (List.map program_report programs))))
       (Lazy.force farm_slices)
-  @ reports scope_sources
+  @ reports (scope_sources @ [ ("races/barrier-loop", barrier_loop_source) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler observables                                                *)

@@ -459,9 +459,67 @@ let helper_tests =
                (Printf.sprintf "%s:%d:%d" l.file l.line l.col)));
   ]
 
+(* [Scope] against a model: the bindings as a list, newest first, and
+   the open marks as the list lengths to drop back to.  Runs long enough
+   to index, and to grow the index past its first table. *)
+type scope_op = Bind of string | Enter | Exit
+
+let scope_names =
+  [| "a"; "b"; "t1"; "t10"; "t01"; "x"; "num_threads"; "_"; "B" |]
+
+let scope_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"scope lookups agree with a binding list"
+         ~count:300
+         (QCheck.make
+            ~print:(fun ops ->
+              String.concat " "
+                (List.map
+                   (function Bind x -> x | Enter -> "{" | Exit -> "}")
+                   ops))
+            QCheck.Gen.(
+              list_size (int_range 0 400)
+                (frequency
+                   [
+                     (6, map (fun i -> Bind scope_names.(i)) (int_bound 8));
+                     (1, return Enter);
+                     (1, return Exit);
+                   ])))
+         (fun ops ->
+           let sc = Scope.create () in
+           (* The model, and per open mark its height and the Scope mark. *)
+           let model = ref [] and marks = ref [] in
+           let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+           let agree () =
+             Array.for_all
+               (fun x ->
+                 Scope.find_opt sc x = List.assoc_opt x !model
+                 && Scope.mem sc x = List.mem_assoc x !model)
+               scope_names
+           in
+           List.for_all
+             (fun op ->
+               (match (op, !marks) with
+               | Bind x, _ ->
+                   let v = List.length !model in
+                   Scope.bind sc x v;
+                   model := (x, v) :: !model
+               | Enter, _ ->
+                   marks := (List.length !model, Scope.mark sc) :: !marks
+               | Exit, (n, m) :: rest ->
+                   Scope.release sc m;
+                   model := drop (List.length !model - n) !model;
+                   marks := rest
+               | Exit, [] -> ());
+               agree ())
+             ops));
+  ]
+
 let suite =
   [
     ("minilang.lexer", lexer_tests);
+    ("minilang.scope", scope_tests);
     ("minilang.parser", parser_tests);
     ("minilang.roundtrip", roundtrip_tests);
     ("minilang.validate", validator_tests);
